@@ -19,7 +19,6 @@ from .groups import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    all_maximal_chain_lengths,
     closure_bar,
     compute_M,
     coatoms,
@@ -94,7 +93,6 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
     props = group_properties(G)
     L = enumerate_subracks(conjugation_rack(G, provenance=spec), node_budget)
     grad = gradedness(L)
-    lengths = all_maximal_chain_lengths(L)
 
     full = (1 << G.order) - 1
     expected_coat = sorted(
@@ -151,7 +149,7 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
         properties=props,
         nilpotent_lcs=is_nilpotent_lcs(G),
         nodes=L.n,
-        chain_lengths=lengths,
+        chain_lengths=grad.lengths,
         graded=grad.is_graded,
         coatoms_are_class_complements=coatoms_ok,
         int_size=len(ints),

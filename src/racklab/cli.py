@@ -21,7 +21,6 @@ from .groups import (
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
-    all_maximal_chain_lengths,
     atoms,
     coatoms,
     enumerate_subracks,
@@ -30,7 +29,14 @@ from .lattice import (
 )
 from .racks import RackAxiomError, rack_from_spec
 from .topology import DEFAULT_SIMPLEX_BUDGET, order_complex, reduced_homology
-from .verify import CHECKS, VerifyConfig, report_to_csv, report_to_json, run_checks
+from .verify import (
+    CHECKS,
+    UnknownCheckError,
+    VerifyConfig,
+    report_to_csv,
+    report_to_json,
+    run_checks,
+)
 
 _USAGE_ERROR = 2
 
@@ -43,6 +49,16 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(obj: dict, fmt: str = "json") -> None:
@@ -89,7 +105,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "graded": grad.is_graded,
         "min_maximal_chain": grad.min_maximal_chain,
         "max_maximal_chain": grad.max_maximal_chain,
-        "chain_lengths": list(all_maximal_chain_lengths(lat)),
+        "chain_lengths": list(grad.lengths),
     }
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
@@ -186,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--budget-nodes", type=int, default=env_nodes)
     v.add_argument("--budget-simplices", type=int, default=env_simplices)
     v.add_argument("--timings", action="store_true")
-    v.add_argument("--workers", type=int, default=1,
-                   help="run checks concurrently in this many processes")
+    v.add_argument("--workers", type=_worker_count, default=1,
+                   help="run checks concurrently in this many processes "
+                        "(at least 1, at most the CPU count)")
     v.set_defaults(func=cmd_verify)
     return p
 
@@ -203,8 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OrderCapExceeded, CapExceeded, BudgetExceeded) as exc:
         print(f"racklab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except KeyError as exc:
-        print(f"racklab: {exc}", file=sys.stderr)
+    except UnknownCheckError as exc:
+        print(f"racklab: {exc.args[0]}", file=sys.stderr)
         return _USAGE_ERROR
 
 

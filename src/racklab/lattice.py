@@ -5,14 +5,20 @@ atoms/coatoms, Int(L), Boolean tests, the M-set, product decompositions).
 Lattice nodes are bit-vector element sets, canonically ordered by
 (popcount, value), so node 0 is the empty set and the last node is the full
 rack; node ids are therefore a topological order of the cover DAG.
+
+Enumeration visits the nodes level by level in that order.  Each node's upper
+covers come from Lindig's neighbour algorithm (one closure per outside
+element, each cover emitted exactly once), and each closure is seeded with the
+node as already closed, so it only processes the added elements.  The Hasse
+diagram is kept as compressed sparse rows of upper covers, with the lower
+covers derived from them.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .bitsets import bit_list, bits
 from .groups import CapExceeded, ClassDecomposition, FiniteGroup, conjugacy_classes
@@ -39,32 +45,29 @@ class LatticeInvariantError(RuntimeError):
 
 class CoverPoset:
     """Bounded poset given by its Hasse diagram, nodes 0..n-1 in a topological
-    order with 0 the bottom and n-1 the top."""
+    order with 0 the bottom and n-1 the top.
+
+    The diagram is stored as compressed sparse rows: the upper covers of v are
+    ``pflat[pstart[v]:pstart[v + 1]]`` in ascending order, and the lower-cover
+    rows are derived from them once.
+    """
 
     __slots__ = ("n", "_pstart", "_pflat", "_cstart", "_cflat")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
+    def __init__(self, pstart: array, pflat: array):
+        n = len(pstart) - 1
+        cstart = _row_starts(n, pflat)
+        fill = cstart[:]
+        cflat = array("l", [0]) * len(pflat)
+        # children are visited in ascending order, so each row comes out sorted
+        for c in range(n):
+            for p in pflat[pstart[c]:pstart[c + 1]]:
+                cflat[fill[p]] = c
+                fill[p] += 1
         self.n = n
-        pcount = [0] * (n + 1)
-        ccount = [0] * (n + 1)
-        for c, p in edges:
-            pcount[c + 1] += 1
-            ccount[p + 1] += 1
-        for i in range(n):
-            pcount[i + 1] += pcount[i]
-            ccount[i + 1] += ccount[i]
-        pflat = array("l", [0] * len(edges))
-        cflat = array("l", [0] * len(edges))
-        pfill = pcount[:]
-        cfill = ccount[:]
-        for c, p in edges:
-            pflat[pfill[c]] = p
-            pfill[c] += 1
-            cflat[cfill[p]] = c
-            cfill[p] += 1
-        self._pstart = array("l", pcount)
+        self._pstart = pstart
         self._pflat = pflat
-        self._cstart = array("l", ccount)
+        self._cstart = cstart
         self._cflat = cflat
 
     def parents(self, v: int) -> list[int]:
@@ -84,13 +87,30 @@ class CoverPoset:
                 yield (c, p)
 
 
+def _row_starts(n: int, rows: Iterable[int]) -> array:
+    """Offsets of rows 0..n-1 in a flat array holding one entry per item of
+    `rows`, the row each entry belongs to."""
+    starts = array("l", [0]) * (n + 1)
+    for r in rows:
+        starts[r + 1] += 1
+    for i in range(n):
+        starts[i + 1] += starts[i]
+    return starts
+
+
+def _csr_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[array, array]:
+    """The parent rows (pstart, pflat) of a list of (child, parent) pairs."""
+    edges = sorted(edges)
+    return _row_starts(n, (c for c, _ in edges)), array("l", [p for _, p in edges])
+
+
 class SubrackLattice(CoverPoset):
     """All subracks of a rack, ordered by inclusion, with cover relations."""
 
     __slots__ = ("rack", "sets", "index", "labels", "spec")
 
-    def __init__(self, rack, sets, edges, labels=None, spec=None):
-        super().__init__(len(sets), edges)
+    def __init__(self, rack, sets, pstart, pflat, labels=None, spec=None):
+        super().__init__(pstart, pflat)
         self.rack = rack
         self.sets = list(sets)
         self.index = {s: i for i, s in enumerate(self.sets)}
@@ -126,64 +146,65 @@ def enumerate_subracks(
     """Enumerate every subrack (fixed point of the closure) together with the
     Hasse diagram.
 
-    Closed sets are discovered from the empty set through memoized
-    single-element extensions; covers are the inclusion-minimal extension
-    closures of each node.
+    Upper covers come from Lindig's neighbour algorithm: for a subrack s and
+    each x outside it, in ascending order, b = closure(s + x) is a cover
+    exactly when no element of b - s - x is still in `mins`, the outside
+    elements not yet found to generate a larger set; otherwise x leaves
+    `mins`.  Each cover is emitted once, at its last generator, so covers need
+    no deduplication, sorting or pairwise subset filter.  The closure is
+    seeded with s as already closed, so it only works through the new
+    elements.
+
+    A cover is strictly larger than its child, so once popcount level k is
+    reached every node on it has been found: each level is sorted once and
+    its nodes receive their final (popcount, value) ids as they are visited.
+    Parent rows are recorded under discovery ids, then translated to final ids
+    and sorted per child, giving the compressed rows that CoverPoset stores.
     """
     if rack.size > rack_cap:
         raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {rack_cap}")
     close = rack.closure
     full = rack.full_mask()
-    pid = {0: 0}
-    psets = [0]
-    queue = deque([0])
-    edges_c = array("l")
-    edges_p = array("l")
-    while queue:
-        v = queue.popleft()
-        s = psets[v]
-        rem = full & ~s
-        if not rem:
-            continue
-        exts = set()
-        for x in bits(rem):
-            exts.add(close(s | (1 << x)))
-        cand = sorted(exts, key=lambda m: (m.bit_count(), m))
-        if cand[0].bit_count() == cand[-1].bit_count():
-            covers = cand
-        else:
-            covers = []
-            for b in cand:
-                pb = b.bit_count()
-                for c in covers:
-                    if c.bit_count() < pb and c & b == c:
-                        break
-                else:
-                    covers.append(b)
-        for b in covers:
-            w = pid.get(b)
-            if w is None:
-                if len(psets) >= node_budget:
-                    raise BudgetExceeded(
-                        f"node budget {node_budget} exceeded; "
-                        f"{len(psets)} subracks enumerated so far",
-                        partial=len(psets),
-                    )
-                w = len(psets)
-                pid[b] = w
-                psets.append(b)
-                queue.append(w)
-            edges_c.append(v)
-            edges_p.append(w)
-    order = sorted(range(len(psets)), key=lambda i: (psets[i].bit_count(), psets[i]))
-    remap = [0] * len(psets)
-    for new, old in enumerate(order):
-        remap[old] = new
-    sets = [psets[old] for old in order]
-    edges = sorted(
-        (remap[edges_c[i]], remap[edges_p[i]]) for i in range(len(edges_c))
-    )
-    return SubrackLattice(rack, sets, edges)
+    levels: list[list[int]] = [[] for _ in range(rack.size + 1)]
+    levels[0].append(0)
+    found = {0: 0}  # subrack -> discovery id
+    node_id = array("l", [0])  # discovery id -> final node id
+    sets: list[int] = []
+    pstart = array("l", [0])
+    pflat = array("l")  # parents by discovery id, translated at the end
+    for level in levels:
+        level.sort()
+        for s in level:
+            node_id[found[s]] = len(sets)
+            sets.append(s)
+            mins = rem = full & ~s
+            while rem:
+                bit = rem & -rem
+                rem ^= bit
+                b = close(s | bit, s)  # positional: perfbench wraps closure as (*args)
+                if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                    mins ^= bit
+                    continue
+                w = found.get(b)
+                if w is None:
+                    w = len(found)
+                    if w >= node_budget:
+                        raise BudgetExceeded(
+                            f"node budget {node_budget} exceeded; "
+                            f"{w} subracks enumerated so far",
+                            partial=w,
+                        )
+                    found[b] = w
+                    node_id.append(0)
+                    levels[b.bit_count()].append(b)
+                pflat.append(w)
+            pstart.append(len(pflat))
+    pflat = array("l", map(node_id.__getitem__, pflat))
+    for v in range(len(sets)):
+        lo, hi = pstart[v], pstart[v + 1]
+        if hi - lo > 1:
+            pflat[lo:hi] = array("l", sorted(pflat[lo:hi]))
+    return SubrackLattice(rack, sets, pstart, pflat)
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
@@ -230,6 +251,21 @@ def brute_force_subracks(rack: Rack) -> list[int]:
         if ok:
             out.append(m)
     return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
+def brute_force_covers(sets: list[int]) -> list[tuple[int, int]]:
+    """Independent oracle: the Hasse diagram of distinct sets listed in
+    (popcount, value) order, by definition: every id pair (c, p) with sets[c]
+    inside sets[p] and no set strictly between them, in ascending order.  A
+    set between two others sits between them in that order too."""
+    n = len(sets)
+    return [
+        (c, p)
+        for c, s in enumerate(sets)
+        for p in range(c + 1, n)
+        if s & sets[p] == s
+        and not any(s & m == s and m & sets[p] == m for m in sets[c + 1:p])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +347,12 @@ class GradednessReport:
     max_maximal_chain: int
     witness_short: tuple[int, ...]
     witness_long: tuple[int, ...]
+    lengths: tuple[int, ...]  # every maximal-chain cover-length, ascending
 
 
 def gradedness(P: CoverPoset) -> GradednessReport:
     lb = _length_sets(P)
-    lengths = bit_list(lb[P.n - 1])
+    lengths = tuple(bits(lb[P.n - 1]))
     lo, hi = lengths[0], lengths[-1]
     return GradednessReport(
         is_graded=(lo == hi),
@@ -323,6 +360,7 @@ def gradedness(P: CoverPoset) -> GradednessReport:
         max_maximal_chain=hi,
         witness_short=tuple(_witness_chain(P, lb, lo)),
         witness_long=tuple(_witness_chain(P, lb, hi)),
+        lengths=lengths,
     )
 
 
@@ -656,39 +694,125 @@ def export_lattice_text(L: SubrackLattice) -> str:
     lines.append(f"nodes {L.n}")
     for i, s in enumerate(L.sets):
         lines.append(f"n {i} {s:x}")
-    edges = list(L.edges())
-    lines.append(f"edges {len(edges)}")
-    for c, p in edges:
+    lines.append(f"edges {L.edge_count()}")
+    for c, p in L.edges():
         lines.append(f"e {c} {p}")
     return "\n".join(lines) + "\n"
 
 
+def _value(lines: list[str], i: int, key: str) -> str:
+    """The text after `key` on line i."""
+    parts = lines[i].split(" ", 1) if i < len(lines) else ()
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError(f"line {i + 1}: expected a {key!r} line")
+    return parts[1]
+
+
+def _natural(text: str, base: int = 10) -> int:
+    try:
+        value = int(text, base)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def _by_id(lines: list[str], i: int, key: str, count: int) -> list[str]:
+    """The values of the `count` lines `key ID VALUE` from line i on, indexed
+    by ID; each ID 0..count-1 must appear exactly once."""
+    values: list = [None] * count
+    for j in range(i, i + count):
+        idx, _, value = _value(lines, j, key).partition(" ")
+        k = _natural(idx)
+        if k >= count or values[k] is not None:
+            raise ValueError(f"line {j + 1}: {key} id {k} is out of range or repeated")
+        values[k] = value
+    return values
+
+
 def load_lattice_export(text: str) -> SubrackLattice:
+    """Parse the line-oriented export.
+
+    Raises ValueError unless every count matches, every id is used once, the
+    sets are unique and in (popcount, value) order from the empty set to the
+    full mask, and the edges are exactly the Hasse diagram of the sets under
+    inclusion (distinct strict inclusions, see `_check_hasse`).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["racklat", "1"]:
         raise ValueError("not a racklat v1 export")
-    spec = lines[1].split(" ", 1)[1]
-    if spec == "-":
-        spec = None
-    n_elements = int(lines[2].split()[1])
-    labels = [""] * n_elements
-    i = 3
-    for _ in range(n_elements):
-        _, idx, lab = lines[i].split(" ", 2)
-        labels[int(idx)] = lab
-        i += 1
-    n_nodes = int(lines[i].split()[1])
+    spec = _value(lines, 1, "spec")
+    n_elements = _natural(_value(lines, 2, "elements"))
+    labels = _by_id(lines, 3, "label", n_elements)
+    i = 3 + n_elements
+    n_nodes = _natural(_value(lines, i, "nodes"))
+    sets = [_natural(hx, 16) for hx in _by_id(lines, i + 1, "n", n_nodes)]
+    i += 1 + n_nodes
+    n_edges = _natural(_value(lines, i, "edges"))
     i += 1
-    sets = [0] * n_nodes
-    for _ in range(n_nodes):
-        _, idx, hx = lines[i].split()
-        sets[int(idx)] = int(hx, 16)
-        i += 1
-    n_edges = int(lines[i].split()[1])
-    i += 1
+    if len(lines) != i + n_edges:
+        raise ValueError(f"expected {n_edges} edge lines, found {len(lines) - i}")
+    full = (1 << n_elements) - 1
+    if not sets or sets[0] != 0 or sets[-1] != full:
+        raise ValueError("node 0 must be the empty set and the last node the full mask")
+    for v in range(1, n_nodes):
+        a, b = sets[v - 1], sets[v]
+        if (a.bit_count(), a) >= (b.bit_count(), b) or b & ~full:
+            raise ValueError(f"node {v} is repeated, out of (popcount, value) order or too large")
     edges = []
-    for _ in range(n_edges):
-        _, c, p = lines[i].split()
-        edges.append((int(c), int(p)))
-        i += 1
-    return SubrackLattice(None, sets, sorted(edges), labels=labels, spec=spec)
+    for j in range(i, len(lines)):
+        try:
+            key, c, p = lines[j].split()
+            c, p = int(c), int(p)
+        except ValueError:
+            raise ValueError(f"line {j + 1}: expected an 'e CHILD PARENT' line") from None
+        if key != "e" or not (0 <= c < n_nodes and 0 <= p < n_nodes):
+            raise ValueError(f"line {j + 1}: expected an edge between node ids")
+        if c == p or sets[c] & ~sets[p]:
+            raise ValueError(f"line {j + 1}: set {c} is not strictly inside set {p}")
+        edges.append((c, p))
+    if len(set(edges)) != len(edges):
+        raise ValueError("an edge is listed twice")
+    lat = SubrackLattice(
+        None, sets, *_csr_from_edges(n_nodes, edges),
+        labels=labels, spec=None if spec == "-" else spec,
+    )
+    _check_hasse(lat, n_elements)
+    return lat
+
+
+def _check_hasse(L: SubrackLattice, n_elements: int) -> None:
+    """Raise ValueError unless the upper covers of every node are exactly the
+    minimal sets strictly above it: every node but the top has one, none lies
+    above another, and every set strictly above the node contains one of them.
+    This also gives every node but the bottom a lower cover.  The last test
+    runs on bitmasks over node ids, one per element, of the nodes holding it.
+    """
+    sets = L.sets
+    holders = [bytearray((L.n + 7) // 8) for _ in range(n_elements)]
+    for v, s in enumerate(sets):
+        for e in bits(s):
+            holders[e][v >> 3] |= 1 << (v & 7)
+    containing = [int.from_bytes(h, "little") for h in holders]
+    everything = (1 << L.n) - 1
+    for c, s in enumerate(sets):
+        covers = [sets[p] for p in L.parents(c)]
+        if not covers and c != L.n - 1:
+            raise ValueError(f"node {c} has no upper cover")
+        for k, a in enumerate(covers):
+            for b in covers[k + 1:]:
+                if a & b == a:
+                    raise ValueError(f"node {c} has an upper cover above another one")
+        above = everything
+        for e in bits(s):
+            above &= containing[e]
+        reached = 0
+        for t in covers:
+            at = above
+            for e in bits(t & ~s):
+                at &= containing[e]
+            reached |= at
+        # `above` also holds c itself, its lowest bit
+        if reached != above & (above - 1):
+            raise ValueError(f"node {c} lies below a set that contains none of its upper covers")

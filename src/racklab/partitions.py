@@ -13,6 +13,7 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     CoverPoset,
     SubrackLattice,
+    _csr_from_edges,
     enumerate_subracks,
 )
 from .racks import Rack, rack_from_spec
@@ -109,7 +110,7 @@ class PartitionLattice(CoverPoset):
     __slots__ = ("n_ground", "elements", "index")
 
     def __init__(self, n_ground: int, elements: list[SetPartition], edges):
-        super().__init__(len(elements), edges)
+        super().__init__(*_csr_from_edges(len(elements), edges))
         self.n_ground = n_ground
         self.elements = elements
         self.index = {p: i for i, p in enumerate(elements)}
@@ -127,7 +128,7 @@ def partition_lattice(n: int) -> PartitionLattice:
             merged.append(list(p.blocks[a]) + list(p.blocks[b]))
             q = SetPartition.from_blocks(n, merged)
             edges.append((i, index[q]))
-    return PartitionLattice(n, elements, sorted(edges))
+    return PartitionLattice(n, elements, edges)
 
 
 class KEqualLattice(PartitionLattice):
@@ -165,7 +166,7 @@ def k_equal_lattice(n: int, k: int) -> KEqualLattice:
             between = above & ~(1 << j)
             if not any((leq[t] >> j) & 1 for t in bits(between)):
                 edges.append((i, j))
-    return KEqualLattice(n, k, elements, sorted(edges))
+    return KEqualLattice(n, k, elements, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,19 @@ class Rack:
         self._tables = tables
         return tables
 
-    def closure(self, seed: int) -> int:
+    def closure(self, seed: int, closed: int = 0) -> int:
         """Smallest subrack containing the bitmask `seed` (closed under the
-        operation and its inverse, both arguments)."""
+        operation and its inverse, both arguments).
+
+        `closed` may name a subrack already inside `seed`: its elements start
+        off the work list, because the merged tables cover both argument
+        orders and both inverses, so pairs inside it add nothing new.
+        """
         if self.is_trivial or seed == 0:
             return seed
         tables = self._merged_tables()
         res = seed
-        todo = seed
+        todo = seed & ~closed
         while todo:
             low = todo & -todo
             todo ^= low
@@ -258,7 +263,10 @@ def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
         m = _CLASS_RE.fullmatch(filt)
         if not m:
             raise RackAxiomError(f"unrecognized rack filter {filt!r}")
-        e = G.label_index(m.group(1))
+        try:
+            e = G.label_index(m.group(1))
+        except KeyError as exc:
+            raise RackAxiomError(exc.args[0]) from None
         mask = conjugacy_classes(G).class_mask_of(e)
     return conjugation_rack(G, mask, provenance=text)
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 
+import pytest
+
+from racklab import cli
 from racklab.cli import main
 from racklab.lattice import load_lattice_export
 
@@ -153,3 +158,55 @@ def test_verify_bytes_identical_across_processes():
         env = dict(__import__("os").environ, PYTHONHASHSEED=seed)
         outs.append(subprocess.run(cmd, capture_output=True, env=env).stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+def test_unknown_class_label_is_a_usage_error(capsys):
+    rc, _, err = run(capsys, ["lattice", "S3:class(zz)"])
+    assert rc == 2
+    assert "zz" in err
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "enumerate_subracks", broken)
+    with pytest.raises(KeyError):
+        main(["lattice", "S3"])
+
+
+def test_verify_rejects_nonpositive_workers(capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "d8-q8-rack-iso", "--workers", value])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor and runs everything in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes = []
+    argv = ["verify", "--check", "d8-q8-rack-iso", "--check", "fourcycle-rack"]
+    rc, out, _ = run(capsys, argv + ["--workers", "64"])
+    assert rc == 0
+    assert _InlinePool.sizes == [2]
+    assert out == run(capsys, argv)[1]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_maximal_chains
 from racklab.bitsets import bit_list, bits, mask_of
@@ -9,6 +13,7 @@ from racklab.lattice import (
     BudgetExceeded,
     all_maximal_chain_lengths,
     atoms,
+    brute_force_covers,
     brute_force_subracks,
     closure_bar,
     coatoms,
@@ -29,6 +34,7 @@ from racklab.lattice import (
     product_decomposition_check,
 )
 from racklab.racks import conjugation_rack, rack_from_spec
+from racklab.topology import homology_from_export
 
 SMALL_RACKS = [
     "S3", "S4:cycles(4)", "D8", "Q8", "D8:noncentral", "D10", "A4", "Z6",
@@ -43,6 +49,29 @@ def test_enumeration_matches_oracles(spec):
     assert lat.sets == brute_force_subracks(rack)
     lectic = sorted(iter_closed_sets_lectic(rack), key=lambda m: (m.bit_count(), m))
     assert lat.sets == lectic
+
+
+@lru_cache(maxsize=None)
+def _small_lattice(spec):
+    return enumerate_subracks(rack_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", SMALL_RACKS)
+def test_covers_match_bruteforce_hasse_diagram(spec):
+    lat = _small_lattice(spec)
+    hasse = brute_force_covers(brute_force_subracks(lat.rack))
+    assert list(lat.edges()) == hasse
+    for v in range(lat.n):
+        assert lat.children(v) == [c for c, p in hasse if p == v]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(SMALL_RACKS), st.data())
+def test_seeded_closure_equals_plain_closure(spec, data):
+    lat = _small_lattice(spec)
+    s = data.draw(st.sampled_from(lat.sets))
+    x = data.draw(st.integers(0, lat.rack.size - 1))
+    assert lat.rack.closure(s | 1 << x, s) == lat.rack.closure(s | 1 << x)
 
 
 def test_s3_has_18_subracks():
@@ -378,3 +407,108 @@ def test_coatoms_of_noncentral_rack_are_class_complements():
         )
         got = sorted(lat.sets[v] for v in coatoms(lat))
         assert got == want
+
+
+def _without_edge_lines(text, edges_line):
+    lines = [ln for ln in text.splitlines() if not ln.startswith("e ")]
+    lines = [edges_line if ln.startswith("edges ") else ln for ln in lines]
+    return "\n".join(lines) + "\n"
+
+
+def test_export_without_covers_is_rejected():
+    text = export_lattice_text(_small_lattice("S3"))
+    assert "edges 33" in text
+    for edges_line in ("edges 33", "edges 0"):
+        stripped = _without_edge_lines(text, edges_line)
+        with pytest.raises(ValueError):
+            load_lattice_export(stripped)
+        with pytest.raises(ValueError):
+            homology_from_export(stripped)
+
+
+def _export_lines(spec):
+    return export_lattice_text(_small_lattice(spec)).splitlines()
+
+
+def _replaced(lines, old, new):
+    assert old in lines
+    return "\n".join(new if ln == old else ln for ln in lines) + "\n"
+
+
+def test_export_defects_are_rejected():
+    lat = _small_lattice("S3")
+    lines = _export_lines("S3")
+    c, p = next(iter(lat.edges()))
+    # an edge skipping a level: the top is above node c, but is no cover of it
+    skip = f"e {c} {lat.n - 1}"
+    cases = {
+        "bottom is not empty": _replaced(lines, "n 0 0", "n 0 40"),
+        "node id repeated": _replaced(lines, "n 1 1", "n 0 1"),
+        "edge out of range": _replaced(lines, f"e {c} {p}", f"e {c} {lat.n}"),
+        "edge not an inclusion": _replaced(lines, f"e {c} {p}", f"e {p} {c}"),
+        "edge repeated": "\n".join(lines + [f"e {c} {p}"]) + "\n",
+        "skipping edge": _replaced(lines, f"e {c} {p}", skip),
+        "label id out of range": _replaced(lines, lines[3], "label 9 x"),
+        "bad count": _replaced(lines, f"nodes {lat.n}", f"nodes {lat.n + 1}"),
+        "negative set": _replaced(lines, "n 1 1", "n 1 -1"),
+    }
+    for name, text in cases.items():
+        with pytest.raises(ValueError):
+            load_lattice_export(text)
+            pytest.fail(name)
+
+
+def test_export_retargeted_to_a_larger_set_is_rejected():
+    # replacing a cover (c, p) by (c, q) with q above p keeps every local
+    # check happy whenever p is c's only cover inside q and p keeps another
+    # lower cover; only the full Hasse check sees it
+    lat = _small_lattice("A4")
+    sets = lat.sets
+    found = 0
+    for c, p in lat.edges():
+        for q in range(p + 1, lat.n):
+            inside = [r for r in lat.parents(c) if sets[r] & sets[q] == sets[r]]
+            if inside == [p] and len(lat.children(p)) > 1:
+                text = export_lattice_text(lat).replace(f"e {c} {p}\n", f"e {c} {q}\n")
+                with pytest.raises(ValueError):
+                    load_lattice_export(text)
+                found += 1
+    assert found
+
+
+FUZZ_RACKS = ["S3", "S4:cycles(4)", "D8:noncentral", "S4:transpositions"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(FUZZ_RACKS), st.data())
+def test_corrupted_export_loads_identically_or_raises(spec, data):
+    lat = _small_lattice(spec)
+    lines = export_lattice_text(lat).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["delete", "duplicate", "swap", "number"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = (i + 1) % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        # rewrite one numeric field; label and spec text are free-form
+        parts = lines[i].split(" ")
+        slots = {"label": [1], "spec": []}.get(parts[0], range(1, len(parts)))
+        if not slots:
+            return
+        k = data.draw(st.sampled_from(list(slots)))
+        if parts[0] == "n" and k == 2:
+            parts[k] = format(data.draw(st.integers(-1, lat.rack.full_mask() + 1)), "x")
+        else:
+            parts[k] = str(data.draw(st.integers(-1, lat.n + 1)))
+        lines[i] = " ".join(parts)
+    try:
+        loaded = load_lattice_export("\n".join(lines) + "\n")
+    except ValueError:
+        return
+    assert loaded.sets == lat.sets
+    assert list(loaded.edges()) == list(lat.edges())
+    assert (loaded.labels, loaded.spec) == (lat.labels, lat.spec)
