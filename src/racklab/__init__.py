@@ -47,6 +47,7 @@ from .lattice import (
     is_boolean_sets,
     compute_M,
     product_decomposition_check,
+    export_lattice_lines,
     export_lattice_text,
     load_lattice_export,
 )

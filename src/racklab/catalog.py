@@ -48,6 +48,13 @@ CATALOG = ABELIAN_LE16 + NONABELIAN_CATALOG
 
 GRADED_NONABELIAN = ("S3", "D8", "Q8")
 
+# the catalog groups with a nontrivial center, whose lattices split off a
+# Boolean factor
+CENTRAL_CATALOG = ABELIAN_LE16[1:] + (
+    "D8", "Q8", "D12", "DIC3", "D16", "Q16", "SD16", "S3xZ2", "S3xZ3",
+    "D8xZ2", "Q8xZ2", "SL(2,3)",
+)
+
 # groups whose order complex is checked against a (c-2)-sphere
 SPHERE_LIST = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "D8", "Q8", "D10", "A4", "D12", "DIC3")
 
@@ -64,14 +71,8 @@ CHAIN_WITNESSES = {
 
 @dataclass(frozen=True)
 class GroupAnalysis:
-    spec: str
-    order: int
-    class_sizes: tuple[int, ...]
-    center_size: int
     properties: GroupProperties
     nilpotent_lcs: bool
-    nodes: int
-    chain_lengths: tuple[int, ...]
     graded: bool
     coatoms_are_class_complements: bool
     int_size: int
@@ -92,7 +93,6 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
     cd = conjugacy_classes(G)
     props = group_properties(G)
     L = enumerate_subracks(conjugation_rack(G, provenance=spec), node_budget)
-    grad = gradedness(L)
 
     full = (1 << G.order) - 1
     expected_coat = sorted(
@@ -142,15 +142,9 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
         product_ok = product_decomposition_check(G, lattice=L, node_budget=node_budget).ok
 
     return GroupAnalysis(
-        spec=spec,
-        order=G.order,
-        class_sizes=cd.sizes,
-        center_size=cd.center.bit_count(),
         properties=props,
         nilpotent_lcs=is_nilpotent_lcs(G),
-        nodes=L.n,
-        chain_lengths=grad.lengths,
-        graded=grad.is_graded,
+        graded=gradedness(L).is_graded,
         coatoms_are_class_complements=coatoms_ok,
         int_size=len(ints),
         int_is_boolean=int_ok,

@@ -24,7 +24,7 @@ from .lattice import (
     atoms,
     coatoms,
     enumerate_subracks,
-    export_lattice_text,
+    export_lattice_lines,
     gradedness,
 )
 from .racks import RackAxiomError, rack_from_spec
@@ -61,11 +61,8 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _emit(obj: dict, fmt: str = "json") -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    else:
-        raise AssertionError(fmt)
+def _emit(obj: dict) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_group(args: argparse.Namespace) -> int:
@@ -109,7 +106,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     }
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(export_lattice_text(lat))
+            fh.writelines(export_lattice_lines(lat))
         out["export"] = args.export
     _emit(out)
     return 0
@@ -136,8 +133,6 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.all and args.check:
-        raise SystemExit("--all and --check are mutually exclusive")
     ids = None if args.all or not args.check else list(args.check)
     cfg = VerifyConfig(
         max_order=args.max_order,
@@ -193,12 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_homology)
 
     v = sub.add_parser("verify", help="run the verification suite")
-    v.add_argument("--all", action="store_true", help="run every check")
-    v.add_argument("--check", action="append", metavar="ID",
-                   help=f"run a single check (repeatable); one of: {', '.join(sorted(CHECKS))}")
+    which = v.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every check")
+    which.add_argument("--check", action="append", metavar="ID",
+                       help=f"run a single check (repeatable); one of: {', '.join(sorted(CHECKS))}")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--max-order", type=int, default=None,
-                   help="restrict checks to groups of at most this order")
+                   help="restrict every check to groups of at most this order")
     v.add_argument("--budget-nodes", type=int, default=env_nodes)
     v.add_argument("--budget-simplices", type=int, default=env_simplices)
     v.add_argument("--timings", action="store_true")
@@ -214,10 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GroupSpecError, RackAxiomError) as exc:
-        print(f"racklab: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (OrderCapExceeded, CapExceeded, BudgetExceeded) as exc:
+    except (GroupSpecError, RackAxiomError, OrderCapExceeded, CapExceeded, BudgetExceeded) as exc:
         print(f"racklab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except UnknownCheckError as exc:

@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
+from math import factorial
 from typing import Union
 
 from .bitsets import bit_list, bits, mask_of
@@ -124,21 +125,14 @@ def spec_order(spec: GroupSpec) -> int:
     if kind == "Z":
         return n
     if kind == "S":
-        return _factorial(n)
+        return factorial(n)
     if kind == "A":
-        return max(1, _factorial(n) // 2)
+        return max(1, factorial(n) // 2)
     if kind == "D":
         return n
     if kind == "DIC":
         return 4 * n
     raise AssertionError(kind)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +198,6 @@ class FiniteGroup:
             return self._label_index[label]
         except KeyError:
             raise KeyError(f"no element labeled {label!r} in {self.name}") from None
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul[x][a]
-            k += 1
-        return k
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -559,10 +546,6 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Subgr
             )
         handles.append(_handle(G, m, maximal))
     return handles
-
-
-def maximal_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[SubgroupHandle]:
-    return [h for h in all_subgroups(G, cap) if h.maximal]
 
 
 def core_and_normalizer(

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitsets import bit_list, bits
+from .bitsets import bit_list, bits, mask_of
 from .groups import CapExceeded, ClassDecomposition, FiniteGroup, conjugacy_classes
 from .racks import Rack, conjugation_rack
 
@@ -435,10 +435,8 @@ def closure_bar(classes: ClassDecomposition, mask: int) -> int:
     return out
 
 
-def int_lattice(L: SubrackLattice) -> list[int]:
-    """Int(L): all meets of sets of coatoms (the empty meet being the top)."""
-    top = L.sets[-1]
-    coat = [L.sets[c] for c in coatoms(L)]
+def _meet_closure(top: int, coat: list[int]) -> set[int]:
+    """`top` and all its meets with sets of `coat`."""
     out = {top}
     queue = [top]
     while queue:
@@ -448,7 +446,13 @@ def int_lattice(L: SubrackLattice) -> list[int]:
             if t not in out:
                 out.add(t)
                 queue.append(t)
-    return sorted(out, key=lambda s: (s.bit_count(), s))
+    return out
+
+
+def int_lattice(L: SubrackLattice) -> list[int]:
+    """Int(L): all meets of sets of coatoms (the empty meet being the top)."""
+    coat = [L.sets[c] for c in coatoms(L)]
+    return sorted(_meet_closure(L.sets[-1], coat), key=lambda s: (s.bit_count(), s))
 
 
 def is_boolean_sets(elements: Iterable[int]) -> bool:
@@ -559,18 +563,8 @@ def compute_M(
                     break
             closed_above[bar] = ok
         if bar not in int_not_boolean:
-            bar_node = L.node_of(bar)
-            coat = [sets[c] for c in L.children(bar_node)]
-            meets = {bar}
-            queue = [bar]
-            while queue:
-                t = queue.pop()
-                for c in coat:
-                    u = t & c
-                    if u not in meets:
-                        meets.add(u)
-                        queue.append(u)
-            int_not_boolean[bar] = not is_boolean_sets(meets)
+            coat = [sets[c] for c in L.children(L.node_of(bar))]
+            int_not_boolean[bar] = not is_boolean_sets(_meet_closure(bar, coat))
         entries.append(
             MEntry(
                 node=v,
@@ -619,14 +613,10 @@ def product_decomposition_check(
         node_budget,
         rack_cap,
     )
-    # compress G-element masks to positions within the non-central rack
-    pos = {e: i for i, e in enumerate(bit_list(r_mask))}
-
-    def compress(mask: int) -> int:
-        out = 0
-        for e in bits(mask):
-            out |= 1 << pos[e]
-        return out
+    # the factor's sets as G-element masks, expanded once from rack positions
+    elems = bit_list(r_mask)
+    sub_sets = [mask_of(elems[i] for i in bits(m)) for m in sub.sets]
+    sub_index = {m: i for i, m in enumerate(sub_sets)}
 
     expected = sub.n * (1 << z)
     if lattice.n != expected:
@@ -635,23 +625,21 @@ def product_decomposition_check(
         )
     seen = set()
     for s in lattice.sets:
-        rs = compress(s & r_mask)
-        if rs not in sub.index:
+        rs = s & r_mask
+        if rs not in sub_index:
             return ProductDecompositionReport(
                 False, lattice.n, sub.n, z, "projection to the non-central part is not a subrack"
             )
-        key = (sub.index[rs], s & z_mask)
+        key = (sub_index[rs], s & z_mask)
         if key in seen:
             return ProductDecompositionReport(
                 False, lattice.n, sub.n, z, "projection map is not injective"
             )
         seen.add(key)
-    sub_edges = set()
-    for c, p in sub.edges():
-        sub_edges.add((sub.sets[c], sub.sets[p]))
+    sub_edges = {(sub_sets[c], sub_sets[p]) for c, p in sub.edges()}
     for c, p in lattice.edges():
         sc, sp = lattice.sets[c], lattice.sets[p]
-        rc, rp = compress(sc & r_mask), compress(sp & r_mask)
+        rc, rp = sc & r_mask, sp & r_mask
         zc, zp = sc & z_mask, sp & z_mask
         if zc == zp:
             if (rc, rp) not in sub_edges:
@@ -683,21 +671,23 @@ def product_decomposition_check(
 # line-oriented export
 
 
-def export_lattice_text(L: SubrackLattice) -> str:
-    lines = [
-        "racklat 1",
-        f"spec {L.spec or '-'}",
-        f"elements {len(L.labels)}",
-    ]
+def export_lattice_lines(L: SubrackLattice) -> Iterator[str]:
+    """The export, one newline-terminated line at a time."""
+    yield "racklat 1\n"
+    yield f"spec {L.spec or '-'}\n"
+    yield f"elements {len(L.labels)}\n"
     for i, lab in enumerate(L.labels):
-        lines.append(f"label {i} {lab}")
-    lines.append(f"nodes {L.n}")
+        yield f"label {i} {lab}\n"
+    yield f"nodes {L.n}\n"
     for i, s in enumerate(L.sets):
-        lines.append(f"n {i} {s:x}")
-    lines.append(f"edges {L.edge_count()}")
+        yield f"n {i} {s:x}\n"
+    yield f"edges {L.edge_count()}\n"
     for c, p in L.edges():
-        lines.append(f"e {c} {p}")
-    return "\n".join(lines) + "\n"
+        yield f"e {c} {p}\n"
+
+
+def export_lattice_text(L: SubrackLattice) -> str:
+    return "".join(export_lattice_lines(L))
 
 
 def _value(lines: list[str], i: int, key: str) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
@@ -96,12 +97,8 @@ def all_partitions(n: int) -> list[SetPartition]:
         blocks.pop()
 
     rec(0, [])
-    return sorted(out, key=lambda p: (len(p.blocks) * -1, p.blocks))
-
-
-def _canonical_order(parts: list[SetPartition]) -> list[SetPartition]:
     # bottom (discrete) first, top (one block) last; ids topological in refinement
-    return sorted(parts, key=lambda p: (-len(p.blocks), p.blocks))
+    return sorted(out, key=lambda p: (-len(p.blocks), p.blocks))
 
 
 class PartitionLattice(CoverPoset):
@@ -118,7 +115,7 @@ class PartitionLattice(CoverPoset):
 
 def partition_lattice(n: int) -> PartitionLattice:
     """The full partition lattice: covers merge exactly two blocks."""
-    elements = _canonical_order(all_partitions(n))
+    elements = all_partitions(n)
     index = {p: i for i, p in enumerate(elements)}
     edges = []
     for i, p in enumerate(elements):
@@ -145,11 +142,10 @@ def k_equal_lattice(n: int, k: int) -> KEqualLattice:
     one-block partition the top)."""
     if not 1 <= k <= n or n > MAX_PARTITION_N:
         raise ValueError("need 1 <= k <= n <= 8")
-    qualifying = [
+    elements = [
         p for p in all_partitions(n)
         if all(len(b) == 1 or len(b) >= k for b in p.blocks)
     ]
-    elements = _canonical_order(qualifying)
     m = len(elements)
     leq = [0] * m
     for i, p in enumerate(elements):
@@ -260,17 +256,10 @@ class FiberReport:
 def pcycle_rack_and_lattice(
     n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET, rack_cap: int = 40
 ) -> tuple[FiniteGroup, Rack, SubrackLattice]:
-    G = build_group(f"A{n}", max_order=max(120, _factorial(n) // 2))
-    rack = rack_from_spec(f"A{n}:cycles({p})", max_order=max(120, _factorial(n) // 2))
+    G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
+    rack = rack_from_spec(f"A{n}:cycles({p})", max_order=max(120, factorial(n) // 2))
     lat = enumerate_subracks(rack, node_budget, rack_cap)
     return G, rack, lat
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def quillen_fiber_check(
@@ -284,10 +273,10 @@ def quillen_fiber_check(
         raise ValueError("need an odd prime p < n-2 with n <= 6")
     G, rack, lat = pcycle_rack_and_lattice(n, p, node_budget)
     kequal = k_equal_lattice(n, p)
-    images = [orbit_partition_map(n, rack, G, s) for s in lat.sets]
-    image_ok = set(images) == set(kequal.elements)
     perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
     cycle_perms = [perm_of_label[lab] for lab in rack.labels]
+    images = [_components_partition(n, [cycle_perms[i] for i in bits(s)]) for s in lat.sets]
+    image_ok = set(images) == set(kequal.elements)
     fibers_ok = 0
     total = 0
     detail = ""

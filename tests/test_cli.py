@@ -8,7 +8,8 @@ import pytest
 
 from racklab import cli
 from racklab.cli import main
-from racklab.lattice import load_lattice_export
+from racklab.lattice import enumerate_subracks, export_lattice_text, load_lattice_export
+from racklab.racks import rack_from_spec
 
 
 def run(capsys, argv):
@@ -210,3 +211,18 @@ def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
     assert rc == 0
     assert _InlinePool.sizes == [2]
     assert out == run(capsys, argv)[1]
+
+
+def test_verify_all_with_check_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--check", "sphere-theorem"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_lattice_export_file_equals_export_text(tmp_path, capsys):
+    path = tmp_path / "lat.txt"
+    rc, _, _ = run(capsys, ["lattice", "D8", "--export", str(path)])
+    assert rc == 0
+    want = export_lattice_text(enumerate_subracks(rack_from_spec("D8")))
+    assert path.read_bytes() == want.encode("utf-8")

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from racklab import verify
-from racklab.groups import GroupSpecError
+from racklab import catalog, verify
+from racklab.groups import (
+    GroupSpecError,
+    build_group,
+    conjugacy_classes,
+    parse_group_spec,
+    spec_order,
+)
 from racklab.verify import VerifyConfig, check_lattice_bruteforce
+
+DATA = Path(__file__).with_name("data")
 
 
 def test_lattice_bruteforce_fails_on_a_broken_spec(monkeypatch):
@@ -26,3 +36,56 @@ def test_lattice_bruteforce_lists_oversize_racks_as_skipped(monkeypatch):
 def test_run_checks_rejects_unknown_ids():
     with pytest.raises(verify.UnknownCheckError):
         verify.run_checks(["nope"])
+
+
+def test_every_check_is_its_public_module_function():
+    for cid, fn in verify.CHECKS.items():
+        assert getattr(verify, "check_" + cid.replace("-", "_")) is fn
+        assert fn.__module__ == "racklab.verify"
+    assert len(verify.CHECKS) == 17
+
+
+def test_central_catalog_is_the_catalog_groups_with_nontrivial_center():
+    central = [
+        s for s in catalog.CATALOG
+        if conjugacy_classes(build_group(s)).center.bit_count() > 1
+    ]
+    assert sorted(catalog.CENTRAL_CATALOG) == sorted(central)
+
+
+def test_a_check_with_no_instance_in_range_is_skipped():
+    res = verify.check_fourcycle_rack(VerifyConfig(max_order=23))
+    assert (res.status, res.expected, res.computed) == ("skipped", None, None)
+    assert res.skip_reason == "max-order excludes all instances"
+    assert verify.check_fourcycle_rack(VerifyConfig(max_order=24)).status == "pass"
+
+
+@pytest.fixture(scope="module")
+def report_max_order_8():
+    return verify.run_checks(None, VerifyConfig(max_order=8))
+
+
+def test_verify_max_order_8_matches_the_golden_report(report_max_order_8):
+    # regenerate with: racklab verify --all --max-order 8 > tests/data/verify_max_order_8.json
+    golden = (DATA / "verify_max_order_8.json").read_text(encoding="utf-8")
+    assert verify.report_to_json(report_max_order_8) == golden
+
+
+# checks whose expected/computed are not keyed by rack spec
+UNKEYED = {
+    "partition-iso", "fourcycle-rack", "fivecycle-rack", "kequal-fibers",
+    "d8-q8-rack-iso", "closure-laws",
+}
+
+
+def test_max_order_restricts_every_keyed_check(report_max_order_8):
+    ran = []
+    for check in report_max_order_8["checks"]:
+        if check["id"] in UNKEYED or check["status"] == "skipped":
+            continue
+        ran.append(check["id"])
+        for spec in (*check["expected"], *check["computed"]):
+            order = spec_order(parse_group_spec(spec.partition(":")[0]))
+            assert order <= 8, (check["id"], spec)
+    # every keyed check has an instance of order <= 8 except maxsg-chains
+    assert len(ran) == 17 - len(UNKEYED) - 1
