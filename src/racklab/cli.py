@@ -41,7 +41,7 @@ from .verify import (
 _USAGE_ERROR = 2
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int | None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -193,8 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--check", action="append", metavar="ID",
                        help=f"run a single check (repeatable); one of: {', '.join(sorted(CHECKS))}")
     v.add_argument("--format", choices=("json", "csv"), default="json")
-    v.add_argument("--max-order", type=int, default=None,
-                   help="restrict every check to groups of at most this order")
+    # unset, verify keeps its full catalog: A6 (order 360) is above DEFAULT_MAX_ORDER
+    v.add_argument("--max-order", type=int, default=_env_int("RACKLAB_MAX_ORDER", None),
+                   help="restrict every check to groups of at most this order "
+                        "(default: RACKLAB_MAX_ORDER, else no limit)")
     v.add_argument("--budget-nodes", type=int, default=env_nodes)
     v.add_argument("--budget-simplices", type=int, default=env_simplices)
     v.add_argument("--timings", action="store_true")

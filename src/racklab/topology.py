@@ -1,18 +1,34 @@
 """Order complexes of bounded posets and exact reduced integer homology.
 
 The order complex has one vertex per proper node (bottom and top removed) and
-one d-simplex per (d+1)-chain.  Homology is computed from sparse integer
-boundary matrices through Smith normal form; an optional free-face collapse
-pass shrinks the complex first (it is an elementary-collapse sequence, so it
-preserves the homotopy type and in particular all homology including
-torsion).
+one d-simplex per (d+1)-chain.  `order_complex` counts the chains of every
+dimension before it builds any, so a complex over the simplex budget fails at
+once.
+
+Homology works on facet tables: the ids, in the level below, of the facets of
+every simplex.  An optional greedy free-face collapse shrinks the complex
+first (it is an elementary-collapse sequence, so it preserves the homotopy
+type and in particular all homology including torsion).  Ranks then come from
+column reduction with clearing (Chen & Kerber, *Persistent homology
+computation with a twist*, 2011): the boundary maps are reduced from the top
+dimension down, only +-1 pivots are registered, and the column of a simplex
+that was a unit pivot row one dimension up is skipped.  A column whose lowest
+entry is not a unit is deferred; at the end it is reduced against the unit
+pivots and what is left goes to the exact Smith normal form.  This is exact
+over Z: unit pivots in distinct rows split off 1s of the Smith form, and a
+cleared column is an integer combination of earlier columns, so dropping it
+leaves the image lattice unchanged.  `boundary_matrices` and
+`rank_and_torsion` stay as the direct oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
+from .bitsets import bit_list
 from .lattice import BudgetExceeded, CoverPoset
 
 DEFAULT_SIMPLEX_BUDGET = 1_000_000
@@ -30,11 +46,12 @@ class OrderComplex:
     poset order.
     """
 
-    __slots__ = ("vertices", "simplices")
+    __slots__ = ("vertices", "simplices", "_facets")
 
     def __init__(self, vertices: list[int], simplices: list[list[tuple[int, ...]]]):
         self.vertices = vertices
         self.simplices = simplices
+        self._facets: list[array] | None = None
 
     @property
     def dim(self) -> int:
@@ -49,11 +66,33 @@ class OrderComplex:
     def is_empty(self) -> bool:
         return not self.vertices
 
+    def facet_tables(self) -> list[array]:
+        """Facet ids per dimension, built once.
+
+        Entry d >= 1 holds d+1 ids per d-simplex j, at (d+1)*j + i: the index
+        in level d-1 of the facet that drops vertex i (boundary sign (-1)^i).
+        Entry 0 holds one 0 per vertex, the augmentation onto the empty face.
+        """
+        if self._facets is None:
+            tables = [array("l", [0]) * len(self.simplices[0])] if self.simplices else []
+            for d in range(1, len(self.simplices)):
+                index = {s: i for i, s in enumerate(self.simplices[d - 1])}
+                tables.append(array("l", [
+                    index[s[:i] + s[i + 1:]] for s in self.simplices[d] for i in range(d + 1)
+                ]))
+            self._facets = tables
+        return self._facets
+
 
 def order_complex(
     poset: CoverPoset, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
 ) -> OrderComplex:
-    """All chains of the proper part of `poset` (node 0 and node n-1 dropped)."""
+    """All chains of the proper part of `poset` (node 0 and node n-1 dropped).
+
+    The chains of each dimension are counted first, so `BudgetExceeded` is
+    raised before any simplex is built; its `partial` is the running count
+    through the dimension that overflows.
+    """
     n = poset.n
     if n < 2:
         raise ValueError("order complex needs a poset with at least 2 elements")
@@ -69,12 +108,23 @@ def order_complex(
             if p in pos:
                 acc |= above[pos[p]] | (1 << pos[p])
         above[pos[v]] = acc
-    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in proper]]
+    ups = [bit_list(up) for up in above]
+    # ends[i]: chains of the current dimension whose least element is i
+    ends = [1] * len(proper)
     total = len(proper)
-    if total > simplex_budget:
-        raise BudgetExceeded(
-            f"simplex budget {simplex_budget} exceeded at dimension 0", partial=total
-        )
+    dim = 0
+    while True:
+        if total > simplex_budget:
+            raise BudgetExceeded(
+                f"simplex budget {simplex_budget} exceeded at dimension {dim}", partial=total
+            )
+        ends = [sum(ends[j] for j in up) for up in ups]
+        grown = sum(ends)
+        if not grown:
+            break
+        total += grown
+        dim += 1
+    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in proper]]
     frontier = [((v,), above[pos[v]]) for v in proper]
     while frontier:
         nxt = []
@@ -84,18 +134,9 @@ def order_complex(
                 low = rem & -rem
                 rem ^= low
                 i = low.bit_length() - 1
-                w = proper[i]
-                nxt.append((chain + (w,), up & above[i]))
-        if not nxt:
-            break
-        total += len(nxt)
-        if total > simplex_budget:
-            raise BudgetExceeded(
-                f"simplex budget {simplex_budget} exceeded at dimension "
-                f"{len(simplices)}",
-                partial=total,
-            )
-        simplices.append([c for c, _ in nxt])
+                nxt.append((chain + (proper[i],), up & above[i]))
+        if nxt:
+            simplices.append([c for c, _ in nxt])
         frontier = nxt
     return OrderComplex(proper, simplices)
 
@@ -106,46 +147,74 @@ def order_complex(
 
 def collapse_complex(K: OrderComplex) -> OrderComplex:
     """Greedy elementary collapses: repeatedly remove a free face together
-    with its unique cofacet.  Homotopy type is preserved."""
+    with its unique cofacet.  Homotopy type is preserved.
+
+    Runs on the facet tables.  Every face keeps the number of its live
+    cofacets and the xor of their ids, which is the cofacet itself when the
+    number is one.  The result carries its own renumbered facet tables.
+    """
     if K.is_empty():
         return K
-    alive: list[set[tuple[int, ...]]] = [set(level) for level in K.simplices]
-    cofacets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for d in range(1, len(alive)):
-        for s in alive[d]:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                cofacets.setdefault(f, set()).add(s)
-    queue = [f for f, cs in cofacets.items() if len(cs) == 1]
-    top_dim = len(alive) - 1
-    while queue:
-        f = queue.pop()
-        d = len(f) - 1
-        if f not in alive[d]:
-            continue
-        cs = cofacets.get(f)
-        if not cs or len(cs) != 1:
-            continue
-        (t,) = cs
-        if t not in alive[d + 1]:
-            continue
-        alive[d].discard(f)
-        alive[d + 1].discard(t)
-        for simplex in (f, t):
-            for i in range(len(simplex)):
-                g = simplex[:i] + simplex[i + 1:]
-                if not g:
-                    continue
-                gc = cofacets.get(g)
-                if gc is not None:
-                    gc.discard(simplex)
-                    if len(gc) == 1 and g in alive[len(g) - 1]:
-                        queue.append(g)
-        del cofacets[f]
-    levels = [sorted(level) for level in alive]
-    while levels and not levels[-1]:
-        levels.pop()
-    return OrderComplex(K.vertices, levels)
+    tables = K.facet_tables()
+    top = len(tables) - 1
+    alive = [bytearray(b"\x01") * len(level) for level in K.simplices]
+    count: list[list[int]] = []
+    cofacet: list[list[int]] = []
+    for d in range(top):
+        cnt, acc = [0] * len(K.simplices[d]), [0] * len(K.simplices[d])
+        table, width = tables[d + 1], d + 2
+        for i in range(width):
+            for t, g in enumerate(table[i::width]):
+                cnt[g] += 1
+                acc[g] ^= t
+        count.append(cnt)
+        cofacet.append(acc)
+    # Removing a d-face with its cofacet can free only d-faces and (d-1)-faces,
+    # so each dimension is swept once, from the top down, until none of its
+    # faces is free.  A dead face has no live cofacet, so a count of one is
+    # the whole test.
+    for d in range(top - 1, -1, -1):
+        cnt, acc, live, live_up = count[d], cofacet[d], alive[d], alive[d + 1]
+        up_table, up_width = tables[d + 1], d + 2
+        table, width = tables[d], d + 1
+        below, below_acc = (count[d - 1], cofacet[d - 1]) if d else ([], [])
+        stack = [f for f, c in enumerate(cnt) if c == 1]
+        while stack:
+            f = stack.pop()
+            if cnt[f] != 1:
+                continue
+            t = acc[f]
+            live[f] = live_up[t] = 0
+            for g in up_table[up_width * t:up_width * t + up_width]:
+                cnt[g] -= 1
+                acc[g] ^= t
+                if cnt[g] == 1:
+                    stack.append(g)
+            if d:
+                for g in table[width * f:width * f + width]:
+                    below[g] -= 1
+                    below_acc[g] ^= f
+    levels: list[list[tuple[int, ...]]] = []
+    facets: list[array] = []
+    renumber: list[int] = []
+    for d, level in enumerate(K.simplices):
+        keep = list(compress(range(len(level)), alive[d]))
+        if not keep:
+            break
+        levels.append([level[j] for j in keep])
+        if d == 0:
+            facets.append(array("l", [0]) * len(keep))
+        else:
+            old, width = tables[d], d + 1
+            facets.append(array("l", [
+                renumber[g] for j in keep for g in old[width * j:width * j + width]
+            ]))
+        renumber = [0] * len(level)
+        for new, j in enumerate(keep):
+            renumber[j] = new
+    collapsed = OrderComplex(K.vertices, levels)
+    collapsed._facets = facets
+    return collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +486,73 @@ def boundary_matrices(K: OrderComplex) -> list[SparseIntMatrix]:
     return out
 
 
+def _subtract(col: dict[int, int], pivot: dict[int, int], row: int) -> None:
+    # clear col[row] with the unit pivot column whose lowest row is `row`
+    q = col[row] * pivot[row]
+    for r, x in pivot.items():
+        y = col.get(r, 0) - q * x
+        if y:
+            col[r] = y
+        else:
+            del col[r]
+
+
+def _boundary_ranks(K: OrderComplex) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Rank and torsion of every boundary map of the augmented complex
+    (index 0 is the augmentation), by column reduction with clearing."""
+    tables = K.facet_tables()
+    top = len(tables) - 1
+    ranks = [0] * (top + 1)
+    torsions: list[tuple[int, ...]] = [()] * (top + 1)
+    cleared = bytearray(len(K.simplices[top]))
+    for d in range(top, -1, -1):
+        table, width = tables[d], d + 1
+        pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+        deferred = []
+        for j in range(len(K.simplices[d])):
+            if cleared[j]:
+                continue
+            col = {}
+            sign = 1
+            for g in table[width * j:width * j + width]:
+                col[g] = sign
+                sign = -sign
+            while col:
+                low = max(col)
+                pivot = pivots.get(low)
+                if pivot is not None:
+                    _subtract(col, pivot, low)
+                elif col[low] == 1 or col[low] == -1:
+                    pivots[low] = col
+                    break
+                else:
+                    deferred.append(col)
+                    break
+        ranks[d] = len(pivots)
+        remainder = []
+        for col in deferred:
+            # each subtraction only adds rows below the one it clears
+            low = max((r for r in col if r in pivots), default=None)
+            while low is not None:
+                _subtract(col, pivots[low], low)
+                low = max((r for r in col if r < low and r in pivots), default=None)
+            if col:
+                remainder.append(col)
+        if remainder:
+            rows = {r: i for i, r in enumerate(sorted(set().union(*remainder)))}
+            block = SparseIntMatrix(len(rows), len(remainder))
+            for c, col in enumerate(remainder):
+                for r, v in col.items():
+                    block.set(rows[r], c, v)
+            rank, torsions[d] = rank_and_torsion(block)
+            ranks[d] += rank
+        if d:
+            cleared = bytearray(len(K.simplices[d - 1]))
+            for row in pivots:
+                cleared[row] = 1
+    return ranks, torsions
+
+
 @dataclass(frozen=True)
 class HomologyResult:
     """Reduced Betti numbers and torsion per dimension.
@@ -463,23 +599,17 @@ def reduced_homology(K: OrderComplex, collapse: bool = True) -> HomologyResult:
     for d, c in enumerate(counts):
         euler += c if d % 2 == 0 else -c
     work = collapse_complex(K) if collapse else K
-    mats = boundary_matrices(work)
-    ranks = []
-    torsions = []
-    for m in mats:
-        r, t = rank_and_torsion(m)
-        ranks.append(r)
-        torsions.append(t)
+    ranks, torsions = _boundary_ranks(work)
     betti = {}
     torsion = {}
     wcounts = work.counts()
     for d in range(len(wcounts)):
         rank_d = ranks[d]
-        rank_up = ranks[d + 1] if d + 1 < len(mats) else 0
+        rank_up = ranks[d + 1] if d + 1 < len(ranks) else 0
         b = wcounts[d] - rank_d - rank_up
         if b:
             betti[d] = b
-        if d + 1 < len(mats) and torsions[d + 1]:
+        if d + 1 < len(ranks) and torsions[d + 1]:
             torsion[d] = torsions[d + 1]
     check = sum(b if d % 2 == 0 else -b for d, b in betti.items())
     if check != euler:

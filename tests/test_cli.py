@@ -140,6 +140,30 @@ def test_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["nodes"] == 56
 
 
+def test_verify_honours_env_max_order(capsys, monkeypatch):
+    monkeypatch.setenv("RACKLAB_MAX_ORDER", "8")
+    rc, out, _ = run(capsys, ["verify", "--check", "fourcycle-rack"])
+    assert rc == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "skipped"
+    assert check["skip_reason"] == "max-order excludes all instances"
+
+
+def test_verify_max_order_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("RACKLAB_MAX_ORDER", "8")
+    rc, out, _ = run(capsys, ["verify", "--check", "fourcycle-rack", "--max-order", "24"])
+    assert rc == 0
+    assert json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def test_verify_without_env_max_order_has_no_limit(monkeypatch):
+    # the other commands default to DEFAULT_MAX_ORDER; verify must not, since
+    # its catalog reaches A6 (order 360)
+    monkeypatch.delenv("RACKLAB_MAX_ORDER", raising=False)
+    assert cli.build_parser().parse_args(["verify", "--all"]).max_order is None
+    assert cli.build_parser().parse_args(["lattice", "S3"]).max_order == cli.DEFAULT_MAX_ORDER
+
+
 def test_verify_workers_output_identical(capsys):
     argv = ["verify", "--check", "d8-q8-rack-iso", "--check", "fourcycle-rack"]
     _, a, _ = run(capsys, argv)
