@@ -1,35 +1,14 @@
-"""The named group catalog the verification suite sweeps, and a one-pass
-per-group analysis bundle so each lattice is enumerated once."""
+"""The named group catalog the verification suite sweeps, and the cached
+inputs of its group checks: each group, its properties and its central factor,
+the lattice of G - Z, off which they read L(G) = L(G - Z) x 2^Z."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import (
-    GroupProperties,
-    all_subgroups,
-    build_group,
-    check_class_avoidance,
-    conjugacy_classes,
-    core_and_normalizer,
-    group_properties,
-    is_nilpotent_lcs,
-    subgroup_conjugates,
-)
-from .lattice import (
-    DEFAULT_NODE_BUDGET,
-    closure_bar,
-    compute_M,
-    coatoms,
-    enumerate_subracks,
-    gradedness,
-    int_lattice,
-    is_boolean,
-    is_boolean_sets,
-    product_decomposition_check,
-)
-from .racks import conjugation_rack
+from .groups import FiniteGroup, GroupProperties, build_group, group_properties
+from .lattice import DEFAULT_NODE_BUDGET, CentralFactor, central_factor
 
 # every abelian group of order <= 16, one spec per isomorphism class
 ABELIAN_LE16 = (
@@ -71,89 +50,13 @@ CHAIN_WITNESSES = {
 
 @dataclass(frozen=True)
 class GroupAnalysis:
+    group: FiniteGroup
     properties: GroupProperties
-    nilpotent_lcs: bool
-    graded: bool
-    coatoms_are_class_complements: bool
-    int_size: int
-    int_is_boolean: bool
-    lattice_is_boolean: bool
-    m_member_sets: tuple[int, ...]
-    m_members_are_nonnormal_subgroups: bool
-    m_equals_nonnormal_maximal: bool
-    maximal_m_self_normalizing: bool
-    nonconjugate_maximal_closures_distinct: bool
-    class_avoidance_ok: bool
-    product_ok: bool | None  # None when the center is trivial
+    factor: CentralFactor  # |Z| is factor.center.bit_count()
 
 
 @lru_cache(maxsize=None)
 def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAnalysis:
+    """The group checks' shared inputs, built once per group."""
     G = build_group(spec)
-    cd = conjugacy_classes(G)
-    props = group_properties(G)
-    L = enumerate_subracks(conjugation_rack(G, provenance=spec), node_budget)
-
-    full = (1 << G.order) - 1
-    expected_coat = sorted(
-        (full & ~c for c in cd.classes), key=lambda s: (s.bit_count(), s)
-    )
-    got_coat = sorted((L.sets[v] for v in coatoms(L)), key=lambda s: (s.bit_count(), s))
-    coatoms_ok = got_coat == expected_coat
-
-    ints = int_lattice(L)
-    int_ok = len(ints) == 2 ** len(cd.classes) and is_boolean_sets(ints)
-
-    mrep = compute_M(L, cd)
-    m_sets = tuple(L.sets[v] for v in mrep.members)
-    subs = all_subgroups(G)
-    sub_masks = {h.elems: h for h in subs}
-    m_are_nonnormal_subgroups = all(
-        s in sub_masks and not sub_masks[s].normal for s in m_sets
-    )
-    nn_maximal = sorted(h.elems for h in subs if h.maximal and not h.normal)
-    m_eq_nnmax = sorted(m_sets) == nn_maximal
-
-    # maximal members of M under inclusion are self-normalizing
-    self_nor = True
-    for s in m_sets:
-        if any(t != s and t & s == s for t in m_sets):
-            continue
-        _, normalizer = core_and_normalizer(G, s)
-        if normalizer.elems != s:
-            self_nor = False
-
-    # non-conjugate maximal subgroups have distinct class-union closures
-    orbits = []
-    seen = set()
-    for h in subs:
-        if not h.maximal or h.elems in seen:
-            continue
-        conj = subgroup_conjugates(G, h.elems)
-        seen |= conj
-        orbits.append(min(conj))
-    closures = [closure_bar(cd, m) for m in orbits]
-    diffclo_ok = len(set(closures)) == len(closures)
-
-    avoid_ok = check_class_avoidance(G).ok
-
-    product_ok = None
-    if cd.center.bit_count() > 1:
-        product_ok = product_decomposition_check(G, lattice=L, node_budget=node_budget).ok
-
-    return GroupAnalysis(
-        properties=props,
-        nilpotent_lcs=is_nilpotent_lcs(G),
-        graded=gradedness(L).is_graded,
-        coatoms_are_class_complements=coatoms_ok,
-        int_size=len(ints),
-        int_is_boolean=int_ok,
-        lattice_is_boolean=is_boolean(L),
-        m_member_sets=m_sets,
-        m_members_are_nonnormal_subgroups=m_are_nonnormal_subgroups,
-        m_equals_nonnormal_maximal=m_eq_nnmax,
-        maximal_m_self_normalizing=self_nor,
-        nonconjugate_maximal_closures_distinct=diffclo_ok,
-        class_avoidance_ok=avoid_ok,
-        product_ok=product_ok,
-    )
+    return GroupAnalysis(G, group_properties(G), central_factor(G, node_budget))

@@ -537,11 +537,23 @@ def compute_M(
 ) -> MReport:
     """All nodes satisfying the four conditions: not closed; unique cover equal
     to the class-union closure; everything above that closure closed; the
-    coatom-meet lattice of [bottom, closure] not Boolean."""
+    coatom-meet lattice of [bottom, closure] not Boolean.
+
+    L is the lattice of a rack that `classes` partitions: the full group
+    lattice, or the `central_factor` with its classes.  On the factor,
+    M(G) = {S + Z : S in M(factor)}.  Proof: write a node of
+    L(G) = L(factor) x 2^Z as S + U with U inside Z.  If U != Z, pick z in
+    Z - U; S + U + {z} is a cover, and the class-union closure of S + U
+    misses z, as {z} is a class.  So the closure is not the unique cover and
+    S + U is not in M.  For U = Z the closure is bar(S) + Z, the covers are
+    S' + Z for the covers S' of S, the nodes above the closure are T + Z for
+    T above bar(S), and [bottom, bar(S) + Z] = [bottom, bar(S)] x 2^Z has
+    Int = Int([bottom, bar(S)]) x 2^Z, Boolean exactly when its factor is.
+    Each condition on S + Z is therefore the same condition on S."""
     if L.rack is None or L.rack.size != len(classes.class_of):
-        raise LatticeInvariantError("compute_M needs the full group lattice")
+        raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
     if L.rack.size > m_cap:
-        raise CapExceeded(f"M computation capped at group order {m_cap}")
+        raise CapExceeded(f"M computation capped at rack size {m_cap}")
     sets = L.sets
     closed_above: dict[int, bool] = {}
     int_not_boolean: dict[int, bool] = {}
@@ -580,7 +592,52 @@ def compute_M(
 
 
 # ---------------------------------------------------------------------------
-# product decomposition over a central part
+# the central factor and the product decomposition
+
+
+@dataclass(frozen=True)
+class CentralFactor:
+    """The factor of L(G) = L(G - Z) x 2^Z, Z the center: the subracks of the
+    non-central rack, whose positions are the non-central elements of G in
+    ascending order, with the non-central classes over those positions."""
+
+    lattice: SubrackLattice
+    classes: ClassDecomposition
+    elements: tuple[int, ...]  # the group element at each position
+    center: int  # Z as a group mask
+
+    def group_mask(self, mask: int) -> int:
+        """A set of factor positions as a mask of group elements."""
+        return mask_of(self.elements[i] for i in bits(mask))
+
+
+def central_factor(
+    G: FiniteGroup,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    rack_cap: int = DEFAULT_RACK_CAP,
+) -> CentralFactor:
+    """Enumerate the lattice of the non-central rack of G.
+
+    A central element acts trivially and every element fixes it, so
+    S -> (S - Z, S & Z) is a lattice isomorphism from L(G) onto this lattice
+    times 2^Z; `product_decomposition_check` verifies it exhaustively.
+    """
+    cd = conjugacy_classes(G)
+    mask = ((1 << G.order) - 1) & ~cd.center
+    elements = tuple(bit_list(mask))
+    pos = {e: i for i, e in enumerate(elements)}
+    # the central classes are the singletons, first in the (size, least
+    # element) order, which the monotone renumbering keeps
+    z = cd.center.bit_count()
+    classes = ClassDecomposition(
+        tuple(mask_of(pos[e] for e in bits(c)) for c in cd.classes[z:]),
+        tuple(cd.class_of[e] - z for e in elements),
+        0,
+    )
+    lattice = enumerate_subracks(
+        conjugation_rack(G, mask, provenance=f"{G.name}:noncentral"), node_budget, rack_cap
+    )
+    return CentralFactor(lattice, classes, elements, cd.center)
 
 
 @dataclass(frozen=True)
@@ -599,43 +656,32 @@ def product_decomposition_check(
     rack_cap: int = DEFAULT_RACK_CAP,
 ) -> ProductDecompositionReport:
     """Verify Q -> (Q & R, Q & Z) is an order isomorphism from the full lattice
-    onto (lattice of the non-central rack) x (subsets of the center)."""
-    classes = conjugacy_classes(G)
-    z_mask = classes.center
+    onto (lattice of the non-central rack R) x (subsets of the center Z).
+
+    This is the oracle for the lemma the group checks of `racklab verify`
+    rely on, so it enumerates the full lattice itself.  Since R and Z
+    partition G, the pair determines Q, so the map is injective; with the
+    node count it is a bijection onto the product.
+    """
+    factor = central_factor(G, node_budget, rack_cap)
+    sub = factor.lattice
+    z_mask = factor.center
     r_mask = ((1 << G.order) - 1) & ~z_mask
     z = z_mask.bit_count()
     if lattice is None:
         lattice = enumerate_subracks(
             conjugation_rack(G, provenance=G.name), node_budget, rack_cap
         )
-    sub = enumerate_subracks(
-        conjugation_rack(G, r_mask, provenance=f"{G.name}:noncentral"),
-        node_budget,
-        rack_cap,
-    )
-    # the factor's sets as G-element masks, expanded once from rack positions
-    elems = bit_list(r_mask)
-    sub_sets = [mask_of(elems[i] for i in bits(m)) for m in sub.sets]
-    sub_index = {m: i for i, m in enumerate(sub_sets)}
+    sub_sets = [factor.group_mask(m) for m in sub.sets]
 
-    expected = sub.n * (1 << z)
-    if lattice.n != expected:
-        return ProductDecompositionReport(
-            False, lattice.n, sub.n, z, f"node count {lattice.n} != {sub.n} * 2^{z}"
-        )
-    seen = set()
-    for s in lattice.sets:
-        rs = s & r_mask
-        if rs not in sub_index:
-            return ProductDecompositionReport(
-                False, lattice.n, sub.n, z, "projection to the non-central part is not a subrack"
-            )
-        key = (sub_index[rs], s & z_mask)
-        if key in seen:
-            return ProductDecompositionReport(
-                False, lattice.n, sub.n, z, "projection map is not injective"
-            )
-        seen.add(key)
+    def report(ok: bool, detail: str) -> ProductDecompositionReport:
+        return ProductDecompositionReport(ok, lattice.n, sub.n, z, detail)
+
+    if lattice.n != sub.n << z:
+        return report(False, f"node count {lattice.n} != {sub.n} * 2^{z}")
+    sub_index = set(sub_sets)
+    if any(s & r_mask not in sub_index for s in lattice.sets):
+        return report(False, "projection to the non-central part is not a subrack")
     sub_edges = {(sub_sets[c], sub_sets[p]) for c, p in sub.edges()}
     for c, p in lattice.edges():
         sc, sp = lattice.sets[c], lattice.sets[p]
@@ -643,28 +689,17 @@ def product_decomposition_check(
         zc, zp = sc & z_mask, sp & z_mask
         if zc == zp:
             if (rc, rp) not in sub_edges:
-                return ProductDecompositionReport(
-                    False, lattice.n, sub.n, z, "a cover does not project to a factor cover"
-                )
+                return report(False, "a cover does not project to a factor cover")
         elif rc == rp:
             d = zp & ~zc
             if zc & ~zp or d.bit_count() != 1:
-                return ProductDecompositionReport(
-                    False, lattice.n, sub.n, z, "a cover changes the central part by != 1 element"
-                )
+                return report(False, "a cover changes the central part by != 1 element")
         else:
-            return ProductDecompositionReport(
-                False, lattice.n, sub.n, z, "a cover moves in both coordinates"
-            )
-    want_edges = len(sub_edges) * (1 << z) + sub.n * z * (1 << max(z - 1, 0))
-    if z == 0:
-        want_edges = len(sub_edges)
+            return report(False, "a cover moves in both coordinates")
+    want_edges = len(sub_edges) * (1 << z) + sub.n * z * (1 << z) // 2
     if lattice.edge_count() != want_edges:
-        return ProductDecompositionReport(
-            False, lattice.n, sub.n, z,
-            f"cover count {lattice.edge_count()} != expected {want_edges}",
-        )
-    return ProductDecompositionReport(True, lattice.n, sub.n, z, "order isomorphism verified")
+        return report(False, f"cover count {lattice.edge_count()} != expected {want_edges}")
+    return report(True, "order isomorphism verified")
 
 
 # ---------------------------------------------------------------------------

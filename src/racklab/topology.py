@@ -108,9 +108,11 @@ def order_complex(
             if p in pos:
                 acc |= above[pos[p]] | (1 << pos[p])
         above[pos[v]] = acc
-    ups = [bit_list(up) for up in above]
-    # ends[i]: chains of the current dimension whose least element is i
-    ends = [1] * len(proper)
+    # ends[i]: chains of the next dimension whose least element is i.  The
+    # 1-simplices are counted from the masks, so a budget that dimension 0 or
+    # 1 exhausts fails before the up-sets are listed (every comparable pair)
+    ends = [up.bit_count() for up in above]
+    ups: list[list[int]] = []
     total = len(proper)
     dim = 0
     while True:
@@ -118,7 +120,10 @@ def order_complex(
             raise BudgetExceeded(
                 f"simplex budget {simplex_budget} exceeded at dimension {dim}", partial=total
             )
-        ends = [sum(ends[j] for j in up) for up in ups]
+        if dim == 1:
+            ups = [bit_list(up) for up in above]
+        if dim:
+            ends = [sum(ends[j] for j in up) for up in ups]
         grown = sum(ends)
         if not grown:
             break

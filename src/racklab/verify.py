@@ -18,13 +18,17 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import catalog
+from . import catalog, groups
 from .groups import (
+    all_subgroups,
     build_group,
     conjugacy_classes,
+    core_and_normalizer,
+    is_nilpotent_lcs,
     parse_group_spec,
     spec_order,
     subgroup_closure_mask,
+    subgroup_conjugates,
 )
 from .lattice import (
     BudgetExceeded,
@@ -32,11 +36,18 @@ from .lattice import (
     all_maximal_chain_lengths,
     brute_force_covers,
     brute_force_subracks,
+    central_factor,
     closure_bar,
+    coatoms,
+    compute_M,
     connected_components_proper,
     enumerate_subracks,
     gradedness,
+    int_lattice,
+    is_boolean,
+    is_boolean_sets,
     iter_closed_sets_lectic,
+    product_decomposition_check,
 )
 from .partitions import (
     k_equal_lattice,
@@ -159,6 +170,11 @@ def _each(one):
 
 # ---------------------------------------------------------------------------
 # checks
+#
+# The group checks read L(G) off its central factor P (`lattice.central_factor`)
+# as L(G) = P x 2^Z, the lemma `product-decomposition` verifies.  A maximal
+# chain of L(G) is one of P plus |Z| center steps, and intervals of a Boolean
+# lattice are Boolean, so L(G) is graded, or Boolean, exactly when P is.
 
 
 @_check(
@@ -191,7 +207,8 @@ def check_sphere_theorem(spec, cfg):
 def check_graded_classification(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
     want = a.properties.abelian or spec in catalog.GRADED_NONABELIAN
-    return want, a.graded, a.graded == want
+    graded = gradedness(a.factor.lattice).is_graded
+    return want, graded, graded == want
 
 
 @_check(
@@ -202,8 +219,10 @@ def check_graded_classification(spec, cfg):
 @_each
 def check_maxsg_chains(spec, cfg):
     required = catalog.CHAIN_WITNESSES[spec]
-    lengths = all_maximal_chain_lengths(enumerate_subracks(rack_from_spec(spec), cfg.node_budget))
-    return sorted(required), list(lengths), set(required) <= set(lengths)
+    factor = central_factor(build_group(spec), cfg.node_budget)
+    z = factor.center.bit_count()
+    lengths = [n + z for n in all_maximal_chain_lengths(factor.lattice)]
+    return sorted(required), lengths, set(required) <= set(lengths)
 
 
 @_check(
@@ -213,17 +232,21 @@ def check_maxsg_chains(spec, cfg):
 )
 @_each
 def check_coatom_int_structure(spec, cfg):
-    a = catalog.analyze_group(spec, cfg.node_budget)
+    # the coatoms of P x 2^Z are (coatom of P) + Z and G - {z} for z in Z, and
+    # Int(P x 2^Z) = Int(P) x 2^Z
+    factor = catalog.analyze_group(spec, cfg.node_budget).factor
+    L = factor.lattice
+    classes = factor.classes.classes
+    got = sorted(L.sets[v] for v in coatoms(L))
+    coatoms_ok = got == sorted(L.sets[-1] & ~c for c in classes)
+    ints = int_lattice(L)
+    int_ok = len(ints) == 2 ** len(classes) and is_boolean_sets(ints)
     computed = {
-        "coatoms_ok": a.coatoms_are_class_complements,
-        "int_size": a.int_size,
-        "int_boolean": a.int_is_boolean,
+        "coatoms_ok": coatoms_ok,
+        "int_size": len(ints) << factor.center.bit_count(),
+        "int_boolean": int_ok,
     }
-    return (
-        "coatoms = class complements; |Int| = 2^c, Boolean",
-        computed,
-        a.coatoms_are_class_complements and a.int_is_boolean,
-    )
+    return "coatoms = class complements; |Int| = 2^c, Boolean", computed, coatoms_ok and int_ok
 
 
 @_check(
@@ -236,14 +259,40 @@ def check_coatom_int_structure(spec, cfg):
 @_each
 def check_m_of_g(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
+    G, props, factor = a.group, a.properties, a.factor
+    # M(G) = {S + Z : S in M(P)}; compute_M gives the proof
+    m_sets = [
+        factor.group_mask(factor.lattice.sets[v]) | factor.center
+        for v in compute_M(factor.lattice, factor.classes).members
+    ]
+    subs = all_subgroups(G)
+    sub_masks = {h.elems: h for h in subs}
+    nonnormal_maximal = sorted(h.elems for h in subs if h.maximal and not h.normal)
+    # maximal members of M under inclusion are self-normalizing
+    self_normalizing = all(
+        core_and_normalizer(G, s)[1].elems == s
+        for s in m_sets
+        if not any(t != s and t & s == s for t in m_sets)
+    )
+    # non-conjugate maximal subgroups have distinct class-union closures
+    orbits, seen = [], set()
+    for h in subs:
+        if h.maximal and h.elems not in seen:
+            conj = subgroup_conjugates(G, h.elems)
+            seen |= conj
+            orbits.append(min(conj))
+    cd = conjugacy_classes(G)
+    closures = [closure_bar(cd, m) for m in orbits]
     computed = {
-        "members": len(a.m_member_sets),
-        "empty_iff_nilpotent": (len(a.m_member_sets) == 0) == a.properties.nilpotent,
-        "nilpotency_criteria_agree": a.properties.nilpotent == a.nilpotent_lcs,
-        "equals_nonnormal_maximal": a.m_equals_nonnormal_maximal if a.properties.solvable else True,
-        "members_are_nonnormal_subgroups": a.m_members_are_nonnormal_subgroups,
-        "maximal_members_self_normalizing": a.maximal_m_self_normalizing,
-        "nonconjugate_maximal_closures_distinct": a.nonconjugate_maximal_closures_distinct,
+        "members": len(m_sets),
+        "empty_iff_nilpotent": (not m_sets) == props.nilpotent,
+        "nilpotency_criteria_agree": props.nilpotent == is_nilpotent_lcs(G),
+        "equals_nonnormal_maximal": sorted(m_sets) == nonnormal_maximal if props.solvable else True,
+        "members_are_nonnormal_subgroups": all(
+            s in sub_masks and not sub_masks[s].normal for s in m_sets
+        ),
+        "maximal_members_self_normalizing": self_normalizing,
+        "nonconjugate_maximal_closures_distinct": len(set(closures)) == len(closures),
     }
     ok = all(v for k, v in computed.items() if k != "members")
     return "all five M-set facts", computed, ok
@@ -256,8 +305,9 @@ def check_m_of_g(spec, cfg):
 @_each
 def check_boolean_iff_abelian(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
-    computed = {"abelian": a.properties.abelian, "boolean": a.lattice_is_boolean}
-    return "boolean == abelian", computed, a.lattice_is_boolean == a.properties.abelian
+    boolean = is_boolean(a.factor.lattice)
+    computed = {"abelian": a.properties.abelian, "boolean": boolean}
+    return "boolean == abelian", computed, boolean == a.properties.abelian
 
 
 @_check(
@@ -379,7 +429,7 @@ def check_d8_q8_rack_iso(specs, cfg):
 )
 @_each
 def check_class_avoidance(spec, cfg):
-    good = catalog.analyze_group(spec, cfg.node_budget).class_avoidance_ok
+    good = groups.check_class_avoidance(build_group(spec)).ok  # the bare name is this check
     return True, good, good
 
 
@@ -390,8 +440,8 @@ def check_class_avoidance(spec, cfg):
 )
 @_each
 def check_product_decomposition(spec, cfg):
-    good = catalog.analyze_group(spec, cfg.node_budget).product_ok
-    return True, good, bool(good)
+    good = product_decomposition_check(build_group(spec), node_budget=cfg.node_budget).ok
+    return True, good, good
 
 
 @_check(

@@ -1,0 +1,93 @@
+"""The group checks of `racklab verify` read the full lattice off its central
+factor, L(G) = L(G - Z) x 2^Z.  Every value they derive is compared here with
+the same value computed on the full lattice, the way the checks computed it
+before the factor was used."""
+
+from __future__ import annotations
+
+import pytest
+
+from racklab import catalog, verify
+from racklab.groups import build_group, conjugacy_classes
+from racklab.lattice import (
+    all_maximal_chain_lengths,
+    central_factor,
+    coatoms,
+    compute_M,
+    enumerate_subracks,
+    gradedness,
+    int_lattice,
+    is_boolean,
+    is_boolean_sets,
+)
+from racklab.racks import conjugation_rack, rack_from_spec
+
+DERIVED = (
+    "graded-classification", "boolean-iff-abelian", "coatom-int-structure",
+    "m-of-g", "maxsg-chains",
+)
+
+
+@pytest.fixture(scope="module")
+def computed():
+    report = verify.run_checks(list(DERIVED))
+    return {c["id"]: c["computed"] for c in report["checks"]}
+
+
+def _on_the_full_lattice(spec):
+    """The oracle: graded, Boolean, coatoms, Int(L) and the M-set of the full
+    lattice, with the M-set as sorted group masks."""
+    G = build_group(spec)
+    cd = conjugacy_classes(G)
+    L = enumerate_subracks(conjugation_rack(G, provenance=spec))
+    full = (1 << G.order) - 1
+    ints = int_lattice(L)
+    return {
+        "graded": gradedness(L).is_graded,
+        "boolean": is_boolean(L),
+        "coatoms_ok": (
+            sorted(L.sets[v] for v in coatoms(L)) == sorted(full & ~c for c in cd.classes)
+        ),
+        "int_size": len(ints),
+        "int_boolean": len(ints) == 2 ** len(cd.classes) and is_boolean_sets(ints),
+        "m_sets": sorted(L.sets[v] for v in compute_M(L, cd).members),
+    }
+
+
+@pytest.mark.parametrize("spec", catalog.CATALOG)
+def test_factor_derived_values_equal_the_full_lattice(spec, computed):
+    want = _on_the_full_lattice(spec)
+    assert computed["graded-classification"][spec] == want["graded"]
+    assert computed["boolean-iff-abelian"][spec]["boolean"] == want["boolean"]
+    assert computed["coatom-int-structure"][spec] == {
+        "coatoms_ok": want["coatoms_ok"],
+        "int_size": want["int_size"],
+        "int_boolean": want["int_boolean"],
+    }
+    factor = catalog.analyze_group(spec).factor
+    m_sets = sorted(
+        factor.group_mask(factor.lattice.sets[v]) | factor.center
+        for v in compute_M(factor.lattice, factor.classes).members
+    )
+    assert m_sets == want["m_sets"]
+    assert computed["m-of-g"][spec]["members"] == len(want["m_sets"])
+
+
+@pytest.mark.parametrize("spec", sorted(catalog.CHAIN_WITNESSES))
+def test_factor_chain_lengths_equal_the_full_lattice(spec, computed):
+    full = all_maximal_chain_lengths(enumerate_subracks(rack_from_spec(spec)))
+    assert computed["maxsg-chains"][spec] == list(full)
+
+
+@pytest.mark.parametrize("spec", ["Z4xZ2", "D8", "SL(2,3)", "S4"])
+def test_central_factor_classes_partition_its_positions(spec):
+    G = build_group(spec)
+    factor = central_factor(G)
+    cd = conjugacy_classes(G)
+    assert factor.center == cd.center
+    assert factor.lattice.rack.size == len(factor.elements) == G.order - cd.center.bit_count()
+    assert [factor.group_mask(c) for c in factor.classes.classes] == [
+        c for c in cd.classes if c.bit_count() > 1
+    ]
+    for i, k in enumerate(factor.classes.class_of):
+        assert factor.classes.classes[k] >> i & 1

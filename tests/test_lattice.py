@@ -11,6 +11,8 @@ from racklab.bitsets import bit_list, bits, mask_of
 from racklab.groups import all_subgroups, build_group, conjugacy_classes
 from racklab.lattice import (
     BudgetExceeded,
+    SubrackLattice,
+    _csr_from_edges,
     all_maximal_chain_lengths,
     atoms,
     brute_force_covers,
@@ -369,6 +371,41 @@ def test_m_of_a4():
 def test_product_decomposition(spec):
     rep = product_decomposition_check(build_group(spec))
     assert rep.ok, rep.detail
+
+
+def test_product_decomposition_rejects_a_wrong_node_count():
+    rep = product_decomposition_check(
+        build_group("D8"), lattice=enumerate_subracks(rack_from_spec("Z8"))
+    )
+    assert not rep.ok
+    assert rep.detail == f"node count 256 != {rep.factor_nodes} * 2^2"
+
+
+def _drop_last_cover(L, edges, center):
+    return edges[:-1]
+
+
+def _stretch_a_cover(L, edges, center):
+    # replace a cover inside one central part by a pair two steps apart
+    for k, (c, p) in enumerate(edges):
+        z = L.sets[c] & center
+        for q in L.parents(p):
+            if L.sets[p] & center == z == L.sets[q] & center:
+                return edges[:k] + [(c, q)] + edges[k + 1:]
+    raise AssertionError("no cover to stretch")
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (_drop_last_cover, "cover count 139 != expected 140"),
+    (_stretch_a_cover, "a cover does not project to a factor cover"),
+])
+def test_product_decomposition_rejects_a_wrong_cover_set(mutate, detail):
+    G = build_group("D8")
+    L = enumerate_subracks(conjugation_rack(G))
+    edges = mutate(L, list(L.edges()), conjugacy_classes(G).center)
+    wrong = SubrackLattice(L.rack, L.sets, *_csr_from_edges(L.n, edges))
+    rep = product_decomposition_check(G, lattice=wrong)
+    assert (rep.ok, rep.detail) == (False, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,21 @@ def test_budget_message_and_partial(spec, budget, dimension, partial):
     assert str(info.value) == f"simplex budget {budget} exceeded at dimension {dimension}"
 
 
+def test_budget_exhausted_by_the_edges_fails_before_listing_up_sets(monkeypatch):
+    # the D8 budget of 100 overflows on the 1-simplices, which are counted from
+    # the up-set masks; listing every comparable pair first made a large
+    # lattice such as D8xZ3 run for minutes before the budget was tested
+    lat = enumerate_subracks(rack_from_spec("D8"))
+
+    def unreachable(mask):
+        raise AssertionError("up-sets listed before the budget test")
+
+    monkeypatch.setattr(topology, "bit_list", unreachable)
+    with pytest.raises(BudgetExceeded) as info:
+        order_complex(lat, simplex_budget=100)
+    assert info.value.partial == 456
+
+
 def test_budget_partial_is_the_running_count_of_the_built_complex():
     lat = enumerate_subracks(rack_from_spec("D8"))
     counts = order_complex(lat).counts()
