@@ -41,17 +41,12 @@ from .verify import (
 _USAGE_ERROR = 2
 
 
-def _env_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
+class _BadEnvironmentValue(ValueError):
+    """A malformed RACKLAB_* variable: a usage error, like a malformed flag."""
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
+    """argparse type of counts, budgets and caps: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -59,6 +54,16 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _env_positive_int(name: str, default: int | None) -> int | None:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _BadEnvironmentValue(f"environment variable {name}: {exc}") from None
 
 
 def _emit(obj: dict) -> None:
@@ -149,9 +154,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_max_order = _env_int("RACKLAB_MAX_ORDER", DEFAULT_MAX_ORDER)
-    env_nodes = _env_int("RACKLAB_BUDGET_NODES", DEFAULT_NODE_BUDGET)
-    env_simplices = _env_int("RACKLAB_BUDGET_SIMPLICES", DEFAULT_SIMPLEX_BUDGET)
+    env_max_order = _env_positive_int("RACKLAB_MAX_ORDER", DEFAULT_MAX_ORDER)
+    env_nodes = _env_positive_int("RACKLAB_BUDGET_NODES", DEFAULT_NODE_BUDGET)
+    env_simplices = _env_positive_int("RACKLAB_BUDGET_SIMPLICES", DEFAULT_SIMPLEX_BUDGET)
 
     p = argparse.ArgumentParser(
         prog="racklab",
@@ -160,11 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, max_order_default):
-        sp.add_argument("--max-order", type=int, default=max_order_default,
+        sp.add_argument("--max-order", type=_positive_int, default=max_order_default,
                         help="largest group order to construct")
-        sp.add_argument("--budget-nodes", type=int, default=env_nodes,
+        sp.add_argument("--budget-nodes", type=_positive_int, default=env_nodes,
                         help="lattice node budget")
-        sp.add_argument("--budget-simplices", type=int, default=env_simplices,
+        sp.add_argument("--budget-simplices", type=_positive_int, default=env_simplices,
                         help="order-complex simplex budget")
         sp.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (non-deterministic output)")
@@ -194,13 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"run a single check (repeatable); one of: {', '.join(sorted(CHECKS))}")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     # unset, verify keeps its full catalog: A6 (order 360) is above DEFAULT_MAX_ORDER
-    v.add_argument("--max-order", type=int, default=_env_int("RACKLAB_MAX_ORDER", None),
+    v.add_argument("--max-order", type=_positive_int,
+                   default=_env_positive_int("RACKLAB_MAX_ORDER", None),
                    help="restrict every check to groups of at most this order "
                         "(default: RACKLAB_MAX_ORDER, else no limit)")
-    v.add_argument("--budget-nodes", type=int, default=env_nodes)
-    v.add_argument("--budget-simplices", type=int, default=env_simplices)
+    v.add_argument("--budget-nodes", type=_positive_int, default=env_nodes)
+    v.add_argument("--budget-simplices", type=_positive_int, default=env_simplices)
     v.add_argument("--timings", action="store_true")
-    v.add_argument("--workers", type=_worker_count, default=1,
+    v.add_argument("--workers", type=_positive_int, default=1,
                    help="run checks concurrently in this many processes "
                         "(at least 1, at most the CPU count)")
     v.set_defaults(func=cmd_verify)
@@ -208,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except _BadEnvironmentValue as exc:
+        print(f"racklab: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -6,12 +6,28 @@ Lattice nodes are bit-vector element sets, canonically ordered by
 (popcount, value), so node 0 is the empty set and the last node is the full
 rack; node ids are therefore a topological order of the cover DAG.
 
+The trivial summand.  Let T be the set of elements of a rack R that act
+trivially and that every element fixes (`Rack.trivial_part`; for the rack of
+a group, its center).  Then R - T is a subrack, and S -> (S - T, S & T) is an
+order isomorphism from L(R) onto L(R - T) x 2^T.  Proof: if a > b = t lies in
+T, then b = a >^-1 t = t, since a fixes t; likewise a >^-1 b in T forces
+b = a > t = t.  So products and inverse products of elements outside T stay
+outside T: R - T is a subrack, and so is S - T = S & (R - T) for every
+subrack S.  A product or inverse product with an element of T as either
+argument is its second argument, so every subset U of T is a subrack, and so
+is S' + U for every subrack S' of R - T.  The map is therefore a bijection
+with inverse (S', U) -> S' + U, and both directions preserve inclusion.
+`enumerate_subracks` enumerates L(R - T) and expands the product;
+`product_decomposition_check` keeps a lemma-free enumeration of full group
+lattices as the oracle for the lemma.
+
 Enumeration visits the nodes level by level in that order.  Each node's upper
 covers come from Lindig's neighbour algorithm (one closure per outside
 element, each cover emitted exactly once), and each closure is seeded with the
 node as already closed, so it only processes the added elements.  The Hasse
-diagram is kept as compressed sparse rows of upper covers, with the lower
-covers derived from them.
+diagram is kept as compressed sparse rows of upper covers.  The lower-cover
+rows are derived from them on first use; the analytics of `racklab lattice`
+(gradedness, atoms, coatoms) read the upper rows only.
 """
 
 from __future__ import annotations
@@ -48,14 +64,20 @@ class CoverPoset:
     order with 0 the bottom and n-1 the top.
 
     The diagram is stored as compressed sparse rows: the upper covers of v are
-    ``pflat[pstart[v]:pstart[v + 1]]`` in ascending order, and the lower-cover
-    rows are derived from them once.
+    ``pflat[pstart[v]:pstart[v + 1]]`` in ascending order.  The lower-cover
+    rows are derived from them when `children` is first called.
     """
 
     __slots__ = ("n", "_pstart", "_pflat", "_cstart", "_cflat")
 
     def __init__(self, pstart: array, pflat: array):
-        n = len(pstart) - 1
+        self.n = len(pstart) - 1
+        self._pstart = pstart
+        self._pflat = pflat
+        self._cstart = self._cflat = None
+
+    def _build_child_rows(self) -> None:
+        n, pstart, pflat = self.n, self._pstart, self._pflat
         cstart = _row_starts(n, pflat)
         fill = cstart[:]
         cflat = array("l", [0]) * len(pflat)
@@ -64,9 +86,6 @@ class CoverPoset:
             for p in pflat[pstart[c]:pstart[c + 1]]:
                 cflat[fill[p]] = c
                 fill[p] += 1
-        self.n = n
-        self._pstart = pstart
-        self._pflat = pflat
         self._cstart = cstart
         self._cflat = cflat
 
@@ -76,6 +95,8 @@ class CoverPoset:
 
     def children(self, v: int) -> list[int]:
         """Lower covers of v."""
+        if self._cflat is None:
+            self._build_child_rows()
         return list(self._cflat[self._cstart[v]:self._cstart[v + 1]])
 
     def edge_count(self) -> int:
@@ -146,6 +167,48 @@ def enumerate_subracks(
     """Enumerate every subrack (fixed point of the closure) together with the
     Hasse diagram.
 
+    With T = `rack.trivial_part`, this enumerates L(R - T) with
+    `_lindig_subracks` and expands L(R) = L(R - T) x 2^T (see the module
+    docstring) with `_expand_product`.  The lattice, the budget error and its
+    `partial` are those of `_lindig_subracks` on the whole rack, which fails
+    when the lattice has more than max(node_budget, 1) nodes and reports that
+    many.  The factor runs on the budget node_budget >> t, t = |T|, which it
+    exceeds only when the full lattice exceeds node_budget, so an oversized
+    lattice fails after at most node_budget / 2^t factor nodes.
+    """
+    trivial = rack.trivial_part
+    if not trivial:
+        return _lindig_subracks(rack, node_budget, rack_cap)
+    _check_rack_cap(rack, rack_cap)
+    t = trivial.bit_count()
+    limit = max(node_budget, 1)
+    try:
+        factor = _lindig_subracks(
+            rack.restrict(rack.full_mask() & ~trivial), node_budget >> t, rack_cap
+        )
+    except BudgetExceeded:
+        factor = None
+    if factor is None or factor.n << t > limit:
+        raise _node_budget_exceeded(node_budget, limit)
+    return _expand_product(rack, factor)
+
+
+def _check_rack_cap(rack: Rack, rack_cap: int) -> None:
+    if rack.size > rack_cap:
+        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {rack_cap}")
+
+
+def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"node budget {node_budget} exceeded; {count} subracks enumerated so far",
+        partial=count,
+    )
+
+
+def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLattice:
+    """Every subrack of `rack` with the Hasse diagram, by closures alone,
+    without the product lemma.
+
     Upper covers come from Lindig's neighbour algorithm: for a subrack s and
     each x outside it, in ascending order, b = closure(s + x) is a cover
     exactly when no element of b - s - x is still in `mins`, the outside
@@ -161,8 +224,7 @@ def enumerate_subracks(
     Parent rows are recorded under discovery ids, then translated to final ids
     and sorted per child, giving the compressed rows that CoverPoset stores.
     """
-    if rack.size > rack_cap:
-        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {rack_cap}")
+    _check_rack_cap(rack, rack_cap)
     close = rack.closure
     full = rack.full_mask()
     levels: list[list[int]] = [[] for _ in range(rack.size + 1)]
@@ -189,11 +251,7 @@ def enumerate_subracks(
                 if w is None:
                     w = len(found)
                     if w >= node_budget:
-                        raise BudgetExceeded(
-                            f"node budget {node_budget} exceeded; "
-                            f"{w} subracks enumerated so far",
-                            partial=w,
-                        )
+                        raise _node_budget_exceeded(node_budget, w)
                     found[b] = w
                     node_id.append(0)
                     levels[b.bit_count()].append(b)
@@ -205,6 +263,56 @@ def enumerate_subracks(
         if hi - lo > 1:
             pflat[lo:hi] = array("l", sorted(pflat[lo:hi]))
     return SubrackLattice(rack, sets, pstart, pflat)
+
+
+def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
+    """L(R) from `factor` = L(R - T), T = `rack.trivial_part`: the same sets,
+    ids and parent rows that `_lindig_subracks` gives on R, with no closure.
+
+    The node S + U, for factor node i and the subset U of T whose bit j
+    stands for the j-th element of T, has the index k = i * 2^t + U.  The
+    n' * 2^t masks are sorted once into (popcount, value) order, and
+    rank[k] is the final id.  The upper covers of S + U are S' + U for the
+    factor's upper covers S' of S, and S + U + {z} for each z in T - U.
+    """
+    trivial = rack.trivial_part
+    outside = bit_list(rack.full_mask() & ~trivial)  # factor position -> element
+    t = trivial.bit_count()
+    subsets = [0]
+    for e in bits(trivial):
+        subsets += [u | 1 << e for u in subsets]
+    masks = []
+    for s in factor.sets:
+        m = mask_of(outside[i] for i in bits(s))
+        masks += [m | u for u in subsets]
+    n = len(masks)
+    shift = n.bit_length()
+    low = (1 << shift) - 1
+    # one int per node: (popcount, mask) above the index, so a plain sort
+    # orders by (popcount, value)
+    order = [
+        key & low
+        for key in sorted((m.bit_count() << rack.size | m) << shift | k for k, m in enumerate(masks))
+    ]
+    rank = [0] * n
+    for v, k in enumerate(order):
+        rank[k] = v
+    all_t = (1 << t) - 1
+    fstart, fflat = factor._pstart, factor._pflat
+    pstart = array("l", [0])
+    pflat = array("l")
+    for k in order:
+        i, u = k >> t, k & all_t
+        row = [rank[p << t | u] for p in fflat[fstart[i]:fstart[i + 1]]]
+        free = all_t ^ u
+        while free:
+            bit = free & -free
+            free ^= bit
+            row.append(rank[k | bit])
+        row.sort()
+        pflat.extend(row)
+        pstart.append(len(pflat))
+    return SubrackLattice(rack, [masks[k] for k in order], pstart, pflat)
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
@@ -286,8 +394,11 @@ def atoms(L: SubrackLattice) -> list[int]:
     return L.parents(0)
 
 
-def coatoms(L: SubrackLattice) -> list[int]:
-    return L.children(L.n - 1)
+def coatoms(L: CoverPoset) -> list[int]:
+    """Lower covers of the top, read off the upper rows: the top has the
+    largest id, so it ends every row it is in."""
+    top, pstart, pflat = L.n - 1, L._pstart, L._pflat
+    return [v for v in range(top) if pstart[v + 1] > pstart[v] and pflat[pstart[v + 1] - 1] == top]
 
 
 def is_atomic(L: SubrackLattice) -> bool:
@@ -310,33 +421,34 @@ def is_atomic(L: SubrackLattice) -> bool:
 
 
 def _length_sets(P: CoverPoset) -> list[int]:
-    # lb[v] is a bitmask of achievable cover-path lengths bottom -> v
-    lb = [0] * P.n
-    lb[0] = 1
-    for v in range(1, P.n):
+    # ub[v] is a bitmask of achievable cover-path lengths v -> top, from the
+    # upper rows in reverse topological order
+    pstart, pflat = P._pstart, P._pflat
+    ub = [0] * P.n
+    ub[-1] = 1
+    for v in range(P.n - 2, -1, -1):
         acc = 0
-        for u in P.children(v):
-            acc |= lb[u]
-        lb[v] = acc << 1
-    return lb
+        for p in pflat[pstart[v]:pstart[v + 1]]:
+            acc |= ub[p]
+        ub[v] = acc << 1
+    return ub
 
 
 def all_maximal_chain_lengths(P: CoverPoset) -> tuple[int, ...]:
-    return tuple(bits(_length_sets(P)[P.n - 1]))
+    return tuple(bits(_length_sets(P)[0]))
 
 
-def _witness_chain(P: CoverPoset, lb: list[int], target: int) -> list[int]:
-    chain = [P.n - 1]
-    v, rem = P.n - 1, target
-    while v != 0:
-        for u in P.children(v):
-            if lb[u] >> (rem - 1) & 1:
-                chain.append(u)
-                v, rem = u, rem - 1
+def _witness_chain(P: CoverPoset, ub: list[int], target: int) -> list[int]:
+    chain = [0]
+    v, rem = 0, target
+    while v != P.n - 1:
+        for p in P.parents(v):
+            if ub[p] >> (rem - 1) & 1:
+                chain.append(p)
+                v, rem = p, rem - 1
                 break
         else:
             raise AssertionError("length DP inconsistent")
-    chain.reverse()
     return chain
 
 
@@ -351,15 +463,15 @@ class GradednessReport:
 
 
 def gradedness(P: CoverPoset) -> GradednessReport:
-    lb = _length_sets(P)
-    lengths = tuple(bits(lb[P.n - 1]))
+    ub = _length_sets(P)
+    lengths = tuple(bits(ub[0]))
     lo, hi = lengths[0], lengths[-1]
     return GradednessReport(
         is_graded=(lo == hi),
         min_maximal_chain=lo,
         max_maximal_chain=hi,
-        witness_short=tuple(_witness_chain(P, lb, lo)),
-        witness_long=tuple(_witness_chain(P, lb, hi)),
+        witness_short=tuple(_witness_chain(P, ub, lo)),
+        witness_long=tuple(_witness_chain(P, ub, hi)),
         lengths=lengths,
     )
 
@@ -658,8 +770,9 @@ def product_decomposition_check(
     """Verify Q -> (Q & R, Q & Z) is an order isomorphism from the full lattice
     onto (lattice of the non-central rack R) x (subsets of the center Z).
 
-    This is the oracle for the lemma the group checks of `racklab verify`
-    rely on, so it enumerates the full lattice itself.  Since R and Z
+    This is the oracle for the lemma that `enumerate_subracks` and the group
+    checks of `racklab verify` rely on, so it enumerates the full lattice
+    itself with `_lindig_subracks`, which does not use the lemma.  Since R and Z
     partition G, the pair determines Q, so the map is injective; with the
     node count it is a bijection onto the product.
     """
@@ -669,9 +782,7 @@ def product_decomposition_check(
     r_mask = ((1 << G.order) - 1) & ~z_mask
     z = z_mask.bit_count()
     if lattice is None:
-        lattice = enumerate_subracks(
-            conjugation_rack(G, provenance=G.name), node_budget, rack_cap
-        )
+        lattice = _lindig_subracks(conjugation_rack(G, provenance=G.name), node_budget, rack_cap)
     sub_sets = [factor.group_mask(m) for m in sub.sets]
 
     def report(ok: bool, detail: str) -> ProductDecompositionReport:

@@ -29,7 +29,7 @@ class RackAxiomError(ValueError):
 class Rack:
     """Immutable finite rack over elements 0..size-1."""
 
-    __slots__ = ("size", "op", "inv_op", "labels", "provenance", "is_trivial", "_tables")
+    __slots__ = ("size", "op", "inv_op", "labels", "provenance", "trivial_part", "_tables")
 
     def __init__(self, op, inv_op, labels, provenance=None):
         self.op = tuple(tuple(row) for row in op)
@@ -37,13 +37,33 @@ class Rack:
         self.size = len(self.op)
         self.labels = tuple(labels)
         self.provenance = provenance
-        self.is_trivial = all(
-            row[b] == b for row in self.op for b in range(self.size)
+        # T: the elements that act trivially and that every element fixes
+        identity = tuple(range(self.size))
+        self.trivial_part = mask_of(
+            t for t in identity
+            if self.op[t] == identity and all(row[t] == t for row in self.op)
         )
         self._tables = None
 
+    @property
+    def is_trivial(self) -> bool:
+        """Every element acts trivially (then every element is also fixed)."""
+        return self.trivial_part == self.full_mask()
+
     def full_mask(self) -> int:
         return (1 << self.size) - 1
+
+    def restrict(self, mask: int) -> "Rack":
+        """The rack on the subrack `mask`, its elements renumbered in
+        ascending order."""
+        elems = bit_list(mask)
+        pos = {e: i for i, e in enumerate(elems)}
+        return Rack(
+            [[pos[self.op[a][b]] for b in elems] for a in elems],
+            [[pos[self.inv_op[a][b]] for b in elems] for a in elems],
+            [self.labels[e] for e in elems],
+            self.provenance,
+        )
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
@@ -82,15 +102,18 @@ class Rack:
         """Smallest subrack containing the bitmask `seed` (closed under the
         operation and its inverse, both arguments).
 
-        `closed` may name a subrack already inside `seed`: its elements start
-        off the work list, because the merged tables cover both argument
-        orders and both inverses, so pairs inside it add nothing new.
+        The work list holds the elements whose pairs may add something.  The
+        merged tables cover both argument orders and both inverses, so the
+        elements of `closed`, a subrack already inside `seed`, start off it,
+        and the elements of `trivial_part` never join it: a product or
+        inverse product with one of them is its second argument.
         """
-        if self.is_trivial or seed == 0:
+        skip = self.trivial_part
+        todo = seed & ~(closed | skip)
+        if not todo:
             return seed
         tables = self._merged_tables()
         res = seed
-        todo = seed & ~closed
         while todo:
             low = todo & -todo
             todo ^= low
@@ -107,7 +130,7 @@ class Rack:
             new = add & ~res
             if new:
                 res |= new
-                todo |= new
+                todo |= new & ~skip
         return res
 
     def is_closed(self, mask: int) -> bool:

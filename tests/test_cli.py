@@ -250,3 +250,30 @@ def test_lattice_export_file_equals_export_text(tmp_path, capsys):
     assert rc == 0
     want = export_lattice_text(enumerate_subracks(rack_from_spec("D8")))
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", [["lattice", "S3"], ["verify", "--check", "d8-q8-rack-iso"]])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize(
+    "name", ["RACKLAB_MAX_ORDER", "RACKLAB_BUDGET_NODES", "RACKLAB_BUDGET_SIMPLICES"]
+)
+def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, name, value, command):
+    monkeypatch.setenv(name, value)
+    rc, out, err = run(capsys, command)
+    assert rc == 2
+    assert out == ""
+    why = f"invalid int value: {value!r}" if value == "abc" else f"must be at least 1, got {value}"
+    assert err == f"racklab: environment variable {name}: {why}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["group", "S3"], ["lattice", "D8"], ["homology", "D8"], ["verify", "--all"]]
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--max-order", "--budget-nodes", "--budget-simplices"])
+def test_nonpositive_flag_is_a_usage_error(capsys, flag, value, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err

@@ -1,0 +1,177 @@
+"""`enumerate_subracks` enumerates L(R - T) and expands L(R) = L(R - T) x 2^T,
+T the elements that act trivially and that every element fixes.  These tests
+hold the expansion to the lemma-free Lindig enumeration `_lindig_subracks`:
+the same sets, ids and parent rows, the same export bytes, and the same budget
+errors at every boundary."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from racklab import catalog, lattice
+from racklab.bitsets import bit_list
+from racklab.cli import main
+from racklab.groups import build_group
+from racklab.lattice import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_RACK_CAP,
+    BudgetExceeded,
+    CoverPoset,
+    _lindig_subracks,
+    atoms,
+    coatoms,
+    enumerate_subracks,
+    gradedness,
+    product_decomposition_check,
+)
+from racklab.racks import closure_forward_only, rack_from_spec
+from test_lattice import SMALL_RACKS
+
+LATTICE_WORKLOAD = (
+    "D8xZ3", "Q8xZ3", "Z4xZ2xZ2", "Z15", "D24", "A6:cycles(3)", "S3xZ3", "D8xZ2",
+    "SL(2,3)", "D8xZ3:noncentral", "A5:cycles(5)", "S5:transpositions",
+)
+# one element, and all elements trivial
+TRIVIAL_RACKS = ("Z1", "S3:class(e)", "Z15")
+
+# sha256 of `racklab lattice SPEC --export FILE`, as written by the lemma-free
+# enumeration of the whole rack
+EXPORT_SHA256 = {
+    "D8xZ3": "ef837064fb4c73744de8a8f493ae1d9164713b86baa559af4244c073006b69c2",
+    "Z4xZ2xZ2": "53b6abf41c9a152701bb9aad8cb8f232f0261bb25d0847f7ecb7a800284a62a9",
+    "D24": "058e668cf93437fb4e2cbfcab14f282aa018c071bf50f9756701a9ffc606fc66",
+    "SL(2,3)": "4e74ebce557b8f3631754b6a67bda08731d631aeb629ff305f1408a332a9270b",
+}
+
+
+def _lemma_free(rack, node_budget=DEFAULT_NODE_BUDGET):
+    return _lindig_subracks(rack, node_budget, DEFAULT_RACK_CAP)
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(catalog.CATALOG + LATTICE_WORKLOAD + TRIVIAL_RACKS) | set(SMALL_RACKS))
+)
+def test_expansion_equals_lemma_free_enumeration(spec):
+    rack = rack_from_spec(spec, max_order=360)
+    got, want = enumerate_subracks(rack), _lemma_free(rack)
+    assert got.sets == want.sets
+    assert got._pstart == want._pstart
+    assert got._pflat == want._pflat
+
+
+def test_trivial_part():
+    assert rack_from_spec("S3").trivial_part == 1  # the identity
+    assert rack_from_spec("S3:class(e)").is_trivial
+    assert rack_from_spec("Z15").is_trivial
+    d8 = rack_from_spec("D8")
+    assert d8.trivial_part.bit_count() == 2 and not d8.is_trivial
+    assert rack_from_spec("S4:cycles(4)").trivial_part == 0
+
+
+@pytest.mark.parametrize("spec", ["D8", "S3xZ2"])
+def test_closure_skipping_trivial_part_equals_forward_closure(spec):
+    rack = rack_from_spec(spec)
+    assert rack.trivial_part
+    for seed in range(1 << rack.size):
+        assert rack.closure(seed) == closure_forward_only(rack, seed)
+
+
+@pytest.mark.parametrize("spec", sorted(EXPORT_SHA256))
+def test_export_bytes_match_lemma_free_enumeration(spec, tmp_path, capsys):
+    path = tmp_path / "lat.txt"
+    assert main(["lattice", spec, "--export", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[spec]
+
+
+def test_product_decomposition_oracle_never_expands(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the product expansion was reached")
+
+    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_subracks(rack_from_spec("D8"))
+    report = product_decomposition_check(build_group("D8"))
+    assert report.ok and report.nodes == 56
+
+
+def _outcome(enumerate_fn, rack, budget):
+    try:
+        L = enumerate_fn(rack, budget)
+    except BudgetExceeded as exc:
+        return ("error", str(exc), exc.partial)
+    return ("ok", L.sets, list(L._pstart), list(L._pflat))
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [("Z15", 1000), ("Z4", 0), ("Z4", -1), ("D8", 5), ("D8", 56), ("D8", 55),
+     ("D8xZ2", 1599), ("D8xZ2", 1600), ("Z1", 0), ("Z1", 1)],
+)
+def test_budget_error_equals_lemma_free(spec, budget):
+    rack = rack_from_spec(spec)
+    assert _outcome(enumerate_subracks, rack, budget) == _outcome(_lemma_free, rack, budget)
+
+
+def test_budget_boundary_on_d8xz3(capsys):
+    # the lemma-free enumeration reports these exact texts; its run takes
+    # several times as long, so they are written out
+    assert main(["lattice", "D8xZ3", "--budget-nodes", "43519"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "racklab: node budget 43519 exceeded; 43519 subracks enumerated so far\n"
+    assert main(["lattice", "D8xZ3", "--budget-nodes", "43520"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 43520
+
+
+def test_factor_run_fails_fast(monkeypatch):
+    """D8xZ3 has |Z| = 6 and an 18-element factor of 680 nodes: on the budget
+    43,519 the factor runs on 43,519 >> 6 = 679 and stops there."""
+    factor_errors = []
+    lindig = lattice._lindig_subracks
+
+    def spy(rack, node_budget, rack_cap):
+        try:
+            return lindig(rack, node_budget, rack_cap)
+        except BudgetExceeded as exc:
+            factor_errors.append((rack.size, node_budget, exc.partial))
+            raise
+
+    monkeypatch.setattr(lattice, "_lindig_subracks", spy)
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_subracks(rack_from_spec("D8xZ3"), 43519)
+    assert exc.value.partial == 43519
+    assert factor_errors == [(18, 679, 679)]
+
+
+def test_lattice_command_never_builds_lower_cover_rows(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the lower-cover rows were built")
+
+    monkeypatch.setattr(CoverPoset, "_build_child_rows", refuse)
+    L = enumerate_subracks(rack_from_spec("Z4xZ2xZ2"))
+    rep = gradedness(L)
+    assert rep.lengths == (16,) and len(rep.witness_long) == 17
+    assert len(atoms(L)) == len(coatoms(L)) == 16
+    assert main(["lattice", "Z4xZ2xZ2"]) == 0
+    assert json.loads(capsys.readouterr().out)["coatoms"] == 16
+
+
+@pytest.mark.parametrize("spec", SMALL_RACKS + ["Z4:noncentral", "Z1", "Z4xZ2"])
+def test_upper_row_analytics_match_lower_rows(spec):
+    L = enumerate_subracks(rack_from_spec(spec))
+    top = L.n - 1
+    assert coatoms(L) == L.children(top)
+    # longest cover-path lengths from the bottom, from the lower rows
+    lengths = [1] + [0] * top
+    for v in range(1, L.n):
+        for u in L.children(v):
+            lengths[v] |= lengths[u] << 1
+    rep = gradedness(L)
+    assert rep.lengths == tuple(bit_list(lengths[top]))
+    for chain in (rep.witness_short, rep.witness_long):
+        assert chain[0] == 0 and chain[-1] == top
+        assert all(u in L.children(v) for u, v in zip(chain, chain[1:]))
