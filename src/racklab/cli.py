@@ -110,8 +110,15 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "chain_lengths": list(grad.lengths),
     }
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.writelines(export_lattice_lines(lat))
+        # written only after enumeration, so a budget failure leaves an
+        # existing file untouched
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                fh.writelines(export_lattice_lines(lat))
+        except OSError as exc:
+            print(f"racklab: cannot write export {args.export}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return _USAGE_ERROR
         out["export"] = args.export
     _emit(out)
     return 0

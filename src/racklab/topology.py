@@ -19,6 +19,11 @@ over Z: unit pivots in distinct rows split off 1s of the Smith form, and a
 cleared column is an integer combination of earlier columns, so dropping it
 leaves the image lattice unchanged.  `boundary_matrices` and
 `rank_and_torsion` stay as the direct oracle.
+
+The Smith normal form runs in two phases.  Elimination on +-1 pivots splits
+off a 1 per pivot with row operations only; the remainder, which has no unit
+entry left, is diagonalized densely by gcd steps on an entry of least
+magnitude.  It shares no code with the column reduction.
 """
 
 from __future__ import annotations
@@ -260,168 +265,95 @@ class SparseIntMatrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "SparseIntMatrix":
-        m = cls(len(data), len(data[0]) if data else 0)
+        """The matrix of a list of rows; every row must have the length of the
+        first and hold only `int` entries, else `ValueError`."""
+        ncols = len(data[0]) if data else 0
+        m = cls(len(data), ncols)
         for r, row in enumerate(data):
+            if len(row) != ncols:
+                raise ValueError(f"row {r} has {len(row)} entries, row 0 has {ncols}")
             for c, v in enumerate(row):
+                if not isinstance(v, int):
+                    raise ValueError(f"entry ({r}, {c}) is not an int: {v!r}")
                 if v:
                     m.set(r, c, v)
         return m
 
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                m.rows.setdefault(r, {})[c] = v
-                m.cols.setdefault(c, {})[r] = v
-        return m
 
+def _dense_diagonal(A: list[list[int]]) -> list[int]:
+    """Diagonalize a dense matrix in place by gcd steps; returns the diagonal.
 
-def _add_row(M: SparseIntMatrix, src: int, dst: int, factor: int) -> None:
-    # row[dst] += factor * row[src]
-    if not factor:
-        return
-    for c, v in list(M.rows.get(src, {}).items()):
-        M.set(dst, c, M.get(dst, c) + factor * v)
-
-
-def _add_col(M: SparseIntMatrix, src: int, dst: int, factor: int) -> None:
-    if not factor:
-        return
-    for r, v in list(M.cols.get(src, {}).items()):
-        M.set(r, dst, M.get(r, dst) + factor * v)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _combine_rows(M: SparseIntMatrix, r1: int, r2: int, a: int, b: int, c: int, d: int) -> None:
-    # (row r1, row r2) <- (a*r1 + b*r2, c*r1 + d*r2); ad - bc = +-1
-    row1 = dict(M.rows.get(r1, {}))
-    row2 = dict(M.rows.get(r2, {}))
-    for col in set(row1) | set(row2):
-        v1 = row1.get(col, 0)
-        v2 = row2.get(col, 0)
-        M.set(r1, col, a * v1 + b * v2)
-        M.set(r2, col, c * v1 + d * v2)
-
-
-def _combine_cols(M: SparseIntMatrix, c1: int, c2: int, a: int, b: int, c: int, d: int) -> None:
-    col1 = dict(M.cols.get(c1, {}))
-    col2 = dict(M.cols.get(c2, {}))
-    for row in set(col1) | set(col2):
-        v1 = col1.get(row, 0)
-        v2 = col2.get(row, 0)
-        M.set(row, c1, a * v1 + b * v2)
-        M.set(row, c2, c * v1 + d * v2)
-
-
-def _scan_pivot(M: SparseIntMatrix) -> tuple[int, int]:
-    # full scan: the entry of smallest magnitude, best Markowitz fill estimate
-    best = None
-    best_key = None
-    for r in M.rows:
-        row = M.rows[r]
-        rl = len(row) - 1
-        for c, v in row.items():
-            key = (abs(v), rl * (len(M.cols[c]) - 1), r, c)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-    return best
+    Each step pivots on an entry of least magnitude and reduces its column
+    with row operations and its row with column operations.  When a remainder
+    is left, the next step pivots on a smaller entry; otherwise the pivot's
+    row and column drop out.
+    """
+    diag = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+        if not entries:
+            return diag
+        p, i, j = min(entries)
+        pivot_row, v = A[i], A[i][j]
+        for k, row in enumerate(A):
+            if k != i and row[j]:
+                q = row[j] // v
+                A[k] = [x - q * y for x, y in zip(row, pivot_row)]
+        for l, x in enumerate(pivot_row):
+            if l != j and x:
+                q = x // v
+                for row in A:
+                    row[l] -= q * row[j]
+        if sum(map(bool, pivot_row)) == 1 and sum(1 for row in A if row[j]) == 1:
+            diag.append(p)
+            del A[i]
+            for row in A:
+                del row[j]
 
 
 def _diagonalize(M: SparseIntMatrix) -> list[int]:
-    """Destructively diagonalize; returns the (positive) diagonal entries.
+    """Diagonal entries (positive) of a diagonal form of M; M is not changed.
 
-    Unit pivots are taken from a lazily re-keyed heap ordered by the Markowitz
-    fill estimate; a full scan runs only when no unit entry is left.
+    Phase 1 eliminates on unit pivots (Dumas, Saunders & Villard, *On
+    efficient sparse integer matrix Smith normal form computations*, 2001):
+    in each row with a +-1 entry it pivots on the unit whose column is
+    shortest and clears that column with row operations.  The column then
+    holds only the pivot, so column operations would touch only the pivot
+    row, and the row and column drop out with a diagonal 1.  Phase 2 hands
+    what is left, which has no unit entry, to `_dense_diagonal`.
     """
-    import heapq
-
-    heap: list[tuple[int, int, int]] = []
-
-    def push_unit(r: int, c: int) -> None:
-        fill = (len(M.rows[r]) - 1) * (len(M.cols[c]) - 1)
-        heapq.heappush(heap, (fill, r, c))
-
-    for r, row in M.rows.items():
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                push_unit(r, c)
-
-    def pop_unit() -> tuple[int, int] | None:
-        while heap:
-            fill, r, c = heapq.heappop(heap)
-            v = M.rows.get(r, {}).get(c, 0)
-            if v != 1 and v != -1:
-                continue
-            actual = (len(M.rows[r]) - 1) * (len(M.cols[c]) - 1)
-            if actual > fill:
-                heapq.heappush(heap, (actual, r, c))
-                continue
-            return r, c
-        return None
-
+    rows = {r: dict(row) for r, row in M.rows.items()}
+    cols = {c: set(col) for c, col in M.cols.items()}
     diag = []
-    while M.rows:
-        pivot = pop_unit()
-        if pivot is None:
-            pivot = _scan_pivot(M)
-        r, c = pivot
-        while True:
-            v = M.get(r, c)
-            touched_rows: list[int] = []
-            touched_cols: list[int] = []
-            progressed = False
-            # clear the pivot column
-            for r2 in [x for x in M.cols[c] if x != r]:
-                v2 = M.get(r2, c)
-                if v2 == 0:
-                    continue
-                if v2 % v == 0:
-                    _add_row(M, r, r2, -(v2 // v))
-                else:
-                    g, x, y = _xgcd(v, v2)
-                    _combine_rows(M, r, r2, x, y, -(v2 // g), v // g)
-                    v = g
-                    progressed = True
-                touched_rows.append(r2)
-            # clear the pivot row
-            for c2 in [x for x in M.rows.get(r, {}) if x != c]:
-                v2 = M.get(r, c2)
-                if v2 == 0:
-                    continue
-                if v2 % v == 0:
-                    _add_col(M, c, c2, -(v2 // v))
-                else:
-                    g, x, y = _xgcd(v, v2)
-                    _combine_cols(M, c, c2, x, y, -(v2 // g), v // g)
-                    v = g
-                    progressed = True
-                touched_cols.append(c2)
-            for r2 in touched_rows:
-                for c2, v2 in M.rows.get(r2, {}).items():
-                    if v2 == 1 or v2 == -1:
-                        push_unit(r2, c2)
-            for c2 in touched_cols:
-                for r2, v2 in M.cols.get(c2, {}).items():
-                    if v2 == 1 or v2 == -1:
-                        push_unit(r2, c2)
-            if (
-                not progressed
-                and len(M.cols.get(c, {})) == 1
-                and len(M.rows.get(r, {})) == 1
-            ):
-                break
-        diag.append(abs(M.get(r, c)))
-        M.set(r, c, 0)
-    return diag
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for r in list(rows):
+            row = rows.get(r, {})
+            units = [c for c, v in row.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            c = min(units, key=lambda c: len(cols[c]))
+            for r2 in cols[c] - {r}:
+                row2 = rows[r2]
+                q = row2[c] * row[c]
+                for c2, x in row.items():
+                    y = row2.get(c2, 0) - q * x
+                    if y:
+                        row2[c2] = y
+                        cols[c2].add(r2)
+                    else:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                if not row2:
+                    del rows[r2]
+            for c2 in row:
+                cols[c2].discard(r)
+            del rows[r]
+            diag.append(1)
+            pivoted = True
+    keep = sorted(set().union(*rows.values()))
+    return diag + _dense_diagonal([[row.get(c, 0) for c in keep] for row in rows.values()])
 
 
 def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
@@ -454,12 +386,13 @@ def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
 
 def smith_normal_form(matrix: SparseIntMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an integer matrix."""
-    M = matrix.copy() if isinstance(matrix, SparseIntMatrix) else SparseIntMatrix.from_rows(matrix)
-    return _invariant_factors(_diagonalize(M))
+    if not isinstance(matrix, SparseIntMatrix):
+        matrix = SparseIntMatrix.from_rows(matrix)
+    return _invariant_factors(_diagonalize(matrix))
 
 
 def rank_and_torsion(matrix: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    factors = _invariant_factors(_diagonalize(matrix.copy()))
+    factors = _invariant_factors(_diagonalize(matrix))
     return len(factors), tuple(f for f in factors if f > 1)
 
 

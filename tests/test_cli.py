@@ -252,6 +252,25 @@ def test_lattice_export_file_equals_export_text(tmp_path, capsys):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_unwritable_export_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "lat.txt"
+    rc, out, err = run(capsys, ["lattice", "S3", "--export", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == f"racklab: cannot write export {path}: No such file or directory\n"
+    rc, out, err = run(capsys, ["lattice", "S3", "--export", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"racklab: cannot write export {tmp_path}: ")
+
+
+def test_budget_failure_leaves_an_existing_export_untouched(tmp_path, capsys):
+    path = tmp_path / "lat.txt"
+    path.write_text("earlier export\n")
+    rc, out, err = run(capsys, ["lattice", "D8", "--budget-nodes", "5", "--export", str(path)])
+    assert rc == 2 and out == "" and "budget" in err
+    assert path.read_text() == "earlier export\n"
+
+
 @pytest.mark.parametrize("command", [["lattice", "S3"], ["verify", "--check", "d8-q8-rack-iso"]])
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 @pytest.mark.parametrize(

@@ -257,19 +257,23 @@ def oracle_homology(K: OrderComplex):
 
 
 # every catalog group and rack filter whose order complex has at most 5,000
-# simplices; order_complex below fails the test if one outgrows that
+# simplices, and the three larger noncentral racks D16 (36,076 simplices, the
+# one homology workload job whose column reduction leaves a non-unit
+# remainder), SL(2,3) (13,860) and S4 (9,262); order_complex below fails the
+# test if one outgrows 40,000
 ORACLE_SPECS = [
     "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3", "D8", "Q8", "D10", "A4",
     "S4:cycles(4)", "D8:noncentral", "Q8:noncentral", "A4:noncentral",
     "S4:transpositions", "S5:transpositions", "S5:cycles(4)", "A5:cycles(5)",
     "D12:noncentral", "S3:class((12))", "A6:cycles(3)",
+    "D16:noncentral", "SL(2,3):noncentral", "S4:noncentral",
 ]
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_reduction_matches_smith_oracle(spec):
     lat = enumerate_subracks(rack_from_spec(spec, max_order=360))
-    K = order_complex(lat, simplex_budget=5000)
+    K = order_complex(lat, simplex_budget=40_000)
     expected = oracle_homology(K)
     for collapse in (True, False):
         H = reduced_homology(K, collapse=collapse)
@@ -365,14 +369,23 @@ def test_budget_partial_is_the_running_count_of_the_built_complex():
     assert order_complex(lat, simplex_budget=running[-1]).counts() == counts
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda r: st.integers(1, 4).flatmap(
+def int_matrices(size, entries):
+    return st.integers(1, size).flatmap(
+        lambda r: st.integers(1, size).flatmap(
             lambda c: st.lists(
-                st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
             )
         )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        int_matrices(4, st.integers(-6, 6)),
+        # mostly zeros with small entries: the unit pivots often leave a
+        # remainder without units, so both phases of the Smith form run
+        int_matrices(8, st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -3])),
     )
 )
 def test_smith_normal_form_matches_sympy(rows):
@@ -384,3 +397,27 @@ def test_smith_normal_form_matches_sympy(rows):
         abs(int(diag[i, i])) for i in range(min(len(rows), len(rows[0]))) if diag[i, i]
     )
     assert smith_normal_form(rows) == expected
+
+
+def test_smith_normal_form_leaves_its_argument_unchanged():
+    K = complex_from_facets([f + (apex,) for f in RP2 for apex in (6, 7)])
+    matrices = boundary_matrices(K) + [
+        SparseIntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+        SparseIntMatrix.from_rows([[1, 2, 0], [3, 1, 2], [0, 2, 6]]),
+    ]
+    for m in matrices:
+        rows = {r: dict(row) for r, row in m.rows.items()}
+        cols = {c: dict(col) for c, col in m.cols.items()}
+        first = rank_and_torsion(m), smith_normal_form(m)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert (rank_and_torsion(m), smith_normal_form(m)) == first
+
+
+def test_from_rows_rejects_malformed_rows():
+    with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 1"):
+        SparseIntMatrix.from_rows([[2], [3, 5, 7]])
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is not an int: 1\.5"):
+        SparseIntMatrix.from_rows([[1.5, 2], [3, 4]])
+    for rows in ([[2], [3, 5, 7]], [[1, 2], [3]], [[1.5, 2], [3, 4]], [[1, 2], [3, "4"]]):
+        with pytest.raises(ValueError):
+            smith_normal_form(rows)
