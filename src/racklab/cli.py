@@ -129,7 +129,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     rack = rack_from_spec(args.spec, max_order=args.max_order)
     lat = enumerate_subracks(rack, args.budget_nodes)
     K = order_complex(lat, args.budget_simplices)
-    H = reduced_homology(K, collapse=not args.no_collapse)
+    H = reduced_homology(K)
     out = {"spec": args.spec, "rack_size": rack.size, "nodes": lat.n}
     out.update(H.to_jsonable())
     sphere_dim = None
@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("homology", help="reduced integer homology of the order complex")
     h.add_argument("spec", help="rack spec")
-    h.add_argument("--no-collapse", action="store_true",
-                   help="skip the collapse preprocessing (results are identical)")
     common(h, env_max_order)
     h.set_defaults(func=cmd_homology)
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
-from typing import Union
+from typing import Callable, Sequence, Union
 
 from .bitsets import bit_list, bits, mask_of
 
@@ -144,7 +144,7 @@ class FiniteGroup:
 
     __slots__ = ("name", "order", "mul", "inv", "labels", "perms", "_label_index")
 
-    def __init__(self, name, mul, labels, perms=None, validate=True):
+    def __init__(self, name, mul, labels, perms=None):
         self.name = name
         self.mul = tuple(tuple(row) for row in mul)
         self.order = len(self.mul)
@@ -159,8 +159,7 @@ class FiniteGroup:
                     break
         self.inv = tuple(inv)
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         n, mul, inv = self.order, self.mul, self.inv
@@ -207,49 +206,43 @@ class FiniteGroup:
 # family constructors
 
 
-def _perm_label(p: tuple[int, ...]) -> str:
+def _table_group(
+    name: str, elements: Sequence, product: Callable, labels: Sequence[str], perms=None
+) -> FiniteGroup:
+    """The group on `elements` (the identity first) under `product`, which
+    maps two elements to their product; element i is `elements[i]`."""
+    index = {x: i for i, x in enumerate(elements)}
+    mul = [[index[product(x, y)] for y in elements] for x in elements]
+    return FiniteGroup(name, mul, labels, perms)
+
+
+def _perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a permutation of 0..n-1, fixed points included, each
+    starting at its least point."""
     seen = [False] * len(p)
     cycles = []
     for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
         cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
             cyc.append(j)
             j = p[j]
-        cycles.append("(" + "".join(str(v + 1) for v in cyc) + ")")
-    return "".join(cycles) if cycles else "e"
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def _perm_label(p: tuple[int, ...]) -> str:
+    cycles = [c for c in _perm_cycles(p) if len(c) > 1]
+    return "".join("(" + "".join(str(v + 1) for v in c) + ")" for c in cycles) or "e"
 
 
 def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
-    n = len(perms[0])
-    identity = tuple(range(n))
+    identity = tuple(range(len(perms[0])))
     perms = [identity] + sorted(p for p in perms if p != identity)
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
-    return FiniteGroup(name, mul, [_perm_label(p) for p in perms], perms=perms)
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    labels = [_perm_label(p) for p in perms]
+    return _table_group(name, perms, lambda p, q: tuple(p[i] for i in q), labels, perms)
 
 
 def _build_symmetric(n: int) -> FiniteGroup:
@@ -257,84 +250,70 @@ def _build_symmetric(n: int) -> FiniteGroup:
 
 
 def _build_alternating(n: int) -> FiniteGroup:
-    evens = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
+    # a permutation is even when n minus its number of cycles is even
+    evens = [
+        p for p in itertools.permutations(range(n)) if (n - len(_perm_cycles(p))) % 2 == 0
+    ]
     return _perm_group(f"A{n}", evens)
 
 
+def _power(symbol: str, i: int) -> str:
+    return "" if i == 0 else symbol if i == 1 else f"{symbol}{i}"
+
+
 def _build_cyclic(n: int) -> FiniteGroup:
-    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(f"Z{n}", mul, labels)
+    labels = [_power("g", i) or "e" for i in range(n)]
+    return _table_group(f"Z{n}", range(n), lambda a, b: (a + b) % n, labels)
 
 
 def _build_dihedral(order: int) -> FiniteGroup:
+    # (f, i) is s^f r^i, with s r s = r^-1
     k = order // 2
-    # indices: i < k rotation r^i, k+i reflection s r^i
-    def mul(a, b):
-        ia, fa = a % k, a // k
-        ib, fb = b % k, b // k
-        if fa == 0 and fb == 0:
-            return (ia + ib) % k
-        if fa == 0 and fb == 1:
-            return k + (ib - ia) % k
-        if fa == 1 and fb == 0:
-            return k + (ia + ib) % k
-        return (ib - ia) % k
+    elems = [(f, i) for f in range(2) for i in range(k)]
 
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, k)]
-    labels += [f"sr{i}" if i > 1 else ("s" if i == 0 else "sr") for i in range(k)]
-    return FiniteGroup(f"D{order}", table, labels)
+    def mul(x, y):
+        (f, i), (g, j) = x, y
+        return ((f + g) % 2, ((-1) ** g * i + j) % k)
+
+    labels = [_power("r", i) or "e" for i in range(k)] + ["s" + _power("r", i) for i in range(k)]
+    return _table_group(f"D{order}", elems, mul, labels)
+
+
+def _ab_labels(m: int) -> list[str]:
+    """Labels of a^i (i < m), then of a^i b."""
+    return [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + "b" for i in range(m)]
 
 
 def _build_dicyclic(k: int, name: str | None = None) -> FiniteGroup:
-    # <a, b | a^(2k) = 1, b^2 = a^k, b a b^-1 = a^-1>
-    # indices: i < 2k is a^i, 2k+i is a^i b
+    # <a, b | a^(2k) = 1, b^2 = a^k, b a b^-1 = a^-1>; (f, i) is a^i b^f
     m = 2 * k
-    def mul(x, y):
-        i, f = x % m, x // m
-        j, g = y % m, y // m
-        if f == 0 and g == 0:
-            return (i + j) % m
-        if f == 0 and g == 1:
-            return m + (i + j) % m
-        if f == 1 and g == 0:
-            return m + (i - j) % m
-        return (i - j + k) % m
+    elems = [(f, i) for f in range(2) for i in range(m)]
 
-    table = [[mul(x, y) for y in range(4 * k)] for x in range(4 * k)]
-    labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
-    labels += [f"a{i}b" if i > 1 else ("b" if i == 0 else "ab") for i in range(m)]
-    return FiniteGroup(name or f"DIC{k}", table, labels)
+    def mul(x, y):
+        (f, i), (g, j) = x, y
+        return ((f + g) % 2, (i + (-1) ** f * j + k * f * g) % m)
+
+    return _table_group(name or f"DIC{k}", elems, mul, _ab_labels(m))
 
 
 def _build_semidihedral16() -> FiniteGroup:
-    # <a, b | a^8 = b^2 = 1, b a b = a^3>
-    def mul(x, y):
-        i, f = x % 8, x // 8
-        j, g = y % 8, y // 8
-        if f == 0:
-            return (i + j) % 8 + 8 * g
-        return (i + 3 * j) % 8 + 8 * (1 - g)
+    # <a, b | a^8 = b^2 = 1, b a b = a^3>; (f, i) is a^i b^f
+    elems = [(f, i) for f in range(2) for i in range(8)]
 
-    table = [[mul(x, y) for y in range(16)] for x in range(16)]
-    labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, 8)]
-    labels += [f"a{i}b" if i > 1 else ("b" if i == 0 else "ab") for i in range(8)]
-    return FiniteGroup("SD16", table, labels)
+    def mul(x, y):
+        (f, i), (g, j) = x, y
+        return ((f + g) % 2, (i + 3**f * j) % 8)
+
+    return _table_group("SD16", elems, mul, _ab_labels(8))
 
 
 def _build_sl23() -> FiniteGroup:
-    elems = [
-        (a, b, c, d)
-        for a in range(3)
-        for b in range(3)
-        for c in range(3)
-        for d in range(3)
-        if (a * d - b * c) % 3 == 1
-    ]
     ident = (1, 0, 0, 1)
-    elems = [ident] + sorted(e for e in elems if e != ident)
-    index = {e: i for i, e in enumerate(elems)}
+    elems = [ident] + [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(3), repeat=4)
+        if (a * d - b * c) % 3 == 1 and (a, b, c, d) != ident
+    ]
 
     def mul(x, y):
         a, b, c, d = x
@@ -342,9 +321,8 @@ def _build_sl23() -> FiniteGroup:
         return ((a * e + b * g) % 3, (a * f + b * h) % 3,
                 (c * e + d * g) % 3, (c * f + d * h) % 3)
 
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    labels = ["e" if e == ident else f"[{e[0]}{e[1]}|{e[2]}{e[3]}]" for e in elems]
-    return FiniteGroup("SL(2,3)", table, labels)
+    labels = ["e"] + [f"[{a}{b}|{c}{d}]" for a, b, c, d in elems[1:]]
+    return _table_group("SL(2,3)", elems, mul, labels)
 
 
 def _build_tv18() -> FiniteGroup:
@@ -355,29 +333,19 @@ def _build_tv18() -> FiniteGroup:
         s = -1 if e2 else 1
         return ((e1 + e2) % 2, (s * v1 + v2) % 3, (s * w1 + w2) % 3)
 
-    elems = [(e, v, w) for e in range(2) for v in range(3) for w in range(3)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    labels = [
-        "e" if x == (0, 0, 0) else (f"v{x[1]}{x[2]}" if x[0] == 0 else f"tv{x[1]}{x[2]}")
-        for x in elems
-    ]
-    return FiniteGroup("TV18", table, labels)
+    elems = list(itertools.product(range(2), range(3), range(3)))
+    labels = ["e"] + [f"{'tv' if e else 'v'}{v}{w}" for e, v, w in elems[1:]]
+    return _table_group("TV18", elems, mul, labels)
 
 
 def _build_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    na, nb = a.order, b.order
-    table = [
-        [a.mul[i][k] * nb + b.mul[j][l] for k in range(na) for l in range(nb)]
-        for i in range(na)
-        for j in range(nb)
-    ]
-    labels = [
-        "e" if (i, j) == (0, 0) else f"({a.labels[i]}|{b.labels[j]})"
-        for i in range(na)
-        for j in range(nb)
-    ]
-    return FiniteGroup(f"{a.name}x{b.name}", table, labels)
+    elems = list(itertools.product(range(a.order), range(b.order)))
+
+    def mul(x, y):
+        return (a.mul[x[0]][y[0]], b.mul[x[1]][y[1]])
+
+    labels = ["e"] + [f"({a.labels[i]}|{b.labels[j]})" for i, j in elems[1:]]
+    return _table_group(f"{a.name}x{b.name}", elems, mul, labels)
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -676,21 +644,9 @@ class GroupProperties:
     simple: bool
 
 
-def all_maximal_subgroups_normal(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
-    return all(h.normal for h in all_subgroups(G, cap) if h.maximal)
-
-
-def group_properties(G: FiniteGroup, subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> GroupProperties:
-    mul = G.mul
-    abelian = all(
-        mul[a][b] == mul[b][a] for a in range(G.order) for b in range(a + 1, G.order)
-    )
-    # the maximal-subgroup criterion when enumeration is feasible, else the
-    # lower central series (equal by a classical theorem; cross-checked in tests)
-    if G.order <= subgroup_cap:
-        nilpotent = all_maximal_subgroups_normal(G, subgroup_cap)
-    else:
-        nilpotent = is_nilpotent_lcs(G)
+def group_properties(G: FiniteGroup) -> GroupProperties:
+    abelian = _is_abelian_subset(G, (1 << G.order) - 1)
+    nilpotent = is_nilpotent_lcs(G)
     solvable = derived_series(G)[-1] == 1
     supersolvable = solvable and _is_supersolvable(G, abelian)
     return GroupProperties(abelian, nilpotent, solvable, supersolvable, _is_simple(G))

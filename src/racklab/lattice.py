@@ -518,6 +518,13 @@ def connected_components_proper(L: CoverPoset) -> int:
     n = L.n
     if n <= 2:
         return 0
+    roots = _union_find_roots(n, ((c, p) for c, p in L.edges() if c != 0 and p != n - 1))
+    return len(set(roots[1:n - 1]))
+
+
+def _union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """A representative of each of 0..n-1 once the two members of every
+    pair are joined; members of one component share it."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -526,12 +533,11 @@ def connected_components_proper(L: CoverPoset) -> int:
             x = parent[x]
         return x
 
-    for c, p in L.edges():
-        if c != 0 and p != n - 1:
-            rc, rp = find(c), find(p)
-            if rc != rp:
-                parent[rc] = rp
-    return len({find(v) for v in range(1, n - 1)})
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +574,16 @@ def int_lattice(L: SubrackLattice) -> list[int]:
 
 
 def is_boolean_sets(elements: Iterable[int]) -> bool:
-    """Is this family of sets, ordered by inclusion, a Boolean algebra 2^[k]?"""
+    """Is this family of sets, ordered by inclusion, a Boolean algebra 2^[k]?
+
+    The k atoms are the minimal sets above the bottom; the signature of a set
+    is the bit set of the atoms it contains.  The family is 2^[k] exactly when
+    the signature map is a bijection onto 2^[k] whose inverse `sigs` keeps
+    inclusion (the map itself keeps it by definition).  It suffices to test
+    the covers of 2^[k], sigs[s] <= sigs[s + {i}] for every i not in s: if
+    s <= t, adding the bits of t - s one at a time is a chain of covers from
+    s to t, and inclusion is transitive along it, so sigs[s] <= sigs[t].
+    """
     elems = sorted(set(elements), key=lambda s: (s.bit_count(), s))
     if not elems:
         return False
@@ -582,33 +597,15 @@ def is_boolean_sets(elements: Iterable[int]) -> bool:
     k = len(atom_sets)
     if len(elems) != 1 << k:
         return False
-    sigs = {}
-    union_joins = True
-    for e in elems:
-        s = 0
-        acc = bottom
-        for i, a in enumerate(atom_sets):
-            if a & e == a:
-                s |= 1 << i
-                acc |= a
-        if s in sigs:
-            return False
-        sigs[s] = e
-        if acc != e:
-            union_joins = False
-    if len(sigs) != 1 << k:
+    sigs = {sum(1 << i for i, a in enumerate(atom_sets) if a & e == a): e for e in elems}
+    if len(sigs) != 1 << k:  # 2^k sets with 2^k signatures: a bijection
         return False
-    if union_joins:
-        # x = bottom | union(atoms below x) makes the signature map an order
-        # isomorphism outright
-        return True
-    # general case: signatures must reflect inclusion both ways
-    items = list(sigs.items())
-    for s1, e1 in items:
-        for s2, e2 in items:
-            if (s1 & s2 == s1) != (e1 & e2 == e1):
-                return False
-    return True
+    return all(
+        sigs[s] & sigs[s | 1 << i] == sigs[s]
+        for s in range(1 << k)
+        for i in range(k)
+        if not s >> i & 1
+    )
 
 
 def is_boolean(L: SubrackLattice) -> bool:

@@ -15,6 +15,7 @@ from .lattice import (
     CoverPoset,
     SubrackLattice,
     _csr_from_edges,
+    _union_find_roots,
     enumerate_subracks,
 )
 from .racks import Rack, rack_from_spec
@@ -104,11 +105,10 @@ def all_partitions(n: int) -> list[SetPartition]:
 class PartitionLattice(CoverPoset):
     """A family of set partitions under refinement, with cover relations."""
 
-    __slots__ = ("n_ground", "elements", "index")
+    __slots__ = ("elements", "index")
 
-    def __init__(self, n_ground: int, elements: list[SetPartition], edges):
+    def __init__(self, elements: list[SetPartition], edges):
         super().__init__(*_csr_from_edges(len(elements), edges))
-        self.n_ground = n_ground
         self.elements = elements
         self.index = {p: i for i, p in enumerate(elements)}
 
@@ -125,18 +125,10 @@ def partition_lattice(n: int) -> PartitionLattice:
             merged.append(list(p.blocks[a]) + list(p.blocks[b]))
             q = SetPartition.from_blocks(n, merged)
             edges.append((i, index[q]))
-    return PartitionLattice(n, elements, edges)
+    return PartitionLattice(elements, edges)
 
 
-class KEqualLattice(PartitionLattice):
-    __slots__ = ("k",)
-
-    def __init__(self, n_ground, k, elements, edges):
-        super().__init__(n_ground, elements, edges)
-        self.k = k
-
-
-def k_equal_lattice(n: int, k: int) -> KEqualLattice:
+def k_equal_lattice(n: int, k: int) -> PartitionLattice:
     """Partitions whose blocks all have size 1 or >= k, as an induced
     subposet of the partition lattice (discrete partition is the bottom, the
     one-block partition the top)."""
@@ -162,7 +154,7 @@ def k_equal_lattice(n: int, k: int) -> KEqualLattice:
             between = above & ~(1 << j)
             if not any((leq[t] >> j) & 1 for t in bits(between)):
                 edges.append((i, j))
-    return KEqualLattice(n, k, elements, edges)
+    return PartitionLattice(elements, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +170,10 @@ class IsomorphismReport:
 
 
 def _components_partition(n: int, perms: Sequence[tuple[int, ...]]) -> SetPartition:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(n):
-            ri, rj = find(i), find(p[i])
-            if ri != rj:
-                parent[ri] = rj
+    roots = _union_find_roots(n, ((i, p[i]) for p in perms for i in range(n)))
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, r in enumerate(roots):
+        groups.setdefault(r, []).append(i)
     return SetPartition.from_blocks(n, groups.values())
 
 

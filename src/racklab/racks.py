@@ -15,6 +15,7 @@ from .bitsets import bit_list, mask_of
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
+    _perm_cycles,
     build_group,
     conjugacy_classes,
 )
@@ -245,19 +246,7 @@ _CLASS_RE = re.compile(r"class\((.+)\)")
 
 
 def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    lens = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length > 1:
-            lens.append(length)
-    return tuple(sorted(lens))
+    return tuple(sorted(len(c) for c in _perm_cycles(p) if len(c) > 1))
 
 
 def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from typing import Iterable, Sequence
 
 from .bitsets import bit_list
@@ -357,31 +358,20 @@ def _diagonalize(M: SparseIntMatrix) -> list[int]:
 
 
 def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
-    # redistribute prime powers so the factors form a divisibility chain
-    primes: dict[int, list[int]] = {}
-    count = 0
-    for d in diag:
-        count += 1
-        d = abs(d)
-        if d == 1:
-            continue
-        p = 2
-        while p * p <= d:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1
-        if d > 1:
-            primes.setdefault(d, []).append(1)
-    factors = [1] * count
-    for p, exps in sorted(primes.items()):
-        exps.sort(reverse=True)
-        for i, e in enumerate(exps):
-            factors[count - 1 - i] *= p**e
-    return tuple(factors)
+    """The divisibility chain d1 | d2 | ... of a nonzero diagonal.
+
+    Replacing two entries by their gcd and lcm keeps each prime's multiset
+    of exponents, so it keeps the Smith normal form.  After the sweep at
+    position i, entry i holds the least exponent of every prime over
+    positions i onwards, so it divides every later entry.
+    """
+    diag = [abs(d) for d in diag]
+    rest = [d for d in diag if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (len(diag) - len(rest)) + tuple(rest)
 
 
 def smith_normal_form(matrix: SparseIntMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -569,12 +559,10 @@ def is_homology_sphere(H: HomologyResult, d: int) -> bool:
 
 
 def homology_from_export(
-    text: str,
-    collapse: bool = True,
-    simplex_budget: int = DEFAULT_SIMPLEX_BUDGET,
+    text: str, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
 ) -> HomologyResult:
     """Reduced homology of a lattice given in the line-oriented export format."""
     from .lattice import load_lattice_export
 
     lat = load_lattice_export(text)
-    return reduced_homology(order_complex(lat, simplex_budget), collapse=collapse)
+    return reduced_homology(order_complex(lat, simplex_budget))

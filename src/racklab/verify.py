@@ -24,7 +24,6 @@ from .groups import (
     build_group,
     conjugacy_classes,
     core_and_normalizer,
-    is_nilpotent_lcs,
     parse_group_spec,
     spec_order,
     subgroup_closure_mask,
@@ -286,7 +285,8 @@ def check_m_of_g(spec, cfg):
     computed = {
         "members": len(m_sets),
         "empty_iff_nilpotent": (not m_sets) == props.nilpotent,
-        "nilpotency_criteria_agree": props.nilpotent == is_nilpotent_lcs(G),
+        # the lower central series against "every maximal subgroup is normal"
+        "nilpotency_criteria_agree": props.nilpotent == all(h.normal for h in subs if h.maximal),
         "equals_nonnormal_maximal": sorted(m_sets) == nonnormal_maximal if props.solvable else True,
         "members_are_nonnormal_subgroups": all(
             s in sub_masks and not sub_masks[s].normal for s in m_sets

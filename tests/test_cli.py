@@ -83,12 +83,6 @@ def test_homology_s3_and_d8(capsys):
     assert json.loads(out)["sphere_dimension"] == 3
 
 
-def test_homology_no_collapse_same_output(capsys):
-    _, a, _ = run(capsys, ["homology", "S4:cycles(4)"])
-    _, b, _ = run(capsys, ["homology", "S4:cycles(4)", "--no-collapse"])
-    assert a == b
-
-
 def test_verify_single_check(capsys):
     rc, out, _ = run(capsys, ["verify", "--check", "d8-q8-rack-iso"])
     assert rc == 0

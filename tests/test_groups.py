@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import brute_force_subgroups
 from racklab.bitsets import bit_list, mask_of
+from racklab.catalog import CATALOG
 from racklab.groups import (
     FamilyTerm,
     FiniteGroup,
     GroupSpecError,
     OrderCapExceeded,
     ProductNode,
-    all_maximal_subgroups_normal,
     all_subgroups,
     build_group,
     check_class_avoidance,
@@ -77,6 +79,75 @@ def test_order_cap():
 )
 def test_orders(spec, order):
     assert build_group(spec).order == order
+
+
+# sha256 of repr((labels, mul, perms)): pins every element's number, label
+# and permutation, so a rewrite of a builder cannot renumber a group
+TABLE_DIGESTS = {
+    "Z1": "8a90b6c40084fa2434b625894928336d55783eecaee8cd1bd02ec5952f2aa9b7",
+    "Z2": "0a1aa6e6eec9ad3f7a6c4c135d315c7bd779f63c0a3808240c12b04f3c87ec8a",
+    "Z3": "ee87c8e7f19bef15966fdabf861540f945075a748cf15a912f4d0682367b4609",
+    "Z4": "37a413712d6b0d707ba98496439c0e96002013c06682dab3043825b4eeabe631",
+    "Z2xZ2": "577a66c70b161a7b22a74a167aaf738c4ba8fbecb36c0556b340fa23d5ada9d3",
+    "Z5": "b11ea93456d59e321bdd550f7412f618d166ca3ce1fa4745f2ea2db422f18331",
+    "Z6": "26ffe3615e4ad531645cfdcc990c7fc61ab046b4fef375dfeab8fb81add64ae3",
+    "Z7": "b40c3bce6778f82a61fe19e28b6870faf77d7203444f0475b4d7a730f0697f7e",
+    "Z8": "98af5784e0e994066bf452c3719466e7181996e34dcfc4b638cbd0e5d05e94c9",
+    "Z4xZ2": "7b8cb8eeb182ad03c8a1b3ee46c5d992c6a1abeef40c20bc1788f1d56699c86b",
+    "Z2xZ2xZ2": "5a99e1fd33d9ea0905503671aadd0f4f1ffdb204f56b1057ba2507056109d873",
+    "Z9": "1eb8f87818337ca3737dd6646b4a99f0d616edf7794beb868a946fb14df3264a",
+    "Z3xZ3": "513f96876c4c43fc435da6166f9bc5d32d2003cbd33ece771f3d824c68df2476",
+    "Z10": "92c3565b655434495f4761e36c63a96b013251c9b1d5174761d323b7961ec8a7",
+    "Z11": "e92d84b72f364b0836ee9006f119051b948bff665f3e11e4d357e86e2d8d608f",
+    "Z12": "295f691e5bb85cc9fdf50ec31c24ad3c1478e47aae6c78ddc85b1877519aa39d",
+    "Z6xZ2": "b80726b0d59dcb7d8e0c3f783ec591a1c03a0d64ef6d979dc6f59f445e16424c",
+    "Z13": "9cfdabcfb54257a8b1c6bf6afa867fbfc209703b7ede04c04e42e972b765564b",
+    "Z14": "913191e015bec16d56747d3e820d40f9825b9c27e23ed625089de704a668b87e",
+    "Z15": "c4c07e9abbe49dd2094b6ea9a92e844e73a7c55023563a82d485ee0e3011e4d9",
+    "Z16": "7a0c6cf514f18753b383e5d6d89029fdf451cdd41a1c59205f76cfb0d71cd373",
+    "Z8xZ2": "51b430dd86a844c0a633e23488082d794a741d40f2ec24c5d35e22cbf85b1fe9",
+    "Z4xZ4": "d601695dec54f0f5b9000f875c0a102157ba4de29583dc0a8e7aeb45116406f4",
+    "Z4xZ2xZ2": "2b4da59348a300472e60bba88ca1578de7713dfb7a204a36837b9f04c7e534d5",
+    "Z2xZ2xZ2xZ2": "579b6fd0515b71f8caf7bd326f73d3b0034440b6fb5feede9eb03bbb9baf274a",
+    "S3": "a49fcf1f7164a40308054515d9a1f8b45a777a26d9669442e236a88051e20023",
+    "D8": "985adaa24227704f3e3597fd9a2ae7d8c3737d512f0ff36704238fca46dbb14a",
+    "Q8": "cad026b0a1289c1c5302882349ba2f4c808a2639ec8445a39b01fbd7de4ea34f",
+    "D10": "4b7a7375d6689aeb8d8610a25e0fe1ecb1040ca5e9c96e073a93a05c783cf338",
+    "D12": "ee7543b056bd846c647bc4623e54774add03ce135c3214733c89e37d556ec02e",
+    "A4": "b2dae625f19d8cba6d1c863506235fe73dcc0b577fde84de1064e3c04fe5e65f",
+    "DIC3": "21a4298834f4a71a38791545754f112a494055e030b0e15590ee8fe290fad563",
+    "D14": "35c2ae2daa2863b42d910f215cd6ad65b46e8fdfa95c727405ff8f153ef3173a",
+    "D16": "41721af0bcc62c3efcba363f53d8d37e983ce7b70a630e64fa169ef0a1631baf",
+    "Q16": "af9e15ae9a0265fe1441cc7265c4feb3d5a4c206a72997e5c6a9dc04f8def418",
+    "SD16": "1f0892bc38e4acdbd54318b31028ce32cced41107f1eaf5ead755f8f5cb17e72",
+    "S3xZ2": "2887d62fc858c3d9e61ee2196689fc83e00b04dd6a5f5394c4a4f2134285e2db",
+    "S3xZ3": "2c9e25e82cdd7e71601de0fc02e9531b9584e347a61994471692e1fd37aef65b",
+    "D8xZ2": "32eeb9b35ce07afcbb9ef28893696136c6cc3df368a2fdf933287378a83dedd3",
+    "Q8xZ2": "a09aefe93b6af7058347b08cb55070551b3bceee72532effcf5a815087d5e8a2",
+    "TV18": "b20385eb682eb8cc8b8d94e4b8f7a1f200226eb0965c587022d8f437016550ee",
+    "S4": "bc5d754c5642f25780756035cfb049bfa5369b9712cc93607d8967eaa035e7f9",
+    "SL(2,3)": "14291e1c90d37e80ce339bfd020a612fd0dbf10824846e7f8f8ae44d0b6ffeb6",
+    "A5": "cb870d5a1179dae2418c3140e0ce655c97592b37a28901b345ac6cd5016276ce",
+    "S5": "9778010465844a77f0def75bbd574569c9413c3da9f71e299dabbce1748755ef",
+    "A6": "fb5366cc30d7d4e2582aaafe7a60cbe2690b95e6ef084931cbe3228b898ab996",
+    "D18": "ee63e57faf431d1b0bf2753ccf82ae7e9f3090cd3006f2e8058485e5632772f3",
+    "D24": "f0eb04dbf89da09c5215cca0c2bedfb09645aef6e5ce027abbbfedc065686d2c",
+    "DIC5": "23c92af2dcf1069ef5ed7c1196c01ba6b060f8df0715452fb57a7c41a7259d0b",
+    "D8xZ3": "3e6ee495fbe1fa93b1316c79d6b908cab7eeaab54f288fdfe5332337256b5ab9",
+    "Q8xZ3": "8fddc5898752ff045664d252dc933468768f91ecd4e6edef44c4616b98085179",
+    "S3xS3": "f2e89679495105b495eec67695e077ca247e5c11b2e00961a219db7625a2bf8a",
+}
+
+
+def test_table_digests_cover_the_catalog():
+    assert set(CATALOG) < set(TABLE_DIGESTS)
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_group_table_digest(spec):
+    G = build_group(spec, max_order=360)
+    digest = hashlib.sha256(repr((G.labels, G.mul, G.perms)).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[spec]
 
 
 def test_tv18_center_and_presentation():
@@ -214,7 +285,7 @@ def test_group_properties(spec, abelian, nilpotent, solvable, supersolvable, sim
 def test_nilpotency_criteria_agree():
     for spec in ["S3", "D8", "Q8", "A4", "D12", "Z8", "Z2xZ2xZ2", "TV18", "S4", "SL(2,3)", "D8xZ3"]:
         G = build_group(spec)
-        assert is_nilpotent_lcs(G) == all_maximal_subgroups_normal(G)
+        assert is_nilpotent_lcs(G) == all(h.normal for h in all_subgroups(G) if h.maximal)
 
 
 def test_minimal_nonabelian():

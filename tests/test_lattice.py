@@ -322,6 +322,56 @@ def test_is_boolean_sets_cases():
     assert not is_boolean_sets([0, 1, 2, 3, 7])
 
 
+def test_is_boolean_sets_needs_signatures_to_keep_inclusion():
+    # the signatures over the atoms {1}, {2}, {3} biject onto 2^3, but
+    # {1,2,9} is not inside {1,2,3,8}
+    family = [[], [1], [2], [3], [1, 2, 9], [1, 3], [2, 3], [1, 2, 3, 8]]
+    assert not is_boolean_sets(mask_of(s) for s in family)
+
+
+def _boolean_by_pairs(family) -> bool:
+    """Oracle: the signature map over the atoms is a bijection onto 2^k and
+    reflects inclusion on every pair of sets."""
+    elems = set(family)
+    if not elems:
+        return False
+    bottom = min(elems, key=lambda s: (s.bit_count(), s))
+    if any(e & bottom != bottom for e in elems):
+        return False
+    above = elems - {bottom}
+    atom_sets = [a for a in above if not any(b != a and b & a == b for b in above)]
+    sig = {e: sum(1 << i for i, a in enumerate(atom_sets) if a & e == a) for e in elems}
+    if len(elems) != 1 << len(atom_sets) or len(set(sig.values())) != len(elems):
+        return False
+    return all((sig[x] & sig[y] == sig[x]) == (x & y == x) for x in elems for y in elems)
+
+
+@st.composite
+def near_boolean_families(draw):
+    """2^k on atom bits 2.., over a bottom in bits 0-1, with extra bits 8-11
+    on each member above the atoms (so the signatures biject, but may not keep
+    inclusion), then maybe a member dropped or a random set added."""
+    k = draw(st.integers(0, 4))
+    bottom = draw(st.integers(0, 3))
+    family = [
+        bottom
+        | sum(1 << (2 + i) for i in range(k) if s >> i & 1)
+        | (draw(st.integers(0, 15)) << 8 if s.bit_count() > 1 else 0)
+        for s in range(1 << k)
+    ]
+    if draw(st.booleans()):
+        family.pop(draw(st.integers(0, len(family) - 1)))
+    if draw(st.booleans()):
+        family.append(draw(st.integers(0, (1 << 12) - 1)))
+    return family
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_boolean_families(), st.lists(st.integers(0, 63), max_size=9)))
+def test_is_boolean_sets_matches_the_pairwise_definition(family):
+    assert is_boolean_sets(family) == _boolean_by_pairs(family)
+
+
 def test_lattice_boolean_iff_abelian():
     for spec, want in [("Z6", True), ("Z2xZ2", True), ("S3", False), ("D8", False)]:
         lat = enumerate_subracks(rack_from_spec(spec))

@@ -399,6 +399,15 @@ def test_smith_normal_form_matches_sympy(rows):
     assert smith_normal_form(rows) == expected
 
 
+def test_smith_normal_form_of_61_bit_primes():
+    # the divisibility chain comes from gcd/lcm steps, not from factoring
+    p, q = 2**61 - 1, 2305843009213693921  # the two largest primes below 2^61
+    assert smith_normal_form([[p]]) == (p,)
+    assert smith_normal_form([[p, 0], [0, q]]) == (1, p * q)
+    assert smith_normal_form([[p * q, 0], [0, p]]) == (p, p * q)
+    assert smith_normal_form([[p * p * q, 0, 0], [0, q * q, 0], [0, 0, 1]]) == (1, q, p * p * q * q)
+
+
 def test_smith_normal_form_leaves_its_argument_unchanged():
     K = complex_from_facets([f + (apex,) for f in RP2 for apex in (6, 7)])
     matrices = boundary_matrices(K) + [
