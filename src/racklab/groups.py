@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .bitsets import bit_list, bits, mask_of
@@ -242,7 +243,10 @@ def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     identity = tuple(range(len(perms[0])))
     perms = [identity] + sorted(p for p in perms if p != identity)
     labels = [_perm_label(p) for p in perms]
-    return _table_group(name, perms, lambda p, q: tuple(p[i] for i in q), labels, perms)
+    # (p q)(i) = p(q(i)); itemgetter of a single index returns an item, not a
+    # tuple, but degree 1 has only the identity, and p = tuple(p)
+    act = {q: itemgetter(*q) if len(q) > 1 else tuple for q in perms}
+    return _table_group(name, perms, lambda p, q: act[q](p), labels, perms)
 
 
 def _build_symmetric(n: int) -> FiniteGroup:

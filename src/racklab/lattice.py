@@ -218,6 +218,16 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
     seeded with s as already closed, so it only works through the new
     elements.
 
+    An outside element in T = `rack.trivial_part` makes s + x its own
+    closure: with s closed, `Rack.closure` has nothing on its work list and
+    returns the seed.  The loop takes that early return inline, and skips the
+    `mins` test, which b - s - x = {} always passes.  This is the closure's
+    own behaviour, not a use of the product lemma, so the enumeration depends
+    on the lemma no more than `Rack.closure` does.  `enumerate_subracks`
+    calls this only on racks with T empty (R - T has none), so the shortcut
+    fires only in `product_decomposition_check`'s enumeration of full group
+    racks with a centre.
+
     A cover is strictly larger than its child, so once popcount level k is
     reached every node on it has been found: each level is sorted once and
     its nodes receive their final (popcount, value) ids as they are visited.
@@ -227,9 +237,11 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
     _check_rack_cap(rack, rack_cap)
     close = rack.closure
     full = rack.full_mask()
+    trivial = rack.trivial_part
     levels: list[list[int]] = [[] for _ in range(rack.size + 1)]
     levels[0].append(0)
     found = {0: 0}  # subrack -> discovery id
+    lookup = found.get
     node_id = array("l", [0])  # discovery id -> final node id
     sets: list[int] = []
     pstart = array("l", [0])
@@ -243,11 +255,14 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
             while rem:
                 bit = rem & -rem
                 rem ^= bit
-                b = close(s | bit, s)  # positional: perfbench wraps closure as (*args)
-                if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
-                    mins ^= bit
-                    continue
-                w = found.get(b)
+                if bit & trivial:
+                    b = s | bit  # Rack.closure's early return
+                else:
+                    b = close(s | bit, s)  # positional: perfbench wraps closure as (*args)
+                    if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                        mins ^= bit
+                        continue
+                w = lookup(b)
                 if w is None:
                     w = len(found)
                     if w >= node_budget:
@@ -257,12 +272,12 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
                     levels[b.bit_count()].append(b)
                 pflat.append(w)
             pstart.append(len(pflat))
-    pflat = array("l", map(node_id.__getitem__, pflat))
+    final = node_id.__getitem__
+    rows = array("l")
     for v in range(len(sets)):
-        lo, hi = pstart[v], pstart[v + 1]
-        if hi - lo > 1:
-            pflat[lo:hi] = array("l", sorted(pflat[lo:hi]))
-    return SubrackLattice(rack, sets, pstart, pflat)
+        rows.extend(sorted(map(final, pflat[pstart[v]:pstart[v + 1]])))
+    del pflat  # before the lattice builds its index
+    return SubrackLattice(rack, sets, pstart, rows)
 
 
 def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
@@ -772,6 +787,10 @@ def product_decomposition_check(
     itself with `_lindig_subracks`, which does not use the lemma.  Since R and Z
     partition G, the pair determines Q, so the map is injective; with the
     node count it is a bijection onto the product.
+
+    Each node is read once as its factor node f[v] (the node of Q & R) and
+    its central part zs[v] = Q & Z; the covers are then walked row by row
+    over those per-node lists.
     """
     factor = central_factor(G, node_budget, rack_cap)
     sub = factor.lattice
@@ -780,30 +799,32 @@ def product_decomposition_check(
     z = z_mask.bit_count()
     if lattice is None:
         lattice = _lindig_subracks(conjugation_rack(G, provenance=G.name), node_budget, rack_cap)
-    sub_sets = [factor.group_mask(m) for m in sub.sets]
 
     def report(ok: bool, detail: str) -> ProductDecompositionReport:
         return ProductDecompositionReport(ok, lattice.n, sub.n, z, detail)
 
     if lattice.n != sub.n << z:
         return report(False, f"node count {lattice.n} != {sub.n} * 2^{z}")
-    sub_index = set(sub_sets)
-    if any(s & r_mask not in sub_index for s in lattice.sets):
+    sub_node = {factor.group_mask(m): i for i, m in enumerate(sub.sets)}.get
+    f = [sub_node(s & r_mask) for s in lattice.sets]
+    if None in f:
         return report(False, "projection to the non-central part is not a subrack")
-    sub_edges = {(sub_sets[c], sub_sets[p]) for c, p in sub.edges()}
-    for c, p in lattice.edges():
-        sc, sp = lattice.sets[c], lattice.sets[p]
-        rc, rp = sc & r_mask, sp & r_mask
-        zc, zp = sc & z_mask, sp & z_mask
-        if zc == zp:
-            if (rc, rp) not in sub_edges:
-                return report(False, "a cover does not project to a factor cover")
-        elif rc == rp:
-            d = zp & ~zc
-            if zc & ~zp or d.bit_count() != 1:
-                return report(False, "a cover changes the central part by != 1 element")
-        else:
-            return report(False, "a cover moves in both coordinates")
+    zs = [s & z_mask for s in lattice.sets]
+    sub_edges = set(sub.edges())
+    pstart, pflat = lattice._pstart, lattice._pflat
+    for c in range(lattice.n):
+        fc, zc = f[c], zs[c]
+        for p in pflat[pstart[c]:pstart[c + 1]]:
+            zp = zs[p]
+            if zc == zp:
+                if (fc, f[p]) not in sub_edges:
+                    return report(False, "a cover does not project to a factor cover")
+            elif fc == f[p]:
+                d = zc ^ zp
+                if d & zc or d & (d - 1):  # zp is not zc plus one element
+                    return report(False, "a cover changes the central part by != 1 element")
+            else:
+                return report(False, "a cover moves in both coordinates")
     want_edges = len(sub_edges) * (1 << z) + sub.n * z * (1 << z) // 2
     if lattice.edge_count() != want_edges:
         return report(False, f"cover count {lattice.edge_count()} != expected {want_edges}")

@@ -18,7 +18,7 @@ from .lattice import (
     _union_find_roots,
     enumerate_subracks,
 )
-from .racks import Rack, rack_from_spec
+from .racks import Rack, conjugation_rack, filter_mask
 
 MAX_PARTITION_N = 8
 
@@ -184,9 +184,9 @@ def transposition_rack_isomorphism(
     connected components is an order isomorphism onto the partition lattice."""
     if not 3 <= n <= 5:
         raise ValueError("checked for n in 3..5 (rack size n(n-1)/2)")
-    rack = rack_from_spec(f"S{n}:transpositions")
-    lat = enumerate_subracks(rack, node_budget)
     G = build_group(f"S{n}")
+    rack = conjugation_rack(G, filter_mask(G, "transpositions"), provenance=f"S{n}:transpositions")
+    lat = enumerate_subracks(rack, node_budget)
     perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
     parts = all_partitions(n)
     part_index = {p: i for i, p in enumerate(parts)}
@@ -237,21 +237,27 @@ def pcycle_rack_and_lattice(
     n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET, rack_cap: int = 40
 ) -> tuple[FiniteGroup, Rack, SubrackLattice]:
     G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
-    rack = rack_from_spec(f"A{n}:cycles({p})", max_order=max(120, factorial(n) // 2))
+    rack = conjugation_rack(G, filter_mask(G, f"cycles({p})"), provenance=f"A{n}:cycles({p})")
     lat = enumerate_subracks(rack, node_budget, rack_cap)
     return G, rack, lat
 
 
 def quillen_fiber_check(
-    n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET
+    n: int,
+    p: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    pcycles: tuple[FiniteGroup, Rack, SubrackLattice] | None = None,
 ) -> FiberReport:
     """For every proper tau in the k-equal lattice, the subracks mapping below
     tau must have the set of p-cycles supported inside tau's blocks as their
     unique maximal element; the image of the orbit map must be the whole
-    k-equal lattice."""
+    k-equal lattice.
+
+    `pcycles` is `pcycle_rack_and_lattice(n, p, node_budget)` when the caller
+    has already built it; otherwise it is built here."""
     if p % 2 == 0 or p >= n - 2 or n > 6:
         raise ValueError("need an odd prime p < n-2 with n <= 6")
-    G, rack, lat = pcycle_rack_and_lattice(n, p, node_budget)
+    G, rack, lat = pcycles or pcycle_rack_and_lattice(n, p, node_budget)
     kequal = k_equal_lattice(n, p)
     perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
     cycle_perms = [perm_of_label[lab] for lab in rack.labels]

@@ -256,11 +256,16 @@ def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
     """
     group_part, _, filt = text.partition(":")
     G = build_group(group_part, max_order=max_order)
+    return conjugation_rack(G, filter_mask(G, filt), provenance=text)
+
+
+def filter_mask(G: FiniteGroup, filt: str) -> int:
+    """The elements of G that the FILTER of a rack spec selects ("" is all)."""
     if not filt or filt == "all":
-        mask = (1 << G.order) - 1
-    elif filt == "noncentral":
-        mask = ((1 << G.order) - 1) & ~conjugacy_classes(G).center
-    elif filt == "transpositions" or _CYCLES_RE.fullmatch(filt):
+        return (1 << G.order) - 1
+    if filt == "noncentral":
+        return ((1 << G.order) - 1) & ~conjugacy_classes(G).center
+    if filt == "transpositions" or _CYCLES_RE.fullmatch(filt):
         if G.perms is None:
             raise RackAxiomError(
                 f"filter {filt!r} applies only to plain permutation groups (S or A families)"
@@ -271,16 +276,15 @@ def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
         )
         if mask == 0:
             raise RackAxiomError(f"no {k}-cycles in {G.name}")
-    else:
-        m = _CLASS_RE.fullmatch(filt)
-        if not m:
-            raise RackAxiomError(f"unrecognized rack filter {filt!r}")
-        try:
-            e = G.label_index(m.group(1))
-        except KeyError as exc:
-            raise RackAxiomError(exc.args[0]) from None
-        mask = conjugacy_classes(G).class_mask_of(e)
-    return conjugation_rack(G, mask, provenance=text)
+        return mask
+    m = _CLASS_RE.fullmatch(filt)
+    if not m:
+        raise RackAxiomError(f"unrecognized rack filter {filt!r}")
+    try:
+        e = G.label_index(m.group(1))
+    except KeyError as exc:
+        raise RackAxiomError(exc.args[0]) from None
+    return conjugacy_classes(G).class_mask_of(e)
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,8 @@ def check_fivecycle_rack(specs, cfg):
     "complexes have equal homology",
 )
 def check_kequal_fibers(specs, cfg):
-    rep = quillen_fiber_check(6, 3, cfg.node_budget)
+    pcycles = pcycle_rack_and_lattice(6, 3, cfg.node_budget)
+    rep = quillen_fiber_check(6, 3, pcycles=pcycles)
     ke = k_equal_lattice(6, 3)
     H_ke = reduced_homology(order_complex(ke, cfg.simplex_budget))
     nonzero = H_ke.nonzero_dimensions()
@@ -396,8 +397,7 @@ def check_kequal_fibers(specs, cfg):
     comparison = "skipped(budget)"
     comparison_ok = True
     try:
-        _, _, lat = pcycle_rack_and_lattice(6, 3, cfg.node_budget)
-        H_rack = reduced_homology(order_complex(lat, cfg.simplex_budget))
+        H_rack = reduced_homology(order_complex(pcycles[2], cfg.simplex_budget))
         comparison_ok = (H_rack.betti, H_rack.torsion) == (H_ke.betti, H_ke.torsion)
         comparison = "equal" if comparison_ok else "different"
         computed["rack_betti"] = {str(d): b for d, b in sorted(H_rack.betti.items())}

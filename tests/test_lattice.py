@@ -10,9 +10,12 @@ from conftest import all_maximal_chains
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.groups import all_subgroups, build_group, conjugacy_classes
 from racklab.lattice import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_RACK_CAP,
     BudgetExceeded,
     SubrackLattice,
     _csr_from_edges,
+    _lindig_subracks,
     all_maximal_chain_lengths,
     atoms,
     brute_force_covers,
@@ -65,6 +68,18 @@ def test_covers_match_bruteforce_hasse_diagram(spec):
     assert list(lat.edges()) == hasse
     for v in range(lat.n):
         assert lat.children(v) == [c for c, p in hasse if p == v]
+
+
+@pytest.mark.parametrize("spec", SMALL_RACKS + ["Z4xZ2"])
+def test_lemma_free_enumeration_matches_bruteforce(spec):
+    # D8, Q8, Z6 and DIC3 have a centre and Z4xZ2 is a trivial rack, so the
+    # trivial-element step of the oracle's enumeration is compared here with
+    # the closure-free scan
+    rack = rack_from_spec(spec)
+    lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET, DEFAULT_RACK_CAP)
+    sets = brute_force_subracks(rack)
+    assert lat.sets == sets
+    assert list(lat.edges()) == brute_force_covers(sets)
 
 
 @settings(deadline=None, max_examples=200)
@@ -445,9 +460,51 @@ def _stretch_a_cover(L, edges, center):
     raise AssertionError("no cover to stretch")
 
 
+def _redirect_a_cover(L, edges, target):
+    # replace the first cover (c, p) for which target(sets[c], sets[p]) names
+    # a set q by (c, q)
+    for k, (c, p) in enumerate(edges):
+        q = target(L.sets[c], L.sets[p])
+        if q is not None:
+            return edges[:k] + [(c, L.index[q])] + edges[k + 1:]
+    raise AssertionError("no cover to redirect")
+
+
+def _add_the_whole_center(L, edges, center):
+    # a central step that adds all of Z (|Z| = 2) at once
+    def target(sc, sp):
+        if sc & center == 0 and sp & ~center == sc:
+            return sc | center
+
+    return _redirect_a_cover(L, edges, target)
+
+
+def _drop_a_central_element(L, edges, center):
+    # a step down: the same non-central part less one central element
+    def target(sc, sp):
+        zc = sc & center
+        if zc:
+            return sc ^ (zc & -zc)
+
+    return _redirect_a_cover(L, edges, target)
+
+
+def _move_both_coordinates(L, edges, center):
+    # a factor step that also adds a central element
+    def target(sc, sp):
+        free = center & ~sp
+        if sc & center == sp & center and free:
+            return sp | (free & -free)
+
+    return _redirect_a_cover(L, edges, target)
+
+
 @pytest.mark.parametrize("mutate, detail", [
     (_drop_last_cover, "cover count 139 != expected 140"),
     (_stretch_a_cover, "a cover does not project to a factor cover"),
+    (_add_the_whole_center, "a cover changes the central part by != 1 element"),
+    (_drop_a_central_element, "a cover changes the central part by != 1 element"),
+    (_move_both_coordinates, "a cover moves in both coordinates"),
 ])
 def test_product_decomposition_rejects_a_wrong_cover_set(mutate, detail):
     G = build_group("D8")
@@ -456,6 +513,19 @@ def test_product_decomposition_rejects_a_wrong_cover_set(mutate, detail):
     wrong = SubrackLattice(L.rack, L.sets, *_csr_from_edges(L.n, edges))
     rep = product_decomposition_check(G, lattice=wrong)
     assert (rep.ok, rep.detail) == (False, detail)
+
+
+def test_product_decomposition_rejects_a_set_with_a_non_subrack_projection():
+    # the top node G becomes G minus a non-central element, whose
+    # non-central part is not closed under conjugation
+    G = build_group("D8")
+    L = enumerate_subracks(conjugation_rack(G))
+    r = G.label_index("r")
+    assert not (1 << r) & conjugacy_classes(G).center
+    sets = L.sets[:-1] + [L.sets[-1] ^ 1 << r]
+    wrong = SubrackLattice(L.rack, sets, L._pstart, L._pflat)
+    rep = product_decomposition_check(G, lattice=wrong)
+    assert (rep.ok, rep.detail) == (False, "projection to the non-central part is not a subrack")
 
 
 # ---------------------------------------------------------------------------

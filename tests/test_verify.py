@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from racklab import catalog, verify
+import racklab
+from racklab import catalog, cli, groups, lattice, partitions, racks, verify
 from racklab.groups import (
     GroupSpecError,
     build_group,
@@ -89,3 +91,29 @@ def test_max_order_restricts_every_keyed_check(report_max_order_8):
             assert order <= 8, (check["id"], spec)
     # every keyed check has an instance of order <= 8 except maxsg-chains
     assert len(ran) == 17 - len(UNKEYED) - 1
+
+
+def test_kequal_fibers_builds_and_enumerates_a6_once(monkeypatch):
+    built, enumerated = [], []
+    build, lindig = groups.build_group, lattice._lindig_subracks
+
+    def counting_build(spec, *args, **kwargs):
+        G = build(spec, *args, **kwargs)
+        built.append(G.name)
+        return G
+
+    def counting_lindig(rack, *args):
+        enumerated.append(rack.provenance)
+        return lindig(rack, *args)
+
+    for module in (racklab, catalog, cli, groups, partitions, racks, verify):
+        if vars(module).get("build_group") is build:
+            monkeypatch.setattr(module, "build_group", counting_build)
+    monkeypatch.setattr(lattice, "_lindig_subracks", counting_lindig)
+    res = verify.check_kequal_fibers(VerifyConfig())
+    assert built.count("A6") == 1
+    assert enumerated.count("A6:cycles(3)") == 1
+    # recorded with: racklab verify --all > tests/data/verify_all.json
+    golden = json.loads((DATA / "verify_all.json").read_text(encoding="utf-8"))
+    want = next(c for c in golden["checks"] if c["id"] == "kequal-fibers")
+    assert (res.status, res.computed) == (want["status"], want["computed"])
