@@ -26,7 +26,6 @@ from .racks import (
     is_quandle,
     conjugation_rack,
     rack_from_spec,
-    subrack_closure,
     rack_isomorphism,
 )
 from .lattice import (

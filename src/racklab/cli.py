@@ -13,7 +13,6 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     CapExceeded,
     GroupSpecError,
-    OrderCapExceeded,
     build_group,
     conjugacy_classes,
     group_properties,
@@ -132,13 +131,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     H = reduced_homology(K)
     out = {"spec": args.spec, "rack_size": rack.size, "nodes": lat.n}
     out.update(H.to_jsonable())
-    sphere_dim = None
-    nz = H.nonzero_dimensions()
-    if H.empty_complex:
-        sphere_dim = -1
-    elif len(nz) == 1 and H.betti.get(nz[0]) == 1 and not H.torsion:
-        sphere_dim = nz[0]
-    out["sphere_dimension"] = sphere_dim
+    out["sphere_dimension"] = H.sphere_dimension
     out["seconds"] = round(time.monotonic() - t0, 3) if args.timings else None
     _emit(out)
     return 0
@@ -171,30 +164,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, max_order_default):
-        sp.add_argument("--max-order", type=_positive_int, default=max_order_default,
-                        help="largest group order to construct")
-        sp.add_argument("--budget-nodes", type=_positive_int, default=env_nodes,
-                        help="lattice node budget")
-        sp.add_argument("--budget-simplices", type=_positive_int, default=env_simplices,
-                        help="order-complex simplex budget")
-        sp.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings (non-deterministic output)")
+    # each command takes only the flags it reads
+    flags = {
+        "--max-order": dict(type=_positive_int, default=env_max_order,
+                            help="largest group order to construct"),
+        "--budget-nodes": dict(type=_positive_int, default=env_nodes,
+                               help="lattice node budget"),
+        "--budget-simplices": dict(type=_positive_int, default=env_simplices,
+                                   help="order-complex simplex budget"),
+        "--timings": dict(action="store_true",
+                          help="include wall-clock timings (non-deterministic output)"),
+    }
+
+    def add_flags(sp, *names):
+        for name in names:
+            sp.add_argument(name, **flags[name])
 
     g = sub.add_parser("group", help="order, classes, center and properties of a group")
     g.add_argument("spec", help='group spec, e.g. "S4", "D8xZ3", "SL(2,3)"')
-    common(g, env_max_order)
+    add_flags(g, "--max-order")
     g.set_defaults(func=cmd_group)
 
     l = sub.add_parser("lattice", help="enumerate the subrack lattice of a rack spec")
     l.add_argument("spec", help='rack spec, e.g. "S4:cycles(4)", "D8:noncentral", "Z4"')
     l.add_argument("--export", metavar="PATH", help="write the line-oriented lattice export")
-    common(l, env_max_order)
+    add_flags(l, "--max-order", "--budget-nodes")
     l.set_defaults(func=cmd_lattice)
 
     h = sub.add_parser("homology", help="reduced integer homology of the order complex")
     h.add_argument("spec", help="rack spec")
-    common(h, env_max_order)
+    add_flags(h, "--max-order", "--budget-nodes", "--budget-simplices", "--timings")
     h.set_defaults(func=cmd_homology)
 
     v = sub.add_parser("verify", help="run the verification suite")
@@ -208,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_env_positive_int("RACKLAB_MAX_ORDER", None),
                    help="restrict every check to groups of at most this order "
                         "(default: RACKLAB_MAX_ORDER, else no limit)")
-    v.add_argument("--budget-nodes", type=_positive_int, default=env_nodes)
-    v.add_argument("--budget-simplices", type=_positive_int, default=env_simplices)
-    v.add_argument("--timings", action="store_true")
+    add_flags(v, "--budget-nodes", "--budget-simplices", "--timings")
     v.add_argument("--workers", type=_positive_int, default=1,
                    help="run checks concurrently in this many processes "
                         "(at least 1, at most the CPU count)")
@@ -227,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GroupSpecError, RackAxiomError, OrderCapExceeded, CapExceeded, BudgetExceeded) as exc:
+    except (GroupSpecError, RackAxiomError, CapExceeded, BudgetExceeded) as exc:
         print(f"racklab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except UnknownCheckError as exc:

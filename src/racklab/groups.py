@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 from .bitsets import bit_list, bits, mask_of
 
 DEFAULT_MAX_ORDER = 120
-DEFAULT_SUBGROUP_CAP = 48
+SUBGROUP_CAP = 48
 
 _ASSOC_EXHAUSTIVE_CAP = 48
 _ASSOC_SAMPLES = 4000
@@ -34,11 +34,11 @@ class GroupSpecError(ValueError):
         self.position = position
 
 
-class OrderCapExceeded(RuntimeError):
-    pass
-
-
 class CapExceeded(RuntimeError):
+    """An input beyond one of the fixed size guards."""
+
+
+class OrderCapExceeded(CapExceeded):
     pass
 
 
@@ -491,10 +491,10 @@ def subgroup_generated(G: FiniteGroup, seed) -> SubgroupHandle:
     return _handle(G, subgroup_closure_mask(G, mask))
 
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[SubgroupHandle]:
+def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
     """Every subgroup of G, deterministically ordered, with normal/maximal/abelian flags."""
-    if G.order > cap:
-        raise CapExceeded(f"subgroup enumeration capped at order {cap}, got {G.order}")
+    if G.order > SUBGROUP_CAP:
+        raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
     cyclics = sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)})
     found = {1} | set(cyclics)
     queue = sorted(found)
@@ -660,10 +660,8 @@ def group_properties(G: FiniteGroup) -> GroupProperties:
 # minimal non-abelian subgroups and class avoidance
 
 
-def minimal_nonabelian_subgroups(
-    G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP
-) -> list[SubgroupHandle]:
-    subs = all_subgroups(G, cap)
+def minimal_nonabelian_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
+    subs = all_subgroups(G)
     nonabelian = [h for h in subs if not h.abelian]
     out = []
     for h in nonabelian:
@@ -678,12 +676,12 @@ class ClassAvoidanceReport:
     witnesses: tuple[tuple[int, int], ...]  # (subgroup mask, avoided class mask)
 
 
-def check_class_avoidance(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> ClassAvoidanceReport:
+def check_class_avoidance(G: FiniteGroup) -> ClassAvoidanceReport:
     """For every proper subgroup, find a conjugacy class it misses entirely."""
     classes = conjugacy_classes(G).classes
     full = (1 << G.order) - 1
     witnesses = []
-    for h in all_subgroups(G, cap):
+    for h in all_subgroups(G):
         if h.elems == full:
             continue
         witness = next((c for c in classes if c & h.elems == 0), None)

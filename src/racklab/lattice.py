@@ -40,9 +40,9 @@ from .bitsets import bit_list, bits, mask_of
 from .groups import CapExceeded, ClassDecomposition, FiniteGroup, conjugacy_classes
 from .racks import Rack, conjugation_rack
 
-DEFAULT_RACK_CAP = 40
+RACK_CAP = 40
 DEFAULT_NODE_BUDGET = 5_000_000
-DEFAULT_M_CAP = 24
+M_CAP = 24
 
 
 class BudgetExceeded(RuntimeError):
@@ -126,21 +126,29 @@ def _csr_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[array, ar
 
 
 class SubrackLattice(CoverPoset):
-    """All subracks of a rack, ordered by inclusion, with cover relations."""
+    """All subracks of a rack, ordered by inclusion, with cover relations.
 
-    __slots__ = ("rack", "sets", "index", "labels", "spec")
+    `index`, the node id of each set, is built on first use."""
+
+    __slots__ = ("rack", "sets", "_index", "labels", "spec")
 
     def __init__(self, rack, sets, pstart, pflat, labels=None, spec=None):
         super().__init__(pstart, pflat)
         self.rack = rack
         self.sets = list(sets)
-        self.index = {s: i for i, s in enumerate(self.sets)}
+        self._index = None
         if labels is None:
             labels = rack.labels if rack is not None else ()
         self.labels = tuple(labels)
         if spec is None:
             spec = rack.provenance if rack is not None else None
         self.spec = spec
+
+    @property
+    def index(self) -> dict[int, int]:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.sets)}
+        return self._index
 
     def node_of(self, mask: int) -> int:
         try:
@@ -159,11 +167,7 @@ class SubrackLattice(CoverPoset):
 # enumeration
 
 
-def enumerate_subracks(
-    rack: Rack,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rack_cap: int = DEFAULT_RACK_CAP,
-) -> SubrackLattice:
+def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> SubrackLattice:
     """Enumerate every subrack (fixed point of the closure) together with the
     Hasse diagram.
 
@@ -178,14 +182,12 @@ def enumerate_subracks(
     """
     trivial = rack.trivial_part
     if not trivial:
-        return _lindig_subracks(rack, node_budget, rack_cap)
-    _check_rack_cap(rack, rack_cap)
+        return _lindig_subracks(rack, node_budget)
+    _check_rack_size(rack)
     t = trivial.bit_count()
     limit = max(node_budget, 1)
     try:
-        factor = _lindig_subracks(
-            rack.restrict(rack.full_mask() & ~trivial), node_budget >> t, rack_cap
-        )
+        factor = _lindig_subracks(rack.restrict(rack.full_mask() & ~trivial), node_budget >> t)
     except BudgetExceeded:
         factor = None
     if factor is None or factor.n << t > limit:
@@ -193,9 +195,9 @@ def enumerate_subracks(
     return _expand_product(rack, factor)
 
 
-def _check_rack_cap(rack: Rack, rack_cap: int) -> None:
-    if rack.size > rack_cap:
-        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {rack_cap}")
+def _check_rack_size(rack: Rack) -> None:
+    if rack.size > RACK_CAP:
+        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {RACK_CAP}")
 
 
 def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
@@ -205,7 +207,7 @@ def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
     )
 
 
-def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLattice:
+def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     """Every subrack of `rack` with the Hasse diagram, by closures alone,
     without the product lemma.
 
@@ -234,7 +236,7 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
     Parent rows are recorded under discovery ids, then translated to final ids
     and sorted per child, giving the compressed rows that CoverPoset stores.
     """
-    _check_rack_cap(rack, rack_cap)
+    _check_rack_size(rack)
     close = rack.closure
     full = rack.full_mask()
     trivial = rack.trivial_part
@@ -276,7 +278,7 @@ def _lindig_subracks(rack: Rack, node_budget: int, rack_cap: int) -> SubrackLatt
     rows = array("l")
     for v in range(len(sets)):
         rows.extend(sorted(map(final, pflat[pstart[v]:pstart[v + 1]])))
-    del pflat  # before the lattice builds its index
+    del pflat  # before the lattice copies `sets`
     return SubrackLattice(rack, sets, pstart, rows)
 
 
@@ -656,9 +658,7 @@ class MReport:
     members: tuple[int, ...]  # node ids
 
 
-def compute_M(
-    L: SubrackLattice, classes: ClassDecomposition, m_cap: int = DEFAULT_M_CAP
-) -> MReport:
+def compute_M(L: SubrackLattice, classes: ClassDecomposition) -> MReport:
     """All nodes satisfying the four conditions: not closed; unique cover equal
     to the class-union closure; everything above that closure closed; the
     coatom-meet lattice of [bottom, closure] not Boolean.
@@ -676,8 +676,8 @@ def compute_M(
     Each condition on S + Z is therefore the same condition on S."""
     if L.rack is None or L.rack.size != len(classes.class_of):
         raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
-    if L.rack.size > m_cap:
-        raise CapExceeded(f"M computation capped at rack size {m_cap}")
+    if L.rack.size > M_CAP:
+        raise CapExceeded(f"M computation capped at rack size {M_CAP}")
     sets = L.sets
     closed_above: dict[int, bool] = {}
     int_not_boolean: dict[int, bool] = {}
@@ -735,11 +735,7 @@ class CentralFactor:
         return mask_of(self.elements[i] for i in bits(mask))
 
 
-def central_factor(
-    G: FiniteGroup,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rack_cap: int = DEFAULT_RACK_CAP,
-) -> CentralFactor:
+def central_factor(G: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> CentralFactor:
     """Enumerate the lattice of the non-central rack of G.
 
     A central element acts trivially and every element fixes it, so
@@ -759,7 +755,7 @@ def central_factor(
         0,
     )
     lattice = enumerate_subracks(
-        conjugation_rack(G, mask, provenance=f"{G.name}:noncentral"), node_budget, rack_cap
+        conjugation_rack(G, mask, provenance=f"{G.name}:noncentral"), node_budget
     )
     return CentralFactor(lattice, classes, elements, cd.center)
 
@@ -777,7 +773,6 @@ def product_decomposition_check(
     G: FiniteGroup,
     lattice: SubrackLattice | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    rack_cap: int = DEFAULT_RACK_CAP,
 ) -> ProductDecompositionReport:
     """Verify Q -> (Q & R, Q & Z) is an order isomorphism from the full lattice
     onto (lattice of the non-central rack R) x (subsets of the center Z).
@@ -792,13 +787,13 @@ def product_decomposition_check(
     its central part zs[v] = Q & Z; the covers are then walked row by row
     over those per-node lists.
     """
-    factor = central_factor(G, node_budget, rack_cap)
+    factor = central_factor(G, node_budget)
     sub = factor.lattice
     z_mask = factor.center
     r_mask = ((1 << G.order) - 1) & ~z_mask
     z = z_mask.bit_count()
     if lattice is None:
-        lattice = _lindig_subracks(conjugation_rack(G, provenance=G.name), node_budget, rack_cap)
+        lattice = _lindig_subracks(conjugation_rack(G, provenance=G.name), node_budget)
 
     def report(ok: bool, detail: str) -> ProductDecompositionReport:
         return ProductDecompositionReport(ok, lattice.n, sub.n, z, detail)

@@ -234,11 +234,11 @@ class FiberReport:
 
 
 def pcycle_rack_and_lattice(
-    n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET, rack_cap: int = 40
+    n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[FiniteGroup, Rack, SubrackLattice]:
     G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
     rack = conjugation_rack(G, filter_mask(G, f"cycles({p})"), provenance=f"A{n}:cycles({p})")
-    lat = enumerate_subracks(rack, node_budget, rack_cap)
+    lat = enumerate_subracks(rack, node_budget)
     return G, rack, lat
 
 

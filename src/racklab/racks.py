@@ -14,13 +14,14 @@ from typing import Iterable, Sequence
 from .bitsets import bit_list, mask_of
 from .groups import (
     DEFAULT_MAX_ORDER,
+    CapExceeded,
     FiniteGroup,
     _perm_cycles,
     build_group,
     conjugacy_classes,
 )
 
-DEFAULT_ISO_CAP = 16
+ISO_CAP = 16
 
 
 class RackAxiomError(ValueError):
@@ -218,11 +219,6 @@ def conjugation_rack(
     return Rack(op, inv, [G.labels[e] for e in elems], provenance or G.name)
 
 
-def subrack_closure(rack: Rack, seed: int | Iterable[int]) -> int:
-    mask = seed if isinstance(seed, int) else mask_of(seed)
-    return rack.closure(mask)
-
-
 def closure_forward_only(rack: Rack, seed: int) -> int:
     """Closure under a > b alone; equals `closure` on finite racks (self-check)."""
     op = rack.op
@@ -299,9 +295,7 @@ def _profiles(rack: Rack) -> list[tuple]:
     return out
 
 
-def rack_isomorphism(
-    r1: Rack, r2: Rack, cap: int = DEFAULT_ISO_CAP
-) -> tuple[int, ...] | None:
+def rack_isomorphism(r1: Rack, r2: Rack) -> tuple[int, ...] | None:
     """A bijection f with f(a > b) = f(a) > f(b), or None if there is none.
 
     Backtracking with per-element invariant pruning (idempotence and the cycle
@@ -310,8 +304,8 @@ def rack_isomorphism(
     if r1.size != r2.size:
         return None
     n = r1.size
-    if n > cap:
-        raise RackAxiomError(f"isomorphism search capped at size {cap}, got {n}")
+    if n > ISO_CAP:
+        raise CapExceeded(f"isomorphism search capped at size {ISO_CAP}, got {n}")
     if n == 0:
         return ()
     p1, p2 = _profiles(r1), _profiles(r2)

@@ -495,6 +495,17 @@ class HomologyResult:
     empty_complex: bool
     simplex_counts: tuple[int, ...]
 
+    @property
+    def sphere_dimension(self) -> int | None:
+        """d if this is the reduced homology of a d-sphere (-1 for the empty
+        complex), else None."""
+        if self.empty_complex:
+            return -1
+        if any(self.torsion.values()) or len(self.betti) != 1:
+            return None
+        ((d, b),) = self.betti.items()
+        return d if b == 1 else None
+
     def nonzero_dimensions(self) -> list[int]:
         return sorted(
             set(d for d, b in self.betti.items() if b)
@@ -549,20 +560,4 @@ def reduced_homology(K: OrderComplex, collapse: bool = True) -> HomologyResult:
 
 def is_homology_sphere(H: HomologyResult, d: int) -> bool:
     """H equals the reduced homology of a d-sphere (d = -1 is the empty complex)."""
-    if H.empty_complex:
-        return d == -1
-    if d < 0:
-        return False
-    if any(H.torsion.values()):
-        return False
-    return H.betti == {d: 1}
-
-
-def homology_from_export(
-    text: str, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
-) -> HomologyResult:
-    """Reduced homology of a lattice given in the line-oriented export format."""
-    from .lattice import load_lattice_export
-
-    lat = load_lattice_export(text)
-    return reduced_homology(order_complex(lat, simplex_budget))
+    return H.sphere_dimension == d

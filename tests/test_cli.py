@@ -44,6 +44,12 @@ def test_order_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_rack_cap_exit_code(capsys):
+    rc, out, err = run(capsys, ["lattice", "A5"])
+    assert (rc, out) == (2, "")
+    assert err == "racklab: rack size 60 exceeds the enumeration cap 40\n"
+
+
 def test_lattice_z4(capsys):
     rc, out, _ = run(capsys, ["lattice", "Z4"])
     data = json.loads(out)
@@ -279,6 +285,13 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, name, value
     assert err == f"racklab: environment variable {name}: {why}\n"
 
 
+# the flags a command does not read, which its parser does not accept
+_UNREAD_FLAGS = {
+    ("group", "--budget-nodes"), ("group", "--budget-simplices"), ("group", "--timings"),
+    ("lattice", "--budget-simplices"), ("lattice", "--timings"),
+}
+
+
 @pytest.mark.parametrize(
     "command", [["group", "S3"], ["lattice", "D8"], ["homology", "D8"], ["verify", "--all"]]
 )
@@ -289,4 +302,16 @@ def test_nonpositive_flag_is_a_usage_error(capsys, flag, value, command):
         main(command + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least 1, got {value}" in err
+    if (command[0], flag) in _UNREAD_FLAGS:
+        assert f"unrecognized arguments: {flag} {value}" in err
+    else:
+        assert f"argument {flag}: must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command, flag", sorted(_UNREAD_FLAGS))
+def test_unread_flag_is_unrecognized(capsys, command, flag):
+    argv = [command, "S3", flag] + ([] if flag == "--timings" else ["5"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err

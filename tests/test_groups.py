@@ -8,6 +8,7 @@ from conftest import brute_force_subgroups
 from racklab.bitsets import bit_list, mask_of
 from racklab.catalog import CATALOG
 from racklab.groups import (
+    CapExceeded,
     FamilyTerm,
     FiniteGroup,
     GroupSpecError,
@@ -65,6 +66,7 @@ def test_parse_roundtrip():
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         build_group("S5", max_order=100)
+    assert issubclass(OrderCapExceeded, CapExceeded)
     assert build_group("S5", max_order=120).order == 120
 
 
@@ -226,6 +228,11 @@ def test_subgroup_counts(spec, count):
     assert len(subs) == count
     if G.order <= 12:
         assert [h.elems for h in subs] == brute_force_subgroups(G)
+
+
+def test_subgroup_cap():
+    with pytest.raises(CapExceeded, match=r"^subgroup enumeration capped at order 48, got 120$"):
+        all_subgroups(build_group("S5"))
 
 
 def test_subgroup_flags():

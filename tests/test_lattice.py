@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import all_maximal_chains
 from racklab.bitsets import bit_list, bits, mask_of
-from racklab.groups import all_subgroups, build_group, conjugacy_classes
+from racklab.groups import (
+    CapExceeded,
+    ClassDecomposition,
+    all_subgroups,
+    build_group,
+    conjugacy_classes,
+)
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_RACK_CAP,
     BudgetExceeded,
     SubrackLattice,
     _csr_from_edges,
@@ -39,7 +44,7 @@ from racklab.lattice import (
     product_decomposition_check,
 )
 from racklab.racks import conjugation_rack, rack_from_spec
-from racklab.topology import homology_from_export
+from racklab.topology import order_complex, reduced_homology
 
 SMALL_RACKS = [
     "S3", "S4:cycles(4)", "D8", "Q8", "D8:noncentral", "D10", "A4", "Z6",
@@ -76,7 +81,7 @@ def test_lemma_free_enumeration_matches_bruteforce(spec):
     # trivial-element step of the oracle's enumeration is compared here with
     # the closure-free scan
     rack = rack_from_spec(spec)
-    lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET, DEFAULT_RACK_CAP)
+    lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET)
     sets = brute_force_subracks(rack)
     assert lat.sets == sets
     assert list(lat.edges()) == brute_force_covers(sets)
@@ -405,6 +410,14 @@ def _m_member_sets(spec):
     return G, lat, rep
 
 
+def test_m_cap():
+    # the 30 four-cycles of S5 form one class
+    lat = enumerate_subracks(rack_from_spec("S5:cycles(4)"))
+    one_class = ClassDecomposition((lat.rack.full_mask(),), (0,) * 30, 0)
+    with pytest.raises(CapExceeded, match=r"^M computation capped at rack size 24$"):
+        compute_M(lat, one_class)
+
+
 def test_m_of_s3():
     G, lat, rep = _m_member_sets("S3")
     got = sorted(lat.sets[v] for v in rep.members)
@@ -580,7 +593,7 @@ def test_export_without_covers_is_rejected():
         with pytest.raises(ValueError):
             load_lattice_export(stripped)
         with pytest.raises(ValueError):
-            homology_from_export(stripped)
+            reduced_homology(order_complex(load_lattice_export(stripped)))
 
 
 def _export_lines(spec):

@@ -17,7 +17,6 @@ from racklab.cli import main
 from racklab.groups import build_group
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_RACK_CAP,
     BudgetExceeded,
     CoverPoset,
     _lindig_subracks,
@@ -48,7 +47,7 @@ EXPORT_SHA256 = {
 
 
 def _lemma_free(rack, node_budget=DEFAULT_NODE_BUDGET):
-    return _lindig_subracks(rack, node_budget, DEFAULT_RACK_CAP)
+    return _lindig_subracks(rack, node_budget)
 
 
 @pytest.mark.parametrize(
@@ -133,9 +132,9 @@ def test_factor_run_fails_fast(monkeypatch):
     factor_errors = []
     lindig = lattice._lindig_subracks
 
-    def spy(rack, node_budget, rack_cap):
+    def spy(rack, node_budget):
         try:
-            return lindig(rack, node_budget, rack_cap)
+            return lindig(rack, node_budget)
         except BudgetExceeded as exc:
             factor_errors.append((rack.size, node_budget, exc.partial))
             raise

@@ -227,12 +227,11 @@ def test_sparse_matrix_consistency():
 
 
 def test_homology_from_export_format():
-    from racklab.lattice import export_lattice_text
-    from racklab.topology import homology_from_export
+    from racklab.lattice import export_lattice_text, load_lattice_export
 
     lat = enumerate_subracks(rack_from_spec("D8"))
     direct = reduced_homology(order_complex(lat))
-    via_export = homology_from_export(export_lattice_text(lat))
+    via_export = reduced_homology(order_complex(load_lattice_export(export_lattice_text(lat))))
     assert (direct.betti, direct.torsion) == (via_export.betti, via_export.torsion)
 
 
