@@ -57,7 +57,6 @@ from .topology import (
     boundary_matrices,
     smith_normal_form,
     reduced_homology,
-    is_homology_sphere,
 )
 from .partitions import (
     SetPartition,

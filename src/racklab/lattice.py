@@ -25,9 +25,9 @@ Enumeration visits the nodes level by level in that order.  Each node's upper
 covers come from Lindig's neighbour algorithm (one closure per outside
 element, each cover emitted exactly once), and each closure is seeded with the
 node as already closed, so it only processes the added elements.  The Hasse
-diagram is kept as compressed sparse rows of upper covers.  The lower-cover
-rows are derived from them on first use; the analytics of `racklab lattice`
-(gradedness, atoms, coatoms) read the upper rows only.
+diagram is stored once, as compressed sparse rows of upper covers; every
+analytic reads those rows, and the lower covers of a node are read off the
+rows of the nodes below it.
 """
 
 from __future__ import annotations
@@ -64,40 +64,25 @@ class CoverPoset:
     order with 0 the bottom and n-1 the top.
 
     The diagram is stored as compressed sparse rows: the upper covers of v are
-    ``pflat[pstart[v]:pstart[v + 1]]`` in ascending order.  The lower-cover
-    rows are derived from them when `children` is first called.
+    ``pflat[pstart[v]:pstart[v + 1]]`` in ascending order.
     """
 
-    __slots__ = ("n", "_pstart", "_pflat", "_cstart", "_cflat")
+    __slots__ = ("n", "_pstart", "_pflat")
 
     def __init__(self, pstart: array, pflat: array):
         self.n = len(pstart) - 1
         self._pstart = pstart
         self._pflat = pflat
-        self._cstart = self._cflat = None
-
-    def _build_child_rows(self) -> None:
-        n, pstart, pflat = self.n, self._pstart, self._pflat
-        cstart = _row_starts(n, pflat)
-        fill = cstart[:]
-        cflat = array("l", [0]) * len(pflat)
-        # children are visited in ascending order, so each row comes out sorted
-        for c in range(n):
-            for p in pflat[pstart[c]:pstart[c + 1]]:
-                cflat[fill[p]] = c
-                fill[p] += 1
-        self._cstart = cstart
-        self._cflat = cflat
 
     def parents(self, v: int) -> list[int]:
         """Upper covers of v."""
         return list(self._pflat[self._pstart[v]:self._pstart[v + 1]])
 
     def children(self, v: int) -> list[int]:
-        """Lower covers of v."""
-        if self._cflat is None:
-            self._build_child_rows()
-        return list(self._cflat[self._cstart[v]:self._cstart[v + 1]])
+        """Lower covers of v, in ascending order: the nodes below v in the
+        topological order whose upper row holds v."""
+        pstart, pflat = self._pstart, self._pflat
+        return [u for u in range(v) if v in pflat[pstart[u]:pstart[u + 1]]]
 
     def edge_count(self) -> int:
         return len(self._pflat)
@@ -358,23 +343,10 @@ def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
 
 
 def brute_force_subracks(rack: Rack) -> list[int]:
-    """Independent oracle: scan all subsets for closure (sizes <= ~20 only)."""
-    n = rack.size
-    op, inv_op = rack.op, rack.inv_op
-    out = []
-    for m in range(1 << n):
-        elems = bit_list(m)
-        ok = True
-        for a in elems:
-            ra, ia = op[a], inv_op[a]
-            for b in elems:
-                if not (1 << ra[b]) & m or not (1 << ia[b]) & m:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(m)
+    """Independent oracle: scan all subsets with `Rack.is_closed`, which reads
+    the tables directly and shares no code with the closure (sizes <= ~20
+    only)."""
+    out = [m for m in range(1 << rack.size) if rack.is_closed(m)]
     return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
@@ -502,30 +474,28 @@ class ChainLengthsThrough:
 
 def maximal_chain_lengths_through(L: SubrackLattice, node: int) -> ChainLengthsThrough:
     """Cover-lengths of maximal bottom->top chains through `node`, with the
-    per-interval lengths for [bottom, node] and [node, top]."""
-    sets = L.sets
+    per-interval lengths for [bottom, node] and [node, top].
+
+    One forward pass pushes bitmasks of path lengths up the upper rows, in
+    id order, which is topological: first from the bottom, to the covers
+    inside sets[node] only, which all have ids up to `node`; then afresh
+    from `node`, whose paths upwards stay above it."""
+    sets, pstart, pflat = L.sets, L._pstart, L._pflat
     m = sets[node]
-    # lower interval: children of members are members, so the plain DP works
-    lbl = {0: 1}
-    for v in range(1, node + 1):
-        if sets[v] & m != sets[v]:
-            continue
-        acc = 0
-        for u in L.children(v):
-            acc |= lbl.get(u, 0)
-        lbl[v] = acc << 1
-    lower = bit_list(lbl[node])
-    lbu = {node: 1}
-    top = L.n - 1
-    for v in range(node + 1, L.n):
-        if sets[v] & m != m:
-            continue
-        acc = 0
-        for u in L.children(v):
-            acc |= lbu.get(u, 0)
-        if acc:
-            lbu[v] = acc << 1
-    upper = bit_list(lbu.get(top, 0))
+    reach = [0] * L.n
+    reach[0] = 1
+    for v in range(node):
+        if reach[v]:
+            for p in pflat[pstart[v]:pstart[v + 1]]:
+                if sets[p] & ~m == 0:
+                    reach[p] |= reach[v] << 1
+    lower = bit_list(reach[node])
+    reach[node] = 1
+    for v in range(node, L.n):
+        if reach[v]:
+            for p in pflat[pstart[v]:pstart[v + 1]]:
+                reach[p] |= reach[v] << 1
+    upper = bit_list(reach[-1])
     through = sorted({a + b for a in lower for b in upper})
     return ChainLengthsThrough(tuple(through), tuple(lower), tuple(upper))
 

@@ -4,6 +4,7 @@ machinery for racks of p-cycles in alternating groups."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
@@ -46,19 +47,16 @@ class SetPartition:
     def one_block(n: int) -> "SetPartition":
         return SetPartition(n, (tuple(range(n)),))
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
+    @cached_property
+    def pairs(self) -> int:
+        """The equivalence relation as a pair set: bit i * n + j for each
+        i < j in one block."""
+        return mask_of(i * self.n + j for b in self.blocks for i, j in combinations(b, 2))
 
     def refines(self, other: "SetPartition") -> bool:
-        """self <= other in the refinement order."""
-        lookup = {}
-        for i, b in enumerate(other.blocks):
-            for v in b:
-                lookup[v] = i
-        return all(len({lookup[v] for v in b}) == 1 for b in self.blocks)
+        """self <= other in the refinement order: every block of self lies in
+        a block of other, that is, its relation is inside other's."""
+        return self.pairs & ~other.pairs == 0
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Common refinement."""
@@ -71,9 +69,6 @@ class SetPartition:
             for v in b:
                 pieces.setdefault((i, lookup[v]), []).append(v)
         return SetPartition.from_blocks(self.n, pieces.values())
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
     def __str__(self) -> str:
         return "|".join("".join(str(v + 1) for v in b) for b in self.blocks)
@@ -139,13 +134,11 @@ def k_equal_lattice(n: int, k: int) -> PartitionLattice:
         if all(len(b) == 1 or len(b) >= k for b in p.blocks)
     ]
     m = len(elements)
-    leq = [0] * m
-    for i, p in enumerate(elements):
-        row = 0
-        for j, q in enumerate(elements):
-            if i != j and p.refines(q):
-                row |= 1 << j
-        leq[i] = row
+    pairs = [p.pairs for p in elements]
+    leq = [
+        mask_of(j for j, q in enumerate(pairs) if j != i and p & ~q == 0)
+        for i, p in enumerate(pairs)
+    ]
     edges = []
     for i in range(m):
         above = leq[i]
@@ -180,32 +173,29 @@ def _components_partition(n: int, perms: Sequence[tuple[int, ...]]) -> SetPartit
 def transposition_rack_isomorphism(
     n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> IsomorphismReport:
-    """Check that mapping a subrack of transpositions to the partition of its
-    connected components is an order isomorphism onto the partition lattice."""
+    """Check that the subracks of the transposition rack of S_n are exactly
+    the sets T(p), over the partitions p of {0..n-1}, of the transpositions
+    whose swapped pair lies inside a block of p.
+
+    Then p -> T(p) is an order isomorphism onto the subrack lattice, with
+    inverse the partition into connected components.  It is onto by the
+    check, and p <= q iff T(p) <= T(q): if p refines q, a pair inside a block
+    of p lies inside a block of q; conversely, if T(p) <= T(q), then for
+    i < j in one block of p the transposition (i j) is in T(q), so i and j
+    share a block of q.  So T is injective as well, and the check also
+    demands one set per partition and as many subracks as partitions."""
     if not 3 <= n <= 5:
         raise ValueError("checked for n in 3..5 (rack size n(n-1)/2)")
     G = build_group(f"S{n}")
     rack = conjugation_rack(G, filter_mask(G, "transpositions"), provenance=f"S{n}:transpositions")
     lat = enumerate_subracks(rack, node_budget)
-    perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
     parts = all_partitions(n)
-    part_index = {p: i for i, p in enumerate(parts)}
     if lat.n != len(parts):
         return IsomorphismReport(False, lat.n, len(parts), "element counts differ")
-    images = []
-    for s in lat.sets:
-        perms = [perm_of_label[rack.labels[i]] for i in bits(s)]
-        images.append(_components_partition(n, perms))
-    if len(set(images)) != len(parts) or set(images) != set(parts):
-        return IsomorphismReport(False, lat.n, len(parts), "image is not all partitions")
-    for i in range(lat.n):
-        for j in range(lat.n):
-            left = lat.sets[i] & lat.sets[j] == lat.sets[i]
-            right = images[i].refines(images[j])
-            if left != right:
-                return IsomorphismReport(
-                    False, lat.n, len(parts), f"order disagrees at nodes {i}, {j}"
-                )
+    swapped = [orbit_partition_map(n, rack, G, 1 << i) for i in range(rack.size)]
+    images = {mask_of(i for i, t in enumerate(swapped) if t.refines(p)) for p in parts}
+    if len(images) != len(parts) or images != set(lat.sets):
+        return IsomorphismReport(False, lat.n, len(parts), "the sets T(p) are not the subracks")
     return IsomorphismReport(True, lat.n, len(parts), "order isomorphism verified")
 
 
@@ -217,9 +207,8 @@ def orbit_partition_map(
     n: int, rack: Rack, group: FiniteGroup, subrack_mask: int
 ) -> SetPartition:
     """Partition of {0..n-1} into orbits of the subgroup generated by the
-    chosen cycles."""
-    perm_of_label = {group.labels[i]: group.perms[i] for i in range(group.order)}
-    perms = [perm_of_label[rack.labels[i]] for i in bits(subrack_mask)]
+    chosen cycles.  This is where a rack position becomes a permutation."""
+    perms = [group.perms[group.label_index(rack.labels[i])] for i in bits(subrack_mask)]
     return _components_partition(n, perms)
 
 
@@ -243,25 +232,23 @@ def pcycle_rack_and_lattice(
 
 
 def quillen_fiber_check(
-    n: int,
-    p: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    pcycles: tuple[FiniteGroup, Rack, SubrackLattice] | None = None,
+    n: int, p: int, pcycles: tuple[FiniteGroup, Rack, SubrackLattice]
 ) -> FiberReport:
     """For every proper tau in the k-equal lattice, the subracks mapping below
     tau must have the set of p-cycles supported inside tau's blocks as their
     unique maximal element; the image of the orbit map must be the whole
     k-equal lattice.
 
-    `pcycles` is `pcycle_rack_and_lattice(n, p, node_budget)` when the caller
-    has already built it; otherwise it is built here."""
+    `pcycles` is `pcycle_rack_and_lattice(n, p)`.  A cycle is supported
+    inside a block of tau exactly when its own orbit partition refines tau,
+    so both the claimed maximum and the fiber are found by pair-set
+    inclusion; every member of the fiber is then tested against the maximum."""
     if p % 2 == 0 or p >= n - 2 or n > 6:
         raise ValueError("need an odd prime p < n-2 with n <= 6")
-    G, rack, lat = pcycles or pcycle_rack_and_lattice(n, p, node_budget)
+    G, rack, lat = pcycles
     kequal = k_equal_lattice(n, p)
-    perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
-    cycle_perms = [perm_of_label[lab] for lab in rack.labels]
-    images = [_components_partition(n, [cycle_perms[i] for i in bits(s)]) for s in lat.sets]
+    images = [orbit_partition_map(n, rack, G, s) for s in lat.sets]
+    supports = [orbit_partition_map(n, rack, G, 1 << i).pairs for i in range(rack.size)]
     image_ok = set(images) == set(kequal.elements)
     fibers_ok = 0
     total = 0
@@ -270,21 +257,12 @@ def quillen_fiber_check(
         if len(tau.blocks) in (n, 1):
             continue  # proper part only
         total += 1
-        block_of = {}
-        for bi, b in enumerate(tau.blocks):
-            for v in b:
-                block_of[v] = bi
-        q_h = mask_of(
-            i
-            for i, perm in enumerate(cycle_perms)
-            if len({block_of[v] for v in range(n) if perm[v] != v}) == 1
-        )
+        outside = ~tau.pairs
+        q_h = mask_of(i for i, sp in enumerate(supports) if sp & outside == 0)
         if q_h not in lat.index:
             detail = f"expected maximum of the fiber below {tau} is not a subrack"
             continue
-        members = [
-            v for v in range(lat.n) if images[v].refines(tau)
-        ]
+        members = [v for v in range(lat.n) if images[v].pairs & outside == 0]
         if all(lat.sets[v] & q_h == lat.sets[v] for v in members):
             fibers_ok += 1
         elif not detail:

@@ -176,13 +176,18 @@ def validate_rack(
                     raise RackAxiomError(
                         f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})"
                     )
-    inv = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            inv[a][op[a][c]] = c
     if labels is None:
         labels = [str(i) for i in range(n)]
-    return Rack(op, inv, labels, provenance)
+    return Rack(op, _inverse_table(op), labels, provenance)
+
+
+def _inverse_table(op: Sequence[Sequence[int]]) -> list[list[int]]:
+    """inv[a][a > b] = b: the inverses of the left translations."""
+    inv = [[0] * len(op) for _ in op]
+    for a, row in enumerate(op):
+        for b, c in enumerate(row):
+            inv[a][c] = b
+    return inv
 
 
 def is_quandle(rack: Rack) -> bool:
@@ -210,13 +215,8 @@ def conjugation_rack(
                     f"subset is not closed under conjugation: "
                     f"{G.labels[a]} > {G.labels[b]} = {G.labels[c]} is outside it"
                 )
-    n = len(elems)
     op = [[pos[G.conj(a, b)] for b in elems] for a in elems]
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            inv[i][op[i][j]] = j
-    return Rack(op, inv, [G.labels[e] for e in elems], provenance or G.name)
+    return Rack(op, _inverse_table(op), [G.labels[e] for e in elems], provenance or G.name)
 
 
 def closure_forward_only(rack: Rack, seed: int) -> int:

@@ -556,8 +556,3 @@ def reduced_homology(K: OrderComplex, collapse: bool = True) -> HomologyResult:
             f"Euler characteristic mismatch: betti give {check}, counts give {euler}"
         )
     return HomologyResult(betti, torsion, euler, False, counts)
-
-
-def is_homology_sphere(H: HomologyResult, d: int) -> bool:
-    """H equals the reduced homology of a d-sphere (d = -1 is the empty complex)."""
-    return H.sphere_dimension == d

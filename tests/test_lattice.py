@@ -247,6 +247,33 @@ def test_gradedness_against_chain_enumeration(spec, graded, lengths):
             assert u in lat.children(v)
 
 
+@pytest.mark.parametrize("spec", SMALL_RACKS)
+def test_chain_lengths_through_match_lower_row_dp(spec):
+    lat = _small_lattice(spec)
+    top = lat.n - 1
+    below = [[] for _ in range(lat.n)]
+    for c, p in lat.edges():
+        below[p].append(c)
+
+    def lengths_from(start, keep):
+        # cover-path lengths from `start` to each node whose set `keep` accepts
+        reach = {start: 1}
+        for v in range(start + 1, lat.n):
+            acc = 0
+            for u in below[v]:
+                acc |= reach.get(u, 0)
+            if acc and keep(lat.sets[v]):
+                reach[v] = acc << 1
+        return reach
+
+    for node, m in enumerate(lat.sets):
+        lower = bit_list(lengths_from(0, lambda s: s & m == s)[node])
+        upper = bit_list(lengths_from(node, lambda s: s & m == m)[top])
+        rep = maximal_chain_lengths_through(lat, node)
+        assert (rep.lower, rep.upper) == (tuple(lower), tuple(upper)), node
+        assert rep.through == tuple(sorted({a + b for a in lower for b in upper}))
+
+
 def test_chain_lengths_through_subgroups_sl23():
     G = build_group("SL(2,3)")
     lat = enumerate_subracks(conjugation_rack(G))

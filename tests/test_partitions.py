@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
+from racklab import partitions
 from racklab.bitsets import mask_of
+from racklab.lattice import SubrackLattice
 from racklab.partitions import (
     SetPartition,
     all_partitions,
@@ -51,6 +53,15 @@ def test_refinement_and_meet():
     assert str(SetPartition.from_blocks(6, [[0, 1, 2], [3, 4], [5]])) == "123|45|6"
 
 
+def test_refines_is_block_containment():
+    # the block definition: every block of p lies inside one block of q
+    parts = all_partitions(6)
+    for p in parts:
+        for q in parts:
+            by_blocks = all(any(set(b) <= set(c) for c in q.blocks) for b in p.blocks)
+            assert p.refines(q) == by_blocks, (p, q)
+
+
 def test_k_equal_degenerate_cases():
     for n in (4, 5):
         full = partition_lattice(n)
@@ -82,6 +93,21 @@ def test_transposition_rack_isomorphism(n):
     rep = transposition_rack_isomorphism(n)
     assert rep.ok, rep.detail
     assert rep.count_left == rep.count_right == BELL[n]
+
+
+def test_transposition_isomorphism_rejects_a_changed_lattice(monkeypatch):
+    enumerate_subracks = partitions.enumerate_subracks
+
+    def one_set_changed(rack, node_budget):
+        lat = enumerate_subracks(rack, node_budget)
+        sets = list(lat.sets)
+        sets[1] |= sets[2]  # two transpositions with a common point: not a subrack
+        return SubrackLattice(rack, sets, lat._pstart, lat._pflat)
+
+    monkeypatch.setattr(partitions, "enumerate_subracks", one_set_changed)
+    rep = transposition_rack_isomorphism(4)
+    assert not rep.ok
+    assert rep.count_left == rep.count_right == BELL[4]
 
 
 def test_orbit_partition_map_examples():
@@ -128,7 +154,7 @@ def test_orbit_map_is_order_preserving():
 
 
 def test_quillen_fiber_check():
-    rep = quillen_fiber_check(6, 3)
+    rep = quillen_fiber_check(6, 3, pcycle_rack_and_lattice(6, 3))
     assert rep.ok, rep.detail
     assert rep.image_equals_kequal
     assert rep.fibers_total == 51
@@ -137,4 +163,4 @@ def test_quillen_fiber_check():
 
 def test_quillen_parameter_guard():
     with pytest.raises(ValueError):
-        quillen_fiber_check(5, 3)
+        quillen_fiber_check(5, 3, pcycle_rack_and_lattice(6, 3))

@@ -15,7 +15,6 @@ from racklab.topology import (
     SparseIntMatrix,
     boundary_matrices,
     collapse_complex,
-    is_homology_sphere,
     order_complex,
     rank_and_torsion,
     reduced_homology,
@@ -129,7 +128,7 @@ def test_point_complex_has_trivial_reduced_homology():
     H = reduced_homology(K)
     assert H.betti == {} and H.torsion == {}
     assert H.euler_characteristic == 0
-    assert not is_homology_sphere(H, 0)
+    assert H.sphere_dimension is None
 
 
 def test_empty_complex_flag():
@@ -137,15 +136,14 @@ def test_empty_complex_flag():
     H = reduced_homology(K)
     assert H.empty_complex
     assert H.euler_characteristic == -1
-    assert is_homology_sphere(H, -1)
-    assert not is_homology_sphere(H, 0)
+    assert H.sphere_dimension == -1
 
 
 def test_two_points_are_a_zero_sphere():
     K = complex_from_facets([(0,), (1,)])
     H = reduced_homology(K)
     assert H.betti == {0: 1}
-    assert is_homology_sphere(H, 0)
+    assert H.sphere_dimension == 0
 
 
 def test_projective_plane_torsion():
@@ -160,7 +158,7 @@ def test_projective_plane_torsion():
         assert H.betti == {}
         assert H.torsion == {1: (2,)}
         assert H.euler_characteristic == 0
-        assert not is_homology_sphere(H, 1)
+        assert H.sphere_dimension is None
 
 
 def test_sphere_results_for_small_groups():
@@ -170,7 +168,7 @@ def test_sphere_results_for_small_groups():
         assert c - 2 == dim
         lat = enumerate_subracks(conjugation_rack(G))
         H = reduced_homology(order_complex(lat))
-        assert is_homology_sphere(H, dim), spec
+        assert H.sphere_dimension == dim, spec
 
 
 def test_boolean_lattice_of_order_seven_group_is_a_five_sphere():
@@ -179,7 +177,7 @@ def test_boolean_lattice_of_order_seven_group_is_a_five_sphere():
     # column reduction sees all 47,292 simplices (well under a second)
     lat = enumerate_subracks(rack_from_spec("Z7"))
     H = reduced_homology(order_complex(lat, simplex_budget=2_000_000))
-    assert is_homology_sphere(H, 5)
+    assert H.sphere_dimension == 5
 
 
 def test_collapse_preserves_homology_and_euler():
