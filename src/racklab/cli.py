@@ -55,14 +55,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _env_positive_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return _positive_int(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise _BadEnvironmentValue(f"environment variable {name}: {exc}") from None
+class _EnvDefault:
+    """Default of a flag: the RACKLAB_* variable `name` if it is set, else
+    `fallback`.  `_Parser` reads it only when the command takes the flag and
+    the command line leaves it out, so a malformed variable is an error only
+    for the commands that would use it."""
+
+    def __init__(self, name: str, fallback: int | None):
+        self.name = name
+        self.fallback = fallback
+
+    def value(self) -> int | None:
+        raw = os.environ.get(self.name)
+        if raw is None:
+            return self.fallback
+        try:
+            return _positive_int(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise _BadEnvironmentValue(f"environment variable {self.name}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, _EnvDefault):
+                setattr(namespace, dest, value.value())
+        return namespace, extras
 
 
 def _emit(obj: dict) -> None:
@@ -154,11 +173,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_max_order = _env_positive_int("RACKLAB_MAX_ORDER", DEFAULT_MAX_ORDER)
-    env_nodes = _env_positive_int("RACKLAB_BUDGET_NODES", DEFAULT_NODE_BUDGET)
-    env_simplices = _env_positive_int("RACKLAB_BUDGET_SIMPLICES", DEFAULT_SIMPLEX_BUDGET)
+    env_max_order = _EnvDefault("RACKLAB_MAX_ORDER", DEFAULT_MAX_ORDER)
+    env_nodes = _EnvDefault("RACKLAB_BUDGET_NODES", DEFAULT_NODE_BUDGET)
+    env_simplices = _EnvDefault("RACKLAB_BUDGET_SIMPLICES", DEFAULT_SIMPLEX_BUDGET)
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="racklab",
         description="finite groups, conjugation racks, subrack lattices and their homology",
     )
@@ -204,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("json", "csv"), default="json")
     # unset, verify keeps its full catalog: A6 (order 360) is above DEFAULT_MAX_ORDER
     v.add_argument("--max-order", type=_positive_int,
-                   default=_env_positive_int("RACKLAB_MAX_ORDER", None),
+                   default=_EnvDefault("RACKLAB_MAX_ORDER", None),
                    help="restrict every check to groups of at most this order "
                         "(default: RACKLAB_MAX_ORDER, else no limit)")
     add_flags(v, "--budget-nodes", "--budget-simplices", "--timings")
@@ -217,11 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
+        args = build_parser().parse_args(argv)
     except _BadEnvironmentValue as exc:
         print(f"racklab: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (GroupSpecError, RackAxiomError, CapExceeded, BudgetExceeded) as exc:

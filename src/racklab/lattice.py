@@ -21,13 +21,16 @@ with inverse (S', U) -> S' + U, and both directions preserve inclusion.
 `product_decomposition_check` keeps a lemma-free enumeration of full group
 lattices as the oracle for the lemma.
 
-Enumeration visits the nodes level by level in that order.  Each node's upper
-covers come from Lindig's neighbour algorithm (one closure per outside
-element, each cover emitted exactly once), and each closure is seeded with the
-node as already closed, so it only processes the added elements.  The Hasse
-diagram is stored once, as compressed sparse rows of upper covers; every
-analytic reads those rows, and the lower covers of a node are read off the
-rows of the nodes below it.
+Enumeration visits the nodes level by level in that order: each popcount
+level is a set that is complete when the walk reaches it, and is sorted once.
+Each node's upper covers come from Lindig's neighbour algorithm (one closure
+per outside element, each cover emitted exactly once), and each closure is
+seeded with the node as already closed, so it only processes the added
+elements.  Covers are recorded as masks and translated to node ids in one
+pass at the end; only the rows that took a cover from a closure need a sort.
+The Hasse diagram is stored once, as compressed sparse rows of upper covers;
+every analytic reads those rows, and the lower covers of a node are read off
+the rows of the nodes below it.
 """
 
 from __future__ import annotations
@@ -201,9 +204,8 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     exactly when no element of b - s - x is still in `mins`, the outside
     elements not yet found to generate a larger set; otherwise x leaves
     `mins`.  Each cover is emitted once, at its last generator, so covers need
-    no deduplication, sorting or pairwise subset filter.  The closure is
-    seeded with s as already closed, so it only works through the new
-    elements.
+    no deduplication or pairwise subset filter.  The closure is seeded with s
+    as already closed, so it only works through the new elements.
 
     An outside element in T = `rack.trivial_part` makes s + x its own
     closure: with s closed, `Rack.closure` has nothing on its work list and
@@ -215,55 +217,75 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     fires only in `product_decomposition_check`'s enumeration of full group
     racks with a centre.
 
-    A cover is strictly larger than its child, so once popcount level k is
-    reached every node on it has been found: each level is sorted once and
-    its nodes receive their final (popcount, value) ids as they are visited.
-    Parent rows are recorded under discovery ids, then translated to final ids
-    and sorted per child, giving the compressed rows that CoverPoset stores.
+    Bookkeeping.  A cover is strictly larger than its child, so each
+    popcount level is a set that only grows until the walk reaches it; by
+    then every node on it has been found, so the level is sorted once, its
+    set freed, and its nodes take their final (popcount, value) ids in that
+    order.  Each cover is recorded as its parent's mask, and after the last
+    level one dict from mask to id translates all of them at once.  A row
+    needs a sort only if it took a closure cover.  A row whose covers all
+    come from T holds s + {x} for x in T - s in ascending order: these sets
+    all have popcount |s| + 1 and ascend in value as x does, so their ids,
+    ordered by (popcount, value), already ascend.
+
+    The budget: more than max(node_budget, 1) distinct subracks raise
+    BudgetExceeded with that many as `partial`.  The test runs after every
+    row, so an oversized lattice fails within one row of its limit.  The
+    levels are counted only when the count could have passed the limit:
+    every set found since the last count was emitted as a cover since then,
+    so no count is due until the covers emitted since the last one exceed
+    the slack it left (`horizon`).
     """
     _check_rack_size(rack)
     close = rack.closure
     full = rack.full_mask()
     trivial = rack.trivial_part
-    levels: list[list[int]] = [[] for _ in range(rack.size + 1)]
-    levels[0].append(0)
-    found = {0: 0}  # subrack -> discovery id
-    lookup = found.get
-    node_id = array("l", [0])  # discovery id -> final node id
+    limit = max(node_budget, 1)
+    levels: list[set[int] | None] = [set() for _ in range(rack.size + 2)]
+    levels[0].add(0)
     sets: list[int] = []
     pstart = array("l", [0])
-    pflat = array("l")  # parents by discovery id, translated at the end
-    for level in levels:
-        level.sort()
+    covers = array("q")  # parent masks, below 2**63 as RACK_CAP = 40
+    push = covers.append
+    mixed = array("l")  # the rows that took a closure cover
+    horizon = limit - 1  # one set found, and no cover yet
+    for k in range(rack.size + 1):
+        level = sorted(levels[k])
+        levels[k] = None  # freed before the walk fills the levels above
+        grow = levels[k + 1].add
+        done = len(sets) + len(level)  # the nodes on levels 0..k
         for s in level:
-            node_id[found[s]] = len(sets)
-            sets.append(s)
+            closed = False
             mins = rem = full & ~s
             while rem:
                 bit = rem & -rem
                 rem ^= bit
                 if bit & trivial:
                     b = s | bit  # Rack.closure's early return
+                    grow(b)
                 else:
                     b = close(s | bit, s)  # positional: perfbench wraps closure as (*args)
                     if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
                         mins ^= bit
                         continue
-                w = lookup(b)
-                if w is None:
-                    w = len(found)
-                    if w >= node_budget:
-                        raise _node_budget_exceeded(node_budget, w)
-                    found[b] = w
-                    node_id.append(0)
-                    levels[b.bit_count()].append(b)
-                pflat.append(w)
-            pstart.append(len(pflat))
-    final = node_id.__getitem__
-    rows = array("l")
-    for v in range(len(sets)):
-        rows.extend(sorted(map(final, pflat[pstart[v]:pstart[v + 1]])))
-    del pflat  # before the lattice copies `sets`
+                    levels[b.bit_count()].add(b)
+                    closed = True
+                push(b)
+            if closed:
+                mixed.append(len(sets))
+            sets.append(s)
+            pstart.append(len(covers))
+            if len(covers) > horizon:
+                found = done + sum(map(len, levels[k + 1:]))
+                if found > limit:
+                    raise _node_budget_exceeded(node_budget, limit)
+                horizon = len(covers) + limit - found
+    index = dict(zip(sets, range(len(sets))))
+    rows = array("l", map(index.__getitem__, covers))
+    del index, covers  # before the lattice copies `sets`
+    for v in mixed:
+        lo, hi = pstart[v], pstart[v + 1]
+        rows[lo:hi] = array("l", sorted(rows[lo:hi]))
     return SubrackLattice(rack, sets, pstart, rows)
 
 

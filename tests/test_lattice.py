@@ -43,7 +43,7 @@ from racklab.lattice import (
     meet,
     product_decomposition_check,
 )
-from racklab.racks import conjugation_rack, rack_from_spec
+from racklab.racks import Rack, conjugation_rack, rack_from_spec
 from racklab.topology import order_complex, reduced_homology
 
 SMALL_RACKS = [
@@ -81,6 +81,31 @@ def test_lemma_free_enumeration_matches_bruteforce(spec):
     # trivial-element step of the oracle's enumeration is compared here with
     # the closure-free scan
     rack = rack_from_spec(spec)
+    lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET)
+    sets = brute_force_subracks(rack)
+    assert lat.sets == sets
+    assert list(lat.edges()) == brute_force_covers(sets)
+
+
+def _relabelled(rack, perm):
+    """`rack` with its element perm[i] moved to position i."""
+    pos = {e: i for i, e in enumerate(perm)}
+    return Rack(
+        [[pos[rack.op[a][b]] for b in perm] for a in perm],
+        [[pos[rack.inv_op[a][b]] for b in perm] for a in perm],
+        [rack.labels[e] for e in perm],
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["D8", "Q8", "DIC3", "S3xZ2"]).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.permutations(range(rack_from_spec(spec).size)))))
+def test_lemma_free_enumeration_of_relabelled_racks(spec_perm):
+    # a row whose covers all come from T goes unsorted; any position of the
+    # two central elements among the others must still give ascending rows
+    spec, perm = spec_perm
+    rack = _relabelled(rack_from_spec(spec), perm)
+    assert rack.trivial_part.bit_count() == 2
     lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET)
     sets = brute_force_subracks(rack)
     assert lat.sets == sets

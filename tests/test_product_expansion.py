@@ -25,7 +25,7 @@ from racklab.lattice import (
     gradedness,
     product_decomposition_check,
 )
-from racklab.racks import closure_forward_only, rack_from_spec
+from racklab.racks import Rack, closure_forward_only, rack_from_spec
 from test_lattice import SMALL_RACKS
 
 LATTICE_WORKLOAD = (
@@ -169,3 +169,41 @@ def test_upper_row_analytics_match_lower_rows(spec):
     for chain in (rep.witness_short, rep.witness_long):
         assert chain[0] == 0 and chain[-1] == top
         assert all(u in L.children(v) for u, v in zip(chain, chain[1:]))
+
+
+# racks whose rows take covers from T only (every element of Z2xZ2xZ2xZ2 is
+# central), from T and closures (D8), and from closures only (T is empty),
+# with their node counts
+@pytest.mark.parametrize(
+    "spec, n", [("Z2xZ2xZ2xZ2", 65536), ("D8", 56), ("D8xZ3:noncentral", 680)]
+)
+def test_lemma_free_budget_contract(spec, n):
+    rack = rack_from_spec(spec)
+    for budget in (n - 1, n, 1, 0, -1):
+        limit = max(budget, 1)
+        if n > limit:
+            with pytest.raises(BudgetExceeded) as exc:
+                _lindig_subracks(rack, budget)
+            assert str(exc.value) == (
+                f"node budget {budget} exceeded; {limit} subracks enumerated so far"
+            )
+            assert exc.value.partial == limit
+        else:
+            assert _lindig_subracks(rack, budget).n == n
+
+
+def test_lemma_free_budget_fails_within_a_row(monkeypatch):
+    """The count is checked after every row, not once per level: at the
+    101st subrack of D8xZ3:noncentral 531 closures have run, and finishing
+    that row adds at most one per element (18)."""
+    rack = rack_from_spec("D8xZ3:noncentral")
+    closure, calls = Rack.closure, []
+
+    def counting_closure(self, *args):
+        calls.append(None)
+        return closure(self, *args)
+
+    monkeypatch.setattr(Rack, "closure", counting_closure)
+    with pytest.raises(BudgetExceeded):
+        _lindig_subracks(rack, 100)
+    assert len(calls) <= 531 + rack.size
