@@ -39,6 +39,7 @@ from .lattice import (
     is_atomic,
     gradedness,
     all_maximal_chain_lengths,
+    product_statistics,
     maximal_chain_lengths_through,
     closure_bar,
     int_lattice,

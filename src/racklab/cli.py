@@ -20,11 +20,9 @@ from .groups import (
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
-    atoms,
-    coatoms,
     enumerate_subracks,
     export_lattice_lines,
-    gradedness,
+    product_statistics,
 )
 from .racks import RackAxiomError, rack_from_spec
 from .topology import DEFAULT_SIMPLEX_BUDGET, order_complex, reduced_homology
@@ -114,18 +112,19 @@ def cmd_group(args: argparse.Namespace) -> int:
 def cmd_lattice(args: argparse.Namespace) -> int:
     rack = rack_from_spec(args.spec, max_order=args.max_order)
     lat = enumerate_subracks(rack, args.budget_nodes)
-    grad = gradedness(lat)
+    # read off L(R) = L(R - T) x 2^T; only the export expands the product
+    stats = product_statistics(*lat.product_form())
     out = {
         "spec": args.spec,
         "rack_size": rack.size,
-        "nodes": lat.n,
-        "cover_edges": lat.edge_count(),
-        "atoms": len(atoms(lat)),
-        "coatoms": len(coatoms(lat)),
-        "graded": grad.is_graded,
-        "min_maximal_chain": grad.min_maximal_chain,
-        "max_maximal_chain": grad.max_maximal_chain,
-        "chain_lengths": list(grad.lengths),
+        "nodes": stats.nodes,
+        "cover_edges": stats.cover_edges,
+        "atoms": stats.atoms,
+        "coatoms": stats.coatoms,
+        "graded": stats.graded,
+        "min_maximal_chain": stats.lengths[0],
+        "max_maximal_chain": stats.lengths[-1],
+        "chain_lengths": list(stats.lengths),
     }
     if args.export:
         # written only after enumeration, so a budget failure leaves an
@@ -145,6 +144,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 def cmd_homology(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     rack = rack_from_spec(args.spec, max_order=args.max_order)
+    if rack.size == 0:
+        print(f"racklab: rack {args.spec} is empty: its subrack lattice has one node "
+              "and no order complex", file=sys.stderr)
+        return _USAGE_ERROR
     lat = enumerate_subracks(rack, args.budget_nodes)
     K = order_complex(lat, args.budget_simplices)
     H = reduced_homology(K)

@@ -17,7 +17,9 @@ subrack S.  A product or inverse product with an element of T as either
 argument is its second argument, so every subset U of T is a subrack, and so
 is S' + U for every subrack S' of R - T.  The map is therefore a bijection
 with inverse (S', U) -> S' + U, and both directions preserve inclusion.
-`enumerate_subracks` enumerates L(R - T) and expands the product;
+`enumerate_subracks` enumerates L(R - T) and holds the product, expanded
+only when its sets or rows are read; `product_statistics` reads the counts
+and chain lengths of the product off the factor.
 `product_decomposition_check` keeps a lemma-free enumeration of full group
 lattices as the oracle for the lemma.
 
@@ -147,8 +149,51 @@ class SubrackLattice(CoverPoset):
     def set_labels(self, v: int) -> list[str]:
         return [self.labels[i] for i in bits(self.sets[v])]
 
+    def product_form(self) -> tuple[CoverPoset, int]:
+        """(P, t) such that this lattice is isomorphic to P x 2^t."""
+        return self, 0
+
     def __repr__(self) -> str:
         return f"SubrackLattice(nodes={self.n}, edges={self.edge_count()})"
+
+
+class _ProductLattice(SubrackLattice):
+    """L(R) = L(R - T) x 2^T, t = |T| > 0, held as `factor` = L(R - T) and t.
+
+    `n` and `edge_count()` are read off the factor.  `sets` and the upper
+    rows are filled by `_expand_product` the first time one of them is read,
+    so every set, id and row is the one the expansion gives."""
+
+    __slots__ = ("factor", "t")
+
+    def __init__(self, rack: Rack, factor: SubrackLattice, t: int):
+        # sets, _pstart and _pflat stay unset until __getattr__ fills them
+        self.n = factor.n << t
+        self.rack = rack
+        self._index = None
+        self.labels = tuple(rack.labels)
+        self.spec = rack.provenance
+        self.factor = factor
+        self.t = t
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails, i.e. for unset slots
+        if name not in ("sets", "_pstart", "_pflat"):
+            raise AttributeError(name)
+        self.sets, self._pstart, self._pflat = _expand_product(self.rack, self.factor)
+        return getattr(self, name)
+
+    def edge_count(self) -> int:
+        return _product_edge_count(self.factor, self.t)
+
+    def product_form(self) -> tuple[CoverPoset, int]:
+        return self.factor, self.t
+
+
+def _product_edge_count(P: CoverPoset, t: int) -> int:
+    """Covers of P x 2^t: E' * 2^t + n' * t * 2^(t - 1) (see
+    `product_statistics`)."""
+    return (P.edge_count() << t) + (P.n * t << t >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +205,9 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
     Hasse diagram.
 
     With T = `rack.trivial_part`, this enumerates L(R - T) with
-    `_lindig_subracks` and expands L(R) = L(R - T) x 2^T (see the module
-    docstring) with `_expand_product`.  The lattice, the budget error and its
+    `_lindig_subracks` and returns L(R) = L(R - T) x 2^T (see the module
+    docstring) as a `_ProductLattice`, which `_expand_product` expands when
+    its sets or rows are first read.  The lattice, the budget error and its
     `partial` are those of `_lindig_subracks` on the whole rack, which fails
     when the lattice has more than max(node_budget, 1) nodes and reports that
     many.  The factor runs on the budget node_budget >> t, t = |T|, which it
@@ -180,7 +226,7 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
         factor = None
     if factor is None or factor.n << t > limit:
         raise _node_budget_exceeded(node_budget, limit)
-    return _expand_product(rack, factor)
+    return _ProductLattice(rack, factor, t)
 
 
 def _check_rack_size(rack: Rack) -> None:
@@ -289,9 +335,10 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     return SubrackLattice(rack, sets, pstart, rows)
 
 
-def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
-    """L(R) from `factor` = L(R - T), T = `rack.trivial_part`: the same sets,
-    ids and parent rows that `_lindig_subracks` gives on R, with no closure.
+def _expand_product(rack: Rack, factor: SubrackLattice) -> tuple[list[int], array, array]:
+    """The sets and parent rows (sets, pstart, pflat) of L(R) from `factor` =
+    L(R - T), T = `rack.trivial_part`: the same sets, ids and rows that
+    `_lindig_subracks` gives on R, with no closure.
 
     The node S + U, for factor node i and the subset U of T whose bit j
     stands for the j-th element of T, has the index k = i * 2^t + U.  The
@@ -336,7 +383,7 @@ def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
         row.sort()
         pflat.extend(row)
         pstart.append(len(pflat))
-    return SubrackLattice(rack, [masks[k] for k in order], pstart, pflat)
+    return [masks[k] for k in order], pstart, pflat
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
@@ -401,7 +448,7 @@ def join(L: SubrackLattice, a: int, b: int) -> int:
     return L.node_of(L.rack.closure(L.sets[a] | L.sets[b]))
 
 
-def atoms(L: SubrackLattice) -> list[int]:
+def atoms(L: CoverPoset) -> list[int]:
     return L.parents(0)
 
 
@@ -484,6 +531,43 @@ def gradedness(P: CoverPoset) -> GradednessReport:
         witness_short=tuple(_witness_chain(P, ub, lo)),
         witness_long=tuple(_witness_chain(P, ub, hi)),
         lengths=lengths,
+    )
+
+
+@dataclass(frozen=True)
+class ProductStatistics:
+    nodes: int
+    cover_edges: int
+    atoms: int
+    coatoms: int
+    lengths: tuple[int, ...]  # every maximal-chain cover-length, ascending
+
+    @property
+    def graded(self) -> bool:
+        return len(self.lengths) == 1
+
+
+def product_statistics(P: CoverPoset, t: int) -> ProductStatistics:
+    """Node, cover, atom and coatom counts and maximal-chain lengths of
+    P x 2^t, B_t = 2^t the Boolean lattice of rank t, read off P.
+
+    Proof.  (a, U) is covered by (b, V) in P x B_t exactly when a < b is a
+    cover of P and U = V, or a = b and V = U + {z} for one z outside U.  So
+    there are n' * 2^t nodes and E' * 2^t + n' * t * 2^(t - 1) covers, for
+    the n' nodes and E' covers of P and the t * 2^(t - 1) covers of B_t.  A
+    maximal chain of P x B_t, bottom to top by covers, is a shuffle of a
+    maximal chain of P (its steps in the first coordinate) with the t
+    centre steps of a maximal chain of B_t, and every such shuffle is a
+    maximal chain.  So the chain lengths are those of P shifted by t, and
+    the product is graded iff P is.  The atoms are (atom of P, {}) and
+    (bottom, {z}), and the coatoms (coatom of P, T) and (top, T - {z}):
+    each count gains t."""
+    return ProductStatistics(
+        nodes=P.n << t,
+        cover_edges=_product_edge_count(P, t),
+        atoms=len(atoms(P)) + t,
+        coatoms=len(coatoms(P)) + t,
+        lengths=tuple(n + t for n in all_maximal_chain_lengths(P)),
     )
 
 
@@ -812,7 +896,7 @@ def product_decomposition_check(
                     return report(False, "a cover changes the central part by != 1 element")
             else:
                 return report(False, "a cover moves in both coordinates")
-    want_edges = len(sub_edges) * (1 << z) + sub.n * z * (1 << z) // 2
+    want_edges = _product_edge_count(sub, z)
     if lattice.edge_count() != want_edges:
         return report(False, f"cover count {lattice.edge_count()} != expected {want_edges}")
     return report(True, "order isomorphism verified")

@@ -32,7 +32,6 @@ from .groups import (
 from .lattice import (
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
-    all_maximal_chain_lengths,
     brute_force_covers,
     brute_force_subracks,
     central_factor,
@@ -47,6 +46,7 @@ from .lattice import (
     is_boolean_sets,
     iter_closed_sets_lectic,
     product_decomposition_check,
+    product_statistics,
 )
 from .partitions import (
     k_equal_lattice,
@@ -218,8 +218,7 @@ def check_graded_classification(spec, cfg):
 def check_maxsg_chains(spec, cfg):
     required = catalog.CHAIN_WITNESSES[spec]
     factor = central_factor(build_group(spec), cfg.node_budget)
-    z = factor.center.bit_count()
-    lengths = [n + z for n in all_maximal_chain_lengths(factor.lattice)]
+    lengths = list(product_statistics(factor.lattice, factor.center.bit_count()).lengths)
     return sorted(required), lengths, set(required) <= set(lengths)
 
 

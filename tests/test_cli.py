@@ -89,6 +89,25 @@ def test_homology_s3_and_d8(capsys):
     assert json.loads(out)["sphere_dimension"] == 3
 
 
+@pytest.mark.parametrize("spec", ["Z4:noncentral", "Z2xZ2:noncentral", "Z1:noncentral"])
+def test_homology_of_an_empty_rack_is_a_usage_error(capsys, spec):
+    rc, out, err = run(capsys, ["homology", spec])
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"racklab: rack {spec} is empty: its subrack lattice has one node and no order complex\n"
+    )
+
+
+def test_lattice_of_an_empty_rack(capsys):
+    rc, out, _ = run(capsys, ["lattice", "Z4:noncentral"])
+    assert rc == 0
+    assert out == json.dumps({
+        "atoms": 0, "chain_lengths": [0], "coatoms": 0, "cover_edges": 0, "graded": True,
+        "max_maximal_chain": 0, "min_maximal_chain": 0, "nodes": 1, "rack_size": 0,
+        "spec": "Z4:noncentral",
+    }, indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_single_check(capsys):
     rc, out, _ = run(capsys, ["verify", "--check", "d8-q8-rack-iso"])
     assert rc == 0

@@ -1,8 +1,9 @@
 """`enumerate_subracks` enumerates L(R - T) and expands L(R) = L(R - T) x 2^T,
-T the elements that act trivially and that every element fixes.  These tests
-hold the expansion to the lemma-free Lindig enumeration `_lindig_subracks`:
-the same sets, ids and parent rows, the same export bytes, and the same budget
-errors at every boundary."""
+T the elements that act trivially and that every element fixes, when its
+rows are first read.  These tests hold the expansion to the lemma-free Lindig
+enumeration `_lindig_subracks`: the same sets, ids and parent rows, the same
+export bytes, and the same budget errors at every boundary; and they hold
+`product_statistics`, read off the factor, to the expanded lattice."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from racklab.lattice import (
     enumerate_subracks,
     gradedness,
     product_decomposition_check,
+    product_statistics,
 )
 from racklab.racks import Rack, closure_forward_only, rack_from_spec
 from test_lattice import SMALL_RACKS
@@ -90,10 +92,56 @@ def test_product_decomposition_oracle_never_expands(monkeypatch):
         raise AssertionError("the product expansion was reached")
 
     monkeypatch.setattr(lattice, "_expand_product", refuse)
+    # the patch is live: reading the rows of D8's lattice reaches it
+    L = enumerate_subracks(rack_from_spec("D8"))
     with pytest.raises(AssertionError):
-        enumerate_subracks(rack_from_spec("D8"))
+        L.sets
     report = product_decomposition_check(build_group("D8"))
     assert report.ok and report.nodes == 56
+
+
+# t = 0, t = 1, R = T (twice) and the empty rack
+PRODUCT_RULE_EXTRAS = ("S4:cycles(4)", "S3", "Z4xZ2xZ2", "Z1", "Z4:noncentral")
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(catalog.CATALOG + LATTICE_WORKLOAD + PRODUCT_RULE_EXTRAS))
+)
+def test_product_statistics_equal_the_materialised_lattice(spec):
+    rack = rack_from_spec(spec, max_order=360)
+    L = enumerate_subracks(rack)
+    P, t = L.product_form()
+    assert t == rack.trivial_part.bit_count()
+    stats = product_statistics(P, t)
+    assert (stats.nodes, stats.cover_edges) == (L.n, L.edge_count())
+    # reading the rows expands the product
+    assert (stats.nodes, stats.cover_edges) == (len(L.sets), len(L._pflat))
+    grad = gradedness(L)
+    assert stats.lengths == grad.lengths
+    assert stats.graded == grad.is_graded
+    assert (stats.atoms, stats.coatoms) == (len(atoms(L)), len(coatoms(L)))
+
+
+@pytest.mark.parametrize("spec, n", [("Z4xZ2xZ2", 65536), ("D8xZ3", 43520)])
+def test_lattice_command_expands_only_for_export(spec, n, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the product expansion was reached")
+
+    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    assert main(["lattice", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == n
+    with pytest.raises(AssertionError, match="expansion was reached"):
+        main(["lattice", spec, "--export", str(tmp_path / "lat.txt")])
+
+
+def test_budget_boundary_on_z4xz2xz2(capsys):
+    # R = T: a one-node factor of a 65,536-node lattice
+    assert main(["lattice", "Z4xZ2xZ2", "--budget-nodes", "65535"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "racklab: node budget 65535 exceeded; 65535 subracks enumerated so far\n"
+    assert main(["lattice", "Z4xZ2xZ2", "--budget-nodes", "65536"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 65536
 
 
 def _outcome(enumerate_fn, rack, budget):
