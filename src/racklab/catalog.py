@@ -1,14 +1,16 @@
 """The named group catalog the verification suite sweeps, and the cached
-inputs of its group checks: each group, its properties and its central factor,
-the lattice of G - Z, off which they read L(G) = L(G - Z) x 2^Z."""
+inputs of its group checks: each group, its properties and the factor of
+L(G) = L(G - Z) x 2^Z that `enumerate_subracks` splits off."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup, GroupProperties, build_group, group_properties
-from .lattice import DEFAULT_NODE_BUDGET, CentralFactor, central_factor
+from .bitsets import bits, mask_of
+from .groups import FiniteGroup, GroupProperties, build_group, conjugacy_classes, group_properties
+from .lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks, factor_elements
+from .racks import conjugation_rack
 
 # every abelian group of order <= 16, one spec per isomorphism class
 ABELIAN_LE16 = (
@@ -50,13 +52,32 @@ CHAIN_WITNESSES = {
 
 @dataclass(frozen=True)
 class GroupAnalysis:
+    """A group, its properties and the factor P of L(G) = P x 2^Z; only P is
+    kept, not the product lattice, which holds the whole group rack."""
+
     group: FiniteGroup
     properties: GroupProperties
-    factor: CentralFactor  # |Z| is factor.center.bit_count()
+    factor: SubrackLattice  # L(G - Z), its positions G - Z in ascending order
+    center: int  # Z as a group mask
+    elements: tuple[int, ...]  # the group element at each position of P
+    classes: tuple[int, ...]  # the non-central classes, as masks over P's positions
+
+    def group_mask(self, mask: int) -> int:
+        """A set of factor positions as a mask of group elements."""
+        return mask_of(self.elements[i] for i in bits(mask))
 
 
 @lru_cache(maxsize=None)
 def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAnalysis:
-    """The group checks' shared inputs, built once per group."""
+    """The group checks' shared inputs, built once per group.  `node_budget`
+    counts the nodes of L(G), as it does for every lattice."""
     G = build_group(spec)
-    return GroupAnalysis(G, group_properties(G), central_factor(G, node_budget))
+    rack = conjugation_rack(G, provenance=spec)
+    factor, _ = enumerate_subracks(rack, node_budget).product_form()
+    elements = tuple(factor_elements(rack))
+    pos = {e: i for i, e in enumerate(elements)}
+    center = rack.trivial_part
+    classes = tuple(
+        mask_of(pos[e] for e in bits(c)) for c in conjugacy_classes(G).classes if not c & center
+    )
+    return GroupAnalysis(G, group_properties(G), factor, center, elements, classes)

@@ -17,9 +17,12 @@ subrack S.  A product or inverse product with an element of T as either
 argument is its second argument, so every subset U of T is a subrack, and so
 is S' + U for every subrack S' of R - T.  The map is therefore a bijection
 with inverse (S', U) -> S' + U, and both directions preserve inclusion.
-`enumerate_subracks` enumerates L(R - T) and holds the product, expanded
-only when its sets or rows are read; `product_statistics` reads the counts
-and chain lengths of the product off the factor.
+`enumerate_subracks` alone makes this split: it enumerates L(R - T) and
+holds the product, expanded only when its sets or rows are read.  Callers,
+the group checks of `racklab verify` among them (T is the center of a
+group), read the factor through `product_form()` and `factor_elements`;
+`product_statistics` reads the counts and chain lengths of the product off
+the factor.
 `product_decomposition_check` keeps a lemma-free enumeration of full group
 lattices as the oracle for the lemma.
 
@@ -39,10 +42,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import bit_list, bits, mask_of
-from .groups import CapExceeded, ClassDecomposition, FiniteGroup, conjugacy_classes
+from .groups import CapExceeded, FiniteGroup, conjugacy_classes
 from .racks import Rack, conjugation_rack
 
 RACK_CAP = 40
@@ -149,7 +152,7 @@ class SubrackLattice(CoverPoset):
     def set_labels(self, v: int) -> list[str]:
         return [self.labels[i] for i in bits(self.sets[v])]
 
-    def product_form(self) -> tuple[CoverPoset, int]:
+    def product_form(self) -> tuple[SubrackLattice, int]:
         """(P, t) such that this lattice is isomorphic to P x 2^t."""
         return self, 0
 
@@ -186,8 +189,14 @@ class _ProductLattice(SubrackLattice):
     def edge_count(self) -> int:
         return _product_edge_count(self.factor, self.t)
 
-    def product_form(self) -> tuple[CoverPoset, int]:
+    def product_form(self) -> tuple[SubrackLattice, int]:
         return self.factor, self.t
+
+
+def factor_elements(rack: Rack) -> list[int]:
+    """The element of `rack` at each position of the factor L(R - T) of its
+    lattice, T = `rack.trivial_part`: R - T in ascending order."""
+    return bit_list(rack.full_mask() & ~rack.trivial_part)
 
 
 def _product_edge_count(P: CoverPoset, t: int) -> int:
@@ -347,7 +356,7 @@ def _expand_product(rack: Rack, factor: SubrackLattice) -> tuple[list[int], arra
     factor's upper covers S' of S, and S + U + {z} for each z in T - U.
     """
     trivial = rack.trivial_part
-    outside = bit_list(rack.full_mask() & ~trivial)  # factor position -> element
+    outside = factor_elements(rack)
     t = trivial.bit_count()
     subsets = [0]
     for e in bits(trivial):
@@ -637,10 +646,10 @@ def _union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 # closure to class unions, Int(L), Boolean tests
 
 
-def closure_bar(classes: ClassDecomposition, mask: int) -> int:
-    """Union of the conjugacy classes meeting `mask`."""
+def closure_bar(classes: Sequence[int], mask: int) -> int:
+    """Union of the classes, given as masks, that meet `mask`."""
     out = 0
-    for c in classes.classes:
+    for c in classes:
         if c & mask:
             out |= c
     return out
@@ -734,13 +743,14 @@ class MReport:
     members: tuple[int, ...]  # node ids
 
 
-def compute_M(L: SubrackLattice, classes: ClassDecomposition) -> MReport:
+def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
     """All nodes satisfying the four conditions: not closed; unique cover equal
     to the class-union closure; everything above that closure closed; the
     coatom-meet lattice of [bottom, closure] not Boolean.
 
-    L is the lattice of a rack that `classes` partitions: the full group
-    lattice, or the `central_factor` with its classes.  On the factor,
+    `classes` are masks that partition the rack of L: the conjugacy classes
+    of G on the full group lattice, or the non-central classes over the
+    positions of its factor L(G - Z).  On the factor,
     M(G) = {S + Z : S in M(factor)}.  Proof: write a node of
     L(G) = L(factor) x 2^Z as S + U with U inside Z.  If U != Z, pick z in
     Z - U; S + U + {z} is a cover, and the class-union closure of S + U
@@ -750,7 +760,11 @@ def compute_M(L: SubrackLattice, classes: ClassDecomposition) -> MReport:
     T above bar(S), and [bottom, bar(S) + Z] = [bottom, bar(S)] x 2^Z has
     Int = Int([bottom, bar(S)]) x 2^Z, Boolean exactly when its factor is.
     Each condition on S + Z is therefore the same condition on S."""
-    if L.rack is None or L.rack.size != len(classes.class_of):
+    union = 0
+    for c in classes:
+        # -1 for good once a class is empty or meets an earlier one
+        union = -1 if not c or c & union else union | c
+    if L.rack is None or union != L.rack.full_mask():
         raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
     if L.rack.size > M_CAP:
         raise CapExceeded(f"M computation capped at rack size {M_CAP}")
@@ -792,48 +806,7 @@ def compute_M(L: SubrackLattice, classes: ClassDecomposition) -> MReport:
 
 
 # ---------------------------------------------------------------------------
-# the central factor and the product decomposition
-
-
-@dataclass(frozen=True)
-class CentralFactor:
-    """The factor of L(G) = L(G - Z) x 2^Z, Z the center: the subracks of the
-    non-central rack, whose positions are the non-central elements of G in
-    ascending order, with the non-central classes over those positions."""
-
-    lattice: SubrackLattice
-    classes: ClassDecomposition
-    elements: tuple[int, ...]  # the group element at each position
-    center: int  # Z as a group mask
-
-    def group_mask(self, mask: int) -> int:
-        """A set of factor positions as a mask of group elements."""
-        return mask_of(self.elements[i] for i in bits(mask))
-
-
-def central_factor(G: FiniteGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> CentralFactor:
-    """Enumerate the lattice of the non-central rack of G.
-
-    A central element acts trivially and every element fixes it, so
-    S -> (S - Z, S & Z) is a lattice isomorphism from L(G) onto this lattice
-    times 2^Z; `product_decomposition_check` verifies it exhaustively.
-    """
-    cd = conjugacy_classes(G)
-    mask = ((1 << G.order) - 1) & ~cd.center
-    elements = tuple(bit_list(mask))
-    pos = {e: i for i, e in enumerate(elements)}
-    # the central classes are the singletons, first in the (size, least
-    # element) order, which the monotone renumbering keeps
-    z = cd.center.bit_count()
-    classes = ClassDecomposition(
-        tuple(mask_of(pos[e] for e in bits(c)) for c in cd.classes[z:]),
-        tuple(cd.class_of[e] - z for e in elements),
-        0,
-    )
-    lattice = enumerate_subracks(
-        conjugation_rack(G, mask, provenance=f"{G.name}:noncentral"), node_budget
-    )
-    return CentralFactor(lattice, classes, elements, cd.center)
+# the oracle for the product decomposition of group lattices
 
 
 @dataclass(frozen=True)
@@ -855,28 +828,30 @@ def product_decomposition_check(
 
     This is the oracle for the lemma that `enumerate_subracks` and the group
     checks of `racklab verify` rely on, so it enumerates the full lattice
-    itself with `_lindig_subracks`, which does not use the lemma.  Since R and Z
-    partition G, the pair determines Q, so the map is injective; with the
-    node count it is a bijection onto the product.
+    itself with `_lindig_subracks`, which does not use the lemma, and takes
+    Z from the conjugacy classes, not from the factor's `Rack.trivial_part`.
+    Since R and Z partition G, the pair determines Q, so the map is
+    injective; with the node count it is a bijection onto the product.
 
     Each node is read once as its factor node f[v] (the node of Q & R) and
     its central part zs[v] = Q & Z; the covers are then walked row by row
     over those per-node lists.
     """
-    factor = central_factor(G, node_budget)
-    sub = factor.lattice
-    z_mask = factor.center
-    r_mask = ((1 << G.order) - 1) & ~z_mask
+    rack = conjugation_rack(G, provenance=G.name)
+    sub, _ = enumerate_subracks(rack, node_budget).product_form()
+    elements = factor_elements(rack)
+    z_mask = conjugacy_classes(G).center
+    r_mask = rack.full_mask() & ~z_mask
     z = z_mask.bit_count()
     if lattice is None:
-        lattice = _lindig_subracks(conjugation_rack(G, provenance=G.name), node_budget)
+        lattice = _lindig_subracks(rack, node_budget)
 
     def report(ok: bool, detail: str) -> ProductDecompositionReport:
         return ProductDecompositionReport(ok, lattice.n, sub.n, z, detail)
 
     if lattice.n != sub.n << z:
         return report(False, f"node count {lattice.n} != {sub.n} * 2^{z}")
-    sub_node = {factor.group_mask(m): i for i, m in enumerate(sub.sets)}.get
+    sub_node = {mask_of(elements[i] for i in bits(m)): v for v, m in enumerate(sub.sets)}.get
     f = [sub_node(s & r_mask) for s in lattice.sets]
     if None in f:
         return report(False, "projection to the non-central part is not a subrack")

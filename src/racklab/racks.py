@@ -67,9 +67,6 @@ class Rack:
             self.provenance,
         )
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
     # -- closure ---------------------------------------------------------
 
     def _merged_tables(self):

@@ -34,7 +34,6 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     brute_force_covers,
     brute_force_subracks,
-    central_factor,
     closure_bar,
     coatoms,
     compute_M,
@@ -169,10 +168,12 @@ def _each(one):
 # ---------------------------------------------------------------------------
 # checks
 #
-# The group checks read L(G) off its central factor P (`lattice.central_factor`)
-# as L(G) = P x 2^Z, the lemma `product-decomposition` verifies.  A maximal
-# chain of L(G) is one of P plus |Z| center steps, and intervals of a Boolean
-# lattice are Boolean, so L(G) is graded, or Boolean, exactly when P is.
+# The group checks read L(G) = P x 2^Z off the factor P = L(G - Z) that
+# `enumerate_subracks` splits off at the center Z, the trivial part of the
+# group's rack, through `catalog.analyze_group` or `product_form()`; the lemma
+# is what `product-decomposition` verifies.  A maximal chain of L(G) is one
+# of P plus |Z| center steps, and intervals of a Boolean lattice are Boolean,
+# so L(G) is graded, or Boolean, exactly when P is.
 
 
 @_check(
@@ -205,7 +206,7 @@ def check_sphere_theorem(spec, cfg):
 def check_graded_classification(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
     want = a.properties.abelian or spec in catalog.GRADED_NONABELIAN
-    graded = gradedness(a.factor.lattice).is_graded
+    graded = gradedness(a.factor).is_graded
     return want, graded, graded == want
 
 
@@ -217,8 +218,8 @@ def check_graded_classification(spec, cfg):
 @_each
 def check_maxsg_chains(spec, cfg):
     required = catalog.CHAIN_WITNESSES[spec]
-    factor = central_factor(build_group(spec), cfg.node_budget)
-    lengths = list(product_statistics(factor.lattice, factor.center.bit_count()).lengths)
+    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget)
+    lengths = list(product_statistics(*lat.product_form()).lengths)
     return sorted(required), lengths, set(required) <= set(lengths)
 
 
@@ -231,16 +232,15 @@ def check_maxsg_chains(spec, cfg):
 def check_coatom_int_structure(spec, cfg):
     # the coatoms of P x 2^Z are (coatom of P) + Z and G - {z} for z in Z, and
     # Int(P x 2^Z) = Int(P) x 2^Z
-    factor = catalog.analyze_group(spec, cfg.node_budget).factor
-    L = factor.lattice
-    classes = factor.classes.classes
-    got = sorted(L.sets[v] for v in coatoms(L))
-    coatoms_ok = got == sorted(L.sets[-1] & ~c for c in classes)
-    ints = int_lattice(L)
-    int_ok = len(ints) == 2 ** len(classes) and is_boolean_sets(ints)
+    a = catalog.analyze_group(spec, cfg.node_budget)
+    P = a.factor
+    got = sorted(P.sets[v] for v in coatoms(P))
+    coatoms_ok = got == sorted(P.sets[-1] & ~c for c in a.classes)
+    ints = int_lattice(P)
+    int_ok = len(ints) == 2 ** len(a.classes) and is_boolean_sets(ints)
     computed = {
         "coatoms_ok": coatoms_ok,
-        "int_size": len(ints) << factor.center.bit_count(),
+        "int_size": len(ints) << a.center.bit_count(),
         "int_boolean": int_ok,
     }
     return "coatoms = class complements; |Int| = 2^c, Boolean", computed, coatoms_ok and int_ok
@@ -256,11 +256,10 @@ def check_coatom_int_structure(spec, cfg):
 @_each
 def check_m_of_g(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
-    G, props, factor = a.group, a.properties, a.factor
+    G, props = a.group, a.properties
     # M(G) = {S + Z : S in M(P)}; compute_M gives the proof
     m_sets = [
-        factor.group_mask(factor.lattice.sets[v]) | factor.center
-        for v in compute_M(factor.lattice, factor.classes).members
+        a.group_mask(a.factor.sets[v]) | a.center for v in compute_M(a.factor, a.classes).members
     ]
     subs = all_subgroups(G)
     sub_masks = {h.elems: h for h in subs}
@@ -279,7 +278,7 @@ def check_m_of_g(spec, cfg):
             seen |= conj
             orbits.append(min(conj))
     cd = conjugacy_classes(G)
-    closures = [closure_bar(cd, m) for m in orbits]
+    closures = [closure_bar(cd.classes, m) for m in orbits]
     computed = {
         "members": len(m_sets),
         "empty_iff_nilpotent": (not m_sets) == props.nilpotent,
@@ -303,7 +302,7 @@ def check_m_of_g(spec, cfg):
 @_each
 def check_boolean_iff_abelian(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
-    boolean = is_boolean(a.factor.lattice)
+    boolean = is_boolean(a.factor)
     computed = {"abelian": a.properties.abelian, "boolean": boolean}
     return "boolean == abelian", computed, boolean == a.properties.abelian
 
@@ -478,7 +477,7 @@ def check_closure_laws(specs, cfg):
             ok &= rack.closure(seed | extra) & c1 == c1  # monotone
             ok &= closure_forward_only(rack, seed) == c1
             if subgroup_closure_mask(G, seed) == full:
-                ok &= c1 == closure_bar(cd, c1)
+                ok &= c1 == closure_bar(cd.classes, c1)
             trials += 1
     return {"all_laws_hold": True}, {"trials": trials, "all_laws_hold": ok}, ok
 
@@ -580,7 +579,7 @@ def run_checks(
     is identical.
     """
     cfg = cfg or VerifyConfig()
-    ids = sorted(CHECKS) if not check_ids else sorted(check_ids)
+    ids = sorted(set(check_ids or CHECKS))  # a repeated id runs once
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise UnknownCheckError(f"unknown check ids: {', '.join(unknown)}")

@@ -1,7 +1,9 @@
-"""The group checks of `racklab verify` read the full lattice off its central
-factor, L(G) = L(G - Z) x 2^Z.  Every value they derive is compared here with
-the same value computed on the full lattice, the way the checks computed it
-before the factor was used."""
+"""The group checks of `racklab verify` read the full lattice off its factor
+L(G - Z), L(G) = L(G - Z) x 2^Z, which `enumerate_subracks` splits off at the
+trivial part of the group's rack.  Every value they derive is compared here
+with the same value computed on the full lattice, the way the checks computed
+it before the factor was used, and the split itself is pinned to the center
+and to the lattice of the non-central rack."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ from racklab import catalog, verify
 from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import (
     all_maximal_chain_lengths,
-    central_factor,
     coatoms,
     compute_M,
     enumerate_subracks,
@@ -50,7 +51,7 @@ def _on_the_full_lattice(spec):
         ),
         "int_size": len(ints),
         "int_boolean": len(ints) == 2 ** len(cd.classes) and is_boolean_sets(ints),
-        "m_sets": sorted(L.sets[v] for v in compute_M(L, cd).members),
+        "m_sets": sorted(L.sets[v] for v in compute_M(L, cd.classes).members),
     }
 
 
@@ -64,10 +65,9 @@ def test_factor_derived_values_equal_the_full_lattice(spec, computed):
         "int_size": want["int_size"],
         "int_boolean": want["int_boolean"],
     }
-    factor = catalog.analyze_group(spec).factor
+    a = catalog.analyze_group(spec)
     m_sets = sorted(
-        factor.group_mask(factor.lattice.sets[v]) | factor.center
-        for v in compute_M(factor.lattice, factor.classes).members
+        a.group_mask(a.factor.sets[v]) | a.center for v in compute_M(a.factor, a.classes).members
     )
     assert m_sets == want["m_sets"]
     assert computed["m-of-g"][spec]["members"] == len(want["m_sets"])
@@ -81,13 +81,29 @@ def test_factor_chain_lengths_equal_the_full_lattice(spec, computed):
 
 @pytest.mark.parametrize("spec", ["Z4xZ2", "D8", "SL(2,3)", "S4"])
 def test_central_factor_classes_partition_its_positions(spec):
-    G = build_group(spec)
-    factor = central_factor(G)
+    a = catalog.analyze_group(spec)
+    G = a.group
     cd = conjugacy_classes(G)
-    assert factor.center == cd.center
-    assert factor.lattice.rack.size == len(factor.elements) == G.order - cd.center.bit_count()
-    assert [factor.group_mask(c) for c in factor.classes.classes] == [
-        c for c in cd.classes if c.bit_count() > 1
-    ]
-    for i, k in enumerate(factor.classes.class_of):
-        assert factor.classes.classes[k] >> i & 1
+    assert a.center == cd.center
+    assert a.factor.rack.size == len(a.elements) == G.order - cd.center.bit_count()
+    assert [a.group_mask(c) for c in a.classes] == [c for c in cd.classes if c.bit_count() > 1]
+    # every position lies in exactly one class
+    for i in range(len(a.elements)):
+        assert sum(c >> i & 1 for c in a.classes) == 1
+
+
+@pytest.mark.parametrize("spec", catalog.CATALOG)
+def test_the_trivial_part_of_a_group_rack_is_its_center(spec):
+    G = build_group(spec)
+    assert conjugation_rack(G).trivial_part == conjugacy_classes(G).center
+
+
+@pytest.mark.parametrize("spec", catalog.CATALOG)
+def test_the_split_off_factor_is_the_noncentral_lattice(spec):
+    # the factor the group checks read is the lattice the non-central rack
+    # spec enumerates on its own
+    P, t = enumerate_subracks(rack_from_spec(spec)).product_form()
+    want = enumerate_subracks(rack_from_spec(spec + ":noncentral"))
+    assert t == conjugacy_classes(build_group(spec)).center.bit_count()
+    assert P.sets == want.sets
+    assert [P.parents(v) for v in range(P.n)] == [want.parents(v) for v in range(want.n)]

@@ -137,6 +137,29 @@ def test_verify_csv_format(capsys):
     assert lines[1].startswith("d8-q8-rack-iso,pass")
 
 
+def test_verify_runs_a_repeated_check_once(capsys):
+    argv = ["verify", "--check", "rack-axioms", "--check", "rack-axioms", "--max-order", "2"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    data = json.loads(out)
+    assert [c["id"] for c in data["checks"]] == ["rack-axioms"]
+    assert data["counts"] == {"pass": 1, "fail": 0, "skipped": 0}
+    rc, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert rc == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["id", "rack-axioms"]
+
+
+def test_group_check_budget_counts_the_full_lattice(capsys):
+    # Z4 and Z2xZ2 have 16 subracks each, read off a one-node factor
+    argv = ["verify", "--check", "boolean-iff-abelian", "--max-order", "4"]
+    rc, out, err = run(capsys, argv + ["--budget-nodes", "15"])
+    assert (rc, out) == (2, "")
+    assert err == "racklab: node budget 15 exceeded; 15 subracks enumerated so far\n"
+    rc, out, _ = run(capsys, argv + ["--budget-nodes", "16"])
+    assert rc == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_verify_max_order_skips(capsys):
     rc, out, _ = run(capsys, ["verify", "--check", "kequal-fibers", "--max-order", "12"])
     assert rc == 0

@@ -10,7 +10,6 @@ from conftest import all_maximal_chains
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.groups import (
     CapExceeded,
-    ClassDecomposition,
     all_subgroups,
     build_group,
     conjugacy_classes,
@@ -18,6 +17,7 @@ from racklab.groups import (
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
+    LatticeInvariantError,
     SubrackLattice,
     _csr_from_edges,
     _lindig_subracks,
@@ -343,21 +343,21 @@ def test_closure_bar():
     G = build_group("S3")
     cd = conjugacy_classes(G)
     t = 1 << G.label_index("(12)")
-    bar = closure_bar(cd, t)
+    bar = closure_bar(cd.classes, t)
     assert bar == cd.class_mask_of(G.label_index("(12)"))
-    assert closure_bar(cd, bar) == bar
-    assert closure_bar(cd, 0) == 0
+    assert closure_bar(cd.classes, bar) == bar
+    assert closure_bar(cd.classes, 0) == 0
     # extensive and monotone over all subsets of a small group
     for m in range(1 << G.order):
-        b = closure_bar(cd, m)
+        b = closure_bar(cd.classes, m)
         assert b & m == m
-        assert closure_bar(cd, m | t) & b == b
+        assert closure_bar(cd.classes, m | t) & b == b
 
     G = build_group("S4")
     cd = conjugacy_classes(G)
     s = (1 << G.label_index("(12)")) | (1 << G.label_index("(1234)"))
     want = cd.class_mask_of(G.label_index("(12)")) | cd.class_mask_of(G.label_index("(1234)"))
-    assert closure_bar(cd, s) == want
+    assert closure_bar(cd.classes, s) == want
 
 
 def test_int_lattice_of_group_lattices():
@@ -458,16 +458,36 @@ def _m_member_sets(spec):
     G = build_group(spec)
     cd = conjugacy_classes(G)
     lat = enumerate_subracks(conjugation_rack(G))
-    rep = compute_M(lat, cd)
+    rep = compute_M(lat, cd.classes)
     return G, lat, rep
 
 
 def test_m_cap():
     # the 30 four-cycles of S5 form one class
     lat = enumerate_subracks(rack_from_spec("S5:cycles(4)"))
-    one_class = ClassDecomposition((lat.rack.full_mask(),), (0,) * 30, 0)
     with pytest.raises(CapExceeded, match=r"^M computation capped at rack size 24$"):
-        compute_M(lat, one_class)
+        compute_M(lat, (lat.rack.full_mask(),))
+
+
+def test_compute_m_rejects_masks_that_do_not_partition_the_rack():
+    G = build_group("S3")
+    classes = conjugacy_classes(G).classes
+    lat = enumerate_subracks(conjugation_rack(G))
+    assert compute_M(lat, classes).members  # the classes themselves pass
+    full = lat.rack.full_mask()
+    for bad in [
+        classes[:-1],  # misses a class
+        classes + (classes[1],),  # a class twice
+        classes[:1] + (classes[1] | classes[0],) + classes[2:],  # overlapping
+        classes + (0,),  # an empty block
+        (full, 1 << G.order),  # outside the rack
+        (),
+    ]:
+        with pytest.raises(LatticeInvariantError, match="partition"):
+            compute_M(lat, bad)
+    bare = load_lattice_export(export_lattice_text(lat))
+    with pytest.raises(LatticeInvariantError, match="partition"):
+        compute_M(bare, classes)
 
 
 def test_m_of_s3():
