@@ -7,16 +7,13 @@ from .groups import (
     GroupSpecError,
     OrderCapExceeded,
     CapExceeded,
-    InvariantViolation,
     build_group,
     parse_group_spec,
     format_group_spec,
     conjugacy_classes,
-    subgroup_generated,
     all_subgroups,
     core_and_normalizer,
     group_properties,
-    minimal_nonabelian_subgroups,
     check_class_avoidance,
 )
 from .racks import (
@@ -32,15 +29,10 @@ from .lattice import (
     BudgetExceeded,
     SubrackLattice,
     enumerate_subracks,
-    meet,
-    join,
     atoms,
     coatoms,
-    is_atomic,
-    gradedness,
     all_maximal_chain_lengths,
     product_statistics,
-    maximal_chain_lengths_through,
     closure_bar,
     int_lattice,
     is_boolean,

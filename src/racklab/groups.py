@@ -42,10 +42,6 @@ class OrderCapExceeded(CapExceeded):
     pass
 
 
-class InvariantViolation(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # spec grammar
 
@@ -437,7 +433,6 @@ class SubgroupHandle:
     elems: int  # bitmask
     order: int
     normal: bool
-    abelian: bool
     maximal: bool | None = None  # filled by all_subgroups
 
 
@@ -480,19 +475,12 @@ def _handle(G: FiniteGroup, mask: int, maximal: bool | None = None) -> SubgroupH
         elems=mask,
         order=mask.bit_count(),
         normal=_is_normal_mask(G, mask),
-        abelian=_is_abelian_subset(G, mask),
         maximal=maximal,
     )
 
 
-def subgroup_generated(G: FiniteGroup, seed) -> SubgroupHandle:
-    """Smallest subgroup containing `seed` (an iterable of indices or a bitmask)."""
-    mask = seed if isinstance(seed, int) else mask_of(seed)
-    return _handle(G, subgroup_closure_mask(G, mask))
-
-
 def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
-    """Every subgroup of G, deterministically ordered, with normal/maximal/abelian flags."""
+    """Every subgroup of G, deterministically ordered, with normal/maximal flags."""
     if G.order > SUBGROUP_CAP:
         raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
     cyclics = sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)})
@@ -657,27 +645,19 @@ def group_properties(G: FiniteGroup) -> GroupProperties:
 
 
 # ---------------------------------------------------------------------------
-# minimal non-abelian subgroups and class avoidance
-
-
-def minimal_nonabelian_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
-    subs = all_subgroups(G)
-    nonabelian = [h for h in subs if not h.abelian]
-    out = []
-    for h in nonabelian:
-        if not any(k.elems != h.elems and k.elems & h.elems == k.elems for k in nonabelian):
-            out.append(h)
-    return out
+# class avoidance
 
 
 @dataclass(frozen=True)
 class ClassAvoidanceReport:
     ok: bool
     witnesses: tuple[tuple[int, int], ...]  # (subgroup mask, avoided class mask)
+    detail: str
 
 
 def check_class_avoidance(G: FiniteGroup) -> ClassAvoidanceReport:
-    """For every proper subgroup, find a conjugacy class it misses entirely."""
+    """For every proper subgroup, find a conjugacy class it misses entirely;
+    stop at the first proper subgroup that meets every class, and name it."""
     classes = conjugacy_classes(G).classes
     full = (1 << G.order) - 1
     witnesses = []
@@ -686,8 +666,8 @@ def check_class_avoidance(G: FiniteGroup) -> ClassAvoidanceReport:
             continue
         witness = next((c for c in classes if c & h.elems == 0), None)
         if witness is None:
-            raise InvariantViolation(
-                f"proper subgroup of order {h.order} in {G.name} meets every conjugacy class"
-            )
+            members = ", ".join(G.labels[e] for e in bits(h.elems))
+            detail = f"the proper subgroup {{{members}}} of {G.name} meets every conjugacy class"
+            return ClassAvoidanceReport(False, tuple(witnesses), detail)
         witnesses.append((h.elems, witness))
-    return ClassAvoidanceReport(True, tuple(witnesses))
+    return ClassAvoidanceReport(True, tuple(witnesses), "every proper subgroup misses a class")

@@ -149,9 +149,6 @@ class SubrackLattice(CoverPoset):
         except KeyError:
             raise LatticeInvariantError(f"set {mask:#x} is not a lattice node") from None
 
-    def set_labels(self, v: int) -> list[str]:
-        return [self.labels[i] for i in bits(self.sets[v])]
-
     def product_form(self) -> tuple[SubrackLattice, int]:
         """(P, t) such that this lattice is isomorphic to P x 2^t."""
         return self, 0
@@ -444,17 +441,7 @@ def brute_force_covers(sets: list[int]) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# basic lattice operations
-
-
-def meet(L: SubrackLattice, a: int, b: int) -> int:
-    return L.node_of(L.sets[a] & L.sets[b])
-
-
-def join(L: SubrackLattice, a: int, b: int) -> int:
-    if L.rack is None:
-        raise LatticeInvariantError("join needs the rack closure; lattice was loaded bare")
-    return L.node_of(L.rack.closure(L.sets[a] | L.sets[b]))
+# atoms and coatoms
 
 
 def atoms(L: CoverPoset) -> list[int]:
@@ -468,26 +455,13 @@ def coatoms(L: CoverPoset) -> list[int]:
     return [v for v in range(top) if pstart[v + 1] > pstart[v] and pflat[pstart[v + 1] - 1] == top]
 
 
-def is_atomic(L: SubrackLattice) -> bool:
-    """Every node is the join of the atoms below it."""
-    if L.rack is None:
-        raise LatticeInvariantError("atomicity needs the rack closure")
-    atom_sets = [L.sets[a] for a in atoms(L)]
-    for s in L.sets:
-        u = 0
-        for a in atom_sets:
-            if a & s == a:
-                u |= a
-        if L.rack.closure(u) != s:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # chains and gradedness
 
 
-def _length_sets(P: CoverPoset) -> list[int]:
+def all_maximal_chain_lengths(P: CoverPoset) -> tuple[int, ...]:
+    """Every cover-length of a maximal bottom-to-top chain, ascending; P is
+    graded exactly when there is one."""
     # ub[v] is a bitmask of achievable cover-path lengths v -> top, from the
     # upper rows in reverse topological order
     pstart, pflat = P._pstart, P._pflat
@@ -498,49 +472,7 @@ def _length_sets(P: CoverPoset) -> list[int]:
         for p in pflat[pstart[v]:pstart[v + 1]]:
             acc |= ub[p]
         ub[v] = acc << 1
-    return ub
-
-
-def all_maximal_chain_lengths(P: CoverPoset) -> tuple[int, ...]:
-    return tuple(bits(_length_sets(P)[0]))
-
-
-def _witness_chain(P: CoverPoset, ub: list[int], target: int) -> list[int]:
-    chain = [0]
-    v, rem = 0, target
-    while v != P.n - 1:
-        for p in P.parents(v):
-            if ub[p] >> (rem - 1) & 1:
-                chain.append(p)
-                v, rem = p, rem - 1
-                break
-        else:
-            raise AssertionError("length DP inconsistent")
-    return chain
-
-
-@dataclass(frozen=True)
-class GradednessReport:
-    is_graded: bool
-    min_maximal_chain: int
-    max_maximal_chain: int
-    witness_short: tuple[int, ...]
-    witness_long: tuple[int, ...]
-    lengths: tuple[int, ...]  # every maximal-chain cover-length, ascending
-
-
-def gradedness(P: CoverPoset) -> GradednessReport:
-    ub = _length_sets(P)
-    lengths = tuple(bits(ub[0]))
-    lo, hi = lengths[0], lengths[-1]
-    return GradednessReport(
-        is_graded=(lo == hi),
-        min_maximal_chain=lo,
-        max_maximal_chain=hi,
-        witness_short=tuple(_witness_chain(P, ub, lo)),
-        witness_long=tuple(_witness_chain(P, ub, hi)),
-        lengths=lengths,
-    )
+    return tuple(bits(ub[0]))
 
 
 @dataclass(frozen=True)
@@ -578,41 +510,6 @@ def product_statistics(P: CoverPoset, t: int) -> ProductStatistics:
         coatoms=len(coatoms(P)) + t,
         lengths=tuple(n + t for n in all_maximal_chain_lengths(P)),
     )
-
-
-@dataclass(frozen=True)
-class ChainLengthsThrough:
-    through: tuple[int, ...]
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-
-
-def maximal_chain_lengths_through(L: SubrackLattice, node: int) -> ChainLengthsThrough:
-    """Cover-lengths of maximal bottom->top chains through `node`, with the
-    per-interval lengths for [bottom, node] and [node, top].
-
-    One forward pass pushes bitmasks of path lengths up the upper rows, in
-    id order, which is topological: first from the bottom, to the covers
-    inside sets[node] only, which all have ids up to `node`; then afresh
-    from `node`, whose paths upwards stay above it."""
-    sets, pstart, pflat = L.sets, L._pstart, L._pflat
-    m = sets[node]
-    reach = [0] * L.n
-    reach[0] = 1
-    for v in range(node):
-        if reach[v]:
-            for p in pflat[pstart[v]:pstart[v + 1]]:
-                if sets[p] & ~m == 0:
-                    reach[p] |= reach[v] << 1
-    lower = bit_list(reach[node])
-    reach[node] = 1
-    for v in range(node, L.n):
-        if reach[v]:
-            for p in pflat[pstart[v]:pstart[v + 1]]:
-                reach[p] |= reach[v] << 1
-    upper = bit_list(reach[-1])
-    through = sorted({a + b for a in lower for b in upper})
-    return ChainLengthsThrough(tuple(through), tuple(lower), tuple(upper))
 
 
 def connected_components_proper(L: CoverPoset) -> int:
@@ -720,21 +617,17 @@ def is_boolean(L: SubrackLattice) -> bool:
 
 @dataclass(frozen=True)
 class MEntry:
+    """A node that is not closed and whose unique cover is its class-union
+    closure; it is in M when the other two conditions hold as well."""
+
     node: int
     elems: int
-    not_closed: bool      # (A)
-    unique_cover_bar: bool  # (B)
-    interval_closed: bool   # (C)
-    int_not_boolean: bool   # (D)
+    interval_closed: bool
+    int_not_boolean: bool
 
     @property
     def member(self) -> bool:
-        return (
-            self.not_closed
-            and self.unique_cover_bar
-            and self.interval_closed
-            and self.int_not_boolean
-        )
+        return self.interval_closed and self.int_not_boolean
 
 
 @dataclass(frozen=True)
@@ -795,8 +688,6 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
             MEntry(
                 node=v,
                 elems=s,
-                not_closed=True,
-                unique_cover_bar=True,
                 interval_closed=closed_above[bar],
                 int_not_boolean=int_not_boolean[bar],
             )

@@ -39,14 +39,6 @@ class SetPartition:
             raise ValueError("blocks must partition 0..n-1")
         return SetPartition(n, canon)
 
-    @staticmethod
-    def discrete(n: int) -> "SetPartition":
-        return SetPartition(n, tuple((i,) for i in range(n)))
-
-    @staticmethod
-    def one_block(n: int) -> "SetPartition":
-        return SetPartition(n, (tuple(range(n)),))
-
     @cached_property
     def pairs(self) -> int:
         """The equivalence relation as a pair set: bit i * n + j for each
@@ -57,18 +49,6 @@ class SetPartition:
         """self <= other in the refinement order: every block of self lies in
         a block of other, that is, its relation is inside other's."""
         return self.pairs & ~other.pairs == 0
-
-    def meet(self, other: "SetPartition") -> "SetPartition":
-        """Common refinement."""
-        lookup = {}
-        for i, b in enumerate(other.blocks):
-            for v in b:
-                lookup[v] = i
-        pieces: dict[tuple[int, int], list[int]] = {}
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                pieces.setdefault((i, lookup[v]), []).append(v)
-        return SetPartition.from_blocks(self.n, pieces.values())
 
     def __str__(self) -> str:
         return "|".join("".join(str(v + 1) for v in b) for b in self.blocks)
@@ -109,7 +89,11 @@ class PartitionLattice(CoverPoset):
 
 
 def partition_lattice(n: int) -> PartitionLattice:
-    """The full partition lattice: covers merge exactly two blocks."""
+    """The full partition lattice: covers merge exactly two blocks.
+
+    Independent oracle: no library code calls it.  It builds the covers by
+    definition, where `k_equal_lattice` filters the partitions and finds its
+    covers by refinement, so the tests compare the two for k <= 2."""
     elements = all_partitions(n)
     index = {p: i for i, p in enumerate(elements)}
     edges = []
@@ -218,7 +202,6 @@ class FiberReport:
     image_equals_kequal: bool
     fibers_with_unique_max: int
     fibers_total: int
-    lattice_nodes: int
     detail: str
 
 
@@ -235,21 +218,26 @@ def quillen_fiber_check(
     n: int, p: int, pcycles: tuple[FiniteGroup, Rack, SubrackLattice]
 ) -> FiberReport:
     """For every proper tau in the k-equal lattice, the subracks mapping below
-    tau must have the set of p-cycles supported inside tau's blocks as their
-    unique maximal element; the image of the orbit map must be the whole
-    k-equal lattice.
+    tau must have the set q_h of p-cycles supported inside tau's blocks as
+    their unique maximal element; the image of the orbit map must be the
+    whole k-equal lattice.
 
     `pcycles` is `pcycle_rack_and_lattice(n, p)`.  A cycle is supported
     inside a block of tau exactly when its own orbit partition refines tau,
-    so both the claimed maximum and the fiber are found by pair-set
-    inclusion; every member of the fiber is then tested against the maximum."""
+    so q_h is found by pair-set inclusion.  Only q_h being a subrack needs a
+    test.  Proof: each cycle of a subrack S lies in <S>, and it moves the
+    points of its support transitively, so its support lies in one orbit of
+    <S>.  If the orbit partition of S refines tau, that support lies in a
+    block of tau, so S is inside q_h.  Conversely, the cycles of q_h map
+    each block of tau to itself, so the orbits of <q_h> lie in blocks of
+    tau, and q_h maps below tau once it is a subrack."""
     if p % 2 == 0 or p >= n - 2 or n > 6:
         raise ValueError("need an odd prime p < n-2 with n <= 6")
     G, rack, lat = pcycles
     kequal = k_equal_lattice(n, p)
-    images = [orbit_partition_map(n, rack, G, s) for s in lat.sets]
+    images = {orbit_partition_map(n, rack, G, s) for s in lat.sets}
     supports = [orbit_partition_map(n, rack, G, 1 << i).pairs for i in range(rack.size)]
-    image_ok = set(images) == set(kequal.elements)
+    image_ok = images == set(kequal.elements)
     fibers_ok = 0
     total = 0
     detail = ""
@@ -259,17 +247,13 @@ def quillen_fiber_check(
         total += 1
         outside = ~tau.pairs
         q_h = mask_of(i for i, sp in enumerate(supports) if sp & outside == 0)
-        if q_h not in lat.index:
-            detail = f"expected maximum of the fiber below {tau} is not a subrack"
-            continue
-        members = [v for v in range(lat.n) if images[v].pairs & outside == 0]
-        if all(lat.sets[v] & q_h == lat.sets[v] for v in members):
+        if q_h in lat.index:
             fibers_ok += 1
-        elif not detail:
-            detail = f"fiber below {tau} has an element outside its claimed maximum"
+        else:
+            detail = f"expected maximum of the fiber below {tau} is not a subrack"
     ok = image_ok and fibers_ok == total
     if ok:
         detail = "image and lower fibers verified"
     elif not image_ok and not detail:
         detail = "orbit map image differs from the k-equal lattice"
-    return FiberReport(ok, image_ok, fibers_ok, total, lat.n, detail)
+    return FiberReport(ok, image_ok, fibers_ok, total, detail)

@@ -47,11 +47,6 @@ class Rack:
         )
         self._tables = None
 
-    @property
-    def is_trivial(self) -> bool:
-        """Every element acts trivially (then every element is also fixed)."""
-        return self.trivial_part == self.full_mask()
-
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 

@@ -258,12 +258,6 @@ class SparseIntMatrix:
                 if not col:
                     del self.cols[c]
 
-    def get(self, r: int, c: int) -> int:
-        return self.rows.get(r, {}).get(c, 0)
-
-    def nnz(self) -> int:
-        return sum(len(row) for row in self.rows.values())
-
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "SparseIntMatrix":
         """The matrix of a list of rows; every row must have the length of the
@@ -375,7 +369,11 @@ def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(matrix: SparseIntMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix."""
+    """Invariant factors d1 | d2 | ... of an integer matrix.
+
+    Oracle entry point: no library code calls it.  It takes any integer
+    matrix, as rows or as a `SparseIntMatrix`, so that the tests can check
+    the Smith normal form behind `rank_and_torsion` against sympy."""
     if not isinstance(matrix, SparseIntMatrix):
         matrix = SparseIntMatrix.from_rows(matrix)
     return _invariant_factors(_diagonalize(matrix))

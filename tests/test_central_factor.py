@@ -16,7 +16,6 @@ from racklab.lattice import (
     coatoms,
     compute_M,
     enumerate_subracks,
-    gradedness,
     int_lattice,
     is_boolean,
     is_boolean_sets,
@@ -44,7 +43,7 @@ def _on_the_full_lattice(spec):
     full = (1 << G.order) - 1
     ints = int_lattice(L)
     return {
-        "graded": gradedness(L).is_graded,
+        "graded": len(all_maximal_chain_lengths(L)) == 1,
         "boolean": is_boolean(L),
         "coatoms_ok": (
             sorted(L.sets[v] for v in coatoms(L)) == sorted(full & ~c for c in cd.classes)

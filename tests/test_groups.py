@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from conftest import brute_force_subgroups
 from racklab.bitsets import bit_list, mask_of
+from racklab import groups
 from racklab.catalog import CATALOG
+from racklab.cli import main
 from racklab.groups import (
     CapExceeded,
     FamilyTerm,
@@ -14,6 +17,7 @@ from racklab.groups import (
     GroupSpecError,
     OrderCapExceeded,
     ProductNode,
+    SubgroupHandle,
     all_subgroups,
     build_group,
     check_class_avoidance,
@@ -22,10 +26,9 @@ from racklab.groups import (
     format_group_spec,
     group_properties,
     is_nilpotent_lcs,
-    minimal_nonabelian_subgroups,
     parse_group_spec,
     spec_order,
-    subgroup_generated,
+    subgroup_closure_mask,
 )
 
 
@@ -206,19 +209,19 @@ def test_class_sizes(spec, sizes):
 def test_subgroup_generated_cyclic():
     G = build_group("S3")
     c = G.label_index("(123)")
-    h = subgroup_generated(G, [c])
-    assert sorted(G.labels[i] for i in bit_list(h.elems)) == ["(123)", "(132)", "e"]
+    h = subgroup_closure_mask(G, 1 << c)
+    assert sorted(G.labels[i] for i in bit_list(h)) == ["(123)", "(132)", "e"]
 
 
 def test_subgroup_generated_two_four_cycles():
     G = build_group("S4")
     a, b = G.label_index("(1234)"), G.label_index("(1324)")
-    assert subgroup_generated(G, [a, b]).order == 24
+    assert subgroup_closure_mask(G, 1 << a | 1 << b).bit_count() == 24
 
 
 def test_subgroup_generated_empty_seed():
     G = build_group("A4")
-    assert subgroup_generated(G, []).elems == 1
+    assert subgroup_closure_mask(G, 0) == 1
 
 
 @pytest.mark.parametrize("spec,count", [("S3", 6), ("Z4", 3), ("Q8", 6), ("A4", 10), ("S4", 30)])
@@ -249,9 +252,9 @@ def test_subgroup_flags():
 def test_core_and_normalizer():
     G = build_group("S3")
     t = G.label_index("(12)")
-    h = subgroup_generated(G, [t])
+    h = subgroup_closure_mask(G, 1 << t)
     core, norm = core_and_normalizer(G, h)
-    assert core.order == 1 and norm.elems == h.elems
+    assert core.order == 1 and norm.elems == h
 
     G = build_group("D8")
     for h in all_subgroups(G):
@@ -295,27 +298,52 @@ def test_nilpotency_criteria_agree():
         assert is_nilpotent_lcs(G) == all(h.normal for h in all_subgroups(G) if h.maximal)
 
 
-def test_minimal_nonabelian():
-    G = build_group("S4")
-    # the order-12 member is the alternating subgroup: all of its proper
-    # subgroups are abelian, so it qualifies alongside the S3s and D8s
-    assert sorted({h.order for h in minimal_nonabelian_subgroups(G)}) == [6, 8, 12]
-    q8 = build_group("Q8")
-    assert [h.order for h in minimal_nonabelian_subgroups(q8)] == [8]
-    assert minimal_nonabelian_subgroups(build_group("Z12")) == []
-
-
 def test_class_avoidance_witness():
     G = build_group("S3")
     rep = check_class_avoidance(G)
     assert rep.ok
     cd = conjugacy_classes(G)
     t = G.label_index("(12)")
-    h = subgroup_generated(G, [t])
-    witness = dict(rep.witnesses)[h.elems]
+    h = subgroup_closure_mask(G, 1 << t)
+    witness = dict(rep.witnesses)[h]
     assert witness == cd.class_mask_of(G.label_index("(123)"))
 
 
 @pytest.mark.parametrize("spec", ["Z6", "S4", "SL(2,3)", "D16"])
 def test_class_avoidance_catalog(spec):
     assert check_class_avoidance(build_group(spec)).ok
+
+
+@pytest.fixture
+def s3_lists_a_subset_meeting_every_class(monkeypatch):
+    """Make `all_subgroups` of S3 also list S3 minus (12), a proper subset
+    that meets every conjugacy class."""
+    real = groups.all_subgroups
+
+    def patched(G):
+        subs = real(G)
+        if G.name == "S3":
+            fake = ((1 << G.order) - 1) & ~(1 << G.label_index("(12)"))
+            subs.append(SubgroupHandle(fake, fake.bit_count(), normal=False))
+        return subs
+
+    monkeypatch.setattr(groups, "all_subgroups", patched)
+
+
+@pytest.mark.usefixtures("s3_lists_a_subset_meeting_every_class")
+def test_class_avoidance_names_a_subgroup_meeting_every_class():
+    rep = check_class_avoidance(build_group("S3"))
+    assert not rep.ok
+    assert rep.detail == "the proper subgroup {e, (23), (123), (132), (13)} of S3 meets every conjugacy class"
+    assert check_class_avoidance(build_group("Z6")).ok
+
+
+@pytest.mark.usefixtures("s3_lists_a_subset_meeting_every_class")
+def test_failing_class_avoidance_is_a_failed_verify_report(capsys):
+    assert main(["verify", "--check", "class-avoidance", "--max-order", "6"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    (check,) = report["checks"]
+    assert check["status"] == "fail"
+    assert check["computed"]["S3"].startswith("the proper subgroup {")
+    assert check["computed"]["Z6"] is True

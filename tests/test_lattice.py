@@ -17,6 +17,7 @@ from racklab.groups import (
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
+    CoverPoset,
     LatticeInvariantError,
     SubrackLattice,
     _csr_from_edges,
@@ -31,16 +32,11 @@ from racklab.lattice import (
     connected_components_proper,
     enumerate_subracks,
     export_lattice_text,
-    gradedness,
     int_lattice,
-    is_atomic,
     is_boolean,
     is_boolean_sets,
     iter_closed_sets_lectic,
-    join,
     load_lattice_export,
-    maximal_chain_lengths_through,
-    meet,
     product_decomposition_check,
 )
 from racklab.racks import Rack, conjugation_rack, rack_from_spec
@@ -179,16 +175,18 @@ def test_five_cycle_lattice_against_structured_oracle():
 
 
 def test_meet_and_join():
+    # the meet of two subracks is their intersection, the join the closure
+    # of their union: the largest node below both and the smallest above both
     lat = enumerate_subracks(rack_from_spec("S3"))
-    bottom, top = 0, lat.n - 1
-    for v in range(lat.n):
-        assert meet(lat, bottom, v) == bottom
-        assert join(lat, v, top) == top
+    for a in lat.sets:
+        for b in lat.sets:
+            below = [s for s in lat.sets if s & a == s and s & b == s]
+            above = [s for s in lat.sets if s & a == a and s & b == b]
+            assert max(below, key=int.bit_count) == a & b
+            assert min(above, key=int.bit_count) == lat.rack.closure(a | b)
     G = build_group("S3")
-    t12 = lat.node_of(1 << G.label_index("(12)"))
-    t13 = lat.node_of(1 << G.label_index("(13)"))
-    j = join(lat, t12, t13)
-    assert sorted(lat.set_labels(j)) == ["(12)", "(13)", "(23)"]
+    j = lat.rack.closure(1 << G.label_index("(12)") | 1 << G.label_index("(13)"))
+    assert sorted(lat.labels[i] for i in bits(j)) == ["(12)", "(13)", "(23)"]
 
 
 def test_join_of_five_cycles_is_class_union():
@@ -207,7 +205,7 @@ def test_join_of_five_cycles_is_class_union():
     other = next(e for e in elem if e not in powers)
     a = lat.node_of(1 << pos[x])
     b = lat.node_of(1 << pos[other])
-    joined = lat.sets[join(lat, a, b)]
+    joined = rack.closure(lat.sets[a] | lat.sets[b])
     union = 0
     for cm in cd.classes:
         if cm & ((1 << x) | (1 << other)):
@@ -226,12 +224,6 @@ def test_atoms_are_singletons_for_group_racks():
     for spec in ["S3", "D8", "A4"]:
         lat = enumerate_subracks(rack_from_spec(spec))
         assert sorted(lat.sets[v] for v in atoms(lat)) == [1 << i for i in range(lat.rack.size)]
-
-
-def test_quandle_lattices_are_atomic():
-    for spec in ["S3", "S4:cycles(4)", "A5:cycles(5)", "Q8"]:
-        lat = enumerate_subracks(rack_from_spec(spec, max_order=60))
-        assert is_atomic(lat)
 
 
 def test_coatoms_of_group_lattice_are_class_complements():
@@ -259,17 +251,30 @@ def test_coatoms_of_group_lattice_are_class_complements():
 ])
 def test_gradedness_against_chain_enumeration(spec, graded, lengths):
     lat = enumerate_subracks(rack_from_spec(spec, max_order=60))
-    rep = gradedness(lat)
-    assert rep.is_graded == graded
     assert all_maximal_chain_lengths(lat) == lengths
+    assert (len(lengths) == 1) == graded
     chains = all_maximal_chains(lat)
     assert {len(c) - 1 for c in chains} == set(lengths)
-    assert len(rep.witness_short) - 1 == rep.min_maximal_chain
-    assert len(rep.witness_long) - 1 == rep.max_maximal_chain
-    # witnesses are genuine cover chains
-    for w in (rep.witness_short, rep.witness_long):
-        for u, v in zip(w, w[1:]):
-            assert u in lat.children(v)
+
+
+def _interval_lengths(lat, lo, hi):
+    """`all_maximal_chain_lengths` of the interval [lo, hi] of `lat`, held as
+    a poset on the nodes between them in id order; an interval is convex, so
+    its covers are those of `lat` between its nodes."""
+    low, high = lat.sets[lo], lat.sets[hi]
+    pos = {}
+    for v in range(lo, hi + 1):
+        if lat.sets[v] & low == low and lat.sets[v] & ~high == 0:
+            pos[v] = len(pos)
+    edges = [(pos[c], pos[p]) for c, p in lat.edges() if c in pos and p in pos]
+    return all_maximal_chain_lengths(CoverPoset(*_csr_from_edges(len(pos), edges)))
+
+
+def _lengths_through(lat, node):
+    """Cover-lengths of the maximal chains of `lat` through `node`."""
+    lower = _interval_lengths(lat, 0, node)
+    upper = _interval_lengths(lat, node, lat.n - 1)
+    return {a + b for a in lower for b in upper}
 
 
 @pytest.mark.parametrize("spec", SMALL_RACKS)
@@ -292,11 +297,12 @@ def test_chain_lengths_through_match_lower_row_dp(spec):
         return reach
 
     for node, m in enumerate(lat.sets):
-        lower = bit_list(lengths_from(0, lambda s: s & m == s)[node])
-        upper = bit_list(lengths_from(node, lambda s: s & m == m)[top])
-        rep = maximal_chain_lengths_through(lat, node)
-        assert (rep.lower, rep.upper) == (tuple(lower), tuple(upper)), node
-        assert rep.through == tuple(sorted({a + b for a in lower for b in upper}))
+        lower = tuple(bit_list(lengths_from(0, lambda s: s & m == s)[node]))
+        upper = tuple(bit_list(lengths_from(node, lambda s: s & m == m)[top]))
+        assert _interval_lengths(lat, 0, node) == lower, node
+        assert _interval_lengths(lat, node, top) == upper, node
+        # [bottom, S] is the subrack lattice of the rack S
+        assert all_maximal_chain_lengths(enumerate_subracks(lat.rack.restrict(m))) == lower
 
 
 def test_chain_lengths_through_subgroups_sl23():
@@ -305,9 +311,7 @@ def test_chain_lengths_through_subgroups_sl23():
     through = {}
     for h in all_subgroups(G):
         node = lat.node_of(h.elems)
-        through.setdefault(h.order, set()).update(
-            maximal_chain_lengths_through(lat, node).through
-        )
+        through.setdefault(h.order, set()).update(_lengths_through(lat, node))
     assert through[8] == {10}  # the quaternion Sylow subgroup
     assert through[6] == {8}   # the cyclic order-6 maximal subgroups
     assert all_maximal_chain_lengths(lat) == (8, 10)
@@ -323,9 +327,7 @@ def test_chain_lengths_through_d18_and_tv18():
         seen = {}
         for h in all_subgroups(G):
             node = lat.node_of(h.elems)
-            seen.setdefault(h.order, set()).update(
-                maximal_chain_lengths_through(lat, node).through
-            )
+            seen.setdefault(h.order, set()).update(_lengths_through(lat, node))
         assert len_a in seen[order_a]
         assert len_b in seen[order_b]
 
@@ -496,8 +498,7 @@ def test_m_of_s3():
     want = sorted(h.elems for h in all_subgroups(G) if h.order == 2)
     assert got == want
     for e in rep.entries:
-        assert e.member == (e.not_closed and e.unique_cover_bar
-                            and e.interval_closed and e.int_not_boolean)
+        assert e.member == (e.interval_closed and e.int_not_boolean)
 
 
 def test_m_of_nilpotent_and_abelian_groups_empty():

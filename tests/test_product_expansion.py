@@ -20,10 +20,10 @@ from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     _lindig_subracks,
+    all_maximal_chain_lengths,
     atoms,
     coatoms,
     enumerate_subracks,
-    gradedness,
     product_decomposition_check,
     product_statistics,
 )
@@ -64,10 +64,10 @@ def test_expansion_equals_lemma_free_enumeration(spec):
 
 def test_trivial_part():
     assert rack_from_spec("S3").trivial_part == 1  # the identity
-    assert rack_from_spec("S3:class(e)").is_trivial
-    assert rack_from_spec("Z15").is_trivial
-    d8 = rack_from_spec("D8")
-    assert d8.trivial_part.bit_count() == 2 and not d8.is_trivial
+    for spec in ("S3:class(e)", "Z15"):
+        rack = rack_from_spec(spec)
+        assert rack.trivial_part == rack.full_mask()
+    assert rack_from_spec("D8").trivial_part.bit_count() == 2
     assert rack_from_spec("S4:cycles(4)").trivial_part == 0
 
 
@@ -116,9 +116,8 @@ def test_product_statistics_equal_the_materialised_lattice(spec):
     assert (stats.nodes, stats.cover_edges) == (L.n, L.edge_count())
     # reading the rows expands the product
     assert (stats.nodes, stats.cover_edges) == (len(L.sets), len(L._pflat))
-    grad = gradedness(L)
-    assert stats.lengths == grad.lengths
-    assert stats.graded == grad.is_graded
+    assert stats.lengths == all_maximal_chain_lengths(L)
+    assert stats.graded == (len(stats.lengths) == 1)
     assert (stats.atoms, stats.coatoms) == (len(atoms(L)), len(coatoms(L)))
 
 
@@ -195,8 +194,7 @@ def test_factor_run_fails_fast(monkeypatch):
 
 def test_lattice_command_never_builds_lower_cover_rows(capsys):
     L = enumerate_subracks(rack_from_spec("Z4xZ2xZ2"))
-    rep = gradedness(L)
-    assert rep.lengths == (16,) and len(rep.witness_long) == 17
+    assert all_maximal_chain_lengths(L) == (16,)
     assert len(atoms(L)) == len(coatoms(L)) == 16
     assert main(["lattice", "Z4xZ2xZ2"]) == 0
     assert json.loads(capsys.readouterr().out)["coatoms"] == 16
@@ -212,11 +210,7 @@ def test_upper_row_analytics_match_lower_rows(spec):
     for v in range(1, L.n):
         for u in L.children(v):
             lengths[v] |= lengths[u] << 1
-    rep = gradedness(L)
-    assert rep.lengths == tuple(bit_list(lengths[top]))
-    for chain in (rep.witness_short, rep.witness_long):
-        assert chain[0] == 0 and chain[-1] == top
-        assert all(u in L.children(v) for u, v in zip(chain, chain[1:]))
+    assert all_maximal_chain_lengths(L) == tuple(bit_list(lengths[top]))
 
 
 # racks whose rows take covers from T only (every element of Z2xZ2xZ2xZ2 is
