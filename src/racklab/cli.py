@@ -149,8 +149,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
               "and no order complex", file=sys.stderr)
         return _USAGE_ERROR
     lat = enumerate_subracks(rack, args.budget_nodes)
-    K = order_complex(lat, args.budget_simplices)
-    H = reduced_homology(K)
+    P, t = lat.product_form()
+    H = reduced_homology(order_complex(P, args.budget_simplices, t))
     out = {"spec": args.spec, "rack_size": rack.size, "nodes": lat.n}
     out.update(H.to_jsonable())
     out["sphere_dimension"] = H.sphere_dimension
@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-nodes": dict(type=_positive_int, default=env_nodes,
                                help="lattice node budget"),
         "--budget-simplices": dict(type=_positive_int, default=env_simplices,
-                                   help="order-complex simplex budget"),
+                                   help="most simplices the order complex of the full "
+                                        "lattice L(R) may have; they are counted "
+                                        "before any is built"),
         "--timings": dict(action="store_true",
                           help="include wall-clock timings (non-deterministic output)"),
     }

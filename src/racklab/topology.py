@@ -5,6 +5,36 @@ one d-simplex per (d+1)-chain.  `order_complex` counts the chains of every
 dimension before it builds any, so a complex over the simplex budget fails at
 once.
 
+The trivial-part shift.  A subrack lattice is L(R) = P x 2^t, P = L(R - T)
+(see `racklab.lattice`).  For a bounded poset P with at least two elements,
+the proper part of P x 2 is homeomorphic to the suspension of the proper
+part of P (Walker, *Canonical homeomorphisms of posets*, Europ. J. Combin.
+1988; Bjorner, *Topological methods*, 1995): the proper part of a product of
+bounded posets is the suspension of the join of their proper parts, and the
+proper part of 2 is empty.  Suspension shifts reduced homology, torsion
+included, up by one, so H~_i(L(R)) = H~_(i-t)(P), and the empty complex
+(H~_-1 = Z) becomes S^(t-1).  When R = T, P has one node, and the lattice
+2^t = 2 x 2^(t - 1) gives S^(t-2), the empty complex for t = 1.  So
+`order_complex(P, budget, t)` builds the complex of P only and
+`reduced_homology` shifts its result by t.
+
+The budget still counts the simplices of L(R)'s complex, read off the chain
+counts of P.  Let b_k(Q) count the strict chains 0 = x_0 < ... < x_k = 1 of
+a bounded poset Q, so b_1 = 1 and b_(d+2) is the number of d-simplices.  A
+chain of k steps in P x 2^t projects to a chain of i steps in P and one of
+j steps in 2^t; each of its k steps moves the first coordinate, the second,
+or both.  The steps that move P are any i of the k (C(k, i) ways); the
+steps that move 2^t are the k - i others and i + j - k of those i
+(C(i, i + j - k) ways); and a chain of j steps in 2^t is an ordered
+partition of T into j blocks, j! * S(t, j) of them (S the Stirling numbers
+of the second kind).  So
+
+    b_k(P x 2^t) = sum over i, j of b_i(P) * j! S(t, j) * C(k, i) * C(i, i + j - k),
+
+and b_k(P x 2^t) needs b_i(P) only for i <= k: the budget is tested after
+each dimension of P, as when the whole complex is counted.  For t = 0 the
+sum is b_k(P), the count of the complex itself.
+
 Homology works on facet tables: the ids, in the level below, of the facets of
 every simplex.  An optional greedy free-face collapse shrinks the complex
 first (it is an elementary-collapse sequence, so it preserves the homotopy
@@ -31,7 +61,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .bitsets import bit_list
@@ -50,13 +80,27 @@ class OrderComplex:
     Vertices are poset node ids; simplices are tuples of vertex ids that are
     strictly increasing in the id order, which is a linear extension of the
     poset order.
+
+    When `t` > 0 the complex stands for the order complex of P x 2^t, of
+    which only the complex of P is listed: `full_counts` are the simplex
+    counts of P x 2^t and its homology is that of the listed complex
+    shifted up by t (see the module docstring).  When `t` is 0,
+    `full_counts` are the counts of the listed simplices.
     """
 
-    __slots__ = ("vertices", "simplices", "_facets")
+    __slots__ = ("vertices", "simplices", "t", "full_counts", "_facets")
 
-    def __init__(self, vertices: list[int], simplices: list[list[tuple[int, ...]]]):
+    def __init__(
+        self,
+        vertices: list[int],
+        simplices: list[list[tuple[int, ...]]],
+        t: int = 0,
+        full_counts: Sequence[int] | None = None,
+    ):
         self.vertices = vertices
         self.simplices = simplices
+        self.t = t
+        self.full_counts = tuple(self.counts() if full_counts is None else full_counts)
         self._facets: list[array] | None = None
 
     @property
@@ -90,53 +134,109 @@ class OrderComplex:
         return self._facets
 
 
-def order_complex(
-    poset: CoverPoset, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET
-) -> OrderComplex:
-    """All chains of the proper part of `poset` (node 0 and node n-1 dropped).
+def _surjections(t: int) -> list[int]:
+    """j! * S(t, j) for j = 0..t: the surjections of a t-set onto j ordered
+    blocks, F(t, j) = j * (F(t - 1, j - 1) + F(t - 1, j))."""
+    row = [1]
+    for _ in range(t):
+        row.append(0)
+        row = [0] + [j * (row[j - 1] + row[j]) for j in range(1, len(row))]
+    return row
 
-    The chains of each dimension are counted first, so `BudgetExceeded` is
-    raised before any simplex is built; its `partial` is the running count
-    through the dimension that overflows.
-    """
-    n = poset.n
-    if n < 2:
-        raise ValueError("order complex needs a poset with at least 2 elements")
-    proper = list(range(1, n - 1))
-    if not proper:
-        return OrderComplex([], [])
-    # strict up-sets within the proper part, as bitmasks over proper positions
-    pos = {v: i for i, v in enumerate(proper)}
-    above = [0] * len(proper)
-    for v in reversed(proper):
+
+def _product_chains(chains: Sequence[int], surjections: Sequence[int], k: int) -> int:
+    """Strict bottom-to-top chains of k steps in P x 2^t, from the chains of
+    P with at most k steps (`chains[i]` has i steps) and `_surjections(t)`:
+    the sum over i and j of chains[i] * surjections[j] * C(k, i) *
+    C(i, i + j - k) (see the module docstring)."""
+    total = 0
+    for i in range(min(k, len(chains) - 1) + 1):
+        if chains[i]:
+            merges = sum(
+                surjections[j] * comb(i, i + j - k)
+                for j in range(k - i, min(k, len(surjections) - 1) + 1)
+            )
+            total += chains[i] * comb(k, i) * merges
+    return total
+
+
+def _up_sets(poset: CoverPoset) -> list[int]:
+    """Strict up-set of every proper node v (1 <= v <= n - 2) within the
+    proper part, as a bitmask over proper positions: position v - 1 is v."""
+    top = poset.n - 1
+    above = [0] * max(top - 1, 0)
+    for v in range(top - 1, 0, -1):
         acc = 0
         for p in poset.parents(v):
-            if p in pos:
-                acc |= above[pos[p]] | (1 << pos[p])
-        above[pos[v]] = acc
-    # ends[i]: chains of the next dimension whose least element is i.  The
-    # 1-simplices are counted from the masks, so a budget that dimension 0 or
-    # 1 exhausts fails before the up-sets are listed (every comparable pair)
+            if p < top:
+                acc |= above[p - 1] | (1 << (p - 1))
+        above[v - 1] = acc
+    return above
+
+
+def _count_simplices(
+    poset: CoverPoset, simplex_budget: int, t: int
+) -> tuple[list[int], int, list[int]]:
+    """(up-sets, shift, counts): the `_up_sets` of `poset`, the shift of its
+    homology, and the simplex counts of the order complex of `poset` x 2^t,
+    read off the chain counts of `poset`.  A one-node `poset` with t > 0
+    stands for 2 x 2^(t - 1), and 2 has no proper part.
+
+    The running count is tested against the budget after every dimension d,
+    which needs the chains of `poset` only through dimension d, so a budget
+    that dimension 0 or 1 exhausts fails before the up-sets are listed
+    (every comparable pair): the 1-simplices of `poset` are counted from the
+    masks."""
+    if poset.n < 2:
+        if not t:
+            raise ValueError("order complex needs a poset with at least 2 elements")
+        t -= 1
+    above = _up_sets(poset)
+    surjections = _surjections(t)
+    # chains[k]: strict bottom-to-top chains of `poset` with k steps, so
+    # chains[d + 2] counts its d-simplices
+    chains = [0, 1, len(above)]
+    # ends[i]: chains of `poset` of the next dimension whose least element is i
     ends = [up.bit_count() for up in above]
     ups: list[list[int]] = []
-    total = len(proper)
+    full: list[int] = []
+    total = 0
     dim = 0
     while True:
+        count = _product_chains(chains, surjections, dim + 2)
+        if not count:
+            return above, t, full
+        full.append(count)
+        total += count
         if total > simplex_budget:
             raise BudgetExceeded(
                 f"simplex budget {simplex_budget} exceeded at dimension {dim}", partial=total
             )
-        if dim == 1:
-            ups = [bit_list(up) for up in above]
-        if dim:
-            ends = [sum(ends[j] for j in up) for up in ups]
-        grown = sum(ends)
-        if not grown:
-            break
-        total += grown
+        if chains[-1]:
+            if dim == 1:
+                ups = [bit_list(up) for up in above]
+            if dim:
+                ends = [sum(ends[j] for j in up) for up in ups]
+            chains.append(sum(ends))
         dim += 1
-    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in proper]]
-    frontier = [((v,), above[pos[v]]) for v in proper]
+
+
+def order_complex(
+    poset: CoverPoset, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET, t: int = 0
+) -> OrderComplex:
+    """All chains of the proper part of `poset` (node 0 and node n-1 dropped),
+    standing for the order complex of `poset` x 2^t.
+
+    The simplex counts of the complex of `poset` x 2^t are counted first,
+    dimension by dimension (`_count_simplices`), so `BudgetExceeded` is
+    raised before any simplex is built; its `partial` is the running count
+    through the dimension that overflows.  Only the chains of `poset` are
+    built.
+    """
+    above, t, full = _count_simplices(poset, simplex_budget, t)
+    proper = list(range(1, poset.n - 1))
+    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in proper]] if proper else []
+    frontier = [((v,), above[v - 1]) for v in proper]
     while frontier:
         nxt = []
         for chain, up in frontier:
@@ -149,7 +249,7 @@ def order_complex(
         if nxt:
             simplices.append([c for c, _ in nxt])
         frontier = nxt
-    return OrderComplex(proper, simplices)
+    return OrderComplex(proper, simplices, t, full)
 
 
 # ---------------------------------------------------------------------------
@@ -526,28 +626,36 @@ class HomologyResult:
 
 
 def reduced_homology(K: OrderComplex, collapse: bool = True) -> HomologyResult:
-    """Exact reduced integer homology of an order complex."""
-    counts = tuple(K.counts())
-    if K.is_empty():
+    """Exact reduced integer homology of an order complex.
+
+    The listed complex is reduced and its homology shifted up by `K.t`; the
+    result carries `K.full_counts` and their Euler characteristic, which the
+    shifted Betti numbers must reproduce."""
+    counts = K.full_counts
+    if not counts:
         # the empty complex is the (-1)-sphere: a single Z in dimension -1,
         # carried by the flag; its reduced Euler characteristic is -1
         return HomologyResult({}, {}, -1, True, ())
     euler = -1
     for d, c in enumerate(counts):
         euler += c if d % 2 == 0 else -c
-    work = collapse_complex(K) if collapse else K
-    ranks, torsions = _boundary_ranks(work)
-    betti = {}
-    torsion = {}
-    wcounts = work.counts()
-    for d in range(len(wcounts)):
-        rank_d = ranks[d]
-        rank_up = ranks[d + 1] if d + 1 < len(ranks) else 0
-        b = wcounts[d] - rank_d - rank_up
-        if b:
-            betti[d] = b
-        if d + 1 < len(ranks) and torsions[d + 1]:
-            torsion[d] = torsions[d + 1]
+    betti: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
+    if K.is_empty():
+        # t > 0 suspensions of the empty complex's Z in dimension -1
+        betti[K.t - 1] = 1
+    else:
+        work = collapse_complex(K) if collapse else K
+        ranks, torsions = _boundary_ranks(work)
+        wcounts = work.counts()
+        for d in range(len(wcounts)):
+            rank_d = ranks[d]
+            rank_up = ranks[d + 1] if d + 1 < len(ranks) else 0
+            b = wcounts[d] - rank_d - rank_up
+            if b:
+                betti[d + K.t] = b
+            if d + 1 < len(ranks) and torsions[d + 1]:
+                torsion[d + K.t] = torsions[d + 1]
     check = sum(b if d % 2 == 0 else -b for d, b in betti.items())
     if check != euler:
         raise AssertionError(

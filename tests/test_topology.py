@@ -351,6 +351,12 @@ def test_budget_exhausted_by_the_edges_fails_before_listing_up_sets(monkeypatch)
     with pytest.raises(BudgetExceeded) as info:
         order_complex(lat, simplex_budget=100)
     assert info.value.partial == 456
+    # on the factor the full complex's 1-simplices need the factor's only,
+    # which are counted from the masks too
+    P, t = lat.product_form()
+    with pytest.raises(BudgetExceeded) as info:
+        order_complex(P, 100, t)
+    assert info.value.partial == 456
 
 
 def test_budget_partial_is_the_running_count_of_the_built_complex():
