@@ -1,15 +1,16 @@
 """The named group catalog the verification suite sweeps, and the cached
 inputs of its group checks: each group, its properties and the factor of
-L(G) = L(G - Z) x 2^Z that `enumerate_subracks` splits off."""
+L(G) = L(G - Z) x 2^Z that `enumerate_subracks` splits off.  Every set the
+checks read, the factor's nodes and the classes among them, is a mask of
+group elements."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import bits, mask_of
 from .groups import FiniteGroup, GroupProperties, build_group, conjugacy_classes, group_properties
-from .lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks, factor_elements
+from .lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks
 from .racks import conjugation_rack
 
 # every abelian group of order <= 16, one spec per isomorphism class
@@ -53,18 +54,13 @@ CHAIN_WITNESSES = {
 @dataclass(frozen=True)
 class GroupAnalysis:
     """A group, its properties and the factor P of L(G) = P x 2^Z; only P is
-    kept, not the product lattice, which holds the whole group rack."""
+    kept, not the product lattice, whose expansion has 2^|Z| times P's nodes."""
 
     group: FiniteGroup
     properties: GroupProperties
-    factor: SubrackLattice  # L(G - Z), its positions G - Z in ascending order
+    factor: SubrackLattice  # L(G - Z) on the group rack, its top G - Z
     center: int  # Z as a group mask
-    elements: tuple[int, ...]  # the group element at each position of P
-    classes: tuple[int, ...]  # the non-central classes, as masks over P's positions
-
-    def group_mask(self, mask: int) -> int:
-        """A set of factor positions as a mask of group elements."""
-        return mask_of(self.elements[i] for i in bits(mask))
+    classes: tuple[int, ...]  # the non-central classes, as group masks
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +70,6 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
     G = build_group(spec)
     rack = conjugation_rack(G, provenance=spec)
     factor, _ = enumerate_subracks(rack, node_budget).product_form()
-    elements = tuple(factor_elements(rack))
-    pos = {e: i for i, e in enumerate(elements)}
     center = rack.trivial_part
-    classes = tuple(
-        mask_of(pos[e] for e in bits(c)) for c in conjugacy_classes(G).classes if not c & center
-    )
-    return GroupAnalysis(G, group_properties(G), factor, center, elements, classes)
+    classes = tuple(c for c in conjugacy_classes(G).classes if not c & center)
+    return GroupAnalysis(G, group_properties(G), factor, center, classes)

@@ -3,8 +3,9 @@ covers, and the lattice analytics built on them (gradedness, chain lengths,
 atoms/coatoms, Int(L), Boolean tests, the M-set, product decompositions).
 
 Lattice nodes are bit-vector element sets, canonically ordered by
-(popcount, value), so node 0 is the empty set and the last node is the full
-rack; node ids are therefore a topological order of the cover DAG.
+(popcount, value), so node 0 is the empty set and the last node is the top,
+the full rack (or R - T on the factor below); node ids are therefore a
+topological order of the cover DAG.
 
 The trivial summand.  Let T be the set of elements of a rack R that act
 trivially and that every element fixes (`Rack.trivial_part`; for the rack of
@@ -17,12 +18,12 @@ subrack S.  A product or inverse product with an element of T as either
 argument is its second argument, so every subset U of T is a subrack, and so
 is S' + U for every subrack S' of R - T.  The map is therefore a bijection
 with inverse (S', U) -> S' + U, and both directions preserve inclusion.
-`enumerate_subracks` alone makes this split: it enumerates L(R - T) and
-holds the product, expanded only when its sets or rows are read.  Callers,
-the group checks of `racklab verify` among them (T is the center of a
-group), read the factor through `product_form()` and `factor_elements`;
-`product_statistics` reads the counts and chain lengths of the product off
-the factor.
+`enumerate_subracks` alone makes this split: it enumerates L(R - T) inside R,
+so the factor's sets are masks over R's own elements, and holds the product,
+expanded only when its sets or rows are read.  Callers, the group checks of
+`racklab verify` among them (T is the center of a group), read the factor
+through `product_form()`; `product_statistics` reads the counts and chain
+lengths of the product off the factor.
 `product_decomposition_check` keeps a lemma-free enumeration of full group
 lattices as the oracle for the lemma.
 
@@ -44,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import bit_list, bits, mask_of
+from .bitsets import bits
 from .groups import CapExceeded, FiniteGroup, conjugacy_classes
 from .racks import Rack, conjugation_rack
 
@@ -119,7 +120,8 @@ def _csr_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[array, ar
 
 
 class SubrackLattice(CoverPoset):
-    """All subracks of a rack, ordered by inclusion, with cover relations.
+    """All subracks of a rack inside its last set (the whole rack, or R - T
+    on a factor), ordered by inclusion, with cover relations.
 
     `index`, the node id of each set, is built on first use."""
 
@@ -166,8 +168,9 @@ class _ProductLattice(SubrackLattice):
 
     __slots__ = ("factor", "t")
 
-    def __init__(self, rack: Rack, factor: SubrackLattice, t: int):
+    def __init__(self, factor: SubrackLattice, t: int):
         # sets, _pstart and _pflat stay unset until __getattr__ fills them
+        rack = factor.rack
         self.n = factor.n << t
         self.rack = rack
         self._index = None
@@ -180,7 +183,7 @@ class _ProductLattice(SubrackLattice):
         # reached only when normal lookup fails, i.e. for unset slots
         if name not in ("sets", "_pstart", "_pflat"):
             raise AttributeError(name)
-        self.sets, self._pstart, self._pflat = _expand_product(self.rack, self.factor)
+        self.sets, self._pstart, self._pflat = _expand_product(self.factor)
         return getattr(self, name)
 
     def edge_count(self) -> int:
@@ -188,12 +191,6 @@ class _ProductLattice(SubrackLattice):
 
     def product_form(self) -> tuple[SubrackLattice, int]:
         return self.factor, self.t
-
-
-def factor_elements(rack: Rack) -> list[int]:
-    """The element of `rack` at each position of the factor L(R - T) of its
-    lattice, T = `rack.trivial_part`: R - T in ascending order."""
-    return bit_list(rack.full_mask() & ~rack.trivial_part)
 
 
 def _product_edge_count(P: CoverPoset, t: int) -> int:
@@ -211,9 +208,20 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
     Hasse diagram.
 
     With T = `rack.trivial_part`, this enumerates L(R - T) with
-    `_lindig_subracks` and returns L(R) = L(R - T) x 2^T (see the module
-    docstring) as a `_ProductLattice`, which `_expand_product` expands when
-    its sets or rows are first read.  The lattice, the budget error and its
+    `_lindig_subracks` on R itself, inside top = R - T, and returns
+    L(R) = L(R - T) x 2^T (see the module docstring) as a `_ProductLattice`,
+    which `_expand_product` expands when its sets or rows are first read.
+
+    The factor's sets are masks over R, and its node ids and rows are those
+    of L(R - T) enumerated on the rack R - T renumbered 0..n'-1 in ascending
+    order.  Proof: the subracks of R inside the subrack R - T are those of
+    the rack R - T, whose operation is R's.  The renumbering keeps the order
+    of the elements, so a set keeps its popcount, and of two sets the larger
+    value is the one holding the highest element where they differ, in
+    either numbering.  The two lattices therefore list their sets in the same
+    (popcount, value) order, and their ids and rows agree.
+
+    The lattice, the budget error and its
     `partial` are those of `_lindig_subracks` on the whole rack, which fails
     when the lattice has more than max(node_budget, 1) nodes and reports that
     many.  The factor runs on the budget node_budget >> t, t = |T|, which it
@@ -223,21 +231,15 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
     trivial = rack.trivial_part
     if not trivial:
         return _lindig_subracks(rack, node_budget)
-    _check_rack_size(rack)
     t = trivial.bit_count()
     limit = max(node_budget, 1)
     try:
-        factor = _lindig_subracks(rack.restrict(rack.full_mask() & ~trivial), node_budget >> t)
+        factor = _lindig_subracks(rack, node_budget >> t, rack.full_mask() & ~trivial)
     except BudgetExceeded:
         factor = None
     if factor is None or factor.n << t > limit:
         raise _node_budget_exceeded(node_budget, limit)
-    return _ProductLattice(rack, factor, t)
-
-
-def _check_rack_size(rack: Rack) -> None:
-    if rack.size > RACK_CAP:
-        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {RACK_CAP}")
+    return _ProductLattice(factor, t)
 
 
 def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
@@ -247,13 +249,14 @@ def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
     )
 
 
-def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
-    """Every subrack of `rack` with the Hasse diagram, by closures alone,
-    without the product lemma.
+def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> SubrackLattice:
+    """Every subrack of `rack` inside the subrack `top` (default: the whole
+    rack) with the Hasse diagram, by closures alone, without the product
+    lemma.  The lattice's last set is `top`.
 
     Upper covers come from Lindig's neighbour algorithm: for a subrack s and
-    each x outside it, in ascending order, b = closure(s + x) is a cover
-    exactly when no element of b - s - x is still in `mins`, the outside
+    each x of `top` outside it, in ascending order, b = closure(s + x) is a
+    cover exactly when no element of b - s - x is still in `mins`, the outside
     elements not yet found to generate a larger set; otherwise x leaves
     `mins`.  Each cover is emitted once, at its last generator, so covers need
     no deduplication or pairwise subset filter.  The closure is seeded with s
@@ -265,9 +268,10 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     `mins` test, which b - s - x = {} always passes.  This is the closure's
     own behaviour, not a use of the product lemma, so the enumeration depends
     on the lemma no more than `Rack.closure` does.  `enumerate_subracks`
-    calls this only on racks with T empty (R - T has none), so the shortcut
-    fires only in `product_decomposition_check`'s enumeration of full group
-    racks with a centre.
+    calls this either on a rack with T empty or inside top = R - T, so the
+    shortcut fires only in enumerations of whole racks with a nonempty T, such
+    as `product_decomposition_check`'s enumeration of full group racks with a
+    centre.
 
     Bookkeeping.  A cover is strictly larger than its child, so each
     popcount level is a set that only grows until the walk reaches it; by
@@ -276,9 +280,9 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     order.  Each cover is recorded as its parent's mask, and after the last
     level one dict from mask to id translates all of them at once.  A row
     needs a sort only if it took a closure cover.  A row whose covers all
-    come from T holds s + {x} for x in T - s in ascending order: these sets
-    all have popcount |s| + 1 and ascend in value as x does, so their ids,
-    ordered by (popcount, value), already ascend.
+    come from T holds s + {x} for x in (T & top) - s in ascending order:
+    these sets all have popcount |s| + 1 and ascend in value as x does, so
+    their ids, ordered by (popcount, value), already ascend.
 
     The budget: more than max(node_budget, 1) distinct subracks raise
     BudgetExceeded with that many as `partial`.  The test runs after every
@@ -288,12 +292,15 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     so no count is due until the covers emitted since the last one exceed
     the slack it left (`horizon`).
     """
-    _check_rack_size(rack)
+    if rack.size > RACK_CAP:
+        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {RACK_CAP}")
     close = rack.closure
-    full = rack.full_mask()
+    if top is None:
+        top = rack.full_mask()
+    size = top.bit_count()
     trivial = rack.trivial_part
     limit = max(node_budget, 1)
-    levels: list[set[int] | None] = [set() for _ in range(rack.size + 2)]
+    levels: list[set[int] | None] = [set() for _ in range(size + 2)]
     levels[0].add(0)
     sets: list[int] = []
     pstart = array("l", [0])
@@ -301,14 +308,14 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     push = covers.append
     mixed = array("l")  # the rows that took a closure cover
     horizon = limit - 1  # one set found, and no cover yet
-    for k in range(rack.size + 1):
+    for k in range(size + 1):
         level = sorted(levels[k])
         levels[k] = None  # freed before the walk fills the levels above
         grow = levels[k + 1].add
         done = len(sets) + len(level)  # the nodes on levels 0..k
         for s in level:
             closed = False
-            mins = rem = full & ~s
+            mins = rem = top & ~s
             while rem:
                 bit = rem & -rem
                 rem ^= bit
@@ -341,10 +348,10 @@ def _lindig_subracks(rack: Rack, node_budget: int) -> SubrackLattice:
     return SubrackLattice(rack, sets, pstart, rows)
 
 
-def _expand_product(rack: Rack, factor: SubrackLattice) -> tuple[list[int], array, array]:
+def _expand_product(factor: SubrackLattice) -> tuple[list[int], array, array]:
     """The sets and parent rows (sets, pstart, pflat) of L(R) from `factor` =
-    L(R - T), T = `rack.trivial_part`: the same sets, ids and rows that
-    `_lindig_subracks` gives on R, with no closure.
+    L(R - T), R = `factor.rack` and T = `R.trivial_part`: the same sets, ids
+    and rows that `_lindig_subracks` gives on R, with no closure.
 
     The node S + U, for factor node i and the subset U of T whose bit j
     stands for the j-th element of T, has the index k = i * 2^t + U.  The
@@ -352,16 +359,13 @@ def _expand_product(rack: Rack, factor: SubrackLattice) -> tuple[list[int], arra
     rank[k] is the final id.  The upper covers of S + U are S' + U for the
     factor's upper covers S' of S, and S + U + {z} for each z in T - U.
     """
+    rack = factor.rack
     trivial = rack.trivial_part
-    outside = factor_elements(rack)
     t = trivial.bit_count()
     subsets = [0]
     for e in bits(trivial):
         subsets += [u | 1 << e for u in subsets]
-    masks = []
-    for s in factor.sets:
-        m = mask_of(outside[i] for i in bits(s))
-        masks += [m | u for u in subsets]
+    masks = [s | u for s in factor.sets for u in subsets]
     n = len(masks)
     shift = n.bit_length()
     low = (1 << shift) - 1
@@ -641,9 +645,10 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
     to the class-union closure; everything above that closure closed; the
     coatom-meet lattice of [bottom, closure] not Boolean.
 
-    `classes` are masks that partition the rack of L: the conjugacy classes
-    of G on the full group lattice, or the non-central classes over the
-    positions of its factor L(G - Z).  On the factor,
+    `classes` are masks that partition the top set of L: the conjugacy
+    classes of G on the full group lattice, or the non-central classes on
+    its factor L(G - Z), whose top is G - Z.  L is read through its sets and
+    covers alone, so a lattice loaded from an export works too.  On the factor,
     M(G) = {S + Z : S in M(factor)}.  Proof: write a node of
     L(G) = L(factor) x 2^Z as S + U with U inside Z.  If U != Z, pick z in
     Z - U; S + U + {z} is a cover, and the class-union closure of S + U
@@ -657,11 +662,11 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
     for c in classes:
         # -1 for good once a class is empty or meets an earlier one
         union = -1 if not c or c & union else union | c
-    if L.rack is None or union != L.rack.full_mask():
-        raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
-    if L.rack.size > M_CAP:
-        raise CapExceeded(f"M computation capped at rack size {M_CAP}")
     sets = L.sets
+    if union != sets[-1]:
+        raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
+    if union.bit_count() > M_CAP:
+        raise CapExceeded(f"M computation capped at rack size {M_CAP}")
     closed_above: dict[int, bool] = {}
     int_not_boolean: dict[int, bool] = {}
     entries = []
@@ -730,7 +735,6 @@ def product_decomposition_check(
     """
     rack = conjugation_rack(G, provenance=G.name)
     sub, _ = enumerate_subracks(rack, node_budget).product_form()
-    elements = factor_elements(rack)
     z_mask = conjugacy_classes(G).center
     r_mask = rack.full_mask() & ~z_mask
     z = z_mask.bit_count()
@@ -742,7 +746,7 @@ def product_decomposition_check(
 
     if lattice.n != sub.n << z:
         return report(False, f"node count {lattice.n} != {sub.n} * 2^{z}")
-    sub_node = {mask_of(elements[i] for i in bits(m)): v for v, m in enumerate(sub.sets)}.get
+    sub_node = sub.index.get
     f = [sub_node(s & r_mask) for s in lattice.sets]
     if None in f:
         return report(False, "projection to the non-central part is not a subrack")

@@ -50,23 +50,12 @@ class Rack:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def restrict(self, mask: int) -> "Rack":
-        """The rack on the subrack `mask`, its elements renumbered in
-        ascending order."""
-        elems = bit_list(mask)
-        pos = {e: i for i, e in enumerate(elems)}
-        return Rack(
-            [[pos[self.op[a][b]] for b in elems] for a in elems],
-            [[pos[self.inv_op[a][b]] for b in elems] for a in elems],
-            [self.labels[e] for e in elems],
-            self.provenance,
-        )
-
     # -- closure ---------------------------------------------------------
 
     def _merged_tables(self):
         # chunked bitmask images: tables[a][chunk][byte] is the union of
-        # {a>y, y>a, a>^-1 y, y>^-1 a} over the elements y encoded by `byte`
+        # {a>y, y>a, a>^-1 y, y>^-1 a} over the elements y encoded by `byte`;
+        # None for a in `trivial_part`, which `closure` never looks up
         if self._tables is not None:
             return self._tables
         n = self.size
@@ -74,6 +63,9 @@ class Rack:
         op, inv_op = self.op, self.inv_op
         tables = []
         for a in range(n):
+            if self.trivial_part >> a & 1:
+                tables.append(None)
+                continue
             single = []
             for y in range(n):
                 single.append(

@@ -258,9 +258,7 @@ def check_m_of_g(spec, cfg):
     a = catalog.analyze_group(spec, cfg.node_budget)
     G, props = a.group, a.properties
     # M(G) = {S + Z : S in M(P)}; compute_M gives the proof
-    m_sets = [
-        a.group_mask(a.factor.sets[v]) | a.center for v in compute_M(a.factor, a.classes).members
-    ]
+    m_sets = [a.factor.sets[v] | a.center for v in compute_M(a.factor, a.classes).members]
     subs = all_subgroups(G)
     sub_masks = {h.elems: h for h in subs}
     nonnormal_maximal = sorted(h.elems for h in subs if h.maximal and not h.normal)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from racklab import catalog, verify
+from racklab.bitsets import bit_list, bits, mask_of
 from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import (
     all_maximal_chain_lengths,
@@ -65,9 +66,7 @@ def test_factor_derived_values_equal_the_full_lattice(spec, computed):
         "int_boolean": want["int_boolean"],
     }
     a = catalog.analyze_group(spec)
-    m_sets = sorted(
-        a.group_mask(a.factor.sets[v]) | a.center for v in compute_M(a.factor, a.classes).members
-    )
+    m_sets = sorted(a.factor.sets[v] | a.center for v in compute_M(a.factor, a.classes).members)
     assert m_sets == want["m_sets"]
     assert computed["m-of-g"][spec]["members"] == len(want["m_sets"])
 
@@ -80,15 +79,18 @@ def test_factor_chain_lengths_equal_the_full_lattice(spec, computed):
 
 @pytest.mark.parametrize("spec", ["Z4xZ2", "D8", "SL(2,3)", "S4"])
 def test_central_factor_classes_partition_its_positions(spec):
+    # the factor's positions are the elements of its top G - Z
     a = catalog.analyze_group(spec)
     G = a.group
     cd = conjugacy_classes(G)
     assert a.center == cd.center
-    assert a.factor.rack.size == len(a.elements) == G.order - cd.center.bit_count()
-    assert [a.group_mask(c) for c in a.classes] == [c for c in cd.classes if c.bit_count() > 1]
-    # every position lies in exactly one class
-    for i in range(len(a.elements)):
-        assert sum(c >> i & 1 for c in a.classes) == 1
+    top = a.factor.sets[-1]
+    assert top == (1 << G.order) - 1 & ~cd.center
+    assert top.bit_count() == G.order - cd.center.bit_count()
+    assert list(a.classes) == [c for c in cd.classes if c.bit_count() > 1]
+    # every element of the top lies in exactly one class, and no other does
+    for i in range(G.order):
+        assert sum(c >> i & 1 for c in a.classes) == top >> i & 1
 
 
 @pytest.mark.parametrize("spec", catalog.CATALOG)
@@ -100,9 +102,12 @@ def test_the_trivial_part_of_a_group_rack_is_its_center(spec):
 @pytest.mark.parametrize("spec", catalog.CATALOG)
 def test_the_split_off_factor_is_the_noncentral_lattice(spec):
     # the factor the group checks read is the lattice the non-central rack
-    # spec enumerates on its own
+    # spec enumerates on its own, whose element i is the i-th element of G - Z
     P, t = enumerate_subracks(rack_from_spec(spec)).product_form()
     want = enumerate_subracks(rack_from_spec(spec + ":noncentral"))
-    assert t == conjugacy_classes(build_group(spec)).center.bit_count()
-    assert P.sets == want.sets
+    G = build_group(spec)
+    center = conjugacy_classes(G).center
+    assert t == center.bit_count()
+    elements = bit_list((1 << G.order) - 1 & ~center)
+    assert P.sets == [mask_of(elements[i] for i in bits(m)) for m in want.sets]
     assert [P.parents(v) for v in range(P.n)] == [want.parents(v) for v in range(want.n)]

@@ -11,6 +11,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racklab import catalog, lattice
 from racklab.bitsets import bit_list
@@ -77,6 +79,24 @@ def test_closure_skipping_trivial_part_equals_forward_closure(spec):
     assert rack.trivial_part
     for seed in range(1 << rack.size):
         assert rack.closure(seed) == closure_forward_only(rack, seed)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, (1 << 24) - 1))
+def test_closure_with_scattered_trivial_part_equals_forward_closure(seed):
+    # D8xZ3's centre Z2xZ3 lies at six scattered elements of its 24, so the
+    # closure tables skipped for T sit between ones that are read
+    rack = rack_from_spec("D8xZ3")
+    trivial = rack.trivial_part
+    span = (1 << trivial.bit_length()) - (trivial & -trivial)
+    assert trivial.bit_count() == 6 and span & ~trivial
+    assert rack.closure(seed) == closure_forward_only(rack, seed)
+
+
+def test_closure_builds_no_tables_for_the_trivial_part():
+    rack = rack_from_spec("D8xZ3")
+    tables = rack._merged_tables()
+    assert [a for a, tab in enumerate(tables) if tab is None] == bit_list(rack.trivial_part)
 
 
 @pytest.mark.parametrize("spec", sorted(EXPORT_SHA256))
@@ -178,11 +198,11 @@ def test_factor_run_fails_fast(monkeypatch):
     factor_errors = []
     lindig = lattice._lindig_subracks
 
-    def spy(rack, node_budget):
+    def spy(rack, node_budget, top):
         try:
-            return lindig(rack, node_budget)
+            return lindig(rack, node_budget, top)
         except BudgetExceeded as exc:
-            factor_errors.append((rack.size, node_budget, exc.partial))
+            factor_errors.append((top.bit_count(), node_budget, exc.partial))
             raise
 
     monkeypatch.setattr(lattice, "_lindig_subracks", spy)

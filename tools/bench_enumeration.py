@@ -5,15 +5,17 @@ write BENCH_enumeration.json at the root of the checkout.
 
 The racks are the full conjugation racks of the groups in
 `catalog.CENTRAL_CATALOG`, which `product-decomposition` enumerates whole,
-and the factor racks R - T of every spec of perfbench's `lattice` workload,
-which `enumerate_subracks` enumerates before expanding the product.  Each
-rack is timed in process, min of 3 runs.  Next to the time go the work
-counters, which do not depend on the machine: nodes, covers, closure calls
-(from one more, counted run) and sorted rows, the rows that took a cover
-from a closure and not only from T = `rack.trivial_part`.  Each row also
-records t = |T| of the full rack and the node count of the full lattice,
-n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
-off without building them.
+and the factors L(R - T) of every spec of perfbench's `lattice` workload,
+enumerated inside top = R - T on R itself, the call `enumerate_subracks`
+makes before expanding the product.  Each rack is timed in process, min of 3
+runs.  Next to the time go the work counters, which do not depend on the
+machine: nodes, covers, closure calls (from one more, counted run) and sorted
+rows, the rows that took a cover from a closure and not only from
+T = `rack.trivial_part`.  Each row also records its size |top|, t = |T| and
+the node count of the full lattice, n' * 2^t on a factor row: the nodes
+`racklab lattice` reads its statistics off without building them.
+`tests/test_bench_files.py` recomputes every field but the times with
+`counters` and compares them with the committed file.
 """
 
 from __future__ import annotations
@@ -44,7 +46,23 @@ def lattice_workload_specs() -> list[tuple[str, int | None]]:
     return out
 
 
-def count_closures(rack: racks.Rack) -> int:
+def workload() -> list[tuple[str, str, racks.Rack]]:
+    """(name, kind, full rack) of every row, in order."""
+    out = [(spec, "group", racks.rack_from_spec(spec)) for spec in CENTRAL_CATALOG]
+    for spec, max_order in lattice_workload_specs():
+        kwargs = {} if max_order is None else {"max_order": max_order}
+        out.append((spec, "factor", racks.rack_from_spec(spec, **kwargs)))
+    return out
+
+
+def top_of(kind: str, full: racks.Rack) -> int:
+    """The subrack a row enumerates inside: all of R, or R - T."""
+    return full.full_mask() & ~(full.trivial_part if kind == "factor" else 0)
+
+
+def counters(name: str, kind: str, full: racks.Rack) -> dict:
+    """Every field of a row but its time, from one counted run."""
+    top = top_of(kind, full)
     closure, calls = racks.Rack.closure, 0
 
     def counting(self, *args):
@@ -54,38 +72,36 @@ def count_closures(rack: racks.Rack) -> int:
 
     racks.Rack.closure = counting
     try:
-        lattice._lindig_subracks(rack, lattice.DEFAULT_NODE_BUDGET)
+        L = lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
     finally:
         racks.Rack.closure = closure
-    return calls
-
-
-def measure(name: str, kind: str, full: racks.Rack) -> dict:
-    """Enumerate `full` itself (kind "group") or its factor R - T ("factor")."""
     t = full.trivial_part.bit_count()
-    rack = full.restrict(full.full_mask() & ~full.trivial_part) if kind == "factor" else full
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        L = lattice._lindig_subracks(rack, lattice.DEFAULT_NODE_BUDGET)
-        best = min(best, time.perf_counter() - t0)
-    outside = rack.full_mask() & ~rack.trivial_part
-    sorted_rows = sum(
+    outside = full.full_mask() & ~full.trivial_part
+    sorted_rows = outside and sum(
         any((L.sets[p] ^ s) & outside for p in L.parents(v)) for v, s in enumerate(L.sets)
     )
     return {
-        "rack": name, "kind": kind, "size": rack.size, "trivial": t,
+        "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
         "nodes": L.n, "full_nodes": L.n << t if kind == "factor" else L.n,
-        "covers": L.edge_count(), "closure_calls": count_closures(rack),
-        "sorted_rows": sorted_rows, "seconds": round(best, 6),
+        "covers": L.edge_count(), "closure_calls": calls, "sorted_rows": sorted_rows,
     }
 
 
+def measure(name: str, kind: str, full: racks.Rack) -> dict:
+    """The row of `full` itself (kind "group") or of its factor ("factor")."""
+    row = counters(name, kind, full)
+    top = top_of(kind, full)
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
+        best = min(best, time.perf_counter() - t0)
+    row["seconds"] = round(best, 6)
+    return row
+
+
 def main() -> int:
-    rows = [measure(spec, "group", racks.rack_from_spec(spec)) for spec in CENTRAL_CATALOG]
-    for spec, max_order in lattice_workload_specs():
-        kwargs = {} if max_order is None else {"max_order": max_order}
-        rows.append(measure(spec, "factor", racks.rack_from_spec(spec, **kwargs)))
+    rows = [measure(*row) for row in workload()]
     totals = {
         kind: round(sum(r["seconds"] for r in rows if r["kind"] == kind), 6)
         for kind in ("group", "factor")

@@ -11,7 +11,8 @@ simplex counts of L(R)'s complex (what `--budget-simplices` counts, counted
 here without a budget), the simplices built and those left after the
 collapse (null when the budget stops the command first), the budget error or
 the sphere dimension, and the time of the whole command in process, min of
-3 runs.
+3 runs.  `tests/test_bench_files.py` recomputes every field but the times
+with `counters` and compares them with the committed file.
 """
 
 from __future__ import annotations
@@ -48,15 +49,12 @@ def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def measure(argv: tuple[str, ...]) -> dict:
+def counters(argv: tuple[str, ...]) -> dict:
+    """Every field of a row but its time, from one run of the command."""
     spec = argv[1]
     max_order = int(argv[argv.index("--max-order") + 1]) if "--max-order" in argv else None
     kwargs = {} if max_order is None else {"max_order": max_order}
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        code, out, err = run(argv)
-        best = min(best, time.perf_counter() - t0)
+    code, out, err = run(argv)
     P, t = enumerate_subracks(rack_from_spec(spec, **kwargs)).product_form()
     counts = topology._count_simplices(P, 10**30, t)[2]
     built = collapsed = None
@@ -77,8 +75,18 @@ def measure(argv: tuple[str, ...]) -> dict:
         "exit": code,
         "error": err.strip() or None,
         "sphere_dimension": json.loads(out)["sphere_dimension"] if code == 0 else None,
-        "seconds": round(best, 6),
     }
+
+
+def measure(argv: tuple[str, ...]) -> dict:
+    row = counters(argv)
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run(argv)
+        best = min(best, time.perf_counter() - t0)
+    row["seconds"] = round(best, 6)
+    return row
 
 
 def main() -> int:
