@@ -24,16 +24,18 @@ expanded only when its sets or rows are read.  Callers, the group checks of
 `racklab verify` among them (T is the center of a group), read the factor
 through `product_form()`; `product_statistics` reads the counts and chain
 lengths of the product off the factor.
-`product_decomposition_check` keeps a lemma-free enumeration of full group
-lattices as the oracle for the lemma.
+`product_decomposition_check` is the oracle for the lemma: it walks the
+full lattice of a group without it (`_lindig_walk`) and checks each node
+and its covers as the walk yields them, without building the lattice.
 
-Enumeration visits the nodes level by level in that order: each popcount
+Enumeration walks the nodes level by level in that order: each popcount
 level is a set that is complete when the walk reaches it, and is sorted once.
 Each node's upper covers come from Lindig's neighbour algorithm (one closure
 per outside element, each cover emitted exactly once), and each closure is
 seeded with the node as already closed, so it only processes the added
-elements.  Covers are recorded as masks and translated to node ids in one
-pass at the end; only the rows that took a cover from a closure need a sort.
+elements.  The walk yields each node with its covers as masks; the lattice
+builder translates them to node ids in one pass at the end, and only the
+rows that took a cover from a closure need a sort.
 The Hasse diagram is stored once, as compressed sparse rows of upper covers;
 every analytic reads those rows, and the lower covers of a node are read off
 the rows of the nodes below it.
@@ -254,6 +256,46 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     rack) with the Hasse diagram, by closures alone, without the product
     lemma.  The lattice's last set is `top`.
 
+    The nodes and their upper covers come from `_lindig_walk`, in final
+    (popcount, value) order, so a node's id is its place in the walk.  Each
+    cover is recorded as its parent's mask, and after the walk one dict from
+    mask to id translates all of them at once.  A row needs a sort only if
+    it took a closure cover: a row whose covers all come from
+    T = `rack.trivial_part` holds s + {x} for x in (T & top) - s in
+    ascending order; these sets all have popcount |s| + 1 and ascend in
+    value as x does, so their ids, ordered by (popcount, value), already
+    ascend.  The budget and its error are the walk's.
+    """
+    if top is None:
+        top = rack.full_mask()
+    sets: list[int] = []
+    pstart = array("l", [0])
+    covers = array("q")  # parent masks, below 2**63 as RACK_CAP = 40
+    mixed = array("l")  # the rows that took a closure cover
+    for s, row, closed in _lindig_walk(rack, node_budget, top):
+        if closed:
+            mixed.append(len(sets))
+        sets.append(s)
+        covers.extend(row)
+        pstart.append(len(covers))
+    index = dict(zip(sets, range(len(sets))))
+    rows = array("l", map(index.__getitem__, covers))
+    del index, covers  # before the lattice copies `sets`
+    for v in mixed:
+        lo, hi = pstart[v], pstart[v + 1]
+        rows[lo:hi] = array("l", sorted(rows[lo:hi]))
+    return SubrackLattice(rack, sets, pstart, rows)
+
+
+def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int], bool]]:
+    """Walk every subrack of `rack` inside the subrack `top`, by closures
+    alone, without the product lemma: yield, for each subrack s in
+    (popcount, value) order, s, the masks of its upper covers and whether
+    one of them came from a closure.  `_lindig_subracks` builds the lattice
+    from the walk; `product_decomposition_check` checks each node as it is
+    yielded, so the walk's own state, the levels still to come, is all of
+    the lattice it holds.
+
     Upper covers come from Lindig's neighbour algorithm: for a subrack s and
     each x of `top` outside it, in ascending order, b = closure(s + x) is a
     cover exactly when no element of b - s - x is still in `mins`, the outside
@@ -266,54 +308,44 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     closure: with s closed, `Rack.closure` has nothing on its work list and
     returns the seed.  The loop takes that early return inline, and skips the
     `mins` test, which b - s - x = {} always passes.  This is the closure's
-    own behaviour, not a use of the product lemma, so the enumeration depends
-    on the lemma no more than `Rack.closure` does.  `enumerate_subracks`
-    calls this either on a rack with T empty or inside top = R - T, so the
-    shortcut fires only in enumerations of whole racks with a nonempty T, such
-    as `product_decomposition_check`'s enumeration of full group racks with a
-    centre.
+    own behaviour, not a use of the product lemma, so the walk depends on the
+    lemma no more than `Rack.closure` does.  `enumerate_subracks` walks
+    either a rack with T empty or inside top = R - T, so the shortcut fires
+    only in walks of whole racks with a nonempty T, such as
+    `product_decomposition_check`'s walk of a full group rack with a centre.
 
-    Bookkeeping.  A cover is strictly larger than its child, so each
-    popcount level is a set that only grows until the walk reaches it; by
-    then every node on it has been found, so the level is sorted once, its
-    set freed, and its nodes take their final (popcount, value) ids in that
-    order.  Each cover is recorded as its parent's mask, and after the last
-    level one dict from mask to id translates all of them at once.  A row
-    needs a sort only if it took a closure cover.  A row whose covers all
-    come from T holds s + {x} for x in (T & top) - s in ascending order:
-    these sets all have popcount |s| + 1 and ascend in value as x does, so
-    their ids, ordered by (popcount, value), already ascend.
+    Order.  A cover is strictly larger than its child, so each popcount
+    level is a set that only grows until the walk reaches it; by then every
+    node on it has been found, so the level is sorted once and its set freed
+    before its nodes are walked in that order.
 
     The budget: more than max(node_budget, 1) distinct subracks raise
     BudgetExceeded with that many as `partial`.  The test runs after every
-    row, so an oversized lattice fails within one row of its limit.  The
-    levels are counted only when the count could have passed the limit:
-    every set found since the last count was emitted as a cover since then,
-    so no count is due until the covers emitted since the last one exceed
-    the slack it left (`horizon`).
+    row, before it is yielded, so an oversized lattice fails within one row
+    of its limit.  The levels are counted only when the count could have
+    passed the limit: every set found since the last count was emitted as a
+    cover since then, so no count is due until the covers emitted since the
+    last one exceed the slack it left (`horizon`).
     """
     if rack.size > RACK_CAP:
         raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {RACK_CAP}")
     close = rack.closure
-    if top is None:
-        top = rack.full_mask()
     size = top.bit_count()
     trivial = rack.trivial_part
     limit = max(node_budget, 1)
     levels: list[set[int] | None] = [set() for _ in range(size + 2)]
     levels[0].add(0)
-    sets: list[int] = []
-    pstart = array("l", [0])
-    covers = array("q")  # parent masks, below 2**63 as RACK_CAP = 40
-    push = covers.append
-    mixed = array("l")  # the rows that took a closure cover
+    done = 0  # the nodes on the levels walked so far
+    emitted = 0  # the covers emitted so far
     horizon = limit - 1  # one set found, and no cover yet
     for k in range(size + 1):
         level = sorted(levels[k])
         levels[k] = None  # freed before the walk fills the levels above
         grow = levels[k + 1].add
-        done = len(sets) + len(level)  # the nodes on levels 0..k
+        done += len(level)
         for s in level:
+            row: list[int] = []
+            push = row.append
             closed = False
             mins = rem = top & ~s
             while rem:
@@ -330,22 +362,13 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
                     levels[b.bit_count()].add(b)
                     closed = True
                 push(b)
-            if closed:
-                mixed.append(len(sets))
-            sets.append(s)
-            pstart.append(len(covers))
-            if len(covers) > horizon:
+            emitted += len(row)
+            if emitted > horizon:
                 found = done + sum(map(len, levels[k + 1:]))
                 if found > limit:
                     raise _node_budget_exceeded(node_budget, limit)
-                horizon = len(covers) + limit - found
-    index = dict(zip(sets, range(len(sets))))
-    rows = array("l", map(index.__getitem__, covers))
-    del index, covers  # before the lattice copies `sets`
-    for v in mixed:
-        lo, hi = pstart[v], pstart[v + 1]
-        rows[lo:hi] = array("l", sorted(rows[lo:hi]))
-    return SubrackLattice(rack, sets, pstart, rows)
+                horizon = emitted + limit - found
+            yield s, row, closed
 
 
 def _expand_product(factor: SubrackLattice) -> tuple[list[int], array, array]:
@@ -723,53 +746,71 @@ def product_decomposition_check(
     onto (lattice of the non-central rack R) x (subsets of the center Z).
 
     This is the oracle for the lemma that `enumerate_subracks` and the group
-    checks of `racklab verify` rely on, so it enumerates the full lattice
-    itself with `_lindig_subracks`, which does not use the lemma, and takes
-    Z from the conjugacy classes, not from the factor's `Rack.trivial_part`.
-    Since R and Z partition G, the pair determines Q, so the map is
-    injective; with the node count it is a bijection onto the product.
+    checks of `racklab verify` rely on, so it walks the full lattice itself
+    with `_lindig_walk`, which does not use the lemma, and takes Z from the
+    conjugacy classes, not from the factor's `Rack.trivial_part`.  Since R
+    and Z partition G, the pair determines Q, so the map is injective; with
+    the node count it is a bijection onto the product.
 
-    Each node is read once as its factor node f[v] (the node of Q & R) and
-    its central part zs[v] = Q & Z; the covers are then walked row by row
-    over those per-node lists.
+    Each node is checked as the walk yields it, from its mask and the masks
+    of its upper covers: its projection Q & R is a factor node, and each
+    cover either keeps the central part and projects to a factor cover, or
+    keeps the factor part and adds one central element.  The node and cover
+    counts are compared at the end, so no more of the full lattice is held
+    than the walk holds.  A given `lattice` (the tests pass corrupted ones)
+    is read through the same checks, its rows as masks.  The first failure
+    of each kind is kept, and the report gives the first of node count,
+    projection, cover and cover count that failed.
     """
     rack = conjugation_rack(G, provenance=G.name)
     sub, _ = enumerate_subracks(rack, node_budget).product_form()
     z_mask = conjugacy_classes(G).center
     r_mask = rack.full_mask() & ~z_mask
     z = z_mask.bit_count()
+    fsets = sub.sets
+    factor_covers = {s: {fsets[p] for p in sub.parents(i)} for i, s in enumerate(fsets)}
     if lattice is None:
-        lattice = _lindig_subracks(rack, node_budget)
-
-    def report(ok: bool, detail: str) -> ProductDecompositionReport:
-        return ProductDecompositionReport(ok, lattice.n, sub.n, z, detail)
-
-    if lattice.n != sub.n << z:
-        return report(False, f"node count {lattice.n} != {sub.n} * 2^{z}")
-    sub_node = sub.index.get
-    f = [sub_node(s & r_mask) for s in lattice.sets]
-    if None in f:
-        return report(False, "projection to the non-central part is not a subrack")
-    zs = [s & z_mask for s in lattice.sets]
-    sub_edges = set(sub.edges())
-    pstart, pflat = lattice._pstart, lattice._pflat
-    for c in range(lattice.n):
-        fc, zc = f[c], zs[c]
-        for p in pflat[pstart[c]:pstart[c + 1]]:
-            zp = zs[p]
-            if zc == zp:
-                if (fc, f[p]) not in sub_edges:
-                    return report(False, "a cover does not project to a factor cover")
-            elif fc == f[p]:
-                d = zc ^ zp
-                if d & zc or d & (d - 1):  # zp is not zc plus one element
-                    return report(False, "a cover changes the central part by != 1 element")
+        rows = ((s, row) for s, row, _ in _lindig_walk(rack, node_budget, rack.full_mask()))
+    else:
+        sets = lattice.sets
+        rows = ((s, [sets[p] for p in lattice.parents(v)]) for v, s in enumerate(sets))
+    nodes = covers = 0
+    projection = cover = ""
+    for s, row in rows:
+        nodes += 1
+        covers += len(row)
+        fs = s & r_mask
+        up = factor_covers.get(fs)
+        if up is None:
+            projection = projection or "projection to the non-central part is not a subrack"
+            continue
+        if cover:
+            continue
+        zs = s ^ fs
+        for b in row:
+            zb = b & z_mask
+            if zb == zs:
+                if b ^ zb not in up:
+                    cover = "a cover does not project to a factor cover"
+                    break
+            elif b ^ zb == fs:
+                d = zs ^ zb
+                if d & zs or d & (d - 1):  # zb is not zs plus one element
+                    cover = "a cover changes the central part by != 1 element"
+                    break
             else:
-                return report(False, "a cover moves in both coordinates")
+                cover = "a cover moves in both coordinates"
+                break
     want_edges = _product_edge_count(sub, z)
-    if lattice.edge_count() != want_edges:
-        return report(False, f"cover count {lattice.edge_count()} != expected {want_edges}")
-    return report(True, "order isomorphism verified")
+    if nodes != sub.n << z:
+        detail = f"node count {nodes} != {sub.n} * 2^{z}"
+    elif projection or cover:
+        detail = projection or cover
+    elif covers != want_edges:
+        detail = f"cover count {covers} != expected {want_edges}"
+    else:
+        return ProductDecompositionReport(True, nodes, sub.n, z, "order isomorphism verified")
+    return ProductDecompositionReport(False, nodes, sub.n, z, detail)
 
 
 # ---------------------------------------------------------------------------

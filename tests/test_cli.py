@@ -160,6 +160,14 @@ def test_group_check_budget_counts_the_full_lattice(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_product_decomposition_budget_counts_the_full_lattice(capsys):
+    # Z10's 1,024 subracks are the first of CENTRAL_CATALOG over 1,000
+    argv = ["verify", "--check", "product-decomposition", "--budget-nodes", "1000"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == "racklab: node budget 1000 exceeded; 1000 subracks enumerated so far\n"
+
+
 def test_verify_max_order_skips(capsys):
     rc, out, _ = run(capsys, ["verify", "--check", "kequal-fibers", "--max-order", "12"])
     assert rc == 0

@@ -1,16 +1,20 @@
-"""Time the lemma-free enumeration `lattice._lindig_subracks` on its own and
-write BENCH_enumeration.json at the root of the checkout.
+"""Time the lemma-free enumeration and the oracle that walks it, and write
+BENCH_enumeration.json at the root of the checkout.
 
     python3 tools/bench_enumeration.py
 
 The racks are the full conjugation racks of the groups in
-`catalog.CENTRAL_CATALOG`, which `product-decomposition` enumerates whole,
-and the factors L(R - T) of every spec of perfbench's `lattice` workload,
-enumerated inside top = R - T on R itself, the call `enumerate_subracks`
-makes before expanding the product.  Each rack is timed in process, min of 3
-runs.  Next to the time go the work counters, which do not depend on the
-machine: nodes, covers, closure calls (from one more, counted run) and sorted
-rows, the rows that took a cover from a closure and not only from
+`catalog.CENTRAL_CATALOG`, whose lattices `product-decomposition` walks
+whole, and the factors L(R - T) of every spec of perfbench's `lattice`
+workload, enumerated inside top = R - T on R itself, the call
+`enumerate_subracks` makes before expanding the product.  A group row times
+what `racklab verify` runs for the group:
+`product_decomposition_check(build_group(name))`.  A factor row times
+`_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
+time go the work counters of the lemma-free enumeration of the row's rack
+(on a group row, the walk the oracle checks), which do not depend on the
+machine: nodes, covers, closure calls (from one more, counted run) and
+sorted rows, the rows that took a cover from a closure and not only from
 T = `rack.trivial_part`.  Each row also records its size |top|, t = |T| and
 the node count of the full lattice, n' * 2^t on a factor row: the nodes
 `racklab lattice` reads its statistics off without building them.
@@ -30,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402  perfbench's job lists
-from racklab import lattice, racks  # noqa: E402
+from racklab import groups, lattice, racks  # noqa: E402
 from racklab.catalog import CENTRAL_CATALOG  # noqa: E402
 
 REPEATS = 3
@@ -94,7 +98,10 @@ def measure(name: str, kind: str, full: racks.Rack) -> dict:
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
+        if kind == "group":
+            lattice.product_decomposition_check(groups.build_group(name))
+        else:
+            lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
         best = min(best, time.perf_counter() - t0)
     row["seconds"] = round(best, 6)
     return row
