@@ -28,6 +28,7 @@ from .racks import (
 from .lattice import (
     BudgetExceeded,
     SubrackLattice,
+    ProductLattice,
     enumerate_subracks,
     atoms,
     coatoms,

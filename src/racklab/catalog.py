@@ -1,7 +1,7 @@
 """The named group catalog the verification suite sweeps, and the cached
 inputs of its group checks: each group, its properties and the factor of
-L(G) = L(G - Z) x 2^Z that `enumerate_subracks` splits off.  Every set the
-checks read, the factor's nodes and the classes among them, is a mask of
+L(G) = L(G - Z) x 2^Z, taken unexpanded through `product_form()`.  Every set
+the checks read, the factor's nodes and the classes among them, is a mask of
 group elements."""
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ CHAIN_WITNESSES = {
 @dataclass(frozen=True)
 class GroupAnalysis:
     """A group, its properties and the factor P of L(G) = P x 2^Z; only P is
-    kept, not the product lattice, whose expansion has 2^|Z| times P's nodes."""
+    kept, not the `ProductLattice` with its rack's closure tables."""
 
     group: FiniteGroup
     properties: GroupProperties

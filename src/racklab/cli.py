@@ -112,7 +112,7 @@ def cmd_group(args: argparse.Namespace) -> int:
 def cmd_lattice(args: argparse.Namespace) -> int:
     rack = rack_from_spec(args.spec, max_order=args.max_order)
     lat = enumerate_subracks(rack, args.budget_nodes)
-    # read off L(R) = L(R - T) x 2^T; only the export expands the product
+    # read off the factor of L(R) = L(R - T) x 2^T; only the export expands
     stats = product_statistics(*lat.product_form())
     out = {
         "spec": args.spec,
@@ -131,7 +131,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         # existing file untouched
         try:
             with open(args.export, "w", encoding="utf-8") as fh:
-                fh.writelines(export_lattice_lines(lat))
+                fh.writelines(export_lattice_lines(lat.expand()))
         except OSError as exc:
             print(f"racklab: cannot write export {args.export}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -19,11 +19,13 @@ argument is its second argument, so every subset U of T is a subrack, and so
 is S' + U for every subrack S' of R - T.  The map is therefore a bijection
 with inverse (S', U) -> S' + U, and both directions preserve inclusion.
 `enumerate_subracks` alone makes this split: it enumerates L(R - T) inside R,
-so the factor's sets are masks over R's own elements, and holds the product,
-expanded only when its sets or rows are read.  Callers, the group checks of
-`racklab verify` among them (T is the center of a group), read the factor
-through `product_form()`; `product_statistics` reads the counts and chain
-lengths of the product off the factor.
+so the factor's sets are masks over R's own elements, and returns a
+`ProductLattice`, which holds no sets or rows of L(R).  `racklab lattice`,
+`racklab homology`, `catalog.analyze_group` and the group checks of
+`racklab verify` (T is the center of a group) read L(R) off the factor
+through `product_form()`, and `product_statistics` its counts and chain
+lengths.  `expand()` builds L(R) for the export, for the checks that compare
+it with other enumerations and for the readers of racks with T empty.
 `product_decomposition_check` is the oracle for the lemma: it walks the
 full lattice of a group without it (`_lindig_walk`) and checks each node
 and its covers as the walk yields them, without building the lattice.
@@ -127,18 +129,13 @@ class SubrackLattice(CoverPoset):
 
     `index`, the node id of each set, is built on first use."""
 
-    __slots__ = ("rack", "sets", "_index", "labels", "spec")
+    __slots__ = ("sets", "_index", "labels", "spec")
 
-    def __init__(self, rack, sets, pstart, pflat, labels=None, spec=None):
+    def __init__(self, sets, pstart, pflat, labels, spec):
         super().__init__(pstart, pflat)
-        self.rack = rack
         self.sets = list(sets)
         self._index = None
-        if labels is None:
-            labels = rack.labels if rack is not None else ()
         self.labels = tuple(labels)
-        if spec is None:
-            spec = rack.provenance if rack is not None else None
         self.spec = spec
 
     @property
@@ -153,46 +150,36 @@ class SubrackLattice(CoverPoset):
         except KeyError:
             raise LatticeInvariantError(f"set {mask:#x} is not a lattice node") from None
 
-    def product_form(self) -> tuple[SubrackLattice, int]:
-        """(P, t) such that this lattice is isomorphic to P x 2^t."""
-        return self, 0
-
     def __repr__(self) -> str:
         return f"SubrackLattice(nodes={self.n}, edges={self.edge_count()})"
 
 
-class _ProductLattice(SubrackLattice):
-    """L(R) = L(R - T) x 2^T, t = |T| > 0, held as `factor` = L(R - T) and t.
+class ProductLattice:
+    """L(R) = P x 2^t, held as the rack R, the factor P = L(R - T) and
+    t = |T|, T = `R.trivial_part`.
 
-    `n` and `edge_count()` are read off the factor.  `sets` and the upper
-    rows are filled by `_expand_product` the first time one of them is read,
-    so every set, id and row is the one the expansion gives."""
+    `n` and `edge_count()` are L(R)'s, read off P.  Nothing else of L(R)
+    is held: `product_form()` gives (P, t), and `expand()` builds L(R)."""
 
-    __slots__ = ("factor", "t")
+    __slots__ = ("rack", "factor", "t", "n")
 
-    def __init__(self, factor: SubrackLattice, t: int):
-        # sets, _pstart and _pflat stay unset until __getattr__ fills them
-        rack = factor.rack
-        self.n = factor.n << t
+    def __init__(self, rack: Rack, factor: SubrackLattice, t: int):
         self.rack = rack
-        self._index = None
-        self.labels = tuple(rack.labels)
-        self.spec = rack.provenance
         self.factor = factor
         self.t = t
-
-    def __getattr__(self, name: str):
-        # reached only when normal lookup fails, i.e. for unset slots
-        if name not in ("sets", "_pstart", "_pflat"):
-            raise AttributeError(name)
-        self.sets, self._pstart, self._pflat = _expand_product(self.factor)
-        return getattr(self, name)
+        self.n = factor.n << t
 
     def edge_count(self) -> int:
         return _product_edge_count(self.factor, self.t)
 
     def product_form(self) -> tuple[SubrackLattice, int]:
         return self.factor, self.t
+
+    def expand(self) -> SubrackLattice:
+        """L(R) with its sets and rows, built anew on each call when t > 0."""
+        if not self.t:
+            return self.factor
+        return _expand_product(self.rack, self.factor)
 
 
 def _product_edge_count(P: CoverPoset, t: int) -> int:
@@ -205,14 +192,15 @@ def _product_edge_count(P: CoverPoset, t: int) -> int:
 # enumeration
 
 
-def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> SubrackLattice:
+def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> ProductLattice:
     """Enumerate every subrack (fixed point of the closure) together with the
     Hasse diagram.
 
     With T = `rack.trivial_part`, this enumerates L(R - T) with
     `_lindig_subracks` on R itself, inside top = R - T, and returns
-    L(R) = L(R - T) x 2^T (see the module docstring) as a `_ProductLattice`,
-    which `_expand_product` expands when its sets or rows are first read.
+    L(R) = L(R - T) x 2^T (see the module docstring) as a `ProductLattice`,
+    t = 0 included.  Readers take the factor through `product_form()`, or
+    L(R) through `expand()`, which `_expand_product` builds when t > 0.
 
     The factor's sets are masks over R, and its node ids and rows are those
     of L(R - T) enumerated on the rack R - T renumbered 0..n'-1 in ascending
@@ -231,8 +219,6 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
     lattice fails after at most node_budget / 2^t factor nodes.
     """
     trivial = rack.trivial_part
-    if not trivial:
-        return _lindig_subracks(rack, node_budget)
     t = trivial.bit_count()
     limit = max(node_budget, 1)
     try:
@@ -241,7 +227,7 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Su
         factor = None
     if factor is None or factor.n << t > limit:
         raise _node_budget_exceeded(node_budget, limit)
-    return _ProductLattice(factor, t)
+    return ProductLattice(rack, factor, t)
 
 
 def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
@@ -284,7 +270,7 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     for v in mixed:
         lo, hi = pstart[v], pstart[v + 1]
         rows[lo:hi] = array("l", sorted(rows[lo:hi]))
-    return SubrackLattice(rack, sets, pstart, rows)
+    return SubrackLattice(sets, pstart, rows, rack.labels, rack.provenance)
 
 
 def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int], bool]]:
@@ -371,10 +357,10 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
             yield s, row, closed
 
 
-def _expand_product(factor: SubrackLattice) -> tuple[list[int], array, array]:
-    """The sets and parent rows (sets, pstart, pflat) of L(R) from `factor` =
-    L(R - T), R = `factor.rack` and T = `R.trivial_part`: the same sets, ids
-    and rows that `_lindig_subracks` gives on R, with no closure.
+def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
+    """L(R), R = `rack`, from `factor` = L(R - T), T = `R.trivial_part`:
+    the same sets, ids and rows that `_lindig_subracks` gives on R, with no
+    closure.
 
     The node S + U, for factor node i and the subset U of T whose bit j
     stands for the j-th element of T, has the index k = i * 2^t + U.  The
@@ -382,7 +368,6 @@ def _expand_product(factor: SubrackLattice) -> tuple[list[int], array, array]:
     rank[k] is the final id.  The upper covers of S + U are S' + U for the
     factor's upper covers S' of S, and S + U + {z} for each z in T - U.
     """
-    rack = factor.rack
     trivial = rack.trivial_part
     t = trivial.bit_count()
     subsets = [0]
@@ -416,7 +401,8 @@ def _expand_product(factor: SubrackLattice) -> tuple[list[int], array, array]:
         row.sort()
         pflat.extend(row)
         pstart.append(len(pflat))
-    return [masks[k] for k in order], pstart, pflat
+    sets = [masks[k] for k in order]
+    return SubrackLattice(sets, pstart, pflat, rack.labels, rack.provenance)
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
@@ -911,8 +897,7 @@ def load_lattice_export(text: str) -> SubrackLattice:
     if len(set(edges)) != len(edges):
         raise ValueError("an edge is listed twice")
     lat = SubrackLattice(
-        None, sets, *_csr_from_edges(n_nodes, edges),
-        labels=labels, spec=None if spec == "-" else spec,
+        sets, *_csr_from_edges(n_nodes, edges), labels, None if spec == "-" else spec
     )
     _check_hasse(lat, n_elements)
     return lat

@@ -172,7 +172,7 @@ def transposition_rack_isomorphism(
         raise ValueError("checked for n in 3..5 (rack size n(n-1)/2)")
     G = build_group(f"S{n}")
     rack = conjugation_rack(G, filter_mask(G, "transpositions"), provenance=f"S{n}:transpositions")
-    lat = enumerate_subracks(rack, node_budget)
+    lat = enumerate_subracks(rack, node_budget).expand()  # T is empty
     parts = all_partitions(n)
     if lat.n != len(parts):
         return IsomorphismReport(False, lat.n, len(parts), "element counts differ")
@@ -210,7 +210,7 @@ def pcycle_rack_and_lattice(
 ) -> tuple[FiniteGroup, Rack, SubrackLattice]:
     G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
     rack = conjugation_rack(G, filter_mask(G, f"cycles({p})"), provenance=f"A{n}:cycles({p})")
-    lat = enumerate_subracks(rack, node_budget)
+    lat = enumerate_subracks(rack, node_budget).expand()  # T is empty
     return G, rack, lat
 
 

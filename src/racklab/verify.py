@@ -173,7 +173,10 @@ def _each(one):
 # group's rack, through `catalog.analyze_group` or `product_form()`; the lemma
 # is what `product-decomposition` verifies.  A maximal chain of L(G) is one
 # of P plus |Z| center steps, and intervals of a Boolean lattice are Boolean,
-# so L(G) is graded, or Boolean, exactly when P is.
+# so L(G) is graded, or Boolean, exactly when P is; `sphere-theorem` shifts
+# P's homology by |Z|.  `expand()` builds L(R) for `lattice-bruteforce` and
+# `homology-consistency`, and for `fourcycle-rack`, `fivecycle-rack`,
+# `partition-iso` and `kequal-fibers`, whose racks have T empty.
 
 
 @_check(
@@ -183,10 +186,16 @@ def _each(one):
 )
 @_each
 def check_sphere_theorem(spec, cfg):
+    """L(G)'s homology, read off the complex of P = L(G - Z) shifted by
+    t = |Z| as in `racklab homology`, rests on the product lemma, which
+    `product-decomposition` checks, and on the suspension, which
+    `tests/test_homology_shift.py::test_shifted_homology_equals_the_full_complex`
+    checks on every `catalog.SPHERE_LIST` group."""
     G = build_group(spec)
     c = len(conjugacy_classes(G).classes)
-    lat = enumerate_subracks(conjugation_rack(G, provenance=spec), cfg.node_budget)
-    H = reduced_homology(order_complex(lat, cfg.simplex_budget))
+    rack = conjugation_rack(G, provenance=spec)
+    P, t = enumerate_subracks(rack, cfg.node_budget).product_form()
+    H = reduced_homology(order_complex(P, cfg.simplex_budget, t))
     good = H.sphere_dimension == c - 2
     computed = {
         "classes": c,
@@ -334,7 +343,7 @@ def check_partition_iso(specs, cfg):
 )
 def check_fourcycle_rack(specs, cfg):
     (spec,) = specs
-    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget)
+    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget).expand()
     K = order_complex(lat, cfg.simplex_budget)
     H = reduced_homology(K)
     computed = {
@@ -354,7 +363,7 @@ def check_fourcycle_rack(specs, cfg):
 )
 def check_fivecycle_rack(specs, cfg):
     (spec,) = specs
-    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget)
+    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget).expand()
     lengths = all_maximal_chain_lengths(lat)
     computed = {
         "subracks": lat.n,
@@ -498,7 +507,7 @@ def check_lattice_bruteforce(specs, cfg):
         if rack.size > 14:
             computed[spec] = {"skipped": "rack too large for the subset scan", "size": rack.size}
             continue
-        lat = enumerate_subracks(rack, cfg.node_budget)
+        lat = enumerate_subracks(rack, cfg.node_budget).expand()
         bf = brute_force_subracks(rack)
         lectic = sorted(iter_closed_sets_lectic(rack), key=lambda m: (m.bit_count(), m))
         # the covers must also be the Hasse diagram of the scanned family
@@ -524,7 +533,7 @@ def _relabeled(K: OrderComplex, perm: dict[int, int]) -> OrderComplex:
 )
 @_each
 def check_homology_consistency(spec, cfg):
-    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget)
+    lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget).expand()
     K = order_complex(lat, cfg.simplex_budget)
     mats = boundary_matrices(K)
     dd_zero = True

@@ -2,6 +2,19 @@ from __future__ import annotations
 
 from racklab.bitsets import bit_list
 from racklab.groups import FiniteGroup
+from racklab.lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks
+from racklab.racks import Rack, rack_from_spec
+
+
+def full_lattice(
+    rack: Rack | str, node_budget: int = DEFAULT_NODE_BUDGET, **spec_options
+) -> SubrackLattice:
+    """L(R) with its sets and rows: `enumerate_subracks(R).expand()`.  `rack`
+    is a Rack, or a rack spec that `rack_from_spec` builds with
+    `spec_options`."""
+    if isinstance(rack, str):
+        rack = rack_from_spec(rack, **spec_options)
+    return enumerate_subracks(rack, node_budget).expand()
 
 
 def brute_force_subgroups(G: FiniteGroup) -> list[int]:

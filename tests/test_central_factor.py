@@ -7,8 +7,12 @@ and to the lattice of the non-central rack."""
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
+from conftest import full_lattice
 from racklab import catalog, verify
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.groups import build_group, conjugacy_classes
@@ -21,7 +25,7 @@ from racklab.lattice import (
     is_boolean,
     is_boolean_sets,
 )
-from racklab.racks import conjugation_rack, rack_from_spec
+from racklab.racks import Rack, conjugation_rack, rack_from_spec
 
 DERIVED = (
     "graded-classification", "boolean-iff-abelian", "coatom-int-structure",
@@ -40,7 +44,7 @@ def _on_the_full_lattice(spec):
     lattice, with the M-set as sorted group masks."""
     G = build_group(spec)
     cd = conjugacy_classes(G)
-    L = enumerate_subracks(conjugation_rack(G, provenance=spec))
+    L = full_lattice(conjugation_rack(G, provenance=spec))
     full = (1 << G.order) - 1
     ints = int_lattice(L)
     return {
@@ -73,7 +77,7 @@ def test_factor_derived_values_equal_the_full_lattice(spec, computed):
 
 @pytest.mark.parametrize("spec", sorted(catalog.CHAIN_WITNESSES))
 def test_factor_chain_lengths_equal_the_full_lattice(spec, computed):
-    full = all_maximal_chain_lengths(enumerate_subracks(rack_from_spec(spec)))
+    full = all_maximal_chain_lengths(full_lattice(spec))
     assert computed["maxsg-chains"][spec] == list(full)
 
 
@@ -93,6 +97,22 @@ def test_central_factor_classes_partition_its_positions(spec):
         assert sum(c >> i & 1 for c in a.classes) == top >> i & 1
 
 
+def test_the_cached_analysis_holds_no_rack():
+    """`analyze_group`'s cache keeps the factor, not the rack it was
+    enumerated on, whose closure tables would stay alive with it.  The walk
+    follows every object the entry reaches, but not into classes, modules
+    or functions, which lead to the whole interpreter."""
+    seen, stack = set(), [catalog.analyze_group("S4")]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, Rack)
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > 100  # the walk reached the group and the factor's rows
+
+
 @pytest.mark.parametrize("spec", catalog.CATALOG)
 def test_the_trivial_part_of_a_group_rack_is_its_center(spec):
     G = build_group(spec)
@@ -104,7 +124,7 @@ def test_the_split_off_factor_is_the_noncentral_lattice(spec):
     # the factor the group checks read is the lattice the non-central rack
     # spec enumerates on its own, whose element i is the i-th element of G - Z
     P, t = enumerate_subracks(rack_from_spec(spec)).product_form()
-    want = enumerate_subracks(rack_from_spec(spec + ":noncentral"))
+    want = full_lattice(spec + ":noncentral")
     G = build_group(spec)
     center = conjugacy_classes(G).center
     assert t == center.bit_count()

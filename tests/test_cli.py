@@ -6,10 +6,10 @@ import os
 
 import pytest
 
+from conftest import full_lattice
 from racklab import cli
 from racklab.cli import main
-from racklab.lattice import enumerate_subracks, export_lattice_text, load_lattice_export
-from racklab.racks import rack_from_spec
+from racklab.lattice import export_lattice_text, load_lattice_export
 
 
 def run(capsys, argv):
@@ -298,7 +298,7 @@ def test_lattice_export_file_equals_export_text(tmp_path, capsys):
     path = tmp_path / "lat.txt"
     rc, _, _ = run(capsys, ["lattice", "D8", "--export", str(path)])
     assert rc == 0
-    want = export_lattice_text(enumerate_subracks(rack_from_spec("D8")))
+    want = export_lattice_text(full_lattice("D8"))
     assert path.read_bytes() == want.encode("utf-8")
 
 

@@ -13,11 +13,12 @@ from math import comb
 
 import pytest
 
-from racklab import catalog, lattice, topology
+from racklab import catalog, lattice, topology, verify
 from racklab.cli import main
 from racklab.lattice import BudgetExceeded, enumerate_subracks
 from racklab.racks import rack_from_spec
 from racklab.topology import order_complex, reduced_homology
+from conftest import full_lattice
 from test_lattice import SMALL_RACKS
 
 RACK_SPECS = (
@@ -86,8 +87,7 @@ def test_count_formula_equals_the_expanded_lattice(spec):
     if P.n == 1:
         assert full == _surjection_counts(t)
     if P.n << t <= COUNT_ORACLE_NODES:
-        L = enumerate_subracks(rack_from_spec(spec, max_order=360))
-        assert full == _chain_counts(L.sets)
+        assert full == _chain_counts(full_lattice(spec, max_order=360).sets)
 
 
 def test_count_oracles_cover_every_shift_and_large_budgets():
@@ -99,14 +99,15 @@ def test_count_oracles_cover_every_shift_and_large_budgets():
                for s in ("D16", "SL(2,3)", "S3xZ3", "D8xZ2", "TV18", "Z10"))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [s for s in SPECS if sum(_full_counts(s)) <= ORACLE_SIMPLICES],
-)
+# the specs the shifted homology is held to the full complex on
+SHIFT_ORACLE_SPECS = [s for s in SPECS if sum(_full_counts(s)) <= ORACLE_SIMPLICES]
+
+
+@pytest.mark.parametrize("spec", SHIFT_ORACLE_SPECS)
 def test_shifted_homology_equals_the_full_complex(spec):
     P, t = _factor(spec)
     K = order_complex(P, topology.DEFAULT_SIMPLEX_BUDGET, t)
-    full = order_complex(enumerate_subracks(rack_from_spec(spec, max_order=360)))
+    full = order_complex(full_lattice(spec, max_order=360))
     assert K.t == t - (P.n == 1)
     assert K.full_counts == tuple(full.counts()) == _full_counts(spec)
     for collapse in (True, False):
@@ -185,9 +186,28 @@ def test_homology_command_never_expands_the_product(spec, code, monkeypatch, cap
         assert err == "racklab: simplex budget 1000000 exceeded at dimension 1\n"
     else:
         assert json.loads(out)["nodes"] == enumerate_subracks(rack_from_spec(spec)).n
-    # the patch is live: reading the sets of the lattice reaches it
+    # the patch is live: expanding the lattice reaches it
     with pytest.raises(AssertionError, match="expansion was reached"):
-        enumerate_subracks(rack_from_spec(spec)).sets
+        enumerate_subracks(rack_from_spec(spec)).expand()
+
+
+def test_the_shift_oracle_covers_every_sphere_theorem_group():
+    # `sphere-theorem` reads L(G)'s homology through the shift, so every
+    # group it checks must be one the shift is held to the full complex on
+    assert set(catalog.SPHERE_LIST) <= set(SHIFT_ORACLE_SPECS)
+
+
+def test_sphere_theorem_never_expands_the_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the product expansion was reached")
+
+    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    result = verify.check_sphere_theorem(verify.VerifyConfig())
+    assert result.status == "pass"
+    assert sorted(result.computed) == sorted(catalog.SPHERE_LIST)
+    # the patch is live: expanding D8's lattice reaches it
+    with pytest.raises(AssertionError, match="expansion was reached"):
+        enumerate_subracks(rack_from_spec("D8")).expand()
 
 
 def test_homology_of_sl23_factor_fits_where_the_full_complex_does_not():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_maximal_chains
+from conftest import all_maximal_chains, full_lattice
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.catalog import CENTRAL_CATALOG
 from racklab.groups import (
@@ -56,21 +56,26 @@ SMALL_RACKS = [
 @pytest.mark.parametrize("spec", SMALL_RACKS)
 def test_enumeration_matches_oracles(spec):
     rack = rack_from_spec(spec)
-    lat = enumerate_subracks(rack)
+    lat = full_lattice(rack)
     assert lat.sets == brute_force_subracks(rack)
     lectic = sorted(iter_closed_sets_lectic(rack), key=lambda m: (m.bit_count(), m))
     assert lat.sets == lectic
 
 
 @lru_cache(maxsize=None)
+def _small_rack(spec):
+    return rack_from_spec(spec)
+
+
+@lru_cache(maxsize=None)
 def _small_lattice(spec):
-    return enumerate_subracks(rack_from_spec(spec))
+    return full_lattice(_small_rack(spec))
 
 
 @pytest.mark.parametrize("spec", SMALL_RACKS)
 def test_covers_match_bruteforce_hasse_diagram(spec):
     lat = _small_lattice(spec)
-    hasse = brute_force_covers(brute_force_subracks(lat.rack))
+    hasse = brute_force_covers(brute_force_subracks(_small_rack(spec)))
     assert list(lat.edges()) == hasse
     for v in range(lat.n):
         assert lat.children(v) == [c for c, p in hasse if p == v]
@@ -116,10 +121,10 @@ def test_lemma_free_enumeration_of_relabelled_racks(spec_perm):
 @settings(deadline=None, max_examples=200)
 @given(st.sampled_from(SMALL_RACKS), st.data())
 def test_seeded_closure_equals_plain_closure(spec, data):
-    lat = _small_lattice(spec)
+    rack, lat = _small_rack(spec), _small_lattice(spec)
     s = data.draw(st.sampled_from(lat.sets))
-    x = data.draw(st.integers(0, lat.rack.size - 1))
-    assert lat.rack.closure(s | 1 << x, s) == lat.rack.closure(s | 1 << x)
+    x = data.draw(st.integers(0, rack.size - 1))
+    assert rack.closure(s | 1 << x, s) == rack.closure(s | 1 << x)
 
 
 def test_s3_has_18_subracks():
@@ -128,7 +133,7 @@ def test_s3_has_18_subracks():
 
 def test_four_cycle_lattice_structure():
     rack = rack_from_spec("S4:cycles(4)")
-    lat = enumerate_subracks(rack)
+    lat = full_lattice(rack)
     assert lat.n == 11
     by_size = {}
     for s in lat.sets:
@@ -174,7 +179,7 @@ def test_five_cycle_lattice_against_structured_oracle():
     candidates.add(rack.full_mask())
     assert len(traces) == 6
     assert all(rack.is_closed(c) for c in candidates)
-    lat = enumerate_subracks(rack)
+    lat = full_lattice(rack)
     assert set(lat.sets) == candidates
     assert lat.n == 94
 
@@ -182,22 +187,23 @@ def test_five_cycle_lattice_against_structured_oracle():
 def test_meet_and_join():
     # the meet of two subracks is their intersection, the join the closure
     # of their union: the largest node below both and the smallest above both
-    lat = enumerate_subracks(rack_from_spec("S3"))
+    rack = rack_from_spec("S3")
+    lat = full_lattice(rack)
     for a in lat.sets:
         for b in lat.sets:
             below = [s for s in lat.sets if s & a == s and s & b == s]
             above = [s for s in lat.sets if s & a == a and s & b == b]
             assert max(below, key=int.bit_count) == a & b
-            assert min(above, key=int.bit_count) == lat.rack.closure(a | b)
+            assert min(above, key=int.bit_count) == rack.closure(a | b)
     G = build_group("S3")
-    j = lat.rack.closure(1 << G.label_index("(12)") | 1 << G.label_index("(13)"))
+    j = rack.closure(1 << G.label_index("(12)") | 1 << G.label_index("(13)"))
     assert sorted(lat.labels[i] for i in bits(j)) == ["(12)", "(13)", "(23)"]
 
 
 def test_join_of_five_cycles_is_class_union():
     G = build_group("A5", max_order=60)
     rack = rack_from_spec("A5:cycles(5)", max_order=60)
-    lat = enumerate_subracks(rack)
+    lat = full_lattice(rack)
     cd = conjugacy_classes(G)
     elem = [G.label_index(lab) for lab in rack.labels]
     pos = {e: i for i, e in enumerate(elem)}
@@ -219,7 +225,7 @@ def test_join_of_five_cycles_is_class_union():
 
 
 def test_meet_closure_invariant():
-    lat = enumerate_subracks(rack_from_spec("A4"))
+    lat = full_lattice("A4")
     for a in lat.sets:
         for b in lat.sets:
             assert (a & b) in lat.index
@@ -227,15 +233,15 @@ def test_meet_closure_invariant():
 
 def test_atoms_are_singletons_for_group_racks():
     for spec in ["S3", "D8", "A4"]:
-        lat = enumerate_subracks(rack_from_spec(spec))
-        assert sorted(lat.sets[v] for v in atoms(lat)) == [1 << i for i in range(lat.rack.size)]
+        lat = full_lattice(spec)
+        assert sorted(lat.sets[v] for v in atoms(lat)) == [1 << i for i in range(len(lat.labels))]
 
 
 def test_coatoms_of_group_lattice_are_class_complements():
     for spec in ["S3", "D8", "A4", "SL(2,3)"]:
         G = build_group(spec)
         cd = conjugacy_classes(G)
-        lat = enumerate_subracks(conjugation_rack(G))
+        lat = full_lattice(conjugation_rack(G))
         full = (1 << G.order) - 1
         want = sorted((full & ~c for c in cd.classes), key=lambda s: (s.bit_count(), s))
         got = sorted((lat.sets[v] for v in coatoms(lat)), key=lambda s: (s.bit_count(), s))
@@ -255,7 +261,7 @@ def test_coatoms_of_group_lattice_are_class_complements():
     ("S4:cycles(4)", True, (3,)),
 ])
 def test_gradedness_against_chain_enumeration(spec, graded, lengths):
-    lat = enumerate_subracks(rack_from_spec(spec, max_order=60))
+    lat = full_lattice(spec, max_order=60)
     assert all_maximal_chain_lengths(lat) == lengths
     assert (len(lengths) == 1) == graded
     chains = all_maximal_chains(lat)
@@ -307,13 +313,13 @@ def test_chain_lengths_through_match_lower_row_dp(spec):
         assert _interval_lengths(lat, 0, node) == lower, node
         assert _interval_lengths(lat, node, top) == upper, node
         # [bottom, S] is the subrack lattice of the rack S
-        below_m = _lindig_subracks(lat.rack, DEFAULT_NODE_BUDGET, m)
+        below_m = _lindig_subracks(_small_rack(spec), DEFAULT_NODE_BUDGET, m)
         assert all_maximal_chain_lengths(below_m) == lower
 
 
 def test_chain_lengths_through_subgroups_sl23():
     G = build_group("SL(2,3)")
-    lat = enumerate_subracks(conjugation_rack(G))
+    lat = full_lattice(conjugation_rack(G))
     through = {}
     for h in all_subgroups(G):
         node = lat.node_of(h.elems)
@@ -329,7 +335,7 @@ def test_chain_lengths_through_d18_and_tv18():
         ("TV18", 9, 10, 6, 8),
     ]:
         G = build_group(spec)
-        lat = enumerate_subracks(conjugation_rack(G))
+        lat = full_lattice(conjugation_rack(G))
         seen = {}
         for h in all_subgroups(G):
             node = lat.node_of(h.elems)
@@ -339,7 +345,7 @@ def test_chain_lengths_through_d18_and_tv18():
 
 
 def test_four_cycle_proper_part_components():
-    lat = enumerate_subracks(rack_from_spec("S4:cycles(4)"))
+    lat = full_lattice("S4:cycles(4)")
     assert connected_components_proper(lat) == 3
 
 
@@ -372,7 +378,7 @@ def test_int_lattice_of_group_lattices():
     for spec in ["S3", "D8", "S4"]:
         G = build_group(spec)
         cd = conjugacy_classes(G)
-        lat = enumerate_subracks(conjugation_rack(G))
+        lat = full_lattice(conjugation_rack(G))
         ints = int_lattice(lat)
         assert len(ints) == 2 ** len(cd.classes)
         assert is_boolean_sets(ints)
@@ -384,7 +390,7 @@ def test_int_lattice_of_group_lattices():
 
 
 def test_int_of_four_cycle_lattice_not_boolean():
-    lat = enumerate_subracks(rack_from_spec("S4:cycles(4)"))
+    lat = full_lattice("S4:cycles(4)")
     ints = int_lattice(lat)
     assert len(ints) == 5
     assert not is_boolean_sets(ints)
@@ -454,7 +460,7 @@ def test_is_boolean_sets_matches_the_pairwise_definition(family):
 
 def test_lattice_boolean_iff_abelian():
     for spec, want in [("Z6", True), ("Z2xZ2", True), ("S3", False), ("D8", False)]:
-        lat = enumerate_subracks(rack_from_spec(spec))
+        lat = full_lattice(spec)
         assert is_boolean(lat) == want
 
 
@@ -465,24 +471,24 @@ def test_lattice_boolean_iff_abelian():
 def _m_member_sets(spec):
     G = build_group(spec)
     cd = conjugacy_classes(G)
-    lat = enumerate_subracks(conjugation_rack(G))
+    lat = full_lattice(conjugation_rack(G))
     rep = compute_M(lat, cd.classes)
     return G, lat, rep
 
 
 def test_m_cap():
     # the 30 four-cycles of S5 form one class
-    lat = enumerate_subracks(rack_from_spec("S5:cycles(4)"))
+    lat = full_lattice("S5:cycles(4)")
     with pytest.raises(CapExceeded, match=r"^M computation capped at rack size 24$"):
-        compute_M(lat, (lat.rack.full_mask(),))
+        compute_M(lat, (lat.sets[-1],))
 
 
 def test_compute_m_rejects_masks_that_do_not_partition_the_rack():
     G = build_group("S3")
     classes = conjugacy_classes(G).classes
-    lat = enumerate_subracks(conjugation_rack(G))
+    lat = full_lattice(conjugation_rack(G))
     assert compute_M(lat, classes).members  # the classes themselves pass
-    full = lat.rack.full_mask()
+    full = lat.sets[-1]
     for bad in [
         classes[:-1],  # misses a class
         classes + (classes[1],),  # a class twice
@@ -495,7 +501,7 @@ def test_compute_m_rejects_masks_that_do_not_partition_the_rack():
             compute_M(lat, bad)
     # a loaded export, which has no rack, is read through its sets and covers
     bare = load_lattice_export(export_lattice_text(lat))
-    assert bare.rack is None
+    assert (bare.sets, list(bare.edges())) == (lat.sets, list(lat.edges()))
     assert compute_M(bare, classes) == compute_M(lat, classes)
 
 
@@ -570,7 +576,7 @@ def test_product_decomposition_budget_contract():
 
 def test_product_decomposition_rejects_a_wrong_node_count():
     rep = product_decomposition_check(
-        build_group("D8"), lattice=enumerate_subracks(rack_from_spec("Z8"))
+        build_group("D8"), lattice=full_lattice("Z8")
     )
     assert not rep.ok
     assert rep.detail == f"node count 256 != {rep.factor_nodes} * 2^2"
@@ -638,9 +644,9 @@ def _move_both_coordinates(L, edges, center):
 ])
 def test_product_decomposition_rejects_a_wrong_cover_set(mutate, detail):
     G = build_group("D8")
-    L = enumerate_subracks(conjugation_rack(G))
+    L = full_lattice(conjugation_rack(G))
     edges = mutate(L, list(L.edges()), conjugacy_classes(G).center)
-    wrong = SubrackLattice(L.rack, L.sets, *_csr_from_edges(L.n, edges))
+    wrong = SubrackLattice(L.sets, *_csr_from_edges(L.n, edges), L.labels, L.spec)
     rep = product_decomposition_check(G, lattice=wrong)
     assert (rep.ok, rep.detail) == (False, detail)
 
@@ -649,11 +655,11 @@ def test_product_decomposition_rejects_a_set_with_a_non_subrack_projection():
     # the top node G becomes G minus a non-central element, whose
     # non-central part is not closed under conjugation
     G = build_group("D8")
-    L = enumerate_subracks(conjugation_rack(G))
+    L = full_lattice(conjugation_rack(G))
     r = G.label_index("r")
     assert not (1 << r) & conjugacy_classes(G).center
     sets = L.sets[:-1] + [L.sets[-1] ^ 1 << r]
-    wrong = SubrackLattice(L.rack, sets, L._pstart, L._pflat)
+    wrong = SubrackLattice(sets, L._pstart, L._pflat, L.labels, L.spec)
     rep = product_decomposition_check(G, lattice=wrong)
     assert (rep.ok, rep.detail) == (False, "projection to the non-central part is not a subrack")
 
@@ -663,7 +669,7 @@ def test_product_decomposition_rejects_a_set_with_a_non_subrack_projection():
 
 
 def test_export_roundtrip():
-    lat = enumerate_subracks(rack_from_spec("S4:cycles(4)"))
+    lat = full_lattice("S4:cycles(4)")
     text = export_lattice_text(lat)
     loaded = load_lattice_export(text)
     assert loaded.sets == lat.sets
@@ -685,10 +691,10 @@ def test_coatoms_of_noncentral_rack_are_class_complements():
         G = build_group(spec)
         cd = conjugacy_classes(G)
         rack = rack_from_spec(f"{spec}:noncentral")
-        lat = enumerate_subracks(rack)
+        lat = full_lattice(rack)
         pos = {G.label_index(lab): i for i, lab in enumerate(rack.labels)}
         noncentral_classes = [c for c in cd.classes if c.bit_count() > 1]
-        full = lat.rack.full_mask()
+        full = rack.full_mask()
         want = sorted(
             full & ~mask_of(pos[e] for e in bits(c)) for c in noncentral_classes
         )
@@ -788,7 +794,7 @@ def test_corrupted_export_loads_identically_or_raises(spec, data):
             return
         k = data.draw(st.sampled_from(list(slots)))
         if parts[0] == "n" and k == 2:
-            parts[k] = format(data.draw(st.integers(-1, lat.rack.full_mask() + 1)), "x")
+            parts[k] = format(data.draw(st.integers(-1, lat.sets[-1] + 1)), "x")
         else:
             parts[k] = str(data.draw(st.integers(-1, lat.n + 1)))
         lines[i] = " ".join(parts)

@@ -6,7 +6,7 @@ import pytest
 
 from racklab import partitions
 from racklab.bitsets import mask_of
-from racklab.lattice import SubrackLattice, _csr_from_edges
+from racklab.lattice import ProductLattice, SubrackLattice, _csr_from_edges
 from racklab.partitions import (
     SetPartition,
     all_partitions,
@@ -98,10 +98,11 @@ def test_transposition_isomorphism_rejects_a_changed_lattice(monkeypatch):
     enumerate_subracks = partitions.enumerate_subracks
 
     def one_set_changed(rack, node_budget):
-        lat = enumerate_subracks(rack, node_budget)
+        lat = enumerate_subracks(rack, node_budget).expand()
         sets = list(lat.sets)
         sets[1] |= sets[2]  # two transpositions with a common point: not a subrack
-        return SubrackLattice(rack, sets, lat._pstart, lat._pflat)
+        changed = SubrackLattice(sets, lat._pstart, lat._pflat, lat.labels, lat.spec)
+        return ProductLattice(rack, changed, 0)  # T is empty
 
     monkeypatch.setattr(partitions, "enumerate_subracks", one_set_changed)
     rep = transposition_rack_isomorphism(4)
@@ -166,7 +167,8 @@ def test_quillen_fiber_check_rejects_a_missing_node():
 
     def without(mask):
         sets = [s for s in lat.sets if s != mask]
-        return G, rack, SubrackLattice(rack, sets, *_csr_from_edges(len(sets), ()))
+        rows = _csr_from_edges(len(sets), ())
+        return G, rack, SubrackLattice(sets, *rows, rack.labels, rack.provenance)
 
     # the two 3-cycles on {1,2,3}: the fiber maximum below 123|4|5|6
     q_h = mask_of(i for i, lab in enumerate(rack.labels) if set(lab) <= set("(123)"))

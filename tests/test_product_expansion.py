@@ -1,9 +1,11 @@
-"""`enumerate_subracks` enumerates L(R - T) and expands L(R) = L(R - T) x 2^T,
-T the elements that act trivially and that every element fixes, when its
-rows are first read.  These tests hold the expansion to the lemma-free Lindig
-enumeration `_lindig_subracks`: the same sets, ids and parent rows, the same
-export bytes, and the same budget errors at every boundary; and they hold
-`product_statistics`, read off the factor, to the expanded lattice."""
+"""`enumerate_subracks` enumerates L(R - T) and returns L(R) = L(R - T) x 2^T,
+T the elements that act trivially and that every element fixes, as a
+`ProductLattice`, which expands only through `expand()`.  These tests hold
+the expansion to the lemma-free Lindig enumeration `_lindig_subracks`: the
+same sets, ids and parent rows, the same export bytes, and the same budget
+errors at every boundary; they hold `product_statistics`, read off the
+factor, to the expanded lattice; and they check that nothing expands the
+product without calling `expand()`."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from racklab.lattice import (
     product_statistics,
 )
 from racklab.racks import Rack, closure_forward_only, rack_from_spec
+from conftest import full_lattice
 from test_lattice import SMALL_RACKS
 
 LATTICE_WORKLOAD = (
@@ -58,7 +61,7 @@ def _lemma_free(rack, node_budget=DEFAULT_NODE_BUDGET):
 )
 def test_expansion_equals_lemma_free_enumeration(spec):
     rack = rack_from_spec(spec, max_order=360)
-    got, want = enumerate_subracks(rack), _lemma_free(rack)
+    got, want = full_lattice(rack), _lemma_free(rack)
     assert got.sets == want.sets
     assert got._pstart == want._pstart
     assert got._pflat == want._pflat
@@ -112,12 +115,23 @@ def test_product_decomposition_oracle_never_expands(monkeypatch):
         raise AssertionError("the product expansion was reached")
 
     monkeypatch.setattr(lattice, "_expand_product", refuse)
-    # the patch is live: reading the rows of D8's lattice reaches it
+    # the patch is live: expanding D8's lattice reaches it
     L = enumerate_subracks(rack_from_spec("D8"))
     with pytest.raises(AssertionError):
-        L.sets
+        L.expand()
     report = product_decomposition_check(build_group("D8"))
     assert report.ok and report.nodes == 56
+
+
+@pytest.mark.parametrize("spec", ["D8", "S4:cycles(4)"])
+def test_nothing_expands_implicitly(spec):
+    # t = 2 and t = 0: L(R)'s sets and rows are read only through expand()
+    L = enumerate_subracks(rack_from_spec(spec))
+    with pytest.raises(AttributeError):
+        L.sets
+    with pytest.raises(AttributeError):
+        L.parents(0)
+    assert L.expand().n == L.n
 
 
 # t = 0, t = 1, R = T (twice) and the empty rack
@@ -134,11 +148,11 @@ def test_product_statistics_equal_the_materialised_lattice(spec):
     assert t == rack.trivial_part.bit_count()
     stats = product_statistics(P, t)
     assert (stats.nodes, stats.cover_edges) == (L.n, L.edge_count())
-    # reading the rows expands the product
-    assert (stats.nodes, stats.cover_edges) == (len(L.sets), len(L._pflat))
-    assert stats.lengths == all_maximal_chain_lengths(L)
+    E = L.expand()
+    assert (stats.nodes, stats.cover_edges) == (len(E.sets), len(E._pflat))
+    assert stats.lengths == all_maximal_chain_lengths(E)
     assert stats.graded == (len(stats.lengths) == 1)
-    assert (stats.atoms, stats.coatoms) == (len(atoms(L)), len(coatoms(L)))
+    assert (stats.atoms, stats.coatoms) == (len(atoms(E)), len(coatoms(E)))
 
 
 @pytest.mark.parametrize("spec, n", [("Z4xZ2xZ2", 65536), ("D8xZ3", 43520)])
@@ -174,11 +188,12 @@ def _outcome(enumerate_fn, rack, budget):
 @pytest.mark.parametrize(
     "spec, budget",
     [("Z15", 1000), ("Z4", 0), ("Z4", -1), ("D8", 5), ("D8", 56), ("D8", 55),
-     ("D8xZ2", 1599), ("D8xZ2", 1600), ("Z1", 0), ("Z1", 1)],
+     ("D8xZ2", 1599), ("D8xZ2", 1600), ("Z1", 0), ("Z1", 1),
+     ("S4:cycles(4)", 10), ("S4:cycles(4)", 11), ("S4:cycles(4)", -1)],
 )
 def test_budget_error_equals_lemma_free(spec, budget):
     rack = rack_from_spec(spec)
-    assert _outcome(enumerate_subracks, rack, budget) == _outcome(_lemma_free, rack, budget)
+    assert _outcome(full_lattice, rack, budget) == _outcome(_lemma_free, rack, budget)
 
 
 def test_budget_boundary_on_d8xz3(capsys):
@@ -213,7 +228,7 @@ def test_factor_run_fails_fast(monkeypatch):
 
 
 def test_lattice_command_never_builds_lower_cover_rows(capsys):
-    L = enumerate_subracks(rack_from_spec("Z4xZ2xZ2"))
+    L = full_lattice("Z4xZ2xZ2")
     assert all_maximal_chain_lengths(L) == (16,)
     assert len(atoms(L)) == len(coatoms(L)) == 16
     assert main(["lattice", "Z4xZ2xZ2"]) == 0
@@ -222,7 +237,7 @@ def test_lattice_command_never_builds_lower_cover_rows(capsys):
 
 @pytest.mark.parametrize("spec", SMALL_RACKS + ["Z4:noncentral", "Z1", "Z4xZ2"])
 def test_upper_row_analytics_match_lower_rows(spec):
-    L = enumerate_subracks(rack_from_spec(spec))
+    L = full_lattice(spec)
     top = L.n - 1
     assert coatoms(L) == L.children(top)
     # longest cover-path lengths from the bottom, from the lower rows

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_lattice
 from racklab import topology
 from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import BudgetExceeded, enumerate_subracks
@@ -44,13 +45,13 @@ def complex_from_facets(facets) -> OrderComplex:
 
 
 def test_order_complex_of_z2_is_two_points():
-    lat = enumerate_subracks(rack_from_spec("Z2"))
+    lat = full_lattice("Z2")
     K = order_complex(lat)
     assert K.counts() == [2]
 
 
 def test_order_complex_of_four_cycle_lattice():
-    lat = enumerate_subracks(rack_from_spec("S4:cycles(4)"))
+    lat = full_lattice("S4:cycles(4)")
     K = order_complex(lat)
     # 9 proper nodes; each inverse-pair node sits above its two singletons
     assert K.counts() == [9, 6]
@@ -58,13 +59,13 @@ def test_order_complex_of_four_cycle_lattice():
 
 
 def test_order_complex_needs_two_nodes():
-    lat = enumerate_subracks(rack_from_spec("Z1"))
+    lat = full_lattice("Z1")
     K = order_complex(lat)
     assert K.is_empty()
 
 
 def test_simplex_budget():
-    lat = enumerate_subracks(rack_from_spec("D8"))
+    lat = full_lattice("D8")
     with pytest.raises(BudgetExceeded):
         order_complex(lat, simplex_budget=100)
 
@@ -107,7 +108,7 @@ def test_smith_circle_triangulation():
 
 
 def test_boundary_squared_zero():
-    lat = enumerate_subracks(rack_from_spec("D8"))
+    lat = full_lattice("D8")
     mats = boundary_matrices(order_complex(lat))
     for d in range(len(mats) - 1):
         lower, upper = mats[d], mats[d + 1]
@@ -166,7 +167,7 @@ def test_sphere_results_for_small_groups():
         G = build_group(spec)
         c = len(conjugacy_classes(G).classes)
         assert c - 2 == dim
-        lat = enumerate_subracks(conjugation_rack(G))
+        lat = full_lattice(conjugation_rack(G))
         H = reduced_homology(order_complex(lat))
         assert H.sphere_dimension == dim, spec
 
@@ -175,14 +176,14 @@ def test_boolean_lattice_of_order_seven_group_is_a_five_sphere():
     # the largest abelian case that stays within the simplex budget: the
     # proper part of 2^[7] is a closed 5-sphere, so no face is free and the
     # column reduction sees all 47,292 simplices (well under a second)
-    lat = enumerate_subracks(rack_from_spec("Z7"))
+    lat = full_lattice("Z7")
     H = reduced_homology(order_complex(lat, simplex_budget=2_000_000))
     assert H.sphere_dimension == 5
 
 
 def test_collapse_preserves_homology_and_euler():
     for spec in ["S3", "Z4", "D10", "S4:cycles(4)"]:
-        K = order_complex(enumerate_subracks(rack_from_spec(spec)))
+        K = order_complex(full_lattice(spec))
         a = reduced_homology(K, collapse=True)
         b = reduced_homology(K, collapse=False)
         assert (a.betti, a.torsion, a.euler_characteristic) == (
@@ -194,7 +195,7 @@ def test_collapse_preserves_homology_and_euler():
 
 def test_homology_invariant_under_relabeling():
     rng = random.Random(7)
-    K = order_complex(enumerate_subracks(rack_from_spec("D10")))
+    K = order_complex(full_lattice("D10"))
     base = reduced_homology(K)
     verts = list(K.vertices)
     shuffled = verts[:]
@@ -207,7 +208,7 @@ def test_homology_invariant_under_relabeling():
 
 
 def test_collapse_leaves_a_homotopy_equivalent_complex():
-    K = order_complex(enumerate_subracks(rack_from_spec("D8")))
+    K = order_complex(full_lattice("D8"))
     C = collapse_complex(K)
     assert C.size() < K.size()
     a, b = reduced_homology(K, collapse=False), reduced_homology(C, collapse=False)
@@ -226,7 +227,7 @@ def test_sparse_matrix_consistency():
 def test_homology_from_export_format():
     from racklab.lattice import export_lattice_text, load_lattice_export
 
-    lat = enumerate_subracks(rack_from_spec("D8"))
+    lat = full_lattice("D8")
     direct = reduced_homology(order_complex(lat))
     via_export = reduced_homology(order_complex(load_lattice_export(export_lattice_text(lat))))
     assert (direct.betti, direct.torsion) == (via_export.betti, via_export.torsion)
@@ -268,7 +269,7 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_reduction_matches_smith_oracle(spec):
-    lat = enumerate_subracks(rack_from_spec(spec, max_order=360))
+    lat = full_lattice(spec, max_order=360)
     K = order_complex(lat, simplex_budget=40_000)
     expected = oracle_homology(K)
     for collapse in (True, False):
@@ -319,7 +320,7 @@ def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
 
 
 def test_collapse_renumbers_its_facet_tables():
-    K = order_complex(enumerate_subracks(rack_from_spec("D10")))
+    K = order_complex(full_lattice("D10"))
     C = collapse_complex(K)
     assert 0 < C.size() < K.size()
     rebuilt = OrderComplex(C.vertices, C.simplices).facet_tables()
@@ -331,7 +332,7 @@ def test_collapse_renumbers_its_facet_tables():
     [("SL(2,3)", 1_000_000, 5, 1_452_444), ("D8", 100, 1, 456)],
 )
 def test_budget_message_and_partial(spec, budget, dimension, partial):
-    lat = enumerate_subracks(rack_from_spec(spec))
+    lat = full_lattice(spec)
     with pytest.raises(BudgetExceeded) as info:
         order_complex(lat, simplex_budget=budget)
     assert info.value.partial == partial
@@ -342,7 +343,7 @@ def test_budget_exhausted_by_the_edges_fails_before_listing_up_sets(monkeypatch)
     # the D8 budget of 100 overflows on the 1-simplices, which are counted from
     # the up-set masks; listing every comparable pair first made a large
     # lattice such as D8xZ3 run for minutes before the budget was tested
-    lat = enumerate_subracks(rack_from_spec("D8"))
+    lat = full_lattice("D8")
 
     def unreachable(mask):
         raise AssertionError("up-sets listed before the budget test")
@@ -353,14 +354,14 @@ def test_budget_exhausted_by_the_edges_fails_before_listing_up_sets(monkeypatch)
     assert info.value.partial == 456
     # on the factor the full complex's 1-simplices need the factor's only,
     # which are counted from the masks too
-    P, t = lat.product_form()
+    P, t = enumerate_subracks(rack_from_spec("D8")).product_form()
     with pytest.raises(BudgetExceeded) as info:
         order_complex(P, 100, t)
     assert info.value.partial == 456
 
 
 def test_budget_partial_is_the_running_count_of_the_built_complex():
-    lat = enumerate_subracks(rack_from_spec("D8"))
+    lat = full_lattice("D8")
     counts = order_complex(lat).counts()
     running = [sum(counts[:d + 1]) for d in range(len(counts))]
     for d, total in enumerate(running):

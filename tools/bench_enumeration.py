@@ -7,7 +7,7 @@ The racks are the full conjugation racks of the groups in
 `catalog.CENTRAL_CATALOG`, whose lattices `product-decomposition` walks
 whole, and the factors L(R - T) of every spec of perfbench's `lattice`
 workload, enumerated inside top = R - T on R itself, the call
-`enumerate_subracks` makes before expanding the product.  A group row times
+`enumerate_subracks` makes for the factor of its product.  A group row times
 what `racklab verify` runs for the group:
 `product_decomposition_check(build_group(name))`.  A factor row times
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
