@@ -47,8 +47,9 @@ entry is not a unit is deferred; at the end it is reduced against the unit
 pivots and what is left goes to the exact Smith normal form.  This is exact
 over Z: unit pivots in distinct rows split off 1s of the Smith form, and a
 cleared column is an integer combination of earlier columns, so dropping it
-leaves the image lattice unchanged.  `boundary_matrices` and
-`rank_and_torsion` stay as the direct oracle.
+leaves the image lattice unchanged.  A sparse matrix has one form here, the
+list of its columns {row: nonzero entry}: the remainder goes on in it, and
+`boundary_matrices` and `rank_and_torsion`, the direct oracle, use it too.
 
 The Smith normal form runs in two phases.  Elimination on +-1 pivots splits
 off a 1 per pivot with row operations only; the remainder, which has no unit
@@ -262,7 +263,8 @@ def collapse_complex(K: OrderComplex) -> OrderComplex:
 
     Runs on the facet tables.  Every face keeps the number of its live
     cofacets and the xor of their ids, which is the cofacet itself when the
-    number is one.  The result carries its own renumbered facet tables.
+    number is one.  The result carries its own renumbered facet tables, and
+    K's `t` and `full_counts`, so its homology is K's.
     """
     if K.is_empty():
         return K
@@ -323,56 +325,13 @@ def collapse_complex(K: OrderComplex) -> OrderComplex:
         renumber = [0] * len(level)
         for new, j in enumerate(keep):
             renumber[j] = new
-    collapsed = OrderComplex(K.vertices, levels)
+    collapsed = OrderComplex(K.vertices, levels, K.t, K.full_counts)
     collapsed._facets = facets
     return collapsed
 
 
 # ---------------------------------------------------------------------------
-# sparse integer matrices and Smith normal form
-
-
-class SparseIntMatrix:
-    """Row/column dict-of-dicts sparse matrix with exact integer entries."""
-
-    __slots__ = ("nrows", "ncols", "rows", "cols")
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, dict[int, int]] = {}
-
-    def set(self, r: int, c: int, v: int) -> None:
-        if v:
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, {})[r] = v
-        else:
-            row = self.rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del self.rows[r]
-                col = self.cols[c]
-                del col[r]
-                if not col:
-                    del self.cols[c]
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]]) -> "SparseIntMatrix":
-        """The matrix of a list of rows; every row must have the length of the
-        first and hold only `int` entries, else `ValueError`."""
-        ncols = len(data[0]) if data else 0
-        m = cls(len(data), ncols)
-        for r, row in enumerate(data):
-            if len(row) != ncols:
-                raise ValueError(f"row {r} has {len(row)} entries, row 0 has {ncols}")
-            for c, v in enumerate(row):
-                if not isinstance(v, int):
-                    raise ValueError(f"entry ({r}, {c}) is not an int: {v!r}")
-                if v:
-                    m.set(r, c, v)
-        return m
+# Smith normal form
 
 
 def _dense_diagonal(A: list[list[int]]) -> list[int]:
@@ -406,8 +365,12 @@ def _dense_diagonal(A: list[list[int]]) -> list[int]:
                 del row[j]
 
 
-def _diagonalize(M: SparseIntMatrix) -> list[int]:
-    """Diagonal entries (positive) of a diagonal form of M; M is not changed.
+def _diagonalize(lines: Sequence[dict[int, int]]) -> list[int]:
+    """Positive diagonal entries of a diagonal form of the matrix M whose
+    columns are `lines`, which are not changed.  They are read as the rows
+    of M^T, which has M's Smith normal form (D = U M V gives D^T = V^T M^T
+    U^T), so one copy of them is the working state, indexed by the rows of
+    each column.
 
     Phase 1 eliminates on unit pivots (Dumas, Saunders & Villard, *On
     efficient sparse integer matrix Smith normal form computations*, 2001):
@@ -417,8 +380,11 @@ def _diagonalize(M: SparseIntMatrix) -> list[int]:
     row, and the row and column drop out with a diagonal 1.  Phase 2 hands
     what is left, which has no unit entry, to `_dense_diagonal`.
     """
-    rows = {r: dict(row) for r, row in M.rows.items()}
-    cols = {c: set(col) for c, col in M.cols.items()}
+    rows = {r: dict(line) for r, line in enumerate(lines) if line}
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
     diag = []
     pivoted = True
     while pivoted:
@@ -468,19 +434,29 @@ def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
     return (1,) * (len(diag) - len(rest)) + tuple(rest)
 
 
-def smith_normal_form(matrix: SparseIntMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix given by its
+    dense rows; every row must have the length of the first and hold only
+    `int` entries, else `ValueError`.
 
-    Oracle entry point: no library code calls it.  It takes any integer
-    matrix, as rows or as a `SparseIntMatrix`, so that the tests can check
-    the Smith normal form behind `rank_and_torsion` against sympy."""
-    if not isinstance(matrix, SparseIntMatrix):
-        matrix = SparseIntMatrix.from_rows(matrix)
-    return _invariant_factors(_diagonalize(matrix))
+    Oracle entry point: no library code calls it.  It lets the tests check
+    the Smith normal form behind `rank_and_torsion` against sympy.  The rows
+    go to `_diagonalize` as the columns of the transpose."""
+    width = len(rows[0]) if rows else 0
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {width}")
+        for c, v in enumerate(row):
+            if not isinstance(v, int):
+                raise ValueError(f"entry ({r}, {c}) is not an int: {v!r}")
+    lines = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    return _invariant_factors(_diagonalize(lines))
 
 
-def rank_and_torsion(matrix: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    factors = _invariant_factors(_diagonalize(matrix))
+def rank_and_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion (invariant factors > 1) of the matrix with these
+    columns {row: nonzero entry}, row ids any ints; `columns` is not changed."""
+    factors = _invariant_factors(_diagonalize(columns))
     return len(factors), tuple(f for f in factors if f > 1)
 
 
@@ -488,27 +464,21 @@ def rank_and_torsion(matrix: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
 # boundary matrices and homology
 
 
-def boundary_matrices(K: OrderComplex) -> list[SparseIntMatrix]:
-    """Boundary maps of the augmented complex: index 0 is the augmentation
-    (one row, one column per vertex); index d >= 1 maps d-simplices to their
-    facets with alternating signs.  Satisfies boundary-of-boundary = 0."""
+def boundary_matrices(K: OrderComplex) -> list[list[dict[int, int]]]:
+    """Boundary maps of the augmented complex as lists of columns {row:
+    entry}: index 0 is the augmentation (a column {0: 1} per vertex); index
+    d >= 1 maps each d-simplex to its facets with alternating signs, found
+    by a lookup of its own, independent of `OrderComplex.facet_tables`.
+    Satisfies boundary-of-boundary = 0."""
     if K.is_empty():
         return []
-    out = []
-    aug = SparseIntMatrix(1, len(K.simplices[0]))
-    for j in range(len(K.simplices[0])):
-        aug.set(0, j, 1)
-    out.append(aug)
+    out = [[{0: 1} for _ in K.simplices[0]]]
     for d in range(1, len(K.simplices)):
-        lower_index = {s: i for i, s in enumerate(K.simplices[d - 1])}
-        m = SparseIntMatrix(len(K.simplices[d - 1]), len(K.simplices[d]))
-        for j, s in enumerate(K.simplices[d]):
-            sign = 1
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                m.set(lower_index[f], j, sign)
-                sign = -sign
-        out.append(m)
+        index = {s: i for i, s in enumerate(K.simplices[d - 1])}
+        out.append([
+            {index[s[:i] + s[i + 1:]]: -1 if i & 1 else 1 for i in range(d + 1)}
+            for s in K.simplices[d]
+        ])
     return out
 
 
@@ -525,7 +495,8 @@ def _subtract(col: dict[int, int], pivot: dict[int, int], row: int) -> None:
 
 def _boundary_ranks(K: OrderComplex) -> tuple[list[int], list[tuple[int, ...]]]:
     """Rank and torsion of every boundary map of the augmented complex
-    (index 0 is the augmentation), by column reduction with clearing."""
+    (index 0 is the augmentation), by column reduction with clearing.  The
+    non-unit remainder goes to `rank_and_torsion` keyed by the original ids."""
     tables = K.facet_tables()
     top = len(tables) - 1
     ranks = [0] * (top + 1)
@@ -565,12 +536,7 @@ def _boundary_ranks(K: OrderComplex) -> tuple[list[int], list[tuple[int, ...]]]:
             if col:
                 remainder.append(col)
         if remainder:
-            rows = {r: i for i, r in enumerate(sorted(set().union(*remainder)))}
-            block = SparseIntMatrix(len(rows), len(remainder))
-            for c, col in enumerate(remainder):
-                for r, v in col.items():
-                    block.set(rows[r], c, v)
-            rank, torsions[d] = rank_and_torsion(block)
+            rank, torsions[d] = rank_and_torsion(remainder)
             ranks[d] += rank
         if d:
             cleared = bytearray(len(K.simplices[d - 1]))

@@ -537,15 +537,13 @@ def check_homology_consistency(spec, cfg):
     K = order_complex(lat, cfg.simplex_budget)
     mats = boundary_matrices(K)
     dd_zero = True
-    for d in range(len(mats) - 1):
-        lower, upper = mats[d], mats[d + 1]
-        for c, col in upper.cols.items():
+    for lower, upper in zip(mats, mats[1:]):
+        for col in upper:
             acc: dict[int, int] = {}
             for r, v in col.items():
-                for rr, vv in lower.cols.get(r, {}).items():
+                for rr, vv in lower[r].items():
                     acc[rr] = acc.get(rr, 0) + v * vv
-            if any(acc.values()):
-                dd_zero = False
+            dd_zero = dd_zero and not any(acc.values())
     a = reduced_homology(K, collapse=True)
     b = reduced_homology(K, collapse=False)
     same = (a.betti, a.torsion, a.euler_characteristic) == (b.betti, b.torsion, b.euler_characteristic)

@@ -13,7 +13,6 @@ from racklab.lattice import BudgetExceeded, enumerate_subracks
 from racklab.racks import conjugation_rack, rack_from_spec
 from racklab.topology import (
     OrderComplex,
-    SparseIntMatrix,
     boundary_matrices,
     collapse_complex,
     order_complex,
@@ -38,6 +37,18 @@ def complex_from_facets(facets) -> OrderComplex:
                 stack.append(s[:i] + s[i + 1:])
     dims = [sorted(levels[d]) for d in range(max(levels) + 1)]
     return OrderComplex(sorted(v for (v,) in levels[0]), dims)
+
+
+def dense_rows(columns, nrows) -> list[list[int]]:
+    """The rows of the matrix with these columns {row: entry} (test helper)."""
+    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
+
+
+def sparse_columns(rows, row_id=lambda r: r) -> list[dict[int, int]]:
+    """The columns {row_id(r): entry} of a matrix given by its rows (test helper)."""
+    return [
+        {row_id(r): row[c] for r, row in enumerate(rows) if row[c]} for c in range(len(rows[0]))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +88,7 @@ def test_simplex_budget():
 def test_single_edge_boundary():
     K = complex_from_facets([(1, 2)])
     mats = boundary_matrices(K)
-    d1 = mats[1]
-    assert d1.cols == {0: {0: -1, 1: 1}}
+    assert mats[1] == [{0: -1, 1: 1}]
 
 
 def test_triangle_boundary_rank():
@@ -103,19 +113,18 @@ def test_smith_circle_triangulation():
     for n in (3, 5, 8):
         edges = [(i, (i + 1) % n) for i in range(n)]
         K = complex_from_facets(edges)
-        factors = smith_normal_form(boundary_matrices(K)[1])
-        assert factors == tuple([1] * (n - 1))
+        factors = smith_normal_form(dense_rows(boundary_matrices(K)[1], len(K.simplices[0])))
+        assert factors == (1,) * (n - 1)
 
 
 def test_boundary_squared_zero():
     lat = full_lattice("D8")
     mats = boundary_matrices(order_complex(lat))
-    for d in range(len(mats) - 1):
-        lower, upper = mats[d], mats[d + 1]
-        for c, col in upper.cols.items():
+    for lower, upper in zip(mats, mats[1:]):
+        for col in upper:
             acc = {}
             for r, v in col.items():
-                for rr, vv in lower.cols.get(r, {}).items():
+                for rr, vv in lower[r].items():
                     acc[rr] = acc.get(rr, 0) + v * vv
             assert not any(acc.values())
 
@@ -215,15 +224,6 @@ def test_collapse_leaves_a_homotopy_equivalent_complex():
     assert (a.betti, a.torsion) == (b.betti, b.torsion)
 
 
-def test_sparse_matrix_consistency():
-    m = SparseIntMatrix(3, 3)
-    m.set(0, 0, 2)
-    m.set(0, 1, -1)
-    m.set(0, 1, 0)
-    assert m.rows == {0: {0: 2}}
-    assert m.cols == {0: {0: 2}}
-
-
 def test_homology_from_export_format():
     from racklab.lattice import export_lattice_text, load_lattice_export
 
@@ -306,7 +306,7 @@ def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
     exact = topology.rank_and_torsion
 
     def recording(block):
-        remainders.append(block.ncols)
+        remainders.append(len(block))
         return exact(block)
 
     monkeypatch.setattr(topology, "rank_and_torsion", recording)
@@ -317,6 +317,17 @@ def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
     assert remainders
     monkeypatch.undo()
     assert oracle_homology(K) == ({}, {2: (2,)})
+
+
+@pytest.mark.parametrize("spec", ["D8", "S4", "D12", "Z6", "D16:noncentral"])
+def test_collapse_keeps_the_trivial_part_shift(spec):
+    # the collapsed factor complex still stands for L(R)'s: D8 (t = 2) read
+    # {1: 1} instead of {3: 1} when the collapse dropped t and full_counts
+    P, t = enumerate_subracks(rack_from_spec(spec)).product_form()
+    K = order_complex(P, t=t)
+    C = collapse_complex(K)
+    assert (C.t, C.full_counts) == (K.t, K.full_counts)
+    assert reduced_homology(C) == reduced_homology(K)
 
 
 def test_collapse_renumbers_its_facet_tables():
@@ -382,15 +393,16 @@ def int_matrices(size, entries):
     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    st.one_of(
-        int_matrices(4, st.integers(-6, 6)),
-        # mostly zeros with small entries: the unit pivots often leave a
-        # remainder without units, so both phases of the Smith form run
-        int_matrices(8, st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -3])),
-    )
+small_int_matrices = st.one_of(
+    int_matrices(4, st.integers(-6, 6)),
+    # mostly zeros with small entries: the unit pivots often leave a
+    # remainder without units, so both phases of the Smith form run
+    int_matrices(8, st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -3])),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_int_matrices)
 def test_smith_normal_form_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -400,6 +412,15 @@ def test_smith_normal_form_matches_sympy(rows):
         abs(int(diag[i, i])) for i in range(min(len(rows), len(rows[0]))) if diag[i, i]
     )
     assert smith_normal_form(rows) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_int_matrices)
+def test_rank_and_torsion_of_columns_matches_smith_normal_form_of_rows(rows):
+    # rank_and_torsion reads the columns as the rows of the transpose; the
+    # row ids are spread out as in the reduction's un-renumbered remainder
+    factors = smith_normal_form(rows)
+    assert rank_and_torsion(sparse_columns(rows, lambda r: 7 + 1000 * r)) == (len(factors), tuple(f for f in factors if f > 1))
 
 
 def test_smith_normal_form_of_61_bit_primes():
@@ -412,24 +433,26 @@ def test_smith_normal_form_of_61_bit_primes():
 
 
 def test_smith_normal_form_leaves_its_argument_unchanged():
+    # rank_and_torsion on columns and smith_normal_form on dense rows, for
+    # boundary matrices and for matrices given by their rows
     K = complex_from_facets([f + (apex,) for f in RP2 for apex in (6, 7)])
-    matrices = boundary_matrices(K) + [
-        SparseIntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
-        SparseIntMatrix.from_rows([[1, 2, 0], [3, 1, 2], [0, 2, 6]]),
-    ]
-    for m in matrices:
-        rows = {r: dict(row) for r, row in m.rows.items()}
-        cols = {c: dict(col) for c, col in m.cols.items()}
-        first = rank_and_torsion(m), smith_normal_form(m)
-        assert (m.rows, m.cols) == (rows, cols)
-        assert (rank_and_torsion(m), smith_normal_form(m)) == first
+    heights = [1] + K.counts()
+    cases = [(m, dense_rows(m, heights[d])) for d, m in enumerate(boundary_matrices(K))]
+    for rows in ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [[1, 2, 0], [3, 1, 2], [0, 2, 6]]):
+        cases.append((sparse_columns(rows), rows))
+    for columns, rows in cases:
+        saved = [dict(col) for col in columns], [list(row) for row in rows]
+        first = rank_and_torsion(columns), smith_normal_form(rows)
+        assert (columns, rows) == saved
+        assert (rank_and_torsion(columns), smith_normal_form(rows)) == first
 
 
 def test_from_rows_rejects_malformed_rows():
+    # smith_normal_form checks its dense rows before reading them
     with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 1"):
-        SparseIntMatrix.from_rows([[2], [3, 5, 7]])
+        smith_normal_form([[2], [3, 5, 7]])
     with pytest.raises(ValueError, match=r"entry \(0, 0\) is not an int: 1\.5"):
-        SparseIntMatrix.from_rows([[1.5, 2], [3, 4]])
+        smith_normal_form([[1.5, 2], [3, 4]])
     for rows in ([[2], [3, 5, 7]], [[1, 2], [3]], [[1.5, 2], [3, 4]], [[1, 2], [3, "4"]]):
         with pytest.raises(ValueError):
             smith_normal_form(rows)
