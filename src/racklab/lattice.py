@@ -35,9 +35,13 @@ level is a set that is complete when the walk reaches it, and is sorted once.
 Each node's upper covers come from Lindig's neighbour algorithm (one closure
 per outside element, each cover emitted exactly once), and each closure is
 seeded with the node as already closed, so it only processes the added
-elements.  The walk yields each node with its covers as masks; the lattice
-builder translates them to node ids in one pass at the end, and only the
-rows that took a cover from a closure need a sort.
+elements.  Most closures generate a set that is not a cover, and each of
+these stops at the first element it adds that already rules the cover out:
+closures only grow, so the full closure would meet that element too, and
+the walk rejects exactly the sets it rejects with full closures.  The walk
+yields each node with its covers as masks; the lattice builder translates
+them to node ids in one pass at the end, and only the rows that took a cover
+from a closure need a sort.
 The Hasse diagram is stored once, as compressed sparse rows of upper covers;
 every analytic reads those rows, and the lower covers of a node are read off
 the rows of the nodes below it.
@@ -290,6 +294,14 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     no deduplication or pairwise subset filter.  The closure is seeded with s
     as already closed, so it only works through the new elements.
 
+    The closure also stops at the first element of mins - x it adds
+    (`Rack.closure`'s `stop`).  Rejecting x on that partial set is exact: a
+    closure only adds elements, so once the partial set meets mins - x the
+    full closure meets it too, and x would leave `mins` either way.  A
+    closure that adds no element of mins - x runs to the end, so every cover
+    emitted is a complete closure.  The calls, nodes, covers and rows are
+    those of the full closure; only the rejected closures do less work.
+
     An outside element in T = `rack.trivial_part` makes s + x its own
     closure: with s closed, `Rack.closure` has nothing on its work list and
     returns the seed.  The loop takes that early return inline, and skips the
@@ -341,7 +353,8 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                     b = s | bit  # Rack.closure's early return
                     grow(b)
                 else:
-                    b = close(s | bit, s)  # positional: perfbench wraps closure as (*args)
+                    # positional: perfbench wraps closure as (*args)
+                    b = close(s | bit, s, mins ^ bit)
                     if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
                         mins ^= bit
                         continue

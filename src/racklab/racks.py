@@ -84,7 +84,7 @@ class Rack:
         self._tables = tables
         return tables
 
-    def closure(self, seed: int, closed: int = 0) -> int:
+    def closure(self, seed: int, closed: int = 0, stop: int = 0) -> int:
         """Smallest subrack containing the bitmask `seed` (closed under the
         operation and its inverse, both arguments).
 
@@ -93,6 +93,11 @@ class Rack:
         elements of `closed`, a subrack already inside `seed`, start off it,
         and the elements of `trivial_part` never join it: a product or
         inverse product with one of them is its second argument.
+
+        With `stop`, the closure returns as soon as it adds an element of
+        `stop`: the set it returns then lies between `seed` and the closure
+        and meets `stop` outside `seed`, but may not be a subrack.  It is the
+        full closure whenever that adds no element of `stop`.
         """
         skip = self.trivial_part
         todo = seed & ~(closed | skip)
@@ -116,6 +121,8 @@ class Rack:
             new = add & ~res
             if new:
                 res |= new
+                if new & stop:
+                    return res
                 todo |= new & ~skip
         return res
 

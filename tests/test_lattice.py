@@ -93,6 +93,20 @@ def test_lemma_free_enumeration_matches_bruteforce(spec):
     assert list(lat.edges()) == brute_force_covers(sets)
 
 
+@pytest.mark.parametrize("spec", [
+    "A5:cycles(5)", "S5:cycles(4)", "SL(2,3):noncentral", "D24:noncentral", "A6:cycles(3)",
+])
+def test_lemma_free_enumeration_of_larger_racks_matches_oracles(spec):
+    # racks of 22 to 40 elements, where most closures of the walk stop at
+    # the first element that rules out a cover; the covers are checked
+    # against the definition wherever the lattice has at most 600 nodes
+    rack = rack_from_spec(spec, max_order=360)
+    lat = _lindig_subracks(rack, DEFAULT_NODE_BUDGET)
+    assert lat.sets == sorted(iter_closed_sets_lectic(rack), key=lambda m: (m.bit_count(), m))
+    if lat.n <= 600:
+        assert list(lat.edges()) == brute_force_covers(lat.sets)
+
+
 def _relabelled(rack, perm):
     """`rack` with its element perm[i] moved to position i."""
     pos = {e: i for i, e in enumerate(perm)}

@@ -132,6 +132,22 @@ def test_closure_operator_laws(data):
 
 @settings(deadline=None, max_examples=150)
 @given(st.data())
+def test_closure_with_stop_halts_only_on_a_stop_element(data):
+    rack = data.draw(st.sampled_from(_RACKS))
+    full = rack.full_mask()
+    seed = data.draw(st.integers(min_value=0, max_value=full))
+    stop = data.draw(st.integers(min_value=0, max_value=full))
+    c = rack.closure(seed)
+    r = rack.closure(seed, 0, stop)
+    assert r & seed == seed and r & c == r  # between seed and its closure
+    if c & stop & ~seed:
+        assert r & stop & ~seed  # stopped on an added stop element
+    else:
+        assert r == c  # no stop element added: the full closure
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
 def test_fixed_points_are_exactly_subracks(data):
     rack = data.draw(st.sampled_from(_RACKS))
     mask = data.draw(st.integers(min_value=0, max_value=rack.full_mask()))

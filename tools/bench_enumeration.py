@@ -13,11 +13,14 @@ what `racklab verify` runs for the group:
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
 time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
-machine: nodes, covers, closure calls (from one more, counted run) and
-sorted rows, the rows that took a cover from a closure and not only from
-T = `rack.trivial_part`.  Each row also records its size |top|, t = |T| and
-the node count of the full lattice, n' * 2^t on a factor row: the nodes
-`racklab lattice` reads its statistics off without building them.
+machine: nodes, covers, closure calls and stopped closures (from one more,
+counted run) and sorted rows, the rows that took a cover from a closure and
+not only from T = `rack.trivial_part`.  A stopped closure is a call whose
+result meets its `stop` argument: the walk's closure halted at the first
+element that ruled out a cover, and the set was rejected.  Each row also
+records its size |top|, t = |T| and the node count of the full lattice,
+n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
+off without building them.
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and compares them with the committed file.
 """
@@ -67,12 +70,14 @@ def top_of(kind: str, full: racks.Rack) -> int:
 def counters(name: str, kind: str, full: racks.Rack) -> dict:
     """Every field of a row but its time, from one counted run."""
     top = top_of(kind, full)
-    closure, calls = racks.Rack.closure, 0
+    closure, calls, stopped = racks.Rack.closure, 0, 0
 
-    def counting(self, *args):
-        nonlocal calls
+    def counting(self, seed, closed=0, stop=0):
+        nonlocal calls, stopped
         calls += 1
-        return closure(self, *args)
+        result = closure(self, seed, closed, stop)
+        stopped += bool(result & stop)
+        return result
 
     racks.Rack.closure = counting
     try:
@@ -87,7 +92,8 @@ def counters(name: str, kind: str, full: racks.Rack) -> dict:
     return {
         "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
         "nodes": L.n, "full_nodes": L.n << t if kind == "factor" else L.n,
-        "covers": L.edge_count(), "closure_calls": calls, "sorted_rows": sorted_rows,
+        "covers": L.edge_count(), "closure_calls": calls, "stopped_closures": stopped,
+        "sorted_rows": sorted_rows,
     }
 
 
@@ -126,7 +132,8 @@ def main() -> int:
     for r in rows:
         print(f"{r['kind']:6s} {r['rack']:22s} nodes {r['nodes']:6d} of {r['full_nodes']:6d} "
               f"covers {r['covers']:7d} "
-              f"closures {r['closure_calls']:6d} sorted {r['sorted_rows']:6d} {r['seconds']:.4f} s")
+              f"closures {r['closure_calls']:6d} stopped {r['stopped_closures']:6d} "
+              f"sorted {r['sorted_rows']:6d} {r['seconds']:.4f} s")
     print(f"group racks {totals['group']:.3f} s, factor racks {totals['factor']:.3f} s -> {path.name}")
     return 0
 

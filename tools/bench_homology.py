@@ -9,10 +9,11 @@ budget.  `racklab homology` builds the order complex of the factor
 L(R - T) only and shifts its homology by t = |T|; each row records t, the
 simplex counts of L(R)'s complex (what `--budget-simplices` counts, counted
 here without a budget), the simplices built and those left after the
-collapse (null when the budget stops the command first), the budget error or
-the sphere dimension, and the time of the whole command in process, min of
-3 runs.  `tests/test_bench_files.py` recomputes every field but the times
-with `counters` and compares them with the committed file.
+collapse (null when the budget stops the command first), all read off one
+run of the command, the budget error or the sphere dimension, and the time
+of the whole command in process, min of 3 runs.  `tests/test_bench_files.py`
+recomputes every field but the times with `counters` and compares them with
+the committed file.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs  # noqa: E402  perfbench's job lists
 from racklab import cli, topology  # noqa: E402
-from racklab.lattice import BudgetExceeded, enumerate_subracks  # noqa: E402
-from racklab.racks import rack_from_spec  # noqa: E402
 
 REPEATS = 3
 EXTRA = (("homology", "D8xZ3"), ("homology", "S3xS3"))
@@ -50,28 +49,42 @@ def run(argv: tuple[str, ...]) -> tuple[int, str, str]:
 
 
 def counters(argv: tuple[str, ...]) -> dict:
-    """Every field of a row but its time, from one run of the command."""
-    spec = argv[1]
-    max_order = int(argv[argv.index("--max-order") + 1]) if "--max-order" in argv else None
-    kwargs = {} if max_order is None else {"max_order": max_order}
-    code, out, err = run(argv)
-    P, t = enumerate_subracks(rack_from_spec(spec, **kwargs)).product_form()
-    counts = topology._count_simplices(P, 10**30, t)[2]
-    built = collapsed = None
+    """Every field of a row but its time, from one run of the command.
+
+    The run's own `order_complex` and `collapse_complex` calls are wrapped:
+    the first gives the factor P and t, from which L(R)'s simplex counts are
+    counted without a budget, and the size of the complex it builds; the
+    second the size after the collapse.  Neither is set when the budget
+    stops the command first."""
+    seen: dict = {}
+    build, collapse = cli.order_complex, topology.collapse_complex
+
+    def building(P, budget, t):
+        seen["P"], seen["t"] = P, t
+        K = build(P, budget, t)
+        seen["built"] = K.size()
+        if K.is_empty():  # its own collapse, which `reduced_homology` skips
+            seen["collapsed"] = 0
+        return K
+
+    def collapsing(K):
+        K = collapse(K)
+        seen["collapsed"] = K.size()
+        return K
+
+    cli.order_complex, topology.collapse_complex = building, collapsing
     try:
-        K = topology.order_complex(P, topology.DEFAULT_SIMPLEX_BUDGET, t)
-    except BudgetExceeded:
-        pass
-    else:
-        built = K.size()
-        collapsed = topology.collapse_complex(K).size()
+        code, out, err = run(argv)
+    finally:
+        cli.order_complex, topology.collapse_complex = build, collapse
+    counts = topology._count_simplices(seen["P"], 10**30, seen["t"])[2]
     return {
-        "spec": spec,
-        "t": t,
+        "spec": argv[1],
+        "t": seen["t"],
         "simplex_counts": counts,
         "simplices": sum(counts),
-        "built": built,
-        "collapsed": collapsed,
+        "built": seen.get("built"),
+        "collapsed": seen.get("collapsed"),
         "exit": code,
         "error": err.strip() or None,
         "sphere_dimension": json.loads(out)["sphere_dimension"] if code == 0 else None,
