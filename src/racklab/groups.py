@@ -1,9 +1,13 @@
 """Finite groups from a small constructor grammar, plus the subgroup toolkit.
 
 Groups are stored as full multiplication tables over element indices
-0..order-1, with index 0 always the identity.  The grammar covers cyclic,
-symmetric, alternating, dihedral, dicyclic, semidihedral-16, SL(2,3) and an
-order-18 semidirect product, closed under binary direct products.
+0..order-1, with index 0 always the identity.  A spec such as "D8xZ3xZ2" is
+the tuple of its factors, each a `FamilyTerm`: cyclic, symmetric,
+alternating, dihedral, dicyclic, semidihedral-16, SL(2,3) or an order-18
+semidirect product.  One table, `_FAMILIES`, gives each family's order and
+builder; the group of a spec is the direct product of its factors, taken
+from the left.  One search, `_joins`, finds the subgroups as the joins of
+cyclic subgroups and the normal subgroups as the joins of conjugacy classes.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from .bitsets import bit_list, bits, mask_of
 
@@ -48,19 +52,11 @@ class OrderCapExceeded(CapExceeded):
 
 @dataclass(frozen=True)
 class FamilyTerm:
-    kind: str  # "Z", "S", "A", "D", "DIC" or a fixed token (Q8, Q16, SD16, SL(2,3), TV18)
-    param: int | None = None
+    kind: str  # a key of _FAMILIES: "Z", "S", "A", "D", "DIC" or a fixed token
+    param: int | None = None  # None for a fixed token
 
 
-@dataclass(frozen=True)
-class ProductNode:
-    left: "GroupSpec"
-    right: "GroupSpec"
-
-
-GroupSpec = Union[FamilyTerm, ProductNode]
-
-_FIXED_TOKENS = {"Q8": 8, "Q16": 16, "SD16": 16, "SL(2,3)": 24, "TV18": 18}
+_FIXED_TOKENS = ("Q8", "Q16", "SD16", "SL(2,3)", "TV18")
 
 
 def _parse_term(token: str, position: int) -> FamilyTerm:
@@ -91,8 +87,9 @@ def _parse_term(token: str, position: int) -> FamilyTerm:
     return FamilyTerm(kind, n)
 
 
-def parse_group_spec(text: str) -> GroupSpec:
-    """Parse a group spec string such as "S4", "D8xZ3" or "SL(2,3)"."""
+def parse_group_spec(text: str) -> tuple[FamilyTerm, ...]:
+    """Parse a group spec string such as "S4", "D8xZ3" or "SL(2,3)" into its
+    factors, the terms between the x's, in order."""
     if not text:
         raise GroupSpecError("empty group spec")
     terms = []
@@ -102,34 +99,15 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise GroupSpecError("empty term", position)
         terms.append(_parse_term(piece, position))
         position += len(piece) + 1
-    return reduce(ProductNode, terms)
+    return tuple(terms)
 
 
-def format_group_spec(spec: GroupSpec) -> str:
-    if isinstance(spec, FamilyTerm):
-        if spec.kind in _FIXED_TOKENS:
-            return spec.kind
-        return f"{spec.kind}{spec.param}"
-    return f"{format_group_spec(spec.left)}x{format_group_spec(spec.right)}"
+def format_group_spec(spec: Sequence[FamilyTerm]) -> str:
+    return "x".join(t.kind if t.param is None else f"{t.kind}{t.param}" for t in spec)
 
 
-def spec_order(spec: GroupSpec) -> int:
-    if isinstance(spec, ProductNode):
-        return spec_order(spec.left) * spec_order(spec.right)
-    kind, n = spec.kind, spec.param
-    if kind in _FIXED_TOKENS:
-        return _FIXED_TOKENS[kind]
-    if kind == "Z":
-        return n
-    if kind == "S":
-        return factorial(n)
-    if kind == "A":
-        return max(1, factorial(n) // 2)
-    if kind == "D":
-        return n
-    if kind == "DIC":
-        return 4 * n
-    raise AssertionError(kind)
+def spec_order(spec: Sequence[FamilyTerm]) -> int:
+    return prod(_FAMILIES[t.kind].order(t.param) for t in spec)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +326,32 @@ def _build_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return _table_group(f"{a.name}x{b.name}", elems, mul, labels)
 
 
-def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Build the group described by `spec` (a parse tree or a spec string)."""
+class _Family(NamedTuple):
+    order: Callable[[int | None], int]  # the group order, from the parameter
+    build: Callable[[int | None], FiniteGroup]
+
+
+# every family of the grammar, by token; a fixed token's parameter is None
+_FAMILIES = {
+    "Z": _Family(lambda n: n, _build_cyclic),
+    "S": _Family(factorial, _build_symmetric),
+    "A": _Family(lambda n: max(1, factorial(n) // 2), _build_alternating),
+    "D": _Family(lambda n: n, _build_dihedral),
+    "DIC": _Family(lambda k: 4 * k, _build_dicyclic),
+    "Q8": _Family(lambda _: 8, lambda _: _build_dicyclic(2, name="Q8")),
+    "Q16": _Family(lambda _: 16, lambda _: _build_dicyclic(4, name="Q16")),
+    "SD16": _Family(lambda _: 16, lambda _: _build_semidihedral16()),
+    "SL(2,3)": _Family(lambda _: 24, lambda _: _build_sl23()),
+    "TV18": _Family(lambda _: 18, lambda _: _build_tv18()),
+}
+
+
+def build_group(
+    spec: Sequence[FamilyTerm] | str, max_order: int = DEFAULT_MAX_ORDER
+) -> FiniteGroup:
+    """Build the group described by `spec` (its factors or a spec string): the
+    direct product of the factors, taken from the left, so A x B x C is
+    (A x B) x C."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     order = spec_order(spec)
@@ -357,34 +359,7 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Fi
         raise OrderCapExceeded(
             f"group order {order} exceeds the cap {max_order} for {format_group_spec(spec)}"
         )
-    return _build(spec)
-
-
-def _build(spec: GroupSpec) -> FiniteGroup:
-    if isinstance(spec, ProductNode):
-        return _build_product(_build(spec.left), _build(spec.right))
-    kind, n = spec.kind, spec.param
-    if kind == "Z":
-        return _build_cyclic(n)
-    if kind == "S":
-        return _build_symmetric(n)
-    if kind == "A":
-        return _build_alternating(n)
-    if kind == "D":
-        return _build_dihedral(n)
-    if kind == "DIC":
-        return _build_dicyclic(n)
-    if kind == "Q8":
-        return _build_dicyclic(2, name="Q8")
-    if kind == "Q16":
-        return _build_dicyclic(4, name="Q16")
-    if kind == "SD16":
-        return _build_semidihedral16()
-    if kind == "SL(2,3)":
-        return _build_sl23()
-    if kind == "TV18":
-        return _build_tv18()
-    raise AssertionError(kind)
+    return reduce(_build_product, (_FAMILIES[t.kind].build(t.param) for t in spec))
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +454,29 @@ def _handle(G: FiniteGroup, mask: int, maximal: bool | None = None) -> SubgroupH
     )
 
 
-def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
-    """Every subgroup of G, deterministically ordered, with normal/maximal flags."""
-    if G.order > SUBGROUP_CAP:
-        raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
-    cyclics = sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)})
-    found = {1} | set(cyclics)
-    queue = sorted(found)
+def _joins(G: FiniteGroup, generators: Sequence[int]) -> list[int]:
+    """Every subgroup generated by a set of the element masks `generators`,
+    sorted by (order, mask): the trivial subgroup, closed under the join
+    with each generator.  The joins of the cyclic subgroups are all the
+    subgroups; those of the conjugacy classes are the normal ones."""
+    found = {1}
+    queue = [1]
     while queue:
         h = queue.pop()
-        for c in cyclics:
+        for c in generators:
             if c | h != h:
                 k = subgroup_closure_mask(G, c | h)
                 if k not in found:
                     found.add(k)
                     queue.append(k)
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
+    """Every subgroup of G, deterministically ordered, with normal/maximal flags."""
+    if G.order > SUBGROUP_CAP:
+        raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
+    masks = _joins(G, sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)}))
     full = (1 << G.order) - 1
     handles = []
     for m in masks:
@@ -531,19 +513,8 @@ def subgroup_conjugates(G: FiniteGroup, mask: int) -> frozenset[int]:
 
 
 def normal_subgroups_masks(G: FiniteGroup) -> list[int]:
-    """All normal subgroups, found by closing unions of conjugacy classes."""
-    classes = conjugacy_classes(G).classes
-    found = {1}
-    queue = [1]
-    while queue:
-        n_mask = queue.pop()
-        for c in classes:
-            if c | n_mask != n_mask:
-                k = subgroup_closure_mask(G, n_mask | c)
-                if k not in found:
-                    found.add(k)
-                    queue.append(k)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    """All normal subgroups, the joins of conjugacy classes."""
+    return _joins(G, conjugacy_classes(G).classes)
 
 
 def commutator_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
@@ -555,27 +526,21 @@ def commutator_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
     return subgroup_closure_mask(G, mask_of(gens))
 
 
-def derived_series(G: FiniteGroup) -> list[int]:
-    series = [(1 << G.order) - 1]
-    while True:
-        nxt = commutator_mask(G, series[-1], series[-1])
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
-
-
-def lower_central_series(G: FiniteGroup) -> list[int]:
+def _series_end(G: FiniteGroup, central: bool) -> int:
+    """The last term of the derived series G, [G, G], [[G, G], [G, G]], ...
+    or, if `central`, of the lower central series G, [G, G], [[G, G], G], ...:
+    the first term that the next commutator leaves unchanged."""
     full = (1 << G.order) - 1
-    series = [full]
+    term = full
     while True:
-        nxt = commutator_mask(G, series[-1], full)
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
+        nxt = commutator_mask(G, term, full if central else term)
+        if nxt == term:
+            return term
+        term = nxt
 
 
 def is_nilpotent_lcs(G: FiniteGroup) -> bool:
-    return lower_central_series(G)[-1] == 1
+    return _series_end(G, central=True) == 1
 
 
 def _cyclic_quotient(G: FiniteGroup, m_mask: int, n_mask: int) -> bool:
@@ -639,7 +604,7 @@ class GroupProperties:
 def group_properties(G: FiniteGroup) -> GroupProperties:
     abelian = _is_abelian_subset(G, (1 << G.order) - 1)
     nilpotent = is_nilpotent_lcs(G)
-    solvable = derived_series(G)[-1] == 1
+    solvable = _series_end(G, central=False) == 1
     supersolvable = solvable and _is_supersolvable(G, abelian)
     return GroupProperties(abelian, nilpotent, solvable, supersolvable, _is_simple(G))
 

@@ -689,36 +689,23 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
         raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
     if union.bit_count() > M_CAP:
         raise CapExceeded(f"M computation capped at rack size {M_CAP}")
-    closed_above: dict[int, bool] = {}
-    int_not_boolean: dict[int, bool] = {}
+    bars = [closure_bar(classes, s) for s in sets]
+    unclosed = [s for s, bar in zip(sets, bars) if bar != s]
+    above: dict[int, tuple[bool, bool]] = {}  # bar -> (interval_closed, int_not_boolean)
     entries = []
-    for v in range(L.n):
-        s = sets[v]
-        bar = closure_bar(classes, s)
+    for v, (s, bar) in enumerate(zip(sets, bars)):
         if bar == s:
             continue
         pars = L.parents(v)
         if len(pars) != 1 or sets[pars[0]] != bar:
             continue
-        if bar not in closed_above:
-            ok = True
-            for w in range(L.n):
-                t = sets[w]
-                if t & bar == bar and closure_bar(classes, t) != t:
-                    ok = False
-                    break
-            closed_above[bar] = ok
-        if bar not in int_not_boolean:
-            coat = [sets[c] for c in L.children(L.node_of(bar))]
-            int_not_boolean[bar] = not is_boolean_sets(_meet_closure(bar, coat))
-        entries.append(
-            MEntry(
-                node=v,
-                elems=s,
-                interval_closed=closed_above[bar],
-                int_not_boolean=int_not_boolean[bar],
+        if bar not in above:
+            coat = [sets[c] for c in L.children(pars[0])]  # pars[0] is bar's node
+            above[bar] = (
+                not any(u & bar == bar for u in unclosed),
+                not is_boolean_sets(_meet_closure(bar, coat)),
             )
-        )
+        entries.append(MEntry(v, s, *above[bar]))
     members = tuple(e.node for e in entries if e.member)
     return MReport(tuple(entries), members)
 

@@ -187,15 +187,15 @@ def _each(one):
 @_each
 def check_sphere_theorem(spec, cfg):
     """L(G)'s homology, read off the complex of P = L(G - Z) shifted by
-    t = |Z| as in `racklab homology`, rests on the product lemma, which
+    t = |Z| as in `racklab homology`, with P, Z and the non-central classes
+    taken from `catalog.analyze_group`, rests on the product lemma, which
     `product-decomposition` checks, and on the suspension, which
     `tests/test_homology_shift.py::test_shifted_homology_equals_the_full_complex`
     checks on every `catalog.SPHERE_LIST` group."""
-    G = build_group(spec)
-    c = len(conjugacy_classes(G).classes)
-    rack = conjugation_rack(G, provenance=spec)
-    P, t = enumerate_subracks(rack, cfg.node_budget).product_form()
-    H = reduced_homology(order_complex(P, cfg.simplex_budget, t))
+    a = catalog.analyze_group(spec, cfg.node_budget)
+    t = a.center.bit_count()
+    c = len(a.classes) + t  # each central element is a class of its own
+    H = reduced_homology(order_complex(a.factor, cfg.simplex_budget, t))
     good = H.sphere_dimension == c - 2
     computed = {
         "classes": c,
@@ -324,7 +324,8 @@ def check_partition_iso(specs, cfg):
     bell = {3: 5, 4: 15, 5: 52}
     expected, computed, ok = {}, {}, True
     for spec in specs:
-        n = parse_group_spec(spec.partition(":")[0]).param
+        (term,) = parse_group_spec(spec.partition(":")[0])
+        n = term.param
         rep = transposition_rack_isomorphism(n, cfg.node_budget)
         expected[f"n={n}"] = {"count": bell[n]}
         computed[f"n={n}"] = {

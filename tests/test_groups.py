@@ -16,7 +16,6 @@ from racklab.groups import (
     FiniteGroup,
     GroupSpecError,
     OrderCapExceeded,
-    ProductNode,
     SubgroupHandle,
     all_subgroups,
     build_group,
@@ -26,6 +25,7 @@ from racklab.groups import (
     format_group_spec,
     group_properties,
     is_nilpotent_lcs,
+    normal_subgroups_masks,
     parse_group_spec,
     spec_order,
     subgroup_closure_mask,
@@ -37,12 +37,12 @@ from racklab.groups import (
 
 
 def test_parse_symmetric():
-    assert parse_group_spec("S4") == FamilyTerm("S", 4)
+    assert parse_group_spec("S4") == (FamilyTerm("S", 4),)
 
 
 def test_parse_product():
     spec = parse_group_spec("S3xZ2")
-    assert spec == ProductNode(FamilyTerm("S", 3), FamilyTerm("Z", 2))
+    assert spec == (FamilyTerm("S", 3), FamilyTerm("Z", 2))
 
 
 def test_parse_fixed_tokens():
@@ -64,6 +64,16 @@ def test_parse_garbage_rejected_with_position():
 def test_parse_roundtrip():
     for text in ["S4", "S3xZ2", "D8xZ3", "SL(2,3)", "Q8xZ2xZ2", "TV18", "DIC3"]:
         assert format_group_spec(parse_group_spec(text)) == text
+
+
+def test_three_factor_spec():
+    spec = parse_group_spec("Q8xZ2xZ2")
+    assert format_group_spec(spec) == "Q8xZ2xZ2"
+    assert build_group(spec).order == 32
+    with pytest.raises(
+        OrderCapExceeded, match=r"^group order 32 exceeds the cap 16 for Q8xZ2xZ2$"
+    ):
+        build_group("Q8xZ2xZ2", max_order=16)
 
 
 def test_order_cap():
@@ -153,6 +163,12 @@ def test_group_table_digest(spec):
     G = build_group(spec, max_order=360)
     digest = hashlib.sha256(repr((G.labels, G.mul, G.perms)).encode()).hexdigest()
     assert digest == TABLE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_spec_order_is_the_order_of_the_built_group(spec):
+    # the two columns of the family table, order rule and builder, agree
+    assert spec_order(parse_group_spec(spec)) == build_group(spec, max_order=360).order
 
 
 def test_tv18_center_and_presentation():
@@ -247,6 +263,27 @@ def test_subgroup_flags():
     assert all(h.normal for h in by_order[12])  # A4
     assert not any(h.normal for h in by_order[6])  # the S3 point stabilizers
     assert sum(1 for h in subs if h.maximal) == 4 + 3 + 1  # S3s, D8s, A4
+
+
+def _is_normal_by_definition(G, mask):
+    return all(
+        (1 << G.mul[G.mul[g][h]][G.inv[g]]) & mask for g in range(G.order) for h in bit_list(mask)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in CATALOG if spec_order(parse_group_spec(s)) <= 12]
+)
+def test_normal_subgroups_match_brute_force(spec):
+    G = build_group(spec)
+    want = [m for m in brute_force_subgroups(G) if _is_normal_by_definition(G, m)]
+    assert normal_subgroups_masks(G) == want
+
+
+@pytest.mark.parametrize("spec", ["S4", "SL(2,3)"])
+def test_normal_subgroups_are_the_normal_members_of_all_subgroups(spec):
+    G = build_group(spec)
+    assert normal_subgroups_masks(G) == [h.elems for h in all_subgroups(G) if h.normal]
 
 
 def test_core_and_normalizer():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import all_maximal_chains, full_lattice
 from racklab.bitsets import bit_list, bits, mask_of
-from racklab.catalog import CENTRAL_CATALOG
+from racklab.catalog import CATALOG, CENTRAL_CATALOG, analyze_group
 from racklab.groups import (
     CapExceeded,
     all_subgroups,
@@ -539,6 +541,62 @@ def test_m_of_a4():
     got = sorted(lat.sets[v] for v in rep.members)
     want = sorted(h.elems for h in all_subgroups(G) if h.maximal and not h.normal)
     assert got == want and len(got) == 4
+
+
+def _m_entries_by_definition(lat, classes):
+    """(node, elems, interval_closed, int_not_boolean) of every node s that
+    is not closed and whose only upper cover is its class-union closure b,
+    each condition read off the sets by its definition."""
+    sets = lat.sets
+
+    def bar(s):
+        return reduce(or_, (c for c in classes if c & s), 0)
+
+    out = []
+    for v, s in enumerate(sets):
+        b = bar(s)
+        # b is the only upper cover of s exactly when b is a set of the
+        # lattice and every set above s contains it
+        if b == s or b not in sets or any(t & s == s != t and t & b != b for t in sets):
+            continue
+        interval_closed = all(bar(t) == t for t in sets if t & b == b)
+        below = [t for t in sets if t & b == t != b]
+        coat = [t for t in below if not any(t & u == t != u for u in below)]
+        # Int([bottom, b]) is Boolean exactly when the 2^k meets of the
+        # subsets of its k coatoms are distinct
+        meets = {
+            reduce(and_, combo, b)
+            for r in range(len(coat) + 1)
+            for combo in itertools.combinations(coat, r)
+        }
+        out.append((v, s, interval_closed, len(meets) != 1 << len(coat)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,blocks",
+    [(s, "factor") for s in CATALOG]
+    + [(s, "classes") for s in ("S3", "D8", "A4", "S4")]
+    + [(s, "pairs") for s in ("D8", "Q8")],
+)
+def test_compute_m_matches_the_definition(spec, blocks):
+    # the factor L(G - Z) with the non-central classes; L(G) whole with the
+    # classes; or L(G) with the blocks {0, 1}, {2, 3}, ..., a partition into
+    # non-classes under which some node has an unclosed set above its closure
+    if blocks == "factor":
+        a = analyze_group(spec)
+        lat, classes = a.factor, a.classes
+    else:
+        lat = full_lattice(spec)
+        if blocks == "classes":
+            classes = conjugacy_classes(build_group(spec)).classes
+        else:
+            classes = tuple(3 << i for i in range(0, lat.sets[-1].bit_length(), 2))
+    got = [
+        (e.node, e.elems, e.interval_closed, e.int_not_boolean)
+        for e in compute_M(lat, classes).entries
+    ]
+    assert got == _m_entries_by_definition(lat, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ what `racklab verify` runs for the group:
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
 time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
-machine: nodes, covers, closure calls and stopped closures (from one more,
-counted run) and sorted rows, the rows that took a cover from a closure and
-not only from T = `rack.trivial_part`.  A stopped closure is a call whose
-result meets its `stop` argument: the walk's closure halted at the first
-element that ruled out a cover, and the set was rejected.  Each row also
+machine: nodes, covers, closure calls, stopped closures and sorted rows,
+the rows that took a cover from a closure and not only from
+T = `rack.trivial_part`, all read off one more, counted run of the walk,
+`_lindig_walk`, without building the lattice.  A stopped closure is a call
+whose result meets its `stop` argument: the walk's closure halted at the
+first element that ruled out a cover, and the set was rejected.  Each row also
 records its size |top|, t = |T| and the node count of the full lattice,
 n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
 off without building them.
@@ -68,7 +69,10 @@ def top_of(kind: str, full: racks.Rack) -> int:
 
 
 def counters(name: str, kind: str, full: racks.Rack) -> dict:
-    """Every field of a row but its time, from one counted run."""
+    """Every field of a row but its time, read off one counted run of
+    `_lindig_walk`, the walk both timed calls make: a node per row, its
+    covers, and a sorted row per row flagged as having taken a closure
+    cover."""
     top = top_of(kind, full)
     closure, calls, stopped = racks.Rack.closure, 0, 0
 
@@ -79,20 +83,20 @@ def counters(name: str, kind: str, full: racks.Rack) -> dict:
         stopped += bool(result & stop)
         return result
 
+    nodes = covers = sorted_rows = 0
     racks.Rack.closure = counting
     try:
-        L = lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
+        for _, row, closed in lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top):
+            nodes += 1
+            covers += len(row)
+            sorted_rows += closed
     finally:
         racks.Rack.closure = closure
     t = full.trivial_part.bit_count()
-    outside = full.full_mask() & ~full.trivial_part
-    sorted_rows = outside and sum(
-        any((L.sets[p] ^ s) & outside for p in L.parents(v)) for v, s in enumerate(L.sets)
-    )
     return {
         "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
-        "nodes": L.n, "full_nodes": L.n << t if kind == "factor" else L.n,
-        "covers": L.edge_count(), "closure_calls": calls, "stopped_closures": stopped,
+        "nodes": nodes, "full_nodes": nodes << t if kind == "factor" else nodes,
+        "covers": covers, "closure_calls": calls, "stopped_closures": stopped,
         "sorted_rows": sorted_rows,
     }
 
