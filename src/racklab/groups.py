@@ -8,6 +8,15 @@ semidirect product.  One table, `_FAMILIES`, gives each family's order and
 builder; the group of a spec is the direct product of its factors, taken
 from the left.  One search, `_joins`, finds the subgroups as the joins of
 cyclic subgroups and the normal subgroups as the joins of conjugacy classes.
+
+A symmetric or alternating group's table is built from a few rows:
+`_perm_table` computes the row of a generator one product at a time and
+every other row as the composition of two rows found by walking the Cayley
+graph, which is exact because composition is associative.  Only those
+families take this path: every other table is built one product at a time
+from its family's product rule, so that `FiniteGroup._validate` checks the
+rule itself and not just the composition.  The validation compares whole
+rows too, and names the same first failing entry as an entry-by-entry scan.
 """
 
 from __future__ import annotations
@@ -114,6 +123,14 @@ def spec_order(spec: Sequence[FamilyTerm]) -> int:
 # group object
 
 
+def _composer(q: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map p -> p∘q = (p[q[0]], p[q[1]], ...) for a permutation q of
+    0..len(q)-1, one gather in C.  itemgetter of a single index returns an
+    item, not a tuple; the only permutation of one point is (0,), and
+    p∘(0,) is tuple(p)."""
+    return itemgetter(*q) if len(q) > 1 else tuple
+
+
 class FiniteGroup:
     """Multiplication table group; element 0 is the identity."""
 
@@ -125,14 +142,8 @@ class FiniteGroup:
         self.order = len(self.mul)
         self.labels = tuple(labels)
         self.perms = tuple(perms) if perms is not None else None
-        inv = [-1] * self.order
-        for a in range(self.order):
-            row = self.mul[a]
-            for b in range(self.order):
-                if row[b] == 0:
-                    inv[a] = b
-                    break
-        self.inv = tuple(inv)
+        # -1 marks a row without 0, which `_validate` rejects
+        self.inv = tuple(row.index(0) if 0 in row else -1 for row in self.mul)
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._validate()
 
@@ -140,23 +151,31 @@ class FiniteGroup:
         n, mul, inv = self.order, self.mul, self.inv
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be unique, one per element")
-        for a in range(n):
-            if sorted(mul[a]) != list(range(n)) or sorted(r[a] for r in mul) != list(range(n)):
+        full = list(range(n))
+        # zip stops at the shortest row: a ragged table runs out of columns,
+        # and the () that stands in for a missing column fails the test
+        columns = zip(*mul)
+        for a, row in enumerate(mul):
+            if sorted(row) != full or sorted(next(columns, ())) != full:
                 raise ValueError(f"row/column {a} of the table is not a permutation")
-            if mul[0][a] != a or mul[a][0] != a:
+            if mul[0][a] != a or row[0] != a:
                 raise ValueError("element 0 is not an identity")
-            if inv[a] < 0 or mul[a][inv[a]] != 0 or mul[inv[a]][a] != 0:
+            if inv[a] < 0 or row[inv[a]] != 0 or mul[inv[a]][a] != 0:
                 raise ValueError(f"element {a} has no two-sided inverse")
-        if n <= _ASSOC_EXHAUSTIVE_CAP:
-            triples = itertools.product(range(n), repeat=3)
-        else:
+        if n > _ASSOC_EXHAUSTIVE_CAP:
             rng = random.Random(0xA55)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLES)
-            )
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            for _ in range(_ASSOC_SAMPLES):
+                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+            return
+        # (a b) c = a (b c) for every c at once: row ab against row a composed
+        # with row b; the first failing c is looked up only on a mismatch, so
+        # the message names the first triple in (a, b, c) order
+        compose = [_composer(row) for row in mul]
+        for a, b in itertools.product(range(n), repeat=2):
+            if mul[mul[a][b]] != compose[b](mul[a]):
+                c = next(c for c in range(n) if mul[mul[a][b]][c] != mul[a][mul[b][c]])
                 raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
     @property
@@ -213,14 +232,45 @@ def _perm_label(p: tuple[int, ...]) -> str:
     return "".join("(" + "".join(str(v + 1) for v in c) + ")" for c in cycles) or "e"
 
 
+def _perm_table(perms: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The multiplication table of `perms`, a group of permutations listed
+    with the identity first, under (p q)(i) = p(q(i)); and the generators,
+    the elements whose rows it computed one product at a time.
+
+    The generators are chosen greedily: the smallest element not yet
+    reached.  Each new one extends a walk of the Cayley graph from the
+    identity, which reaches every product of generators and builds its row
+    in C as a gather: a g y = a (g y), so row(a g) = row(a)∘row(g).
+    """
+    n = len(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    gens: list[int] = []
+    compose = []
+    for g in range(1, n):
+        if rows[g] is not None:
+            continue
+        p = perms[g]
+        rows[g] = tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
+        gens.append(g)
+        compose.append((g, _composer(rows[g])))
+        todo = [a for a in range(n) if rows[a] is not None]
+        while todo:
+            row = rows[todo.pop()]
+            for h, times_h in compose:
+                b = row[h]
+                if rows[b] is None:
+                    rows[b] = times_h(row)
+                    todo.append(b)
+    return rows, gens
+
+
 def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     identity = tuple(range(len(perms[0])))
     perms = [identity] + sorted(p for p in perms if p != identity)
     labels = [_perm_label(p) for p in perms]
-    # (p q)(i) = p(q(i)); itemgetter of a single index returns an item, not a
-    # tuple, but degree 1 has only the identity, and p = tuple(p)
-    act = {q: itemgetter(*q) if len(q) > 1 else tuple for q in perms}
-    return _table_group(name, perms, lambda p, q: act[q](p), labels, perms)
+    return FiniteGroup(name, _perm_table(perms)[0], labels, perms)
 
 
 def _build_symmetric(n: int) -> FiniteGroup:

@@ -8,6 +8,7 @@ use ``a > b = a b a^-1`` inside a group.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Sequence
 
@@ -16,6 +17,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     CapExceeded,
     FiniteGroup,
+    _composer,
     _perm_cycles,
     build_group,
     conjugacy_classes,
@@ -159,14 +161,14 @@ def validate_rack(
         if len(set(row)) != n:
             raise RackAxiomError(f"row {a} is not a bijection: b -> {a} > b repeats a value")
     op = [tuple(row) for row in op_table]
-    for a in range(n):
-        for b in range(n):
-            ab = op[a][b]
-            for c in range(n):
-                if op[a][op[b][c]] != op[ab][op[a][c]]:
-                    raise RackAxiomError(
-                        f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})"
-                    )
+    # a > (b > c) = (a > b) > (a > c) for every c at once: op[a]∘op[b]
+    # against op[a > b]∘op[a]; the first failing c is looked up only on a
+    # mismatch, so the message names the first triple in (a, b, c) order
+    compose = [_composer(row) for row in op]
+    for a, b in itertools.product(range(n), repeat=2):
+        if compose[b](op[a]) != compose[a](op[op[a][b]]):
+            c = next(c for c in range(n) if op[a][op[b][c]] != op[op[a][b]][op[a][c]])
+            raise RackAxiomError(f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})")
     if labels is None:
         labels = [str(i) for i in range(n)]
     return Rack(op, _inverse_table(op), labels, provenance)
@@ -198,15 +200,17 @@ def conjugation_rack(
         mask = mask_of(subset)
     elems = bit_list(mask)
     pos = {e: i for i, e in enumerate(elems)}
+    op = []
     for a in elems:
-        for b in elems:
-            c = G.conj(a, b)
-            if c not in pos:
-                raise RackAxiomError(
-                    f"subset is not closed under conjugation: "
-                    f"{G.labels[a]} > {G.labels[b]} = {G.labels[c]} is outside it"
-                )
-    op = [[pos[G.conj(a, b)] for b in elems] for a in elems]
+        images = [G.conj(a, b) for b in elems]
+        row = [pos.get(c) for c in images]
+        if None in row:
+            b = row.index(None)
+            raise RackAxiomError(
+                f"subset is not closed under conjugation: "
+                f"{G.labels[a]} > {G.labels[elems[b]]} = {G.labels[images[b]]} is outside it"
+            )
+        op.append(row)
     return Rack(op, _inverse_table(op), [G.labels[e] for e in elems], provenance or G.name)
 
 

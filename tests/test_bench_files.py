@@ -2,13 +2,15 @@
 field of every row but the times is recomputed here with the benchmark
 scripts' own `counters` and compared, so a change that alters a counter
 fails until the file is rewritten (`python3 tools/bench_enumeration.py`,
-`python3 tools/bench_homology.py`)."""
+`python3 tools/bench_homology.py`, `python3 tools/bench_groups.py`)."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+from test_groups import TABLE_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +39,9 @@ def test_homology_counters_match_the_committed_file():
     assert [bench.counters(argv) for argv in bench.homology_argvs()] == _committed_rows(
         "homology", "specs"
     )
+
+
+def test_group_counters_match_the_committed_file():
+    bench = _tool("bench_groups")
+    assert list(bench.SPECS) == list(TABLE_DIGESTS)
+    assert [bench.counters(spec) for spec in bench.SPECS] == _committed_rows("groups", "specs")

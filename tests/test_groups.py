@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import re
 
 import pytest
 
@@ -192,8 +194,81 @@ def test_sl23_class_sizes():
 
 
 def test_bad_table_rejected():
-    with pytest.raises(ValueError):
+    # row 1 has no 0, so no inverse either: the permutation test names it first
+    with pytest.raises(ValueError, match=re.escape("row/column 1 of the table is not a permutation")):
         FiniteGroup("broken", [[0, 1], [1, 1]], ["e", "g"])
+
+
+def _composition_table(perms):
+    """Oracle: the table of `perms` one product at a time, (p q)(i) = p(q(i))."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [tuple(index[tuple(p[i] for i in q)] for q in perms) for p in perms]
+
+
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "S6", "A3", "A4", "A5", "A6"])
+def test_permutation_table_matches_the_composition_oracle(spec):
+    G = build_group(spec, max_order=720)
+    assert list(G.mul) == _composition_table(G.perms)
+
+
+def test_permutation_table_composes_all_but_the_generator_rows():
+    # A6 is 2-generated, but the greedy choice (the smallest element not yet
+    # reached) takes four generators: 4 x 360 products instead of 360 x 360
+    perms = build_group("A6", max_order=360).perms
+    gens = groups._perm_table(perms)[1]
+    assert len(gens) == 4 and gens == sorted(gens) and gens[0] == 1
+
+
+def _first_failing_triple(mul):
+    """Oracle: the first (a, b, c) in product order with (a b) c != a (b c)."""
+    n = len(mul)
+    return next(
+        (a, b, c)
+        for a, b, c in itertools.product(range(n), repeat=3)
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]
+    )
+
+
+# Latin squares with identity 0 in which every element has a two-sided
+# inverse, but which are not associative.  Order 5 is the smallest such
+# order; in the order-6 square the first failing triple differs from the
+# first one in (b, a, c) order and from the last failing c of its (a, b).
+NONASSOCIATIVE_LOOPS = [
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    [
+        [0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+        [3, 5, 4, 0, 2, 1], [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0],
+    ],
+]
+
+
+@pytest.mark.parametrize("mul", NONASSOCIATIVE_LOOPS, ids=["order5", "order6"])
+def test_associativity_failure_names_the_first_triple(mul):
+    a, b, c = _first_failing_triple(mul)
+    labels = [str(i) for i in range(len(mul))]
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails at ({a}, {b}, {c})")):
+        FiniteGroup("loop", mul, labels)
+
+
+@pytest.mark.parametrize(
+    "mul, message",
+    [
+        # ragged: the short last row leaves one column, so column 1 is missing
+        ([[0, 1, 2], [1, 2, 0], [2]], "row/column 1 of the table is not a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1, 0]], "row/column 2 of the table is not a permutation"),
+        # a Latin square whose identity is element 1
+        ([[1, 0], [0, 1]], "element 0 is not an identity"),
+        # 2 3 = 0 but 3 2 = 1: element 2 has a right inverse only
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            "element 2 has no two-sided inverse",
+        ),
+    ],
+    ids=["ragged-short", "ragged-long", "no-identity", "one-sided-inverse"],
+)
+def test_malformed_table_rejected(mul, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FiniteGroup("broken", mul, [str(i) for i in range(len(mul))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +52,24 @@ def test_self_distributivity_failure_named():
         validate_rack([[1, 0], [0, 1]])
 
 
+def test_self_distributivity_failure_names_the_first_triple():
+    # S3's conjugation table with two entries of row 1 swapped: every row is
+    # still a bijection.  The oracle scans the triples in product order; its
+    # first triple, (1, 2, 3), is neither the first in (b, a, c) order nor
+    # the last failing c of its (a, b)
+    G = build_group("S3")
+    table = [[G.conj(a, b) for b in range(6)] for a in range(6)]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    a, b, c = next(
+        (a, b, c)
+        for a, b, c in itertools.product(range(6), repeat=3)
+        if table[a][table[b][c]] != table[table[a][b]][table[a][c]]
+    )
+    message = f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})"
+    with pytest.raises(RackAxiomError, match=re.escape(message)):
+        validate_rack(table)
+
+
 def test_cyclic_shift_rack_is_not_a_quandle():
     r = cyclic_shift_rack(4)
     assert not is_quandle(r)
@@ -77,6 +98,18 @@ def test_unclosed_subset_rejected():
     bad = mask_of([G.label_index("(12)"), G.label_index("(1234)")])
     with pytest.raises(RackAxiomError, match="not closed"):
         conjugation_rack(G, bad)
+
+
+def test_unclosed_subset_names_the_first_pair():
+    G = build_group("S4")
+    subset = [G.label_index(lab) for lab in ("(12)", "(34)", "(1234)", "(123)")]
+    elems = sorted(subset)
+    a, b = next(
+        (a, b) for a in elems for b in elems if G.conj(a, b) not in subset
+    )
+    message = f"{G.labels[a]} > {G.labels[b]} = {G.labels[G.conj(a, b)]} is outside it"
+    with pytest.raises(RackAxiomError, match=re.escape(message)):
+        conjugation_rack(G, subset)
 
 
 def test_class_filter():

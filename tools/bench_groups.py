@@ -1,0 +1,124 @@
+"""Time the group builds and write BENCH_groups.json at the root of the
+checkout.
+
+    python3 tools/bench_groups.py
+
+The specs are those whose tables `tests/test_groups.py` pins in
+`TABLE_DIGESTS`, in the same order.  Each row records the time of
+`build_group(spec, max_order=360)` in process, min of 3 runs, next to work
+counters that do not depend on the machine, read off one more run whose
+table builders are wrapped, and summed over every table the build makes
+(a product's factors and the product itself):
+
+- `order`: the order of the group;
+- `generators`: the rows of permutation tables computed one product at a
+  time (0 for a spec without an S or A factor);
+- `direct_products`: the products evaluated one at a time, n per generator
+  row and n^2 for any other table of order n;
+- `composed_rows`: the rows of permutation tables built as a composition of
+  two rows, every row but the identity's and the generators';
+- `associativity_rows`: the (a, b) rows the exhaustive associativity check
+  compares, n^2 for a table of order n <= 48;
+- `associativity_triples`: the triples the sampled check tests on a larger
+  table.
+
+`tests/test_bench_files.py` recomputes every field but the times with
+`counters` and compares them with the committed file.
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+
+from racklab import groups  # noqa: E402
+
+REPEATS = 3
+MAX_ORDER = 360
+SPECS = (
+    "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2", "Z9",
+    "Z3xZ3", "Z10", "Z11", "Z12", "Z6xZ2", "Z13", "Z14", "Z15", "Z16", "Z8xZ2", "Z4xZ4",
+    "Z4xZ2xZ2", "Z2xZ2xZ2xZ2", "S3", "D8", "Q8", "D10", "D12", "A4", "DIC3", "D14", "D16",
+    "Q16", "SD16", "S3xZ2", "S3xZ3", "D8xZ2", "Q8xZ2", "TV18", "S4", "SL(2,3)", "A5", "S5",
+    "A6", "D18", "D24", "DIC5", "D8xZ3", "Q8xZ3", "S3xS3",
+)
+
+
+def counters(spec: str) -> dict:
+    """Every field of a row but its time, from one build of `spec`."""
+    row = dict.fromkeys(
+        ("generators", "direct_products", "composed_rows", "associativity_rows",
+         "associativity_triples"), 0)
+    table_group, perm_table, validate = (
+        groups._table_group, groups._perm_table, groups.FiniteGroup._validate)
+
+    def tabling(name, elements, product, labels, perms=None):
+        row["direct_products"] += len(elements) ** 2
+        return table_group(name, elements, product, labels, perms)
+
+    def composing(perms):
+        rows, gens = perm_table(perms)
+        row["generators"] += len(gens)
+        row["direct_products"] += len(gens) * len(perms)
+        row["composed_rows"] += len(perms) - 1 - len(gens)
+        return rows, gens
+
+    def validating(G):
+        if G.order <= groups._ASSOC_EXHAUSTIVE_CAP:
+            row["associativity_rows"] += G.order ** 2
+        else:
+            row["associativity_triples"] += groups._ASSOC_SAMPLES
+        validate(G)
+
+    groups._table_group, groups._perm_table = tabling, composing
+    groups.FiniteGroup._validate = validating
+    try:
+        G = groups.build_group(spec, max_order=MAX_ORDER)
+    finally:
+        groups._table_group, groups._perm_table = table_group, perm_table
+        groups.FiniteGroup._validate = validate
+    return {"spec": spec, "order": G.order, **row}
+
+
+def measure(spec: str) -> dict:
+    row = counters(spec)
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        groups.build_group(spec, max_order=MAX_ORDER)
+        best = min(best, time.perf_counter() - t0)
+    row["seconds"] = round(best, 6)
+    return row
+
+
+def main() -> int:
+    rows = [measure(spec) for spec in SPECS]
+    report = {
+        "benchmark": "groups",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "max_order": MAX_ORDER,
+        "seconds": round(sum(r["seconds"] for r in rows), 6),
+        "specs": rows,
+    }
+    path = ROOT / "BENCH_groups.json"
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    for r in rows:
+        assoc = (f"{r['associativity_rows']:>6,d} rows" if r["associativity_rows"]
+                 else f"{r['associativity_triples']:>6,d} triples")
+        print(f"{r['spec']:12s} order {r['order']:3d} gens {r['generators']:2d} "
+              f"direct {r['direct_products']:>6,d} composed {r['composed_rows']:3d} "
+              f"assoc {assoc}  {r['seconds']:.4f} s")
+    print(f"total {report['seconds']:.3f} s -> {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
