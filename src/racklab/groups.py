@@ -151,12 +151,13 @@ class FiniteGroup:
         n, mul, inv = self.order, self.mul, self.inv
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be unique, one per element")
-        full = list(range(n))
+        full = set(range(n))
         # zip stops at the shortest row: a ragged table runs out of columns,
-        # and the () that stands in for a missing column fails the test
+        # and the () that stands in for a missing column fails the length test
         columns = zip(*mul)
         for a, row in enumerate(mul):
-            if sorted(row) != full or sorted(next(columns, ())) != full:
+            col = next(columns, ())
+            if not (len(row) == n and set(row) == full and len(col) == n and set(col) == full):
                 raise ValueError(f"row/column {a} of the table is not a permutation")
             if mul[0][a] != a or row[0] != a:
                 raise ValueError("element 0 is not an identity")

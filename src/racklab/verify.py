@@ -177,6 +177,10 @@ def _each(one):
 # P's homology by |Z|.  `expand()` builds L(R) for `lattice-bruteforce` and
 # `homology-consistency`, and for `fourcycle-rack`, `fivecycle-rack`,
 # `partition-iso` and `kequal-fibers`, whose racks have T empty.
+# `product-decomposition` walks each distinct (rack table, center) once and
+# gives that verdict to every spec with the same pair: the oracle reads a
+# group only through those two, so equal pairs give equal reports (the five
+# order-16 abelian groups all have the trivial 16-element rack).
 
 
 @_check(
@@ -443,10 +447,29 @@ def check_class_avoidance(spec, cfg):
     "splitting off central elements decomposes the subrack lattice as the "
     "product of the non-central lattice and a Boolean factor",
 )
-@_each
-def check_product_decomposition(spec, cfg):
-    good = product_decomposition_check(build_group(spec), node_budget=cfg.node_budget).ok
-    return True, good, good
+def check_product_decomposition(specs, cfg):
+    """Run the oracle once per distinct (rack table, center) and give each
+    spec its key's verdict.
+
+    The sharing is exact.  `product_decomposition_check` reads G only through
+    `conjugation_rack(G).op` and `conjugacy_classes(G).center`: the rack's
+    `inv_op` and `trivial_part` are functions of `op`, the walk and the factor
+    enumeration see only those tables, and the report carries counts and a
+    detail string, never a label.  Two specs with equal keys therefore get
+    equal reports.  An abelian group's rack is the trivial rack on its
+    elements, so the five order-16 abelian groups share one 65,536-node
+    walk; over `CENTRAL_CATALOG` 36 specs make 25 walks.
+    """
+    verdicts: dict[tuple, bool] = {}
+    computed, ok = {}, True
+    for spec in specs:
+        G = build_group(spec)
+        key = (conjugation_rack(G).op, conjugacy_classes(G).center)
+        if key not in verdicts:
+            verdicts[key] = product_decomposition_check(G, node_budget=cfg.node_budget).ok
+        computed[spec] = verdicts[key]
+        ok &= computed[spec]
+    return dict.fromkeys(specs, True), computed, ok
 
 
 @_check(

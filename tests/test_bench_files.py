@@ -2,7 +2,8 @@
 field of every row but the times is recomputed here with the benchmark
 scripts' own `counters` and compared, so a change that alters a counter
 fails until the file is rewritten (`python3 tools/bench_enumeration.py`,
-`python3 tools/bench_homology.py`, `python3 tools/bench_groups.py`)."""
+`python3 tools/bench_homology.py`, `python3 tools/bench_groups.py`,
+`python3 tools/bench_verify.py`)."""
 
 from __future__ import annotations
 
@@ -45,3 +46,10 @@ def test_group_counters_match_the_committed_file():
     bench = _tool("bench_groups")
     assert list(bench.SPECS) == list(TABLE_DIGESTS)
     assert [bench.counters(spec) for spec in bench.SPECS] == _committed_rows("groups", "specs")
+
+
+def test_verify_counters_match_the_committed_file():
+    bench = _tool("bench_verify")
+    rows = _committed_rows("verify", "checks")
+    assert [bench.counters(row["check"]) for row in rows] == rows
+    assert [row["check"] for row in rows] == sorted(bench.verify.CHECKS)

@@ -55,6 +55,54 @@ def test_central_catalog_is_the_catalog_groups_with_nontrivial_center():
     assert sorted(catalog.CENTRAL_CATALOG) == sorted(central)
 
 
+ABELIAN_16 = ("Z16", "Z8xZ2", "Z4xZ4", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2")
+
+
+def _counted_oracle(monkeypatch, fail_trivial_16=False):
+    """Replace verify's oracle by a wrapper that records each group it runs
+    on; with `fail_trivial_16`, the trivial 16-element rack reads not ok
+    without its 65,536-node walk."""
+    oracle, calls = verify.product_decomposition_check, []
+
+    def counting(G, *args, **kwargs):
+        calls.append(G.name)
+        if fail_trivial_16 and conjugacy_classes(G).center == (1 << 16) - 1:
+            return lattice.ProductDecompositionReport(False, 0, 1, 16, "forced")
+        return oracle(G, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "product_decomposition_check", counting)
+    return calls
+
+
+def test_product_decomposition_walks_each_distinct_rack_once(monkeypatch):
+    calls = _counted_oracle(monkeypatch)
+    res = verify.CHECKS["product-decomposition"](VerifyConfig())
+    assert res.status == "pass"
+    assert len(calls) == len(set(calls)) == 25
+    assert list(res.computed) == list(catalog.CENTRAL_CATALOG) == list(res.expected)
+    assert [s for s in ABELIAN_16 if s in calls] == ["Z16"]
+
+
+def test_a_shared_verdict_fails_every_spec_with_its_key(monkeypatch):
+    _counted_oracle(monkeypatch, fail_trivial_16=True)
+    res = verify.CHECKS["product-decomposition"](VerifyConfig())
+    assert res.status == "fail"
+    assert [s for s, good in res.computed.items() if not good] == list(ABELIAN_16)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [("Z4", "Z2xZ2"), ("Z8", "Z4xZ2", "Z2xZ2xZ2"), ("Z9", "Z3xZ3"), ("Z12", "Z6xZ2"),
+     ("D8", "Q8"), ("D8xZ2", "Q8xZ2")],
+)
+def test_specs_that_share_a_key_get_equal_reports(specs):
+    Gs = [build_group(s) for s in specs]
+    assert len({(racks.conjugation_rack(G).op, conjugacy_classes(G).center) for G in Gs}) == 1
+    reports = [lattice.product_decomposition_check(G) for G in Gs]
+    assert reports[0].ok
+    assert all(r == reports[0] for r in reports)
+
+
 def test_a_check_with_no_instance_in_range_is_skipped():
     res = verify.check_fourcycle_rack(VerifyConfig(max_order=23))
     assert (res.status, res.expected, res.computed) == ("skipped", None, None)

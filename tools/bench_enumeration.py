@@ -16,11 +16,13 @@ time go the work counters of the lemma-free enumeration of the row's rack
 machine: nodes, covers, closure calls, stopped closures and sorted rows,
 the rows that took a cover from a closure and not only from
 T = `rack.trivial_part`, all read off one more, counted run of the walk,
-`_lindig_walk`, without building the lattice.  A stopped closure is a call
-whose result meets its `stop` argument: the walk's closure halted at the
-first element that ruled out a cover, and the set was rejected.  Each row also
-records its size |top|, t = |T| and the node count of the full lattice,
-n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
+`_lindig_walk`, without building the lattice; rows whose racks have equal
+tables and equal tops, such as the five order-16 abelian groups, share one
+counted run, as `product-decomposition` shares one walk.  A stopped closure
+is a call whose result meets its `stop` argument: the walk's closure halted
+at the first element that ruled out a cover, and the set was rejected.  Each
+row also records its size |top|, t = |T| and the node count of the full
+lattice, n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
 off without building them.
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and compares them with the committed file.
@@ -68,12 +70,19 @@ def top_of(kind: str, full: racks.Rack) -> int:
     return full.full_mask() & ~(full.trivial_part if kind == "factor" else 0)
 
 
-def counters(name: str, kind: str, full: racks.Rack) -> dict:
-    """Every field of a row but its time, read off one counted run of
-    `_lindig_walk`, the walk both timed calls make: a node per row, its
+# counted walks by (rack table, top): racks with equal tables walk alike
+WALKS: dict[tuple, tuple[int, int, int, int, int]] = {}
+
+
+def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int, int]:
+    """(nodes, covers, closure calls, stopped closures, sorted rows) of one
+    counted run of `_lindig_walk` of `full` inside `top`: a node per row, its
     covers, and a sorted row per row flagged as having taken a closure
-    cover."""
-    top = top_of(kind, full)
+    cover.  The walk reads the rack only through its tables, so it runs once
+    per distinct (`full.op`, top)."""
+    key = (full.op, top)
+    if key in WALKS:
+        return WALKS[key]
     closure, calls, stopped = racks.Rack.closure, 0, 0
 
     def counting(self, seed, closed=0, stop=0):
@@ -92,6 +101,14 @@ def counters(name: str, kind: str, full: racks.Rack) -> dict:
             sorted_rows += closed
     finally:
         racks.Rack.closure = closure
+    WALKS[key] = nodes, covers, calls, stopped, sorted_rows
+    return WALKS[key]
+
+
+def counters(name: str, kind: str, full: racks.Rack) -> dict:
+    """Every field of a row but its time, the walk's from `counted_walk`."""
+    top = top_of(kind, full)
+    nodes, covers, calls, stopped, sorted_rows = counted_walk(full, top)
     t = full.trivial_part.bit_count()
     return {
         "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
