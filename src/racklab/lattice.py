@@ -234,6 +234,13 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Pr
     return ProductLattice(rack, factor, t)
 
 
+def _check_rack_cap(size: int) -> None:
+    """Refuse a rack of more than `RACK_CAP` elements, which a caller may
+    count before it builds the rack."""
+    if size > RACK_CAP:
+        raise CapExceeded(f"rack size {size} exceeds the enumeration cap {RACK_CAP}")
+
+
 def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"node budget {node_budget} exceeded; {count} subracks enumerated so far",
@@ -325,8 +332,7 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     cover since then, so no count is due until the covers emitted since the
     last one exceed the slack it left (`horizon`).
     """
-    if rack.size > RACK_CAP:
-        raise CapExceeded(f"rack size {rack.size} exceeds the enumeration cap {RACK_CAP}")
+    _check_rack_cap(rack.size)
     close = rack.closure
     size = top.bit_count()
     trivial = rack.trivial_part

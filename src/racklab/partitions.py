@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
@@ -15,6 +15,7 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     CoverPoset,
     SubrackLattice,
+    _check_rack_cap,
     _csr_from_edges,
     _union_find_roots,
     enumerate_subracks,
@@ -208,6 +209,12 @@ class FiberReport:
 def pcycle_rack_and_lattice(
     n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[FiniteGroup, Rack, SubrackLattice]:
+    """A_n, its rack of p-cycles and that rack's subrack lattice.
+
+    The rack is counted before A_n is built, so one over the enumeration cap
+    is refused at once: a p-cycle is a p-subset of the n points with one of
+    (p - 1)! cyclic orders, and for odd p every p-cycle is even."""
+    _check_rack_cap(comb(n, p) * factorial(p - 1) if p % 2 else 0)
     G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
     rack = conjugation_rack(G, filter_mask(G, f"cycles({p})"), provenance=f"A{n}:cycles({p})")
     lat = enumerate_subracks(rack, node_budget).expand()  # T is empty

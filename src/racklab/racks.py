@@ -57,30 +57,28 @@ class Rack:
     def _merged_tables(self):
         # chunked bitmask images: tables[a][chunk][byte] is the union of
         # {a>y, y>a, a>^-1 y, y>^-1 a} over the elements y encoded by `byte`;
-        # None for a in `trivial_part`, which `closure` never looks up
+        # None for a in `trivial_part`, which `closure` never looks up.  Each
+        # element of a chunk doubles its table, the new half being the old
+        # one with the element's image added, so the last chunk of k < 8
+        # elements has 2^k entries: a subset of the rack sets no higher bit
         if self._tables is not None:
             return self._tables
         n = self.size
-        nchunks = (n + 7) // 8
         op, inv_op = self.op, self.inv_op
         tables = []
         for a in range(n):
             if self.trivial_part >> a & 1:
                 tables.append(None)
                 continue
-            single = []
-            for y in range(n):
-                single.append(
-                    (1 << op[a][y]) | (1 << inv_op[a][y]) | (1 << op[y][a]) | (1 << inv_op[y][a])
-                )
+            single = [
+                (1 << op[a][y]) | (1 << inv_op[a][y]) | (1 << op[y][a]) | (1 << inv_op[y][a])
+                for y in range(n)
+            ]
             per_chunk = []
-            for c in range(nchunks):
-                base = c * 8
-                tab = [0] * 256
-                for byte in range(1, 256):
-                    low = byte & -byte
-                    y = base + low.bit_length() - 1
-                    tab[byte] = tab[byte ^ low] | (single[y] if y < n else 0)
+            for base in range(0, n, 8):
+                tab = [0]
+                for m in single[base:base + 8]:
+                    tab += [t | m for t in tab]
                 per_chunk.append(tab)
             tables.append(per_chunk)
         self._tables = tables

@@ -35,20 +35,24 @@ and b_k(P x 2^t) needs b_i(P) only for i <= k: the budget is tested after
 each dimension of P, as when the whole complex is counted.  For t = 0 the
 sum is b_k(P), the count of the complex itself.
 
-Homology works on facet tables: the ids, in the level below, of the facets of
-every simplex.  An optional greedy free-face collapse shrinks the complex
-first (it is an elementary-collapse sequence, so it preserves the homotopy
-type and in particular all homology including torsion).  Ranks then come from
-column reduction with clearing (Chen & Kerber, *Persistent homology
-computation with a twist*, 2011): the boundary maps are reduced from the top
-dimension down, only +-1 pivots are registered, and the column of a simplex
-that was a unit pivot row one dimension up is skipped.  A column whose lowest
-entry is not a unit is deferred; at the end it is reduced against the unit
-pivots and what is left goes to the exact Smith normal form.  This is exact
-over Z: unit pivots in distinct rows split off 1s of the Smith form, and a
-cleared column is an integer combination of earlier columns, so dropping it
-leaves the image lattice unchanged.  A sparse matrix has one form here, the
-list of its columns {row: nonzero entry}: the remainder goes on in it, and
+Homology first shrinks the complex by a strong collapse (`collapse_complex`
+gives the proof): an order complex is the clique complex of its poset's
+comparability graph, and a vertex whose closed neighbourhood lies in another
+vertex's has a cone as its link, so deleting it keeps the homotopy type and
+all homology, torsion included (Barmak & Minian, 2012).
+
+The reduction works on facet tables: the ids, in the level below, of the
+facets of every simplex.  Ranks come from column reduction with clearing
+(Chen & Kerber, *Persistent homology computation with a twist*, 2011): the
+boundary maps are reduced from the top dimension down, only +-1 pivots are
+registered, and the column of a simplex that was a unit pivot row one
+dimension up is skipped.  A column whose lowest entry is not a unit is
+deferred; at the end it is reduced against the unit pivots and what is left
+goes to the exact Smith normal form.  This is exact over Z: unit pivots in
+distinct rows split off 1s of the Smith form, and a cleared column is an
+integer combination of earlier columns, so dropping it leaves the image
+lattice unchanged.  A sparse matrix has one form here, the list of its
+columns {row: nonzero entry}: the remainder goes on in it, and
 `boundary_matrices` and `rank_and_torsion`, the direct oracle, use it too.
 
 The Smith normal form runs in two phases.  Elimination on +-1 pivots splits
@@ -61,11 +65,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from math import comb, gcd
 from typing import Iterable, Sequence
 
-from .bitsets import bit_list
+from .bitsets import bit_list, bits
 from .lattice import BudgetExceeded, CoverPoset
 
 DEFAULT_SIMPLEX_BUDGET = 1_000_000
@@ -87,9 +90,14 @@ class OrderComplex:
     counts of P x 2^t and its homology is that of the listed complex
     shifted up by t (see the module docstring).  When `t` is 0,
     `full_counts` are the counts of the listed simplices.
+
+    `comparable`, set by `order_complex`, holds one bitmask per vertex: bit j
+    of entry i is set when vertices[i] and vertices[j] are comparable, so the
+    complex is the clique complex of this graph.  A complex built straight
+    from its simplices has None, and `collapse_complex` leaves it as it is.
     """
 
-    __slots__ = ("vertices", "simplices", "t", "full_counts", "_facets")
+    __slots__ = ("vertices", "simplices", "t", "full_counts", "comparable", "_facets")
 
     def __init__(
         self,
@@ -97,11 +105,13 @@ class OrderComplex:
         simplices: list[list[tuple[int, ...]]],
         t: int = 0,
         full_counts: Sequence[int] | None = None,
+        comparable: list[int] | None = None,
     ):
         self.vertices = vertices
         self.simplices = simplices
         self.t = t
         self.full_counts = tuple(self.counts() if full_counts is None else full_counts)
+        self.comparable = comparable
         self._facets: list[array] | None = None
 
     @property
@@ -222,6 +232,28 @@ def _count_simplices(
         dim += 1
 
 
+def _chains(vertices: list[int], comparable: list[int], keep: int) -> list[list[tuple[int, ...]]]:
+    """The chains of the vertices at the positions in the bitmask `keep`,
+    level by level, each level in lexicographic order.  `comparable[i]`
+    masks the positions comparable to position i, and positions follow a
+    linear extension, so the candidates left after the one a chain takes are
+    those above it."""
+    simplices = []
+    frontier: list[tuple[tuple[int, ...], int]] = [((), keep)]
+    while True:
+        nxt = []
+        for chain, rem in frontier:
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                i = low.bit_length() - 1
+                nxt.append((chain + (vertices[i],), rem & comparable[i]))
+        if not nxt:
+            return simplices
+        simplices.append([c for c, _ in nxt])
+        frontier = nxt
+
+
 def order_complex(
     poset: CoverPoset, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET, t: int = 0
 ) -> OrderComplex:
@@ -232,102 +264,67 @@ def order_complex(
     dimension by dimension (`_count_simplices`), so `BudgetExceeded` is
     raised before any simplex is built; its `partial` is the running count
     through the dimension that overflows.  Only the chains of `poset` are
-    built.
+    built.  The complex keeps the comparability masks of its vertices for
+    `collapse_complex`.
     """
     above, t, full = _count_simplices(poset, simplex_budget, t)
     proper = list(range(1, poset.n - 1))
-    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in proper]] if proper else []
-    frontier = [((v,), above[v - 1]) for v in proper]
-    while frontier:
-        nxt = []
-        for chain, up in frontier:
-            rem = up
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                i = low.bit_length() - 1
-                nxt.append((chain + (proper[i],), up & above[i]))
-        if nxt:
-            simplices.append([c for c, _ in nxt])
-        frontier = nxt
-    return OrderComplex(proper, simplices, t, full)
+    top = poset.n - 1
+    # strict down-sets, pushed up the covers in topological order
+    below = [0] * len(proper)
+    for v in proper:
+        for p in poset.parents(v):
+            if p < top:
+                below[p - 1] |= below[v - 1] | (1 << (v - 1))
+    comparable = [a | b for a, b in zip(above, below)]
+    simplices = _chains(proper, comparable, (1 << len(proper)) - 1)
+    return OrderComplex(proper, simplices, t, full, comparable)
 
 
 # ---------------------------------------------------------------------------
-# free-face collapses
+# strong collapses
 
 
 def collapse_complex(K: OrderComplex) -> OrderComplex:
-    """Greedy elementary collapses: repeatedly remove a free face together
-    with its unique cofacet.  Homotopy type is preserved.
+    """The strong collapse of an order complex: delete dominated vertices
+    until none is left, and return the full subcomplex on the rest.
 
-    Runs on the facet tables.  Every face keeps the number of its live
-    cofacets and the xor of their ids, which is the cofacet itself when the
-    number is one.  The result carries its own renumbered facet tables, and
-    K's `t` and `full_counts`, so its homology is K's.
+    A vertex v is dominated by a vertex u != v when its closed neighbourhood
+    N[v] in the comparability graph lies inside N[u].  An order complex is
+    the clique complex of that graph, so the link of v is the clique complex
+    of N(v), a cone with apex u exactly when N[v] lies inside N[u].  Deleting
+    a vertex whose link is a cone is a sequence of elementary collapses, so
+    it keeps the homotopy type, torsion included (Barmak & Minian, *Strong
+    homotopy types, nerves and collapses*, Discrete Comput. Geom. 2012), and
+    leaves the clique complex of the graph on the other vertices, so the
+    argument repeats.
+
+    The dominators of v lie in N[w] for every w in N[v], so one intersection
+    tests v against all of them.  Sweeps over the live vertices stop when one
+    deletes nothing; the chains left are listed from the masks, with K's `t`
+    and `full_counts`.  A complex without masks may not be a clique complex
+    and is returned as it is.
     """
-    if K.is_empty():
+    comparable = K.comparable
+    if comparable is None:
         return K
-    tables = K.facet_tables()
-    top = len(tables) - 1
-    alive = [bytearray(b"\x01") * len(level) for level in K.simplices]
-    count: list[list[int]] = []
-    cofacet: list[list[int]] = []
-    for d in range(top):
-        cnt, acc = [0] * len(K.simplices[d]), [0] * len(K.simplices[d])
-        table, width = tables[d + 1], d + 2
-        for i in range(width):
-            for t, g in enumerate(table[i::width]):
-                cnt[g] += 1
-                acc[g] ^= t
-        count.append(cnt)
-        cofacet.append(acc)
-    # Removing a d-face with its cofacet can free only d-faces and (d-1)-faces,
-    # so each dimension is swept once, from the top down, until none of its
-    # faces is free.  A dead face has no live cofacet, so a count of one is
-    # the whole test.
-    for d in range(top - 1, -1, -1):
-        cnt, acc, live, live_up = count[d], cofacet[d], alive[d], alive[d + 1]
-        up_table, up_width = tables[d + 1], d + 2
-        table, width = tables[d], d + 1
-        below, below_acc = (count[d - 1], cofacet[d - 1]) if d else ([], [])
-        stack = [f for f, c in enumerate(cnt) if c == 1]
-        while stack:
-            f = stack.pop()
-            if cnt[f] != 1:
-                continue
-            t = acc[f]
-            live[f] = live_up[t] = 0
-            for g in up_table[up_width * t:up_width * t + up_width]:
-                cnt[g] -= 1
-                acc[g] ^= t
-                if cnt[g] == 1:
-                    stack.append(g)
-            if d:
-                for g in table[width * f:width * f + width]:
-                    below[g] -= 1
-                    below_acc[g] ^= f
-    levels: list[list[tuple[int, ...]]] = []
-    facets: list[array] = []
-    renumber: list[int] = []
-    for d, level in enumerate(K.simplices):
-        keep = list(compress(range(len(level)), alive[d]))
-        if not keep:
-            break
-        levels.append([level[j] for j in keep])
-        if d == 0:
-            facets.append(array("l", [0]) * len(keep))
-        else:
-            old, width = tables[d], d + 1
-            facets.append(array("l", [
-                renumber[g] for j in keep for g in old[width * j:width * j + width]
-            ]))
-        renumber = [0] * len(level)
-        for new, j in enumerate(keep):
-            renumber[j] = new
-    collapsed = OrderComplex(K.vertices, levels, K.t, K.full_counts)
-    collapsed._facets = facets
-    return collapsed
+    closed = [m | 1 << i for i, m in enumerate(comparable)]
+    alive = (1 << len(closed)) - 1
+    swept = False
+    while not swept:
+        swept = True
+        for v in bits(alive):
+            mine = 1 << v
+            common = closed[v] & alive
+            for w in bits(common):
+                common &= closed[w]
+                if common == mine:
+                    break
+            if common != mine:
+                alive ^= mine
+                swept = False
+    vertices = [K.vertices[i] for i in bit_list(alive)]
+    return OrderComplex(vertices, _chains(K.vertices, comparable, alive), K.t, K.full_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from racklab import partitions
 from racklab.bitsets import mask_of
+from racklab.groups import CapExceeded
 from racklab.lattice import ProductLattice, SubrackLattice, _csr_from_edges
 from racklab.partitions import (
     SetPartition,
@@ -180,6 +181,18 @@ def test_quillen_fiber_check_rejects_a_missing_node():
     rep = quillen_fiber_check(6, 3, without(0))
     assert not rep.ok and not rep.image_equals_kequal
     assert (rep.fibers_with_unique_max, rep.fibers_total) == (51, 51)
+
+
+def test_pcycle_rack_over_the_cap_is_refused_before_the_group_is_built(monkeypatch):
+    # A8 has C(8, 3) * 2 = 112 three-cycles and A6 has C(6, 5) * 4! = 144
+    # five-cycles; building A8 before the cap refused its rack took minutes
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(partitions, "build_group", unbuilt)
+    for n, p, size in [(8, 3, 112), (6, 5, 144)]:
+        with pytest.raises(CapExceeded, match=rf"^rack size {size} exceeds the enumeration cap 40$"):
+            pcycle_rack_and_lattice(n, p)
 
 
 def test_quillen_parameter_guard():

@@ -140,6 +140,29 @@ def test_closure_examples():
     assert r.closure(0) == 0
 
 
+@pytest.mark.parametrize("spec", ["S3", "D14:noncentral", "D8xZ3"])
+def test_merged_tables_equal_a_per_byte_union(spec):
+    # 6, 13 and 24 elements: short last chunks of 6 and 5 elements, and
+    # three whole chunks with six trivial elements scattered among them
+    rack = rack_from_spec(spec)
+    n, op, inv_op = rack.size, rack.op, rack.inv_op
+    for a, chunks in enumerate(rack._merged_tables()):
+        if chunks is None:
+            assert rack.trivial_part >> a & 1
+            continue
+        assert len(chunks) == (n + 7) // 8
+        for c, tab in enumerate(chunks):
+            ys = range(8 * c, min(8 * c + 8, n))
+            assert len(tab) == 1 << len(ys)
+            for byte, image in enumerate(tab):
+                expected = 0
+                for j, y in enumerate(ys):
+                    if byte >> j & 1:
+                        expected |= (1 << op[a][y]) | (1 << inv_op[a][y])
+                        expected |= (1 << op[y][a]) | (1 << inv_op[y][a])
+                assert image == expected, (a, c, byte)
+
+
 _RACKS = [
     rack_from_spec("S3"),
     rack_from_spec("S4:cycles(4)"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import full_lattice
 from racklab import topology
 from racklab.groups import build_group, conjugacy_classes
-from racklab.lattice import BudgetExceeded, enumerate_subracks
+from racklab.lattice import BudgetExceeded, CoverPoset, _csr_from_edges, enumerate_subracks
 from racklab.racks import conjugation_rack, rack_from_spec
 from racklab.topology import (
     OrderComplex,
@@ -163,6 +164,10 @@ def test_projective_plane_torsion():
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
     ]
     K = complex_from_facets(rp2)
+    # every pair of vertices spans an edge, but RP^2 is not the clique complex
+    # of K_6 (a 5-simplex), so the strong collapse must leave it alone
+    assert len(K.simplices[1]) == 15
+    assert collapse_complex(K) is K
     for collapse in (True, False):
         H = reduced_homology(K, collapse=collapse)
         assert H.betti == {}
@@ -183,8 +188,8 @@ def test_sphere_results_for_small_groups():
 
 def test_boolean_lattice_of_order_seven_group_is_a_five_sphere():
     # the largest abelian case that stays within the simplex budget: the
-    # proper part of 2^[7] is a closed 5-sphere, so no face is free and the
-    # column reduction sees all 47,292 simplices (well under a second)
+    # proper part of 2^[7] is a closed 5-sphere, so no vertex is dominated
+    # and the column reduction sees all 47,292 simplices (well under a second)
     lat = full_lattice("Z7")
     H = reduced_homology(order_complex(lat, simplex_budget=2_000_000))
     assert H.sphere_dimension == 5
@@ -300,8 +305,9 @@ RP2 = [
 
 
 def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
-    # the suspension of RP^2 has no free face, and the Z/2 of its H~_2 only
-    # shows in the non-unit remainder handed to the exact Smith normal form
+    # the suspension of RP^2, listed by its faces, is reduced as it is, and
+    # the Z/2 of its H~_2 only shows in the non-unit remainder handed to the
+    # exact Smith normal form
     remainders = []
     exact = topology.rank_and_torsion
 
@@ -330,12 +336,73 @@ def test_collapse_keeps_the_trivial_part_shift(spec):
     assert reduced_homology(C) == reduced_homology(K)
 
 
-def test_collapse_renumbers_its_facet_tables():
-    K = order_complex(full_lattice("D10"))
+def bounded_poset(m, less) -> CoverPoset:
+    """The proper part 0..m-1 under the strict order `less(i, j)`, which must
+    hold only for i < j, with a bottom and a top added (test helper)."""
+    up = [{j for j in range(i + 1, m) if less(i, j)} for i in range(m)]
+    covers = [
+        (i + 1, j + 1) for i in range(m) for j in up[i]
+        if not any(j in up[k] for k in up[i])
+    ]
+    covers += [(0, i + 1) for i in range(m) if not any(i in u for u in up)]
+    covers += [(i + 1, m + 1) for i in range(m) if not up[i]]
+    return CoverPoset(*_csr_from_edges(m + 2, covers))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_strong_collapse_keeps_the_full_subcomplex_on_undominated_vertices(spec):
+    K = order_complex(full_lattice(spec, max_order=360), simplex_budget=40_000)
     C = collapse_complex(K)
-    assert 0 < C.size() < K.size()
-    rebuilt = OrderComplex(C.vertices, C.simplices).facet_tables()
-    assert [list(t) for t in C.facet_tables()] == [list(t) for t in rebuilt]
+    alive = set(C.vertices)
+    full = [[s for s in level if alive.issuperset(s)] for level in K.simplices]
+    assert C.simplices == [level for level in full if level]
+    # closed neighbourhoods among the survivors, read off K's edges
+    closed = {v: {v} for v in alive}
+    for a, b in K.simplices[1] if K.dim >= 1 else ():
+        if a in alive and b in alive:
+            closed[a].add(b)
+            closed[b].add(a)
+    assert not any(closed[v] <= closed[u] for v in alive for u in closed[v] - {v})
+
+
+def test_strong_collapse_keeps_the_torsion_of_a_barycentric_rp2():
+    # the face poset of the 6-vertex RP^2 with a triangle glued along an
+    # edge: its order complex, the barycentric subdivision, collapses onto
+    # that of RP^2 (31 + 90 + 60 simplices), which as a closed surface has
+    # no dominated vertex, and keeps H~_1 = Z/2
+    faces = sorted(
+        {c for f in RP2 + [(0, 1, 6)] for k in (1, 2, 3) for c in combinations(f, k)},
+        key=lambda f: (len(f), f),
+    )
+    K = order_complex(bounded_poset(len(faces), lambda i, j: set(faces[i]) < set(faces[j])))
+    C = collapse_complex(K)
+    assert C.counts() == [31, 90, 60] and K.size() > C.size()
+    assert oracle_homology(C) == oracle_homology(K) == ({}, {1: (2,)})
+    assert reduced_homology(K).torsion == {1: (2,)}
+
+
+@st.composite
+def random_bounded_posets(draw):
+    m = draw(st.integers(0, 10))
+    # a random relation i < j on the proper part, closed under transitivity
+    pairs = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    below = [set() for _ in range(m)]
+    for j in range(m):
+        for i in range(j):
+            if pairs[i * m + j] and i not in below[j]:
+                below[j] |= {i} | below[i]
+    return bounded_poset(m, lambda i, j: i in below[j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_bounded_posets())
+def test_strong_collapse_keeps_the_homology_of_random_posets(poset):
+    K = order_complex(poset)
+    expected = oracle_homology(K)
+    for collapse in (True, False):
+        H = reduced_homology(K, collapse=collapse)
+        assert (H.betti, H.torsion) == expected
+    assert oracle_homology(collapse_complex(K)) == expected
 
 
 @pytest.mark.parametrize(

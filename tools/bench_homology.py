@@ -8,12 +8,12 @@ workload, and D8xZ3 and S3xS3, whose complexes exceed the default simplex
 budget.  `racklab homology` builds the order complex of the factor
 L(R - T) only and shifts its homology by t = |T|; each row records t, the
 simplex counts of L(R)'s complex (what `--budget-simplices` counts, counted
-here without a budget), the simplices built and those left after the
-collapse (null when the budget stops the command first), all read off one
-run of the command, the budget error or the sphere dimension, and the time
-of the whole command in process, min of 3 runs.  `tests/test_bench_files.py`
-recomputes every field but the times with `counters` and compares them with
-the committed file.
+here without a budget), the simplices built, and the simplices and vertices
+left after the strong collapse (null when the budget stops the command
+first), all read off one run of the command, the budget error or the sphere
+dimension, and the time of the whole command in process, min of 3 runs.
+`tests/test_bench_files.py` recomputes every field but the times with
+`counters` and compares them with the committed file.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def counters(argv: tuple[str, ...]) -> dict:
     The run's own `order_complex` and `collapse_complex` calls are wrapped:
     the first gives the factor P and t, from which L(R)'s simplex counts are
     counted without a budget, and the size of the complex it builds; the
-    second the size after the collapse.  Neither is set when the budget
-    stops the command first."""
+    second the size and the vertex count after the collapse.  Neither is set
+    when the budget stops the command first."""
     seen: dict = {}
     build, collapse = cli.order_complex, topology.collapse_complex
 
@@ -64,12 +64,13 @@ def counters(argv: tuple[str, ...]) -> dict:
         K = build(P, budget, t)
         seen["built"] = K.size()
         if K.is_empty():  # its own collapse, which `reduced_homology` skips
-            seen["collapsed"] = 0
+            seen["collapsed"] = seen["core_vertices"] = 0
         return K
 
     def collapsing(K):
         K = collapse(K)
         seen["collapsed"] = K.size()
+        seen["core_vertices"] = len(K.vertices)
         return K
 
     cli.order_complex, topology.collapse_complex = building, collapsing
@@ -85,6 +86,7 @@ def counters(argv: tuple[str, ...]) -> dict:
         "simplices": sum(counts),
         "built": seen.get("built"),
         "collapsed": seen.get("collapsed"),
+        "core_vertices": seen.get("core_vertices"),
         "exit": code,
         "error": err.strip() or None,
         "sphere_dimension": json.loads(out)["sphere_dimension"] if code == 0 else None,
@@ -121,6 +123,7 @@ def main() -> int:
         print(f"{r['spec']:18s} t={r['t']:2d} simplices {r['simplices']:>16,d} "
               f"built {r['built'] if r['built'] is not None else '-':>7} "
               f"collapsed {r['collapsed'] if r['collapsed'] is not None else '-':>6} "
+              f"core {r['core_vertices'] if r['core_vertices'] is not None else '-':>4} "
               f"{r['seconds']:.4f} s  {outcome}")
     print(f"total {report['seconds']:.3f} s -> {path.name}")
     return 0
