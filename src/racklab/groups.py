@@ -31,6 +31,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .bitsets import bit_list, bits, mask_of
+from .work import ledger
 
 DEFAULT_MAX_ORDER = 120
 SUBGROUP_CAP = 48
@@ -164,6 +165,7 @@ class FiniteGroup:
             if inv[a] < 0 or row[inv[a]] != 0 or mul[inv[a]][a] != 0:
                 raise ValueError(f"element {a} has no two-sided inverse")
         if n > _ASSOC_EXHAUSTIVE_CAP:
+            ledger["associativity_triples"] += _ASSOC_SAMPLES
             rng = random.Random(0xA55)
             for _ in range(_ASSOC_SAMPLES):
                 a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
@@ -173,6 +175,7 @@ class FiniteGroup:
         # (a b) c = a (b c) for every c at once: row ab against row a composed
         # with row b; the first failing c is looked up only on a mismatch, so
         # the message names the first triple in (a, b, c) order
+        ledger["associativity_rows"] += n * n
         compose = [_composer(row) for row in mul]
         for a, b in itertools.product(range(n), repeat=2):
             if mul[mul[a][b]] != compose[b](mul[a]):
@@ -208,6 +211,7 @@ def _table_group(
     maps two elements to their product; element i is `elements[i]`."""
     index = {x: i for i, x in enumerate(elements)}
     mul = [[index[product(x, y)] for y in elements] for x in elements]
+    ledger["direct_products"] += len(mul) ** 2
     return FiniteGroup(name, mul, labels, perms)
 
 
@@ -264,6 +268,8 @@ def _perm_table(perms: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
                 if rows[b] is None:
                     rows[b] = times_h(row)
                     todo.append(b)
+    ledger.update(generators=len(gens), direct_products=len(gens) * n,
+                  composed_rows=n - 1 - len(gens))
     return rows, gens
 
 

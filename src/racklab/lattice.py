@@ -56,6 +56,7 @@ from typing import Iterable, Iterator, Sequence
 from .bitsets import bits
 from .groups import CapExceeded, FiniteGroup, conjugacy_classes
 from .racks import Rack, conjugation_rack
+from .work import ledger
 
 RACK_CAP = 40
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -308,6 +309,9 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     closure that adds no element of mins - x runs to the end, so every cover
     emitted is a complete closure.  The calls, nodes, covers and rows are
     those of the full closure; only the rejected closures do less work.
+    A stopped closure is exactly a rejected one: the walk rejects b when b
+    meets stop = mins - x, and the seed s + x avoids stop (mins avoids s),
+    so b meets `stop` exactly when the closure returned early.
 
     An outside element in T = `rack.trivial_part` makes s + x its own
     closure: with s closed, `Rack.closure` has nothing on its work list and
@@ -331,6 +335,10 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     passed the limit: every set found since the last count was emitted as a
     cover since then, so no count is due until the covers emitted since the
     last one exceed the slack it left (`horizon`).
+
+    The walk adds its closures, stopped closures, nodes and covers to
+    `work.ledger` once, when it ends, stops or fails, so a walk that exceeds
+    its budget leaves the work it did in the ledger.
     """
     _check_rack_cap(rack.size)
     close = rack.closure
@@ -341,39 +349,45 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     levels[0].add(0)
     done = 0  # the nodes on the levels walked so far
     emitted = 0  # the covers emitted so far
+    calls = stopped = 0  # the closures made, and the rejected ones
     horizon = limit - 1  # one set found, and no cover yet
-    for k in range(size + 1):
-        level = sorted(levels[k])
-        levels[k] = None  # freed before the walk fills the levels above
-        grow = levels[k + 1].add
-        done += len(level)
-        for s in level:
-            row: list[int] = []
-            push = row.append
-            closed = False
-            mins = rem = top & ~s
-            while rem:
-                bit = rem & -rem
-                rem ^= bit
-                if bit & trivial:
-                    b = s | bit  # Rack.closure's early return
-                    grow(b)
-                else:
-                    # positional: perfbench wraps closure as (*args)
-                    b = close(s | bit, s, mins ^ bit)
-                    if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
-                        mins ^= bit
-                        continue
-                    levels[b.bit_count()].add(b)
-                    closed = True
-                push(b)
-            emitted += len(row)
-            if emitted > horizon:
-                found = done + sum(map(len, levels[k + 1:]))
-                if found > limit:
-                    raise _node_budget_exceeded(node_budget, limit)
-                horizon = emitted + limit - found
-            yield s, row, closed
+    try:
+        for k in range(size + 1):
+            level = sorted(levels[k])
+            levels[k] = None  # freed before the walk fills the levels above
+            grow = levels[k + 1].add
+            done += len(level)
+            for s in level:
+                row: list[int] = []
+                push = row.append
+                closed = False
+                mins = rem = top & ~s
+                while rem:
+                    bit = rem & -rem
+                    rem ^= bit
+                    if bit & trivial:
+                        b = s | bit  # Rack.closure's early return
+                        grow(b)
+                    else:
+                        calls += 1
+                        # positional: perfbench wraps closure as (*args)
+                        b = close(s | bit, s, mins ^ bit)
+                        if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                            mins ^= bit
+                            stopped += 1
+                            continue
+                        levels[b.bit_count()].add(b)
+                        closed = True
+                    push(b)
+                emitted += len(row)
+                if emitted > horizon:
+                    found = done + sum(map(len, levels[k + 1:]))
+                    if found > limit:
+                        raise _node_budget_exceeded(node_budget, limit)
+                    horizon = emitted + limit - found
+                yield s, row, closed
+    finally:
+        ledger.update(closures=calls, stopped_closures=stopped, nodes=done, covers=emitted)
 
 
 def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
@@ -794,6 +808,7 @@ def product_decomposition_check(
                 cover = "a cover moves in both coordinates"
                 break
     want_edges = _product_edge_count(sub, z)
+    ledger.update(oracle_walks=1, oracle_nodes=nodes)
     if nodes != sub.n << z:
         detail = f"node count {nodes} != {sub.n} * 2^{z}"
     elif projection or cover:
@@ -849,6 +864,8 @@ def _natural(text: str, base: int = 10) -> int:
 def _by_id(lines: list[str], i: int, key: str, count: int) -> list[str]:
     """The values of the `count` lines `key ID VALUE` from line i on, indexed
     by ID; each ID 0..count-1 must appear exactly once."""
+    if count > len(lines) - i:
+        raise ValueError(f"line {i}: {count} {key} lines declared, {len(lines) - i} lines follow")
     values: list = [None] * count
     for j in range(i, i + count):
         idx, _, value = _value(lines, j, key).partition(" ")

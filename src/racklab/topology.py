@@ -70,6 +70,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import bit_list, bits
 from .lattice import BudgetExceeded, CoverPoset
+from .work import ledger
 
 DEFAULT_SIMPLEX_BUDGET = 1_000_000
 
@@ -278,6 +279,7 @@ def order_complex(
                 below[p - 1] |= below[v - 1] | (1 << (v - 1))
     comparable = [a | b for a, b in zip(above, below)]
     simplices = _chains(proper, comparable, (1 << len(proper)) - 1)
+    ledger.update(order_complexes=1, simplices_built=sum(map(len, simplices)))
     return OrderComplex(proper, simplices, t, full, comparable)
 
 
@@ -324,7 +326,9 @@ def collapse_complex(K: OrderComplex) -> OrderComplex:
                 alive ^= mine
                 swept = False
     vertices = [K.vertices[i] for i in bit_list(alive)]
-    return OrderComplex(vertices, _chains(K.vertices, comparable, alive), K.t, K.full_counts)
+    simplices = _chains(K.vertices, comparable, alive)
+    ledger.update(simplices_collapsed=sum(map(len, simplices)), core_vertices=len(vertices))
+    return OrderComplex(vertices, simplices, K.t, K.full_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ from .topology import (
     order_complex,
     reduced_homology,
 )
+from .work import ledger
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,7 @@ def _run_check(check_id, source, claim, instances, cfg: VerifyConfig, body) -> C
             check_id, claim, source, "skipped", None, None,
             skip_reason="max-order excludes all instances",
         )
+    ledger["instances"] += len(specs)
     expected, computed, ok = body(specs, cfg)
     return CheckResult(check_id, claim, source, "pass" if ok else "fail", expected, computed)
 

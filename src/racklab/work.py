@@ -1,0 +1,28 @@
+"""The work ledger: counts of the work each stage does, which do not depend
+on the machine.
+
+`ledger` is one `collections.Counter` for the process.  The stage that does
+the work adds its counts in bulk, once per call, and the Lindig walk once
+per walk, so no hot loop pays for it.  No report reads the ledger; the
+scripts in `tools/` clear it, run one build, walk, command or check, and read
+it.  The counts, by the stage that adds them:
+
+- `lattice._lindig_walk`: `closures` (calls of `Rack.closure`),
+  `stopped_closures` (the rejected ones, which stopped early), `nodes` (the
+  nodes of the levels it reached) and `covers`;
+- `lattice.product_decomposition_check`: `oracle_walks` and `oracle_nodes`,
+  the nodes of the full lattice it checked;
+- `groups._table_group` and `groups._perm_table`: `direct_products`, the
+  products evaluated one at a time; `_perm_table` also `generators` and
+  `composed_rows`;
+- `groups.FiniteGroup._validate`: `associativity_rows` (exhaustive check)
+  or `associativity_triples` (sampled check);
+- `topology.order_complex`: `order_complexes` and `simplices_built`;
+- `topology.collapse_complex`: `simplices_collapsed` and `core_vertices`,
+  what the strong collapse leaves;
+- `verify._run_check`: `instances`, the specs a check runs on.
+"""
+
+from collections import Counter
+
+ledger: Counter = Counter()

@@ -823,6 +823,19 @@ def test_export_defects_are_rejected():
             pytest.fail(name)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("racklat 1\nspec -\nelements 99999999999\n", 3),
+        ("racklat 1\nspec -\nelements 1\nlabel 0 e\nnodes 999999999999\n", 5),
+    ],
+)
+def test_export_header_counting_more_lines_than_follow_is_rejected(text, line):
+    # the count is checked before any table of that size is allocated
+    with pytest.raises(ValueError, match=f"^line {line}: .* lines declared, 0 lines follow"):
+        load_lattice_export(text)
+
+
 def test_export_retargeted_to_a_larger_set_is_rejected():
     # replacing a cover (c, p) by (c, q) with q above p keeps every local
     # check happy whenever p is c's only cover inside q and p keeps another

@@ -1,0 +1,72 @@
+"""The work ledger counts what an independent counter counts: the closures
+the Lindig walk adds to `racklab.work.ledger` equal the `Rack.closure` calls
+that perfbench's tracer counts by wrapping the method from outside the
+package."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import jobs  # noqa: E402  perfbench's job lists
+import worker  # noqa: E402  perfbench's pass over a job list
+from racklab import cli  # noqa: E402
+from racklab.lattice import BudgetExceeded, enumerate_subracks  # noqa: E402
+from racklab.racks import rack_from_spec  # noqa: E402
+from racklab.work import ledger  # noqa: E402
+from tracer import CLOSURE, Tracer  # noqa: E402
+
+LATTICE_JOBS = [argv for slot in jobs.WORKLOADS["lattice"] for argv in slot]
+
+
+def _traced(run):
+    """(the ledger's closures, the tracer's closure calls) during `run()`."""
+    tracer = Tracer()
+    tracer.install()
+    ledger.clear()
+    tracer.start_root()
+    try:
+        run()
+    finally:
+        tracer.stop_root()
+        tracer.uninstall()
+    return ledger["closures"], tracer.hot[CLOSURE][0]
+
+
+@pytest.mark.parametrize("argv", LATTICE_JOBS, ids=jobs.job_key)
+def test_the_ledger_counts_the_closures_of_every_lattice_job(argv):
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(argv)) == 0
+
+    counted, traced = _traced(run)
+    assert counted == traced
+
+
+def test_the_ledger_counts_the_closures_of_a_traced_lattice_pass():
+    # perfbench's own traced pass; seed 1 makes 47,127 closure calls
+    result = {}
+
+    def run():
+        result.update(worker.run_pass("lattice", 1, jobs.load_pins()))
+
+    counted, traced = _traced(run)
+    assert result["failed"] == 0
+    assert counted == traced > 0
+
+
+def test_a_walk_over_its_budget_leaves_its_closures_in_the_ledger():
+    rack = rack_from_spec("A6:cycles(3)", max_order=360)
+
+    def run():
+        with pytest.raises(BudgetExceeded):
+            enumerate_subracks(rack, 100)
+
+    counted, traced = _traced(run)
+    assert counted == traced > 0

@@ -15,53 +15,38 @@ time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
 machine: nodes, covers, closure calls, stopped closures and sorted rows,
 the rows that took a cover from a closure and not only from
-T = `rack.trivial_part`, all read off one more, counted run of the walk,
-`_lindig_walk`, without building the lattice; rows whose racks have equal
-tables and equal tops, such as the five order-16 abelian groups, share one
-counted run, as `product-decomposition` shares one walk.  A stopped closure
-is a call whose result meets its `stop` argument: the walk's closure halted
-at the first element that ruled out a cover, and the set was rejected.  Each
-row also records its size |top|, t = |T| and the node count of the full
-lattice, n' * 2^t on a factor row: the nodes `racklab lattice` reads its statistics
-off without building them.
+T = `rack.trivial_part`.  They come from one more run of the walk,
+`_lindig_walk`, without building the lattice: the sorted rows from its
+yields, the rest from what it adds to `racklab.work.ledger`.  Rows whose
+racks have equal tables and equal tops, such as the five order-16 abelian
+groups, share one counted run, as `product-decomposition` shares one walk.
+A stopped closure is one that halted at the first element that ruled out a
+cover, so the set was rejected.  Each row also records its size |top|,
+t = |T| and the node count of the full lattice, n' * 2^t on a factor row:
+the nodes `racklab lattice` reads its statistics off without building them.
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and compares them with the committed file.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402  puts src and perfbench on the path
 import jobs  # noqa: E402  perfbench's job lists
 from racklab import groups, lattice, racks  # noqa: E402
 from racklab.catalog import CENTRAL_CATALOG  # noqa: E402
-
-REPEATS = 3
-
-
-def lattice_workload_specs() -> list[tuple[str, int | None]]:
-    """(spec, max order) of every alternate of every `lattice` job."""
-    out = []
-    for slot in jobs.WORKLOADS["lattice"]:
-        for argv in slot:
-            max_order = int(argv[argv.index("--max-order") + 1]) if "--max-order" in argv else None
-            out.append((argv[1], max_order))
-    return out
+from racklab.work import ledger  # noqa: E402
 
 
 def workload() -> list[tuple[str, str, racks.Rack]]:
-    """(name, kind, full rack) of every row, in order."""
+    """(name, kind, full rack) of every row, in order: the groups, then
+    every alternate of every `lattice` job."""
     out = [(spec, "group", racks.rack_from_spec(spec)) for spec in CENTRAL_CATALOG]
-    for spec, max_order in lattice_workload_specs():
-        kwargs = {} if max_order is None else {"max_order": max_order}
-        out.append((spec, "factor", racks.rack_from_spec(spec, **kwargs)))
+    for slot in jobs.WORKLOADS["lattice"]:
+        out += [(argv[1], "factor", benchkit.rack_of(argv)) for argv in slot]
     return out
 
 
@@ -76,32 +61,15 @@ WALKS: dict[tuple, tuple[int, int, int, int, int]] = {}
 
 def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int, int]:
     """(nodes, covers, closure calls, stopped closures, sorted rows) of one
-    counted run of `_lindig_walk` of `full` inside `top`: a node per row, its
-    covers, and a sorted row per row flagged as having taken a closure
-    cover.  The walk reads the rack only through its tables, so it runs once
-    per distinct (`full.op`, top)."""
+    run of `_lindig_walk` of `full` inside `top`.  The walk reads the rack
+    only through its tables, so it runs once per distinct (`full.op`, top)."""
     key = (full.op, top)
-    if key in WALKS:
-        return WALKS[key]
-    closure, calls, stopped = racks.Rack.closure, 0, 0
-
-    def counting(self, seed, closed=0, stop=0):
-        nonlocal calls, stopped
-        calls += 1
-        result = closure(self, seed, closed, stop)
-        stopped += bool(result & stop)
-        return result
-
-    nodes = covers = sorted_rows = 0
-    racks.Rack.closure = counting
-    try:
-        for _, row, closed in lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top):
-            nodes += 1
-            covers += len(row)
-            sorted_rows += closed
-    finally:
-        racks.Rack.closure = closure
-    WALKS[key] = nodes, covers, calls, stopped, sorted_rows
+    if key not in WALKS:
+        ledger.clear()
+        walk = lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top)
+        sorted_rows = sum(closed for _, _, closed in walk)
+        WALKS[key] = (ledger["nodes"], ledger["covers"], ledger["closures"],
+                      ledger["stopped_closures"], sorted_rows)
     return WALKS[key]
 
 
@@ -120,42 +88,29 @@ def counters(name: str, kind: str, full: racks.Rack) -> dict:
 
 def measure(name: str, kind: str, full: racks.Rack) -> dict:
     """The row of `full` itself (kind "group") or of its factor ("factor")."""
-    row = counters(name, kind, full)
     top = top_of(kind, full)
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
+
+    def run():
         if kind == "group":
             lattice.product_decomposition_check(groups.build_group(name))
         else:
             lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
-        best = min(best, time.perf_counter() - t0)
-    row["seconds"] = round(best, 6)
-    return row
+
+    return benchkit.timed(counters(name, kind, full), run)
 
 
 def main() -> int:
     rows = [measure(*row) for row in workload()]
-    totals = {
-        kind: round(sum(r["seconds"] for r in rows if r["kind"] == kind), 6)
-        for kind in ("group", "factor")
-    }
-    report = {
-        "benchmark": "enumeration",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": REPEATS,
-        "seconds": totals,
-        "racks": rows,
-    }
-    path = ROOT / "BENCH_enumeration.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
     for r in rows:
         print(f"{r['kind']:6s} {r['rack']:22s} nodes {r['nodes']:6d} of {r['full_nodes']:6d} "
               f"covers {r['covers']:7d} "
               f"closures {r['closure_calls']:6d} stopped {r['stopped_closures']:6d} "
               f"sorted {r['sorted_rows']:6d} {r['seconds']:.4f} s")
-    print(f"group racks {totals['group']:.3f} s, factor racks {totals['factor']:.3f} s -> {path.name}")
+    totals = {
+        kind: round(sum(r["seconds"] for r in rows if r["kind"] == kind), 6)
+        for kind in ("group", "factor")
+    }
+    benchkit.write("enumeration", "racks", rows, totals)
     return 0
 
 

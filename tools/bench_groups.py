@@ -6,9 +6,9 @@ checkout.
 The specs are those whose tables `tests/test_groups.py` pins in
 `TABLE_DIGESTS`, in the same order.  Each row records the time of
 `build_group(spec, max_order=360)` in process, min of 3 runs, next to work
-counters that do not depend on the machine, read off one more run whose
-table builders are wrapped, and summed over every table the build makes
-(a product's factors and the product itself):
+counters that do not depend on the machine, which the table builders add to
+`racklab.work.ledger` during one more run, summed over every table the
+build makes (a product's factors and the product itself):
 
 - `order`: the order of the group;
 - `generators`: the rows of permutation tables computed one product at a
@@ -28,18 +28,14 @@ table builders are wrapped, and summed over every table the build makes
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src")]
-
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402  puts src on the path
 from racklab import groups  # noqa: E402
+from racklab.work import ledger  # noqa: E402
 
-REPEATS = 3
 MAX_ORDER = 360
 SPECS = (
     "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2", "Z9",
@@ -52,71 +48,23 @@ SPECS = (
 
 def counters(spec: str) -> dict:
     """Every field of a row but its time, from one build of `spec`."""
-    row = dict.fromkeys(
-        ("generators", "direct_products", "composed_rows", "associativity_rows",
-         "associativity_triples"), 0)
-    table_group, perm_table, validate = (
-        groups._table_group, groups._perm_table, groups.FiniteGroup._validate)
-
-    def tabling(name, elements, product, labels, perms=None):
-        row["direct_products"] += len(elements) ** 2
-        return table_group(name, elements, product, labels, perms)
-
-    def composing(perms):
-        rows, gens = perm_table(perms)
-        row["generators"] += len(gens)
-        row["direct_products"] += len(gens) * len(perms)
-        row["composed_rows"] += len(perms) - 1 - len(gens)
-        return rows, gens
-
-    def validating(G):
-        if G.order <= groups._ASSOC_EXHAUSTIVE_CAP:
-            row["associativity_rows"] += G.order ** 2
-        else:
-            row["associativity_triples"] += groups._ASSOC_SAMPLES
-        validate(G)
-
-    groups._table_group, groups._perm_table = tabling, composing
-    groups.FiniteGroup._validate = validating
-    try:
-        G = groups.build_group(spec, max_order=MAX_ORDER)
-    finally:
-        groups._table_group, groups._perm_table = table_group, perm_table
-        groups.FiniteGroup._validate = validate
-    return {"spec": spec, "order": G.order, **row}
-
-
-def measure(spec: str) -> dict:
-    row = counters(spec)
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        groups.build_group(spec, max_order=MAX_ORDER)
-        best = min(best, time.perf_counter() - t0)
-    row["seconds"] = round(best, 6)
-    return row
+    ledger.clear()
+    G = groups.build_group(spec, max_order=MAX_ORDER)
+    fields = ("generators", "direct_products", "composed_rows", "associativity_rows",
+              "associativity_triples")
+    return {"spec": spec, "order": G.order, **{f: ledger[f] for f in fields}}
 
 
 def main() -> int:
-    rows = [measure(spec) for spec in SPECS]
-    report = {
-        "benchmark": "groups",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": REPEATS,
-        "max_order": MAX_ORDER,
-        "seconds": round(sum(r["seconds"] for r in rows), 6),
-        "specs": rows,
-    }
-    path = ROOT / "BENCH_groups.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    rows = [benchkit.timed(counters(spec), lambda: groups.build_group(spec, max_order=MAX_ORDER))
+            for spec in SPECS]
     for r in rows:
         assoc = (f"{r['associativity_rows']:>6,d} rows" if r["associativity_rows"]
                  else f"{r['associativity_triples']:>6,d} triples")
         print(f"{r['spec']:12s} order {r['order']:3d} gens {r['generators']:2d} "
               f"direct {r['direct_products']:>6,d} composed {r['composed_rows']:3d} "
               f"assoc {assoc}  {r['seconds']:.4f} s")
-    print(f"total {report['seconds']:.3f} s -> {path.name}")
+    benchkit.write("groups", "specs", rows, max_order=MAX_ORDER)
     return 0
 
 

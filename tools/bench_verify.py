@@ -7,14 +7,14 @@ Each row records a check's time in process, min of 3 runs of
 `verify.CHECKS[id](VerifyConfig())`, with the `catalog.analyze_group` cache
 cleared before each run so that every run starts cold, as a fresh
 `racklab verify --all` does for its first group check.  Next to the time go
-fields that do not depend on the machine, read off one more run:
+fields that do not depend on the machine, which the runner and the oracle
+add to `racklab.work.ledger` during one more run:
 
 - `instances`: the specs the check runs on;
 - `status`: pass, fail or skipped;
 - on `product-decomposition` only, `walks`: the calls of the lemma-free
   oracle `product_decomposition_check` (one per distinct rack table and
-  center), and `nodes`: the full-lattice nodes those walks visit, summed from
-  the oracle's reports.
+  center), and `nodes`: the full-lattice nodes those walks visit.
 
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and compares them with the committed file.
@@ -22,76 +22,40 @@ fields that do not depend on the machine, read off one more run:
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src")]
-
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import benchkit  # noqa: E402  puts src on the path
 from racklab import catalog, verify  # noqa: E402
 from racklab.verify import VerifyConfig  # noqa: E402
-
-REPEATS = 3
+from racklab.work import ledger  # noqa: E402
 
 
 def counters(check_id: str) -> dict:
     """Every field of a row but its time, from one run of the check."""
-    row: dict = {"check": check_id}
-    run_check, oracle = verify._run_check, verify.product_decomposition_check
-
-    def recording(cid, source, claim, instances, cfg, body):
-        def counted(specs, cfg):
-            row["instances"] = len(specs)
-            return body(specs, cfg)
-
-        return run_check(cid, source, claim, instances, cfg, counted)
-
-    def walking(G, *args, **kwargs):
-        report = oracle(G, *args, **kwargs)
-        row["walks"] = row.get("walks", 0) + 1
-        row["nodes"] = row.get("nodes", 0) + report.nodes
-        return report
-
-    verify._run_check, verify.product_decomposition_check = recording, walking
-    try:
-        row["status"] = verify.CHECKS[check_id](VerifyConfig()).status
-    finally:
-        verify._run_check, verify.product_decomposition_check = run_check, oracle
+    ledger.clear()
+    status = verify.CHECKS[check_id](VerifyConfig()).status
+    row: dict = {"check": check_id, "instances": ledger["instances"]}
+    if ledger["oracle_walks"]:
+        row.update(walks=ledger["oracle_walks"], nodes=ledger["oracle_nodes"])
+    row["status"] = status
     return row
 
 
-def measure(check_id: str) -> dict:
-    row = counters(check_id)
-    best = float("inf")
-    for _ in range(REPEATS):
-        catalog.analyze_group.cache_clear()
-        t0 = time.perf_counter()
-        verify.CHECKS[check_id](VerifyConfig())
-        best = min(best, time.perf_counter() - t0)
-    row["seconds"] = round(best, 6)
-    return row
+def cold_run(check_id: str) -> None:
+    """One run of the check, with the `analyze_group` cache cleared first."""
+    catalog.analyze_group.cache_clear()
+    verify.CHECKS[check_id](VerifyConfig())
 
 
 def main() -> int:
-    rows = [measure(cid) for cid in sorted(verify.CHECKS)]
-    report = {
-        "benchmark": "verify",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": REPEATS,
-        "seconds": round(sum(r["seconds"] for r in rows), 6),
-        "checks": rows,
-    }
-    path = ROOT / "BENCH_verify.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    rows = [benchkit.timed(counters(cid), lambda: cold_run(cid)) for cid in sorted(verify.CHECKS)]
     for r in rows:
         walks = f"  walks {r['walks']:3d} nodes {r['nodes']:>7,d}" if "walks" in r else ""
         print(f"{r['check']:22s} {r['status']:4s} instances {r['instances']:3d} "
               f"{r['seconds']:.4f} s{walks}")
-    print(f"total {report['seconds']:.3f} s -> {path.name}")
+    benchkit.write("verify", "checks", rows)
     return 0
 
 
