@@ -149,12 +149,6 @@ class SubrackLattice(CoverPoset):
             self._index = {s: i for i, s in enumerate(self.sets)}
         return self._index
 
-    def node_of(self, mask: int) -> int:
-        try:
-            return self.index[mask]
-        except KeyError:
-            raise LatticeInvariantError(f"set {mask:#x} is not a lattice node") from None
-
     def __repr__(self) -> str:
         return f"SubrackLattice(nodes={self.n}, edges={self.edge_count()})"
 

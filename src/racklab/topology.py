@@ -41,19 +41,18 @@ comparability graph, and a vertex whose closed neighbourhood lies in another
 vertex's has a cone as its link, so deleting it keeps the homotopy type and
 all homology, torsion included (Barmak & Minian, 2012).
 
-The reduction works on facet tables: the ids, in the level below, of the
-facets of every simplex.  Ranks come from column reduction with clearing
-(Chen & Kerber, *Persistent homology computation with a twist*, 2011): the
-boundary maps are reduced from the top dimension down, only +-1 pivots are
-registered, and the column of a simplex that was a unit pivot row one
-dimension up is skipped.  A column whose lowest entry is not a unit is
-deferred; at the end it is reduced against the unit pivots and what is left
-goes to the exact Smith normal form.  This is exact over Z: unit pivots in
-distinct rows split off 1s of the Smith form, and a cleared column is an
-integer combination of earlier columns, so dropping it leaves the image
-lattice unchanged.  A sparse matrix has one form here, the list of its
-columns {row: nonzero entry}: the remainder goes on in it, and
-`boundary_matrices` and `rank_and_torsion`, the direct oracle, use it too.
+The reduction works on the columns {row: nonzero entry} of
+`boundary_matrices`, the one sparse-matrix form here.  Ranks come from column
+reduction with clearing (Chen & Kerber, *Persistent homology computation
+with a twist*, 2011): the maps are reduced in place from the top dimension
+down, only +-1 pivots are registered, and the column of a simplex that is
+the lowest row of a unit pivot one dimension up is skipped.  A dimension
+that meets a column whose lowest entry is not a unit hands all its reduced
+columns, unit pivots and deferred, to `rank_and_torsion`.  This is exact
+over Z: rank and torsion depend only on the image lattice of the map, which
+column operations, zero columns and cleared columns (each an integer
+combination of earlier ones) leave unchanged; without a deferred column,
+the unit pivots in distinct rows give the rank and there is no torsion.
 
 The Smith normal form runs in two phases.  Elimination on +-1 pivots splits
 off a 1 per pivot with row operations only; the remainder, which has no unit
@@ -63,7 +62,6 @@ magnitude.  It shares no code with the column reduction.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable, Sequence
@@ -98,7 +96,7 @@ class OrderComplex:
     from its simplices has None, and `collapse_complex` leaves it as it is.
     """
 
-    __slots__ = ("vertices", "simplices", "t", "full_counts", "comparable", "_facets")
+    __slots__ = ("vertices", "simplices", "t", "full_counts", "comparable")
 
     def __init__(
         self,
@@ -113,7 +111,6 @@ class OrderComplex:
         self.t = t
         self.full_counts = tuple(self.counts() if full_counts is None else full_counts)
         self.comparable = comparable
-        self._facets: list[array] | None = None
 
     @property
     def dim(self) -> int:
@@ -127,23 +124,6 @@ class OrderComplex:
 
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def facet_tables(self) -> list[array]:
-        """Facet ids per dimension, built once.
-
-        Entry d >= 1 holds d+1 ids per d-simplex j, at (d+1)*j + i: the index
-        in level d-1 of the facet that drops vertex i (boundary sign (-1)^i).
-        Entry 0 holds one 0 per vertex, the augmentation onto the empty face.
-        """
-        if self._facets is None:
-            tables = [array("l", [0]) * len(self.simplices[0])] if self.simplices else []
-            for d in range(1, len(self.simplices)):
-                index = {s: i for i, s in enumerate(self.simplices[d - 1])}
-                tables.append(array("l", [
-                    index[s[:i] + s[i + 1:]] for s in self.simplices[d] for i in range(d + 1)
-                ]))
-            self._facets = tables
-        return self._facets
 
 
 def _surjections(t: int) -> list[int]:
@@ -468,9 +448,10 @@ def rank_and_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, tuple[int,
 def boundary_matrices(K: OrderComplex) -> list[list[dict[int, int]]]:
     """Boundary maps of the augmented complex as lists of columns {row:
     entry}: index 0 is the augmentation (a column {0: 1} per vertex); index
-    d >= 1 maps each d-simplex to its facets with alternating signs, found
-    by a lookup of its own, independent of `OrderComplex.facet_tables`.
-    Satisfies boundary-of-boundary = 0."""
+    d >= 1 maps each d-simplex to its facets with alternating signs.  Every
+    call builds fresh columns, which `_boundary_ranks` reduces in place and
+    the tests hand to `rank_and_torsion`, the oracle.  Satisfies
+    boundary-of-boundary = 0."""
     if K.is_empty():
         return []
     out = [[{0: 1} for _ in K.simplices[0]]]
@@ -496,25 +477,22 @@ def _subtract(col: dict[int, int], pivot: dict[int, int], row: int) -> None:
 
 def _boundary_ranks(K: OrderComplex) -> tuple[list[int], list[tuple[int, ...]]]:
     """Rank and torsion of every boundary map of the augmented complex
-    (index 0 is the augmentation), by column reduction with clearing.  The
-    non-unit remainder goes to `rank_and_torsion` keyed by the original ids."""
-    tables = K.facet_tables()
-    top = len(tables) - 1
-    ranks = [0] * (top + 1)
-    torsions: list[tuple[int, ...]] = [()] * (top + 1)
-    cleared = bytearray(len(K.simplices[top]))
-    for d in range(top, -1, -1):
-        table, width = tables[d], d + 1
+    (index 0 is the augmentation), by column reduction with clearing of the
+    `boundary_matrices` columns, from the top dimension down.  A dimension
+    with a deferred non-unit column hands its reduced columns to
+    `rank_and_torsion` (see the module docstring).  Adds `unit_pivots` and
+    `nonunit_pivots`, the deferred columns, to the ledger."""
+    matrices = boundary_matrices(K)
+    ranks = [0] * len(matrices)
+    torsions: list[tuple[int, ...]] = [()] * len(matrices)
+    cleared: dict[int, dict[int, int]] = {}  # the pivots one dimension up
+    units = nonunits = 0
+    for d in range(len(matrices) - 1, -1, -1):
         pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
         deferred = []
-        for j in range(len(K.simplices[d])):
-            if cleared[j]:
+        for j, col in enumerate(matrices[d]):
+            if j in cleared:
                 continue
-            col = {}
-            sign = 1
-            for g in table[width * j:width * j + width]:
-                col[g] = sign
-                sign = -sign
             while col:
                 low = max(col)
                 pivot = pivots.get(low)
@@ -526,23 +504,14 @@ def _boundary_ranks(K: OrderComplex) -> tuple[list[int], list[tuple[int, ...]]]:
                 else:
                     deferred.append(col)
                     break
-        ranks[d] = len(pivots)
-        remainder = []
-        for col in deferred:
-            # each subtraction only adds rows below the one it clears
-            low = max((r for r in col if r in pivots), default=None)
-            while low is not None:
-                _subtract(col, pivots[low], low)
-                low = max((r for r in col if r < low and r in pivots), default=None)
-            if col:
-                remainder.append(col)
-        if remainder:
-            rank, torsions[d] = rank_and_torsion(remainder)
-            ranks[d] += rank
-        if d:
-            cleared = bytearray(len(K.simplices[d - 1]))
-            for row in pivots:
-                cleared[row] = 1
+        if deferred:
+            ranks[d], torsions[d] = rank_and_torsion([*pivots.values(), *deferred])
+        else:
+            ranks[d] = len(pivots)
+        units += len(pivots)
+        nonunits += len(deferred)
+        cleared = pivots
+    ledger.update(unit_pivots=units, nonunit_pivots=nonunits)
     return ranks, torsions
 
 

@@ -20,6 +20,8 @@ it.  The counts, by the stage that adds them:
 - `topology.order_complex`: `order_complexes` and `simplices_built`;
 - `topology.collapse_complex`: `simplices_collapsed` and `core_vertices`,
   what the strong collapse leaves;
+- `topology._boundary_ranks`: `unit_pivots` and `nonunit_pivots`, the
+  columns of the reduction with a +-1 lowest entry and the deferred ones;
 - `verify._run_check`: `instances`, the specs a check runs on.
 """
 

@@ -230,8 +230,8 @@ def test_join_of_five_cycles_is_class_union():
         powers.add(y)
         y = G.mul[y][x]
     other = next(e for e in elem if e not in powers)
-    a = lat.node_of(1 << pos[x])
-    b = lat.node_of(1 << pos[other])
+    a = lat.index[1 << pos[x]]
+    b = lat.index[1 << pos[other]]
     joined = rack.closure(lat.sets[a] | lat.sets[b])
     union = 0
     for cm in cd.classes:
@@ -338,7 +338,7 @@ def test_chain_lengths_through_subgroups_sl23():
     lat = full_lattice(conjugation_rack(G))
     through = {}
     for h in all_subgroups(G):
-        node = lat.node_of(h.elems)
+        node = lat.index[h.elems]
         through.setdefault(h.order, set()).update(_lengths_through(lat, node))
     assert through[8] == {10}  # the quaternion Sylow subgroup
     assert through[6] == {8}   # the cyclic order-6 maximal subgroups
@@ -354,7 +354,7 @@ def test_chain_lengths_through_d18_and_tv18():
         lat = full_lattice(conjugation_rack(G))
         seen = {}
         for h in all_subgroups(G):
-            node = lat.node_of(h.elems)
+            node = lat.index[h.elems]
             seen.setdefault(h.order, set()).update(_lengths_through(lat, node))
         assert len_a in seen[order_a]
         assert len_b in seen[order_b]

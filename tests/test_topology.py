@@ -21,6 +21,7 @@ from racklab.topology import (
     reduced_homology,
     smith_normal_form,
 )
+from racklab.work import ledger
 
 
 def complex_from_facets(facets) -> OrderComplex:
@@ -259,10 +260,9 @@ def oracle_homology(K: OrderComplex):
 
 
 # every catalog group and rack filter whose order complex has at most 5,000
-# simplices, and the three larger noncentral racks D16 (36,076 simplices, the
-# one homology workload job whose column reduction leaves a non-unit
-# remainder), SL(2,3) (13,860) and S4 (9,262); order_complex below fails the
-# test if one outgrows 40,000
+# simplices, and the three larger noncentral racks D16 (36,076 simplices),
+# SL(2,3) (13,860) and S4 (9,262); order_complex below fails the test if one
+# outgrows 40,000.  Each reduces on unit pivots alone, collapsed or not.
 ORACLE_SPECS = [
     "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3", "D8", "Q8", "D10", "A4",
     "S4:cycles(4)", "D8:noncentral", "Q8:noncentral", "A4:noncentral",
@@ -278,8 +278,12 @@ def test_reduction_matches_smith_oracle(spec):
     K = order_complex(lat, simplex_budget=40_000)
     expected = oracle_homology(K)
     for collapse in (True, False):
+        ledger.clear()
         H = reduced_homology(K, collapse=collapse)
         assert (H.betti, H.torsion) == expected, (spec, collapse)
+    # uncollapsed, one unit pivot per unit of rank that the oracle finds
+    rank = sum(rank_and_torsion(m)[0] for m in boundary_matrices(K))
+    assert (ledger["unit_pivots"], ledger["nonunit_pivots"]) == (rank, 0)
 
 
 facet_lists = st.lists(
@@ -306,8 +310,8 @@ RP2 = [
 
 def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
     # the suspension of RP^2, listed by its faces, is reduced as it is, and
-    # the Z/2 of its H~_2 only shows in the non-unit remainder handed to the
-    # exact Smith normal form
+    # the Z/2 of its H~_2 only shows in a non-unit pivot: that dimension's
+    # reduced columns go to the exact Smith normal form
     remainders = []
     exact = topology.rank_and_torsion
 
@@ -317,10 +321,11 @@ def test_suspension_moves_torsion_to_dimension_two(monkeypatch):
 
     monkeypatch.setattr(topology, "rank_and_torsion", recording)
     K = complex_from_facets([f + (apex,) for f in RP2 for apex in (6, 7)])
+    ledger.clear()
     for collapse in (True, False):
         H = reduced_homology(K, collapse=collapse)
         assert H.betti == {} and H.torsion == {2: (2,)}
-    assert remainders
+    assert remainders and ledger["nonunit_pivots"] > 0
     monkeypatch.undo()
     assert oracle_homology(K) == ({}, {2: (2,)})
 

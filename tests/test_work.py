@@ -1,7 +1,7 @@
 """The work ledger counts what an independent counter counts: the closures
 the Lindig walk adds to `racklab.work.ledger` equal the `Rack.closure` calls
 that perfbench's tracer counts by wrapping the method from outside the
-package."""
+package.  The tracer also charges each stage's time to that stage."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from tracer import CLOSURE, Tracer  # noqa: E402
 LATTICE_JOBS = [argv for slot in jobs.WORKLOADS["lattice"] for argv in slot]
 
 
-def _traced(run):
-    """(the ledger's closures, the tracer's closure calls) during `run()`."""
+def _trace(run) -> Tracer:
+    """The tracer that traced `run()`, with the ledger cleared before it."""
     tracer = Tracer()
     tracer.install()
     ledger.clear()
@@ -36,6 +36,12 @@ def _traced(run):
     finally:
         tracer.stop_root()
         tracer.uninstall()
+    return tracer
+
+
+def _traced(run):
+    """(the ledger's closures, the tracer's closure calls) during `run()`."""
+    tracer = _trace(run)
     return ledger["closures"], tracer.hot[CLOSURE][0]
 
 
@@ -70,3 +76,15 @@ def test_a_walk_over_its_budget_leaves_its_closures_in_the_ledger():
 
     counted, traced = _traced(run)
     assert counted == traced > 0
+
+
+def test_the_homology_boundary_build_is_charged_to_its_stage():
+    # the reduction builds its columns in `boundary_matrices`, so the tracer
+    # books that time as `topology.boundary_s`, not as topology's self time
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["homology", "D8"]) == 0
+
+    metrics = _trace(run).layer_metrics(())
+    assert metrics["topology.boundary_s"] > 0
+    assert metrics["trace.unaccounted_s"] == pytest.approx(0, abs=1e-9)

@@ -9,9 +9,10 @@ budget.  `racklab homology` builds the order complex of the factor
 L(R - T) only and shifts its homology by t = |T|; each row records t, the
 simplex counts of L(R)'s complex (what `--budget-simplices` counts, counted
 here without a budget from the factor that `enumerate_subracks` returns),
-the simplices built, and the simplices and vertices left after the strong
-collapse (null when the budget stops the command first), which
-`order_complex` and `collapse_complex` add to `racklab.work.ledger` during
+the simplices built, the simplices and vertices left after the strong
+collapse, and the unit and non-unit pivots of the column reduction (null
+when the budget stops the command first), which `order_complex`,
+`collapse_complex` and the reduction add to `racklab.work.ledger` during
 one run of the command, the budget error or the sphere dimension of that
 run, and the time of the whole command in process, min of 3 runs.
 `tests/test_bench_files.py` recomputes every field but the times with
@@ -67,6 +68,8 @@ def counters(argv: tuple[str, ...]) -> dict:
         "built": ledger["simplices_built"] if built else None,
         "collapsed": ledger["simplices_collapsed"] if built else None,
         "core_vertices": ledger["core_vertices"] if built else None,
+        "unit_pivots": ledger["unit_pivots"] if built else None,
+        "nonunit_pivots": ledger["nonunit_pivots"] if built else None,
         "exit": code,
         "error": err.strip() or None,
         "sphere_dimension": json.loads(out)["sphere_dimension"] if code == 0 else None,
@@ -78,10 +81,11 @@ def main() -> int:
     for r in rows:
         sphere = r["sphere_dimension"]
         outcome = r["error"] or ("not a sphere" if sphere is None else f"S^{sphere}")
+        cell = {k: "-" if v is None else str(v) for k, v in r.items()}
         print(f"{r['spec']:18s} t={r['t']:2d} simplices {r['simplices']:>16,d} "
-              f"built {r['built'] if r['built'] is not None else '-':>7} "
-              f"collapsed {r['collapsed'] if r['collapsed'] is not None else '-':>6} "
-              f"core {r['core_vertices'] if r['core_vertices'] is not None else '-':>4} "
+              f"built {cell['built']:>7} collapsed {cell['collapsed']:>6} "
+              f"core {cell['core_vertices']:>4} "
+              f"pivots {cell['unit_pivots']:>4}/{cell['nonunit_pivots']} "
               f"{r['seconds']:.4f} s  {outcome}")
     benchkit.write("homology", "specs", rows, simplex_budget=topology.DEFAULT_SIMPLEX_BUDGET)
     return 0
