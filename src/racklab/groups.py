@@ -120,6 +120,16 @@ def spec_order(spec: Sequence[FamilyTerm]) -> int:
     return prod(_FAMILIES[t.kind].order(t.param) for t in spec)
 
 
+def _check_order(spec: Sequence[FamilyTerm], max_order: int) -> None:
+    """Refuse a spec whose group order exceeds `max_order`, before anything
+    is built."""
+    order = spec_order(spec)
+    if order > max_order:
+        raise OrderCapExceeded(
+            f"group order {order} exceeds the cap {max_order} for {format_group_spec(spec)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # group object
 
@@ -411,11 +421,7 @@ def build_group(
     (A x B) x C."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    order = spec_order(spec)
-    if order > max_order:
-        raise OrderCapExceeded(
-            f"group order {order} exceeds the cap {max_order} for {format_group_spec(spec)}"
-        )
+    _check_order(spec, max_order)
     return reduce(_build_product, (_FAMILIES[t.kind].build(t.param) for t in spec))
 
 

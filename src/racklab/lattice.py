@@ -54,11 +54,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bitsets import bits
-from .groups import CapExceeded, FiniteGroup, conjugacy_classes
-from .racks import Rack, conjugation_rack
+from .groups import CapExceeded
+from .racks import Rack, _check_rack_cap
 from .work import ledger
 
-RACK_CAP = 40
 DEFAULT_NODE_BUDGET = 5_000_000
 M_CAP = 24
 
@@ -227,13 +226,6 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Pr
     if factor is None or factor.n << t > limit:
         raise _node_budget_exceeded(node_budget, limit)
     return ProductLattice(rack, factor, t)
-
-
-def _check_rack_cap(size: int) -> None:
-    """Refuse a rack of more than `RACK_CAP` elements, which a caller may
-    count before it builds the rack."""
-    if size > RACK_CAP:
-        raise CapExceeded(f"rack size {size} exceeds the enumeration cap {RACK_CAP}")
 
 
 def _node_budget_exceeded(node_budget: int, count: int) -> BudgetExceeded:
@@ -738,19 +730,22 @@ class ProductDecompositionReport:
 
 
 def product_decomposition_check(
-    G: FiniteGroup,
+    rack: Rack,
+    center: int,
     lattice: SubrackLattice | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ProductDecompositionReport:
     """Verify Q -> (Q & R, Q & Z) is an order isomorphism from the full lattice
     onto (lattice of the non-central rack R) x (subsets of the center Z).
 
-    This is the oracle for the lemma that `enumerate_subracks` and the group
-    checks of `racklab verify` rely on, so it walks the full lattice itself
-    with `_lindig_walk`, which does not use the lemma, and takes Z from the
-    conjugacy classes, not from the factor's `Rack.trivial_part`.  Since R
-    and Z partition G, the pair determines Q, so the map is injective; with
-    the node count it is a bijection onto the product.
+    `rack` is the conjugation rack of a whole group G and `center` the mask
+    of G's center, which the caller takes from `conjugacy_classes(G)`, not
+    from the factor's `Rack.trivial_part`.  This is the oracle for the lemma
+    that `enumerate_subracks` and the group checks of `racklab verify` rely
+    on, so it walks the full lattice itself with `_lindig_walk`, which does
+    not use the lemma.  Since R and Z partition G, the pair determines Q,
+    so the map is injective; with the node count it is a bijection onto the
+    product.
 
     Each node is checked as the walk yields it, from its mask and the masks
     of its upper covers: its projection Q & R is a factor node, and each
@@ -762,11 +757,9 @@ def product_decomposition_check(
     of each kind is kept, and the report gives the first of node count,
     projection, cover and cover count that failed.
     """
-    rack = conjugation_rack(G, provenance=G.name)
     sub, _ = enumerate_subracks(rack, node_budget).product_form()
-    z_mask = conjugacy_classes(G).center
-    r_mask = rack.full_mask() & ~z_mask
-    z = z_mask.bit_count()
+    r_mask = rack.full_mask() & ~center
+    z = center.bit_count()
     fsets = sub.sets
     factor_covers = {s: {fsets[p] for p in sub.parents(i)} for i, s in enumerate(fsets)}
     if lattice is None:
@@ -788,7 +781,7 @@ def product_decomposition_check(
             continue
         zs = s ^ fs
         for b in row:
-            zb = b & z_mask
+            zb = b & center
             if zb == zs:
                 if b ^ zb not in up:
                     cover = "a cover does not project to a factor cover"

@@ -1,26 +1,28 @@
 """Set partition lattices, the k-equal sublattices, and the orbit-partition
-machinery for racks of p-cycles in alternating groups."""
+machinery for racks of p-cycles in alternating groups.
+
+The racks here are classes of cycles, which `rack_from_spec` builds from
+their permutations and which carry them (`Rack.perms`), so no group is
+built."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 from .bitsets import bits, mask_of
-from .groups import FiniteGroup, build_group
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     CoverPoset,
     SubrackLattice,
-    _check_rack_cap,
     _csr_from_edges,
     _union_find_roots,
     enumerate_subracks,
 )
-from .racks import Rack, conjugation_rack, filter_mask
+from .racks import Rack, rack_from_spec
 
 MAX_PARTITION_N = 8
 
@@ -171,13 +173,12 @@ def transposition_rack_isomorphism(
     demands one set per partition and as many subracks as partitions."""
     if not 3 <= n <= 5:
         raise ValueError("checked for n in 3..5 (rack size n(n-1)/2)")
-    G = build_group(f"S{n}")
-    rack = conjugation_rack(G, filter_mask(G, "transpositions"), provenance=f"S{n}:transpositions")
+    rack = rack_from_spec(f"S{n}:transpositions")
     lat = enumerate_subracks(rack, node_budget).expand()  # T is empty
     parts = all_partitions(n)
     if lat.n != len(parts):
         return IsomorphismReport(False, lat.n, len(parts), "element counts differ")
-    swapped = [orbit_partition_map(n, rack, G, 1 << i) for i in range(rack.size)]
+    swapped = [orbit_partition_map(n, rack, 1 << i) for i in range(rack.size)]
     images = {mask_of(i for i, t in enumerate(swapped) if t.refines(p)) for p in parts}
     if len(images) != len(parts) or images != set(lat.sets):
         return IsomorphismReport(False, lat.n, len(parts), "the sets T(p) are not the subracks")
@@ -188,13 +189,10 @@ def transposition_rack_isomorphism(
 # p-cycles in A_n: orbit map and lower fibers
 
 
-def orbit_partition_map(
-    n: int, rack: Rack, group: FiniteGroup, subrack_mask: int
-) -> SetPartition:
+def orbit_partition_map(n: int, rack: Rack, subrack_mask: int) -> SetPartition:
     """Partition of {0..n-1} into orbits of the subgroup generated by the
-    chosen cycles.  This is where a rack position becomes a permutation."""
-    perms = [group.perms[group.label_index(rack.labels[i])] for i in bits(subrack_mask)]
-    return _components_partition(n, perms)
+    chosen cycles, read off `rack.perms`."""
+    return _components_partition(n, [rack.perms[i] for i in bits(subrack_mask)])
 
 
 @dataclass(frozen=True)
@@ -208,21 +206,18 @@ class FiberReport:
 
 def pcycle_rack_and_lattice(
     n: int, p: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[FiniteGroup, Rack, SubrackLattice]:
-    """A_n, its rack of p-cycles and that rack's subrack lattice.
+) -> tuple[Rack, SubrackLattice]:
+    """The rack of p-cycles of A_n and its subrack lattice.
 
-    The rack is counted before A_n is built, so one over the enumeration cap
-    is refused at once: a p-cycle is a p-subset of the n points with one of
-    (p - 1)! cyclic orders, and for odd p every p-cycle is even."""
-    _check_rack_cap(comb(n, p) * factorial(p - 1) if p % 2 else 0)
-    G = build_group(f"A{n}", max_order=max(120, factorial(n) // 2))
-    rack = conjugation_rack(G, filter_mask(G, f"cycles({p})"), provenance=f"A{n}:cycles({p})")
+    `rack_from_spec` counts the rack before it lists it, so one over the
+    enumeration cap is refused at once."""
+    rack = rack_from_spec(f"A{n}:cycles({p})", max_order=max(120, factorial(n) // 2))
     lat = enumerate_subracks(rack, node_budget).expand()  # T is empty
-    return G, rack, lat
+    return rack, lat
 
 
 def quillen_fiber_check(
-    n: int, p: int, pcycles: tuple[FiniteGroup, Rack, SubrackLattice]
+    n: int, p: int, pcycles: tuple[Rack, SubrackLattice]
 ) -> FiberReport:
     """For every proper tau in the k-equal lattice, the subracks mapping below
     tau must have the set q_h of p-cycles supported inside tau's blocks as
@@ -240,10 +235,10 @@ def quillen_fiber_check(
     tau, and q_h maps below tau once it is a subrack."""
     if p % 2 == 0 or p >= n - 2 or n > 6:
         raise ValueError("need an odd prime p < n-2 with n <= 6")
-    G, rack, lat = pcycles
+    rack, lat = pcycles
     kequal = k_equal_lattice(n, p)
-    images = {orbit_partition_map(n, rack, G, s) for s in lat.sets}
-    supports = [orbit_partition_map(n, rack, G, 1 << i).pairs for i in range(rack.size)]
+    images = {orbit_partition_map(n, rack, s) for s in lat.sets}
+    supports = [orbit_partition_map(n, rack, 1 << i).pairs for i in range(rack.size)]
     image_ok = images == set(kequal.elements)
     fibers_ok = 0
     total = 0

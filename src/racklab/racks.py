@@ -4,26 +4,43 @@ and isomorphism search.
 A rack is a set with a binary operation ``a > b`` that is self-distributive
 and whose left translations ``b -> a > b`` are bijections.  Conjugation racks
 use ``a > b = a b a^-1`` inside a group.
+
+A rack spec names a group and a subset of it.  The k-cycles of S_n or A_n
+(the filters `transpositions` and `cycles(k)` on a spec of one S or A term)
+are built from their permutations alone, with no group table: the class is
+counted in closed form and refused over `RACK_CAP` before it is listed, and
+`validate_rack` checks the axioms on the table built.  Every other spec
+conjugates inside the group that `build_group` makes.  Both give the same
+rack: the group lists the identity first and then the sorted permutations,
+and a k-cycle (k >= 2) is not the identity, so the class in sorted order has
+the group's element order and the same labels.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .bitsets import bit_list, mask_of
 from .groups import (
     DEFAULT_MAX_ORDER,
     CapExceeded,
+    FamilyTerm,
     FiniteGroup,
+    _check_order,
     _composer,
     _perm_cycles,
+    _perm_label,
     build_group,
     conjugacy_classes,
+    format_group_spec,
+    parse_group_spec,
 )
 
 ISO_CAP = 16
+RACK_CAP = 40
 
 
 class RackAxiomError(ValueError):
@@ -31,9 +48,14 @@ class RackAxiomError(ValueError):
 
 
 class Rack:
-    """Immutable finite rack over elements 0..size-1."""
+    """Immutable finite rack over elements 0..size-1.
 
-    __slots__ = ("size", "op", "inv_op", "labels", "provenance", "trivial_part", "_tables")
+    `perms` holds the permutation of each element when the rack comes from
+    a group of permutations (S_n or A_n), and is None otherwise.
+    """
+
+    __slots__ = ("size", "op", "inv_op", "labels", "provenance", "trivial_part", "perms",
+                 "_tables")
 
     def __init__(self, op, inv_op, labels, provenance=None):
         self.op = tuple(tuple(row) for row in op)
@@ -47,6 +69,7 @@ class Rack:
             t for t in identity
             if self.op[t] == identity and all(row[t] == t for row in self.op)
         )
+        self.perms = None
         self._tables = None
 
     def full_mask(self) -> int:
@@ -209,7 +232,10 @@ def conjugation_rack(
                 f"{G.labels[a]} > {G.labels[elems[b]]} = {G.labels[images[b]]} is outside it"
             )
         op.append(row)
-    return Rack(op, _inverse_table(op), [G.labels[e] for e in elems], provenance or G.name)
+    rack = Rack(op, _inverse_table(op), [G.labels[e] for e in elems], provenance or G.name)
+    if G.perms is not None:
+        rack.perms = tuple(G.perms[e] for e in elems)
+    return rack
 
 
 def closure_forward_only(rack: Rack, seed: int) -> int:
@@ -238,28 +264,88 @@ def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(len(c) for c in _perm_cycles(p) if len(c) > 1))
 
 
+def _check_rack_cap(size: int) -> None:
+    """Refuse a rack of more than `RACK_CAP` elements, which a caller may
+    count before it builds the rack."""
+    if size > RACK_CAP:
+        raise CapExceeded(f"rack size {size} exceeds the enumeration cap {RACK_CAP}")
+
+
+def _cycle_length(filt: str) -> int | None:
+    """k for the filter `cycles(k)`, 2 for `transpositions`, else None."""
+    if filt == "transpositions":
+        return 2
+    m = _CYCLES_RE.fullmatch(filt)
+    return int(m.group(1)) if m else None
+
+
 def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
     """Build a conjugation rack from "GROUPSPEC[:FILTER]".
 
     FILTER is one of: all | noncentral | transpositions | cycles(k) | class(label).
+
+    The k-cycles of a lone S_n or A_n term are listed directly, in sorted
+    order, which is their order in the group (the identity first, then the
+    sorted permutations), with the group's labels; the group is never
+    built.  A group above `max_order` is refused by its order first, as
+    `build_group` refuses it, and a class over `RACK_CAP` before it is
+    listed.  Every other spec conjugates inside `build_group(GROUPSPEC)`.
     """
     group_part, _, filt = text.partition(":")
-    G = build_group(group_part, max_order=max_order)
-    return conjugation_rack(G, filter_mask(G, filt), provenance=text)
+    spec = parse_group_spec(group_part)
+    k = _cycle_length(filt)
+    if k is None or len(spec) != 1 or spec[0].kind not in ("S", "A"):
+        G = build_group(spec, max_order=max_order)
+        return conjugation_rack(G, filter_mask(G, filt), provenance=text)
+    _check_order(spec, max_order)
+    return _cycle_rack(spec[0], k, text)
+
+
+def _cycle_rack(term: FamilyTerm, k: int, provenance: str) -> Rack:
+    """The rack of the k-cycles of S_n or A_n, a > b = a b a^-1 computed on
+    the permutations, under (p q)(i) = p(q(i)).
+
+    A k-cycle is a k-subset of the n points with one of (k - 1)! cyclic
+    orders, and it is even exactly when k is odd."""
+    n = term.param
+    if not 2 <= k <= n or term.kind == "A" and k % 2 == 0:
+        raise RackAxiomError(f"no {k}-cycles in {format_group_spec((term,))}")
+    _check_rack_cap(comb(n, k) * factorial(k - 1))
+    perms = []
+    for first, *rest in itertools.combinations(range(n), k):
+        for order in itertools.permutations(rest):
+            p = list(range(n))
+            for x, y in zip((first, *order), (*order, first)):
+                p[x] = y
+            perms.append(tuple(p))
+    perms.sort()
+    index = {p: i for i, p in enumerate(perms)}
+    right = [_composer(b) for b in perms]  # a -> a∘b
+    op = []
+    for a in perms:
+        inverse = _composer(tuple(sorted(range(n), key=a.__getitem__)))  # x -> x∘a^-1
+        op.append([index[inverse(times_b(a))] for times_b in right])
+    rack = validate_rack(op, [_perm_label(p) for p in perms], provenance)
+    rack.perms = tuple(perms)
+    return rack
 
 
 def filter_mask(G: FiniteGroup, filt: str) -> int:
-    """The elements of G that the FILTER of a rack spec selects ("" is all)."""
+    """The elements of G that the FILTER of a rack spec selects ("" is all).
+
+    `rack_from_spec` lists the cycle classes of S_n and A_n without G; the
+    `transpositions` and `cycles(k)` branch here, which scans G's
+    permutations by cycle type, is the oracle the tests compare it with."""
     if not filt or filt == "all":
         return (1 << G.order) - 1
     if filt == "noncentral":
         return ((1 << G.order) - 1) & ~conjugacy_classes(G).center
-    if filt == "transpositions" or _CYCLES_RE.fullmatch(filt):
+    k = _cycle_length(filt)
+    if k is not None:
         if G.perms is None:
             raise RackAxiomError(
                 f"filter {filt!r} applies only to plain permutation groups (S or A families)"
             )
-        k = 2 if filt == "transpositions" else int(_CYCLES_RE.fullmatch(filt).group(1))
         mask = mask_of(
             i for i, p in enumerate(G.perms) if _cycle_type(p) == (k,)
         )

@@ -408,7 +408,7 @@ def check_kequal_fibers(specs, cfg):
     comparison = "skipped(budget)"
     comparison_ok = True
     try:
-        H_rack = reduced_homology(order_complex(pcycles[2], cfg.simplex_budget))
+        H_rack = reduced_homology(order_complex(pcycles[1], cfg.simplex_budget))
         comparison_ok = (H_rack.betti, H_rack.torsion) == (H_ke.betti, H_ke.torsion)
         comparison = "equal" if comparison_ok else "different"
         computed["rack_betti"] = {str(d): b for d, b in sorted(H_rack.betti.items())}
@@ -453,9 +453,9 @@ def check_product_decomposition(specs, cfg):
     """Run the oracle once per distinct (rack table, center) and give each
     spec its key's verdict.
 
-    The sharing is exact.  `product_decomposition_check` reads G only through
-    `conjugation_rack(G).op` and `conjugacy_classes(G).center`: the rack's
-    `inv_op` and `trivial_part` are functions of `op`, the walk and the factor
+    The sharing is exact.  The oracle is given the rack and center of the
+    key and reads the rack only through `op`: its `inv_op` and
+    `trivial_part` are functions of `op`, the walk and the factor
     enumeration see only those tables, and the report carries counts and a
     detail string, never a label.  Two specs with equal keys therefore get
     equal reports.  An abelian group's rack is the trivial rack on its
@@ -466,9 +466,11 @@ def check_product_decomposition(specs, cfg):
     computed, ok = {}, True
     for spec in specs:
         G = build_group(spec)
-        key = (conjugation_rack(G).op, conjugacy_classes(G).center)
+        rack, center = conjugation_rack(G), conjugacy_classes(G).center
+        key = (rack.op, center)
         if key not in verdicts:
-            verdicts[key] = product_decomposition_check(G, node_budget=cfg.node_budget).ok
+            report = product_decomposition_check(rack, center, node_budget=cfg.node_budget)
+            verdicts[key] = report.ok
         computed[spec] = verdicts[key]
         ok &= computed[spec]
     return dict.fromkeys(specs, True), computed, ok

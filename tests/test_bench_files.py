@@ -46,6 +46,9 @@ def test_group_counters_match_the_committed_file():
     bench = _tool("bench_groups")
     assert list(bench.SPECS) == list(TABLE_DIGESTS)
     assert [bench.counters(spec) for spec in bench.SPECS] == _committed_rows("groups", "specs")
+    assert [bench.rack_counters(spec) for spec in bench.RACK_SPECS] == _committed_rows(
+        "groups", "racks"
+    )
 
 
 def test_verify_counters_match_the_committed_file():

@@ -10,6 +10,7 @@ from conftest import full_lattice
 from racklab import cli
 from racklab.cli import main
 from racklab.lattice import export_lattice_text, load_lattice_export
+from racklab.work import ledger
 
 
 def run(capsys, argv):
@@ -48,6 +49,20 @@ def test_rack_cap_exit_code(capsys):
     rc, out, err = run(capsys, ["lattice", "A5"])
     assert (rc, out) == (2, "")
     assert err == "racklab: rack size 60 exceeds the enumeration cap 40\n"
+
+
+@pytest.mark.parametrize("spec, max_order, size", [
+    ("A8:cycles(3)", "20160", 112),
+    ("S8:cycles(8)", "40320", 5040),
+])
+def test_cycle_class_over_the_cap_is_refused_before_any_table(capsys, spec, max_order, size):
+    # building A8's table before the refusal took 83 s
+    ledger.clear()
+    rc, out, err = run(capsys, ["lattice", spec, "--max-order", max_order])
+    assert (rc, out) == (2, "")
+    assert err == f"racklab: rack size {size} exceeds the enumeration cap 40\n"
+    assert ledger["direct_products"] == ledger["composed_rows"] == 0
+    assert ledger["associativity_rows"] == ledger["associativity_triples"] == 0
 
 
 def test_lattice_z4(capsys):

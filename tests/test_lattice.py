@@ -603,6 +603,11 @@ def test_compute_m_matches_the_definition(spec, blocks):
 # product decomposition
 
 
+def _oracle(G, **kwargs):
+    """`product_decomposition_check` on the rack and center of G."""
+    return product_decomposition_check(conjugation_rack(G), conjugacy_classes(G).center, **kwargs)
+
+
 @pytest.mark.parametrize(
     "spec",
     [s for s in CENTRAL_CATALOG if spec_order(parse_group_spec(s)) <= 12]
@@ -611,10 +616,10 @@ def test_compute_m_matches_the_definition(spec, blocks):
 def test_product_decomposition(spec):
     # the walk, checked as it goes, and the lattice built from it agree
     G = build_group(spec)
-    rep = product_decomposition_check(G)
+    rep = _oracle(G)
     assert rep.ok, rep.detail
     full = _lindig_subracks(conjugation_rack(G), DEFAULT_NODE_BUDGET)
-    assert rep == product_decomposition_check(G, lattice=full)
+    assert rep == _oracle(G, lattice=full)
 
 
 def test_product_decomposition_never_holds_the_whole_lattice():
@@ -624,13 +629,17 @@ def test_product_decomposition_never_holds_the_whole_lattice():
     about 25-fold."""
     code = (
         "import resource, sys\n"
-        "from racklab.groups import build_group\n"
+        "from racklab.groups import build_group, conjugacy_classes\n"
         "from racklab.lattice import product_decomposition_check as check\n"
-        "G = build_group('Z2xZ2xZ2xZ2')\n"
-        "check(build_group('Z2'))\n"
+        "from racklab.racks import conjugation_rack\n"
+        "def rack_and_center(spec):\n"
+        "    G = build_group(spec)\n"
+        "    return conjugation_rack(G), conjugacy_classes(G).center\n"
+        "args = rack_and_center('Z2xZ2xZ2xZ2')\n"
+        "check(*rack_and_center('Z2'))\n"
         "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "before = peak()\n"
-        "assert check(G).ok\n"
+        "assert check(*args).ok\n"
         "print((peak() - before) * (1 if sys.platform == 'darwin' else 1024))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -640,16 +649,14 @@ def test_product_decomposition_never_holds_the_whole_lattice():
 def test_product_decomposition_budget_contract():
     G = build_group("Z2xZ2xZ2xZ2")
     with pytest.raises(BudgetExceeded) as exc:
-        product_decomposition_check(G, node_budget=65535)
+        _oracle(G, node_budget=65535)
     assert str(exc.value) == "node budget 65535 exceeded; 65535 subracks enumerated so far"
     assert exc.value.partial == 65535
-    assert product_decomposition_check(G, node_budget=65536).nodes == 65536
+    assert _oracle(G, node_budget=65536).nodes == 65536
 
 
 def test_product_decomposition_rejects_a_wrong_node_count():
-    rep = product_decomposition_check(
-        build_group("D8"), lattice=full_lattice("Z8")
-    )
+    rep = _oracle(build_group("D8"), lattice=full_lattice("Z8"))
     assert not rep.ok
     assert rep.detail == f"node count 256 != {rep.factor_nodes} * 2^2"
 
@@ -719,7 +726,7 @@ def test_product_decomposition_rejects_a_wrong_cover_set(mutate, detail):
     L = full_lattice(conjugation_rack(G))
     edges = mutate(L, list(L.edges()), conjugacy_classes(G).center)
     wrong = SubrackLattice(L.sets, *_csr_from_edges(L.n, edges), L.labels, L.spec)
-    rep = product_decomposition_check(G, lattice=wrong)
+    rep = _oracle(G, lattice=wrong)
     assert (rep.ok, rep.detail) == (False, detail)
 
 
@@ -732,7 +739,7 @@ def test_product_decomposition_rejects_a_set_with_a_non_subrack_projection():
     assert not (1 << r) & conjugacy_classes(G).center
     sets = L.sets[:-1] + [L.sets[-1] ^ 1 << r]
     wrong = SubrackLattice(sets, L._pstart, L._pflat, L.labels, L.spec)
-    rep = product_decomposition_check(G, lattice=wrong)
+    rep = _oracle(G, lattice=wrong)
     assert (rep.ok, rep.detail) == (False, "projection to the non-central part is not a subrack")
 
 

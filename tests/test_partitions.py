@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from racklab import partitions
+from racklab import partitions, racks
 from racklab.bitsets import mask_of
 from racklab.groups import CapExceeded
 from racklab.lattice import ProductLattice, SubrackLattice, _csr_from_edges
@@ -112,19 +112,19 @@ def test_transposition_isomorphism_rejects_a_changed_lattice(monkeypatch):
 
 
 def test_orbit_partition_map_examples():
-    G, rack, lat = pcycle_rack_and_lattice(6, 3)
+    rack, lat = pcycle_rack_and_lattice(6, 3)
     one = 1 << rack.labels.index("(123)")
-    assert str(orbit_partition_map(6, rack, G, one)) == "123|4|5|6"
-    assert orbit_partition_map(6, rack, G, 0) == SetPartition.from_blocks(6, [[v] for v in range(6)])
+    assert str(orbit_partition_map(6, rack, one)) == "123|4|5|6"
+    assert orbit_partition_map(6, rack, 0) == SetPartition.from_blocks(6, [[v] for v in range(6)])
     both_blocks = mask_of(
         i for i, lab in enumerate(rack.labels)
         if set(lab) <= set("(123)") or set(lab) <= set("(456)")
     )
-    assert str(orbit_partition_map(6, rack, G, both_blocks)) == "123|456"
+    assert str(orbit_partition_map(6, rack, both_blocks)) == "123|456"
 
 
 def test_fiber_maxima_sizes():
-    G, rack, lat = pcycle_rack_and_lattice(6, 3)
+    rack, lat = pcycle_rack_and_lattice(6, 3)
     # tau = 123|4|5|6: the fiber maximum is the two 3-cycles on {1,2,3}
     tau_small = SetPartition.from_blocks(6, [[0, 1, 2], [3], [4], [5]])
     tau_big = SetPartition.from_blocks(6, [[0, 1, 2], [3, 4, 5]])
@@ -133,23 +133,22 @@ def test_fiber_maxima_sizes():
         for bi, b in enumerate(tau.blocks):
             for v in b:
                 block_of[v] = bi
-        perm_of_label = {G.labels[i]: G.perms[i] for i in range(G.order)}
         q_h = mask_of(
-            i for i, lab in enumerate(rack.labels)
-            if len({block_of[v] for v in range(6) if perm_of_label[lab][v] != v}) == 1
+            i for i, perm in enumerate(rack.perms)
+            if len({block_of[v] for v in range(6) if perm[v] != v}) == 1
         )
         assert q_h.bit_count() == size
         assert q_h in lat.index
         members = [
             s for s in lat.sets
-            if orbit_partition_map(6, rack, G, s).refines(tau)
+            if orbit_partition_map(6, rack, s).refines(tau)
         ]
         assert all(s & q_h == s for s in members)
 
 
 def test_orbit_map_is_order_preserving():
-    G, rack, lat = pcycle_rack_and_lattice(6, 3)
-    images = [orbit_partition_map(6, rack, G, s) for s in lat.sets]
+    rack, lat = pcycle_rack_and_lattice(6, 3)
+    images = [orbit_partition_map(6, rack, s) for s in lat.sets]
     for c, p in lat.edges():
         assert images[c].refines(images[p])
 
@@ -160,16 +159,16 @@ def test_quillen_fiber_check():
     assert rep.ok, rep.detail
     assert rep.image_equals_kequal
     assert rep.fibers_total == rep.fibers_with_unique_max == 51
-    assert pcycles[2].n == 203
+    assert pcycles[1].n == 203
 
 
 def test_quillen_fiber_check_rejects_a_missing_node():
-    G, rack, lat = pcycle_rack_and_lattice(6, 3)
+    rack, lat = pcycle_rack_and_lattice(6, 3)
 
     def without(mask):
         sets = [s for s in lat.sets if s != mask]
         rows = _csr_from_edges(len(sets), ())
-        return G, rack, SubrackLattice(sets, *rows, rack.labels, rack.provenance)
+        return rack, SubrackLattice(sets, *rows, rack.labels, rack.provenance)
 
     # the two 3-cycles on {1,2,3}: the fiber maximum below 123|4|5|6
     q_h = mask_of(i for i, lab in enumerate(rack.labels) if set(lab) <= set("(123)"))
@@ -189,10 +188,21 @@ def test_pcycle_rack_over_the_cap_is_refused_before_the_group_is_built(monkeypat
     def unbuilt(*args, **kwargs):
         raise AssertionError("the group was built")
 
-    monkeypatch.setattr(partitions, "build_group", unbuilt)
+    monkeypatch.setattr(racks, "build_group", unbuilt)
+    monkeypatch.setattr(racks, "validate_rack", unbuilt)
     for n, p, size in [(8, 3, 112), (6, 5, 144)]:
         with pytest.raises(CapExceeded, match=rf"^rack size {size} exceeds the enumeration cap 40$"):
             pcycle_rack_and_lattice(n, p)
+
+
+def test_the_partition_checks_build_no_group(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(racks, "build_group", unbuilt)
+    assert transposition_rack_isomorphism(4).ok
+    rack, lat = pcycle_rack_and_lattice(5, 3)
+    assert rack.size == 20 and rack.perms is not None
 
 
 def test_quillen_parameter_guard():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from racklab import catalog, lattice
 from racklab.bitsets import bit_list
 from racklab.cli import main
-from racklab.groups import build_group
+from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -31,7 +31,7 @@ from racklab.lattice import (
     product_decomposition_check,
     product_statistics,
 )
-from racklab.racks import Rack, closure_forward_only, rack_from_spec
+from racklab.racks import Rack, closure_forward_only, conjugation_rack, rack_from_spec
 from conftest import full_lattice
 from test_lattice import SMALL_RACKS
 
@@ -119,7 +119,8 @@ def test_product_decomposition_oracle_never_expands(monkeypatch):
     L = enumerate_subracks(rack_from_spec("D8"))
     with pytest.raises(AssertionError):
         L.expand()
-    report = product_decomposition_check(build_group("D8"))
+    G = build_group("D8")
+    report = product_decomposition_check(conjugation_rack(G), conjugacy_classes(G).center)
     assert report.ok and report.nodes == 56
 
 

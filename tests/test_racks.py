@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -8,17 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racklab.bitsets import bit_list, mask_of
-from racklab.groups import CapExceeded, build_group, conjugacy_classes, subgroup_closure_mask
+from racklab.groups import (
+    CapExceeded,
+    OrderCapExceeded,
+    build_group,
+    conjugacy_classes,
+    subgroup_closure_mask,
+)
+from racklab import racks
 from racklab.racks import (
     Rack,
     RackAxiomError,
+    _check_rack_cap,
     closure_forward_only,
     conjugation_rack,
+    filter_mask,
     is_quandle,
     rack_from_spec,
     rack_isomorphism,
     validate_rack,
 )
+from racklab.work import ledger
 
 
 def cyclic_shift_rack(n: int) -> Rack:
@@ -125,6 +136,107 @@ def test_noncentral_filter():
 def test_transpositions_filter_needs_permutation_group():
     with pytest.raises(RackAxiomError):
         rack_from_spec("S3xZ2:transpositions")
+
+
+# ---------------------------------------------------------------------------
+# cycle classes from their permutations, against the group table
+
+ORACLE_MAX_ORDER = 720
+
+
+@functools.lru_cache(maxsize=None)
+def _group(group_part, max_order):
+    return build_group(group_part, max_order=max_order)
+
+
+def _outcome(build):
+    """What a rack build gives: the rack's tables, labels, trivial part,
+    provenance and permutations, or the type and message of what it
+    raised."""
+    try:
+        r = build()
+    except (RackAxiomError, CapExceeded) as exc:
+        return type(exc), str(exc)
+    return r.op, r.inv_op, r.labels, r.trivial_part, r.provenance, r.perms
+
+
+def _table_path(spec, max_order):
+    """The rack of `spec` conjugated inside the group table, refused over the
+    enumeration cap as `racklab lattice` and `homology` refuse it."""
+    group_part, _, filt = spec.partition(":")
+    G = _group(group_part, max_order)
+    rack = conjugation_rack(G, filter_mask(G, filt), provenance=spec)
+    _check_rack_cap(rack.size)
+    return rack
+
+
+def _direct_path(spec, max_order):
+    """`rack_from_spec`, checked to build no group table."""
+    ledger.clear()
+    try:
+        return rack_from_spec(spec, max_order=max_order)
+    finally:
+        assert ledger["direct_products"] == ledger["composed_rows"] == 0
+
+
+CYCLE_SPECS = [
+    f"{family}{n}:{filt}"
+    for family in "SA"
+    for n in range(1, 7)
+    for filt in ("transpositions", *(f"cycles({k})" for k in range(1, n + 2)))
+]
+
+
+@pytest.mark.parametrize("spec", CYCLE_SPECS)
+def test_cycle_class_rack_equals_the_table_path(spec):
+    direct = _outcome(lambda: _direct_path(spec, ORACLE_MAX_ORDER))
+    assert direct == _outcome(lambda: _table_path(spec, ORACLE_MAX_ORDER))
+
+
+def test_the_cycle_class_oracle_covers_each_outcome():
+    outcomes = [_outcome(lambda: rack_from_spec(s, ORACLE_MAX_ORDER)) for s in CYCLE_SPECS]
+    raised = [o[0] for o in outcomes if isinstance(o[0], type)]
+    # empty classes; S6's 4-, 5- and 6-cycles and A6's 5-cycles, over the cap
+    assert raised.count(CapExceeded) == 4
+    assert raised.count(RackAxiomError) == len(CYCLE_SPECS) - 4 - 22
+    assert max(len(o[0]) for o in outcomes if not isinstance(o[0], type)) == 40
+
+
+def test_cycle_class_rack_is_validated(monkeypatch):
+    seen = []
+
+    def spy(op, labels=None, provenance=None):
+        seen.append(provenance)
+        return validate_rack(op, labels, provenance)
+
+    monkeypatch.setattr(racks, "validate_rack", spy)
+    assert rack_from_spec("S4:cycles(3)").size == 8
+    assert seen == ["S4:cycles(3)"]
+
+
+def test_a_rack_carries_permutations_only_from_a_permutation_group():
+    G = build_group("S4")
+    rack = rack_from_spec("S4:class((12)(34))")
+    assert rack.perms == tuple(G.perms[G.label_index(lab)] for lab in rack.labels)
+    assert rack_from_spec("D8").perms is None
+
+
+@pytest.mark.parametrize("spec, max_order", [
+    ("S6:transpositions", 120),  # refused by its order, before the class is counted
+    ("A7:cycles(3)", 2519),
+    ("S3xZ2:transpositions", 120),  # a product: stays on the group path
+    ("S3xZ2:cycles(3)", 120),
+])
+def test_cycle_filters_outside_the_direct_path_match_the_group_path(spec, max_order):
+    group_part, _, filt = spec.partition(":")
+
+    def group_path():
+        G = build_group(group_part, max_order=max_order)
+        return conjugation_rack(G, filter_mask(G, filt), provenance=spec)
+
+    want = _outcome(group_path)
+    assert want[0] in (RackAxiomError, OrderCapExceeded)
+    assert _outcome(lambda: rack_from_spec(spec, max_order=max_order)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ The racks are the full conjugation racks of the groups in
 whole, and the factors L(R - T) of every spec of perfbench's `lattice`
 workload, enumerated inside top = R - T on R itself, the call
 `enumerate_subracks` makes for the factor of its product.  A group row times
-what `racklab verify` runs for the group:
-`product_decomposition_check(build_group(name))`.  A factor row times
+what `racklab verify` runs for the group: `build_group(name)`, its rack
+and center, and `product_decomposition_check` on them.  A factor row times
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
 time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
@@ -92,7 +92,10 @@ def measure(name: str, kind: str, full: racks.Rack) -> dict:
 
     def run():
         if kind == "group":
-            lattice.product_decomposition_check(groups.build_group(name))
+            G = groups.build_group(name)
+            lattice.product_decomposition_check(
+                racks.conjugation_rack(G), groups.conjugacy_classes(G).center
+            )
         else:
             lattice._lindig_subracks(full, lattice.DEFAULT_NODE_BUDGET, top)
 

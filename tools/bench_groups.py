@@ -1,5 +1,5 @@
-"""Time the group builds and write BENCH_groups.json at the root of the
-checkout.
+"""Time the group builds and the class racks built without a group, and
+write BENCH_groups.json at the root of the checkout.
 
     python3 tools/bench_groups.py
 
@@ -22,8 +22,15 @@ build makes (a product's factors and the product itself):
 - `associativity_triples`: the triples the sampled check tests on a larger
   table.
 
+The rows under `racks` are the cycle-class racks of the `lattice` and
+`homology` workloads and of `racklab verify`.  Each records the time of
+`rack_from_spec(spec, max_order=360)`, min of 3 runs, the rack's `size`,
+and the `direct_products` and `composed_rows` of one more run, both 0:
+`rack_from_spec` lists a class of cycles as permutations and builds no
+group table.
+
 `tests/test_bench_files.py` recomputes every field but the times with
-`counters` and compares them with the committed file.
+`counters` and `rack_counters` and compares them with the committed file.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import benchkit  # noqa: E402  puts src on the path
-from racklab import groups  # noqa: E402
+from racklab import groups, racks  # noqa: E402
 from racklab.work import ledger  # noqa: E402
 
 MAX_ORDER = 360
@@ -43,6 +50,10 @@ SPECS = (
     "Z4xZ2xZ2", "Z2xZ2xZ2xZ2", "S3", "D8", "Q8", "D10", "D12", "A4", "DIC3", "D14", "D16",
     "Q16", "SD16", "S3xZ2", "S3xZ3", "D8xZ2", "Q8xZ2", "TV18", "S4", "SL(2,3)", "A5", "S5",
     "A6", "D18", "D24", "DIC5", "D8xZ3", "Q8xZ3", "S3xS3",
+)
+RACK_SPECS = (
+    "A6:cycles(3)", "A5:cycles(5)", "S5:transpositions", "S5:cycles(4)", "S4:cycles(4)",
+    "S3:transpositions", "S4:transpositions",
 )
 
 
@@ -55,16 +66,31 @@ def counters(spec: str) -> dict:
     return {"spec": spec, "order": G.order, **{f: ledger[f] for f in fields}}
 
 
+def rack_counters(spec: str) -> dict:
+    """Every field of a `racks` row but its time, from one build of `spec`."""
+    ledger.clear()
+    rack = racks.rack_from_spec(spec, max_order=MAX_ORDER)
+    return {"spec": spec, "size": rack.size, "direct_products": ledger["direct_products"],
+            "composed_rows": ledger["composed_rows"]}
+
+
 def main() -> int:
     rows = [benchkit.timed(counters(spec), lambda: groups.build_group(spec, max_order=MAX_ORDER))
             for spec in SPECS]
+    rack_rows = [benchkit.timed(rack_counters(spec), lambda: racks.rack_from_spec(spec, MAX_ORDER))
+                 for spec in RACK_SPECS]
     for r in rows:
         assoc = (f"{r['associativity_rows']:>6,d} rows" if r["associativity_rows"]
                  else f"{r['associativity_triples']:>6,d} triples")
         print(f"{r['spec']:12s} order {r['order']:3d} gens {r['generators']:2d} "
               f"direct {r['direct_products']:>6,d} composed {r['composed_rows']:3d} "
               f"assoc {assoc}  {r['seconds']:.4f} s")
-    benchkit.write("groups", "specs", rows, max_order=MAX_ORDER)
+    for r in rack_rows:
+        print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']} "
+              f"composed {r['composed_rows']}  {r['seconds']:.4f} s")
+    totals = {"groups": round(sum(r["seconds"] for r in rows), 6),
+              "racks": round(sum(r["seconds"] for r in rack_rows), 6)}
+    benchkit.write("groups", "specs", rows, totals, max_order=MAX_ORDER, racks=rack_rows)
     return 0
 
 
