@@ -9,14 +9,12 @@ builder; the group of a spec is the direct product of its factors, taken
 from the left.  One search, `_joins`, finds the subgroups as the joins of
 cyclic subgroups and the normal subgroups as the joins of conjugacy classes.
 
-A symmetric or alternating group's table is built from a few rows:
-`_perm_table` computes the row of a generator one product at a time and
-every other row as the composition of two rows found by walking the Cayley
-graph, which is exact because composition is associative.  Only those
-families take this path: every other table is built one product at a time
-from its family's product rule, so that `FiniteGroup._validate` checks the
-rule itself and not just the composition.  The validation compares whole
-rows too, and names the same first failing entry as an entry-by-entry scan.
+Every family builder gives only its elements, product rule and labels to one
+table constructor, `_table_group`, which evaluates every product one at a
+time; a symmetric or alternating group's rule is the composition of
+permutations.  So `FiniteGroup._validate` checks each family's rule itself.
+The validation compares whole rows, and names the same first failing entry
+as an entry-by-entry scan.
 """
 
 from __future__ import annotations
@@ -247,47 +245,12 @@ def _perm_label(p: tuple[int, ...]) -> str:
     return "".join("(" + "".join(str(v + 1) for v in c) + ")" for c in cycles) or "e"
 
 
-def _perm_table(perms: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The multiplication table of `perms`, a group of permutations listed
-    with the identity first, under (p q)(i) = p(q(i)); and the generators,
-    the elements whose rows it computed one product at a time.
-
-    The generators are chosen greedily: the smallest element not yet
-    reached.  Each new one extends a walk of the Cayley graph from the
-    identity, which reaches every product of generators and builds its row
-    in C as a gather: a g y = a (g y), so row(a g) = row(a)∘row(g).
-    """
-    n = len(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    rows: list = [None] * n
-    rows[0] = tuple(range(n))
-    gens: list[int] = []
-    compose = []
-    for g in range(1, n):
-        if rows[g] is not None:
-            continue
-        p = perms[g]
-        rows[g] = tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
-        gens.append(g)
-        compose.append((g, _composer(rows[g])))
-        todo = [a for a in range(n) if rows[a] is not None]
-        while todo:
-            row = rows[todo.pop()]
-            for h, times_h in compose:
-                b = row[h]
-                if rows[b] is None:
-                    rows[b] = times_h(row)
-                    todo.append(b)
-    ledger.update(generators=len(gens), direct_products=len(gens) * n,
-                  composed_rows=n - 1 - len(gens))
-    return rows, gens
-
-
 def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     identity = tuple(range(len(perms[0])))
     perms = [identity] + sorted(p for p in perms if p != identity)
     labels = [_perm_label(p) for p in perms]
-    return FiniteGroup(name, _perm_table(perms)[0], labels, perms)
+    # (p q)(i) = p(q(i))
+    return _table_group(name, perms, lambda p, q: tuple(map(p.__getitem__, q)), labels, perms)
 
 
 def _build_symmetric(n: int) -> FiniteGroup:

@@ -40,8 +40,7 @@ these stops at the first element it adds that already rules the cover out:
 closures only grow, so the full closure would meet that element too, and
 the walk rejects exactly the sets it rejects with full closures.  The walk
 yields each node with its covers as masks; the lattice builder translates
-them to node ids in one pass at the end, and only the rows that took a cover
-from a closure need a sort.
+them to node ids in one pass at the end and sorts each row.
 The Hasse diagram is stored once, as compressed sparse rows of upper covers;
 every analytic reads those rows, and the lower covers of a node are read off
 the rows of the nodes below it.
@@ -243,42 +242,34 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     The nodes and their upper covers come from `_lindig_walk`, in final
     (popcount, value) order, so a node's id is its place in the walk.  Each
     cover is recorded as its parent's mask, and after the walk one dict from
-    mask to id translates all of them at once.  A row needs a sort only if
-    it took a closure cover: a row whose covers all come from
-    T = `rack.trivial_part` holds s + {x} for x in (T & top) - s in
-    ascending order; these sets all have popcount |s| + 1 and ascend in
-    value as x does, so their ids, ordered by (popcount, value), already
-    ascend.  The budget and its error are the walk's.
+    mask to id translates all of them at once; then each row is sorted.  The
+    budget and its error are the walk's.
     """
     if top is None:
         top = rack.full_mask()
     sets: list[int] = []
     pstart = array("l", [0])
     covers = array("q")  # parent masks, below 2**63 as RACK_CAP = 40
-    mixed = array("l")  # the rows that took a closure cover
-    for s, row, closed in _lindig_walk(rack, node_budget, top):
-        if closed:
-            mixed.append(len(sets))
+    for s, row in _lindig_walk(rack, node_budget, top):
         sets.append(s)
         covers.extend(row)
         pstart.append(len(covers))
     index = dict(zip(sets, range(len(sets))))
-    rows = array("l", map(index.__getitem__, covers))
+    rows = array("l")
+    for lo, hi in zip(pstart, pstart[1:]):
+        rows.extend(sorted(map(index.__getitem__, covers[lo:hi])))
     del index, covers  # before the lattice copies `sets`
-    for v in mixed:
-        lo, hi = pstart[v], pstart[v + 1]
-        rows[lo:hi] = array("l", sorted(rows[lo:hi]))
     return SubrackLattice(sets, pstart, rows, rack.labels, rack.provenance)
 
 
-def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int], bool]]:
+def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int]]]:
     """Walk every subrack of `rack` inside the subrack `top`, by closures
     alone, without the product lemma: yield, for each subrack s in
-    (popcount, value) order, s, the masks of its upper covers and whether
-    one of them came from a closure.  `_lindig_subracks` builds the lattice
-    from the walk; `product_decomposition_check` checks each node as it is
-    yielded, so the walk's own state, the levels still to come, is all of
-    the lattice it holds.
+    (popcount, value) order, s and the masks of its upper covers.
+    `_lindig_subracks` builds the lattice from the walk;
+    `product_decomposition_check` checks each node as it is yielded, so the
+    walk's own state, the levels still to come, is all of the lattice it
+    holds.
 
     Upper covers come from Lindig's neighbour algorithm: for a subrack s and
     each x of `top` outside it, in ascending order, b = closure(s + x) is a
@@ -346,7 +337,6 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
             for s in level:
                 row: list[int] = []
                 push = row.append
-                closed = False
                 mins = rem = top & ~s
                 while rem:
                     bit = rem & -rem
@@ -363,7 +353,6 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                             stopped += 1
                             continue
                         levels[b.bit_count()].add(b)
-                        closed = True
                     push(b)
                 emitted += len(row)
                 if emitted > horizon:
@@ -371,7 +360,7 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                     if found > limit:
                         raise _node_budget_exceeded(node_budget, limit)
                     horizon = emitted + limit - found
-                yield s, row, closed
+                yield s, row
     finally:
         ledger.update(closures=calls, stopped_closures=stopped, nodes=done, covers=emitted)
 
@@ -763,7 +752,7 @@ def product_decomposition_check(
     fsets = sub.sets
     factor_covers = {s: {fsets[p] for p in sub.parents(i)} for i, s in enumerate(fsets)}
     if lattice is None:
-        rows = ((s, row) for s, row, _ in _lindig_walk(rack, node_budget, rack.full_mask()))
+        rows = _lindig_walk(rack, node_budget, rack.full_mask())
     else:
         sets = lattice.sets
         rows = ((s, [sets[p] for p in lattice.parents(v)]) for v, s in enumerate(sets))

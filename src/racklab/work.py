@@ -12,9 +12,8 @@ it.  The counts, by the stage that adds them:
   nodes of the levels it reached) and `covers`;
 - `lattice.product_decomposition_check`: `oracle_walks` and `oracle_nodes`,
   the nodes of the full lattice it checked;
-- `groups._table_group` and `groups._perm_table`: `direct_products`, the
-  products evaluated one at a time; `_perm_table` also `generators` and
-  `composed_rows`;
+- `groups._table_group`: `direct_products`, the products evaluated one at
+  a time, the order squared for every table;
 - `groups.FiniteGroup._validate`: `associativity_rows` (exhaustive check)
   or `associativity_triples` (sampled check);
 - `topology.order_complex`: `order_complexes` and `simplices_built`;

@@ -39,15 +39,34 @@ def computed():
     return {c["id"]: c["computed"] for c in report["checks"]}
 
 
+# the oracle's values by (rack table, class masks)
+_ORACLE: dict[tuple, dict] = {}
+
+
 def _on_the_full_lattice(spec):
     """The oracle: graded, Boolean, coatoms, Int(L) and the M-set of the full
-    lattice, with the M-set as sorted group masks."""
+    lattice, with the M-set as sorted group masks.  It runs once per
+    distinct (rack table, class masks), and each spec gets its key's values.
+
+    The sharing is exact.  The full lattice is enumerated on the rack, which
+    it reads only through `op`: its `inv_op` and `trivial_part` are
+    functions of `op`.  Every value is a function of that lattice's sets and
+    rows, of the class masks and of the group order, len(op), and none
+    carries a label.  Two specs with equal keys therefore get equal values.
+    An abelian group's rack is the trivial rack on its elements and its
+    classes are its singletons, so the five order-16 abelian groups share
+    one run on a 65,536-node lattice.
+    """
     G = build_group(spec)
     cd = conjugacy_classes(G)
-    L = full_lattice(conjugation_rack(G, provenance=spec))
+    rack = conjugation_rack(G, provenance=spec)
+    key = (rack.op, cd.classes)
+    if key in _ORACLE:
+        return _ORACLE[key]
+    L = full_lattice(rack)
     full = (1 << G.order) - 1
     ints = int_lattice(L)
-    return {
+    _ORACLE[key] = {
         "graded": len(all_maximal_chain_lengths(L)) == 1,
         "boolean": is_boolean(L),
         "coatoms_ok": (
@@ -57,6 +76,7 @@ def _on_the_full_lattice(spec):
         "int_boolean": len(ints) == 2 ** len(cd.classes) and is_boolean_sets(ints),
         "m_sets": sorted(L.sets[v] for v in compute_M(L, cd.classes).members),
     }
+    return _ORACLE[key]
 
 
 @pytest.mark.parametrize("spec", catalog.CATALOG)

@@ -211,14 +211,6 @@ def test_permutation_table_matches_the_composition_oracle(spec):
     assert list(G.mul) == _composition_table(G.perms)
 
 
-def test_permutation_table_composes_all_but_the_generator_rows():
-    # A6 is 2-generated, but the greedy choice (the smallest element not yet
-    # reached) takes four generators: 4 x 360 products instead of 360 x 360
-    perms = build_group("A6", max_order=360).perms
-    gens = groups._perm_table(perms)[1]
-    assert len(gens) == 4 and gens == sorted(gens) and gens[0] == 1
-
-
 def _first_failing_triple(mul):
     """Oracle: the first (a, b, c) in product order with (a b) c != a (b c)."""
     n = len(mul)

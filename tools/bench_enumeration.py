@@ -13,11 +13,9 @@ and center, and `product_decomposition_check` on them.  A factor row times
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
 time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
-machine: nodes, covers, closure calls, stopped closures and sorted rows,
-the rows that took a cover from a closure and not only from
-T = `rack.trivial_part`.  They come from one more run of the walk,
-`_lindig_walk`, without building the lattice: the sorted rows from its
-yields, the rest from what it adds to `racklab.work.ledger`.  Rows whose
+machine: nodes, covers, closure calls and stopped closures.  They come from
+what one more run of the walk, `_lindig_walk`, adds to
+`racklab.work.ledger`, without building the lattice.  Rows whose
 racks have equal tables and equal tops, such as the five order-16 abelian
 groups, share one counted run, as `product-decomposition` shares one walk.
 A stopped closure is one that halted at the first element that ruled out a
@@ -56,33 +54,32 @@ def top_of(kind: str, full: racks.Rack) -> int:
 
 
 # counted walks by (rack table, top): racks with equal tables walk alike
-WALKS: dict[tuple, tuple[int, int, int, int, int]] = {}
+WALKS: dict[tuple, tuple[int, int, int, int]] = {}
 
 
-def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int, int]:
-    """(nodes, covers, closure calls, stopped closures, sorted rows) of one
-    run of `_lindig_walk` of `full` inside `top`.  The walk reads the rack
-    only through its tables, so it runs once per distinct (`full.op`, top)."""
+def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int]:
+    """(nodes, covers, closure calls, stopped closures) of one run of
+    `_lindig_walk` of `full` inside `top`.  The walk reads the rack only
+    through its tables, so it runs once per distinct (`full.op`, top)."""
     key = (full.op, top)
     if key not in WALKS:
         ledger.clear()
-        walk = lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top)
-        sorted_rows = sum(closed for _, _, closed in walk)
+        for _ in lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top):
+            pass
         WALKS[key] = (ledger["nodes"], ledger["covers"], ledger["closures"],
-                      ledger["stopped_closures"], sorted_rows)
+                      ledger["stopped_closures"])
     return WALKS[key]
 
 
 def counters(name: str, kind: str, full: racks.Rack) -> dict:
     """Every field of a row but its time, the walk's from `counted_walk`."""
     top = top_of(kind, full)
-    nodes, covers, calls, stopped, sorted_rows = counted_walk(full, top)
+    nodes, covers, calls, stopped = counted_walk(full, top)
     t = full.trivial_part.bit_count()
     return {
         "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
         "nodes": nodes, "full_nodes": nodes << t if kind == "factor" else nodes,
         "covers": covers, "closure_calls": calls, "stopped_closures": stopped,
-        "sorted_rows": sorted_rows,
     }
 
 
@@ -108,7 +105,7 @@ def main() -> int:
         print(f"{r['kind']:6s} {r['rack']:22s} nodes {r['nodes']:6d} of {r['full_nodes']:6d} "
               f"covers {r['covers']:7d} "
               f"closures {r['closure_calls']:6d} stopped {r['stopped_closures']:6d} "
-              f"sorted {r['sorted_rows']:6d} {r['seconds']:.4f} s")
+              f"{r['seconds']:.4f} s")
     totals = {
         kind: round(sum(r["seconds"] for r in rows if r["kind"] == kind), 6)
         for kind in ("group", "factor")

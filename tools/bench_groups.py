@@ -11,12 +11,8 @@ counters that do not depend on the machine, which the table builders add to
 build makes (a product's factors and the product itself):
 
 - `order`: the order of the group;
-- `generators`: the rows of permutation tables computed one product at a
-  time (0 for a spec without an S or A factor);
-- `direct_products`: the products evaluated one at a time, n per generator
-  row and n^2 for any other table of order n;
-- `composed_rows`: the rows of permutation tables built as a composition of
-  two rows, every row but the identity's and the generators';
+- `direct_products`: the products evaluated one at a time, n^2 for a table
+  of order n;
 - `associativity_rows`: the (a, b) rows the exhaustive associativity check
   compares, n^2 for a table of order n <= 48;
 - `associativity_triples`: the triples the sampled check tests on a larger
@@ -25,9 +21,9 @@ build makes (a product's factors and the product itself):
 The rows under `racks` are the cycle-class racks of the `lattice` and
 `homology` workloads and of `racklab verify`.  Each records the time of
 `rack_from_spec(spec, max_order=360)`, min of 3 runs, the rack's `size`,
-and the `direct_products` and `composed_rows` of one more run, both 0:
-`rack_from_spec` lists a class of cycles as permutations and builds no
-group table.
+and the `direct_products` of one more run, 0: `rack_from_spec` lists a class
+of cycles as permutations and builds no group table, and every table adds
+its order squared.
 
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and `rack_counters` and compares them with the committed file.
@@ -61,8 +57,7 @@ def counters(spec: str) -> dict:
     """Every field of a row but its time, from one build of `spec`."""
     ledger.clear()
     G = groups.build_group(spec, max_order=MAX_ORDER)
-    fields = ("generators", "direct_products", "composed_rows", "associativity_rows",
-              "associativity_triples")
+    fields = ("direct_products", "associativity_rows", "associativity_triples")
     return {"spec": spec, "order": G.order, **{f: ledger[f] for f in fields}}
 
 
@@ -70,8 +65,7 @@ def rack_counters(spec: str) -> dict:
     """Every field of a `racks` row but its time, from one build of `spec`."""
     ledger.clear()
     rack = racks.rack_from_spec(spec, max_order=MAX_ORDER)
-    return {"spec": spec, "size": rack.size, "direct_products": ledger["direct_products"],
-            "composed_rows": ledger["composed_rows"]}
+    return {"spec": spec, "size": rack.size, "direct_products": ledger["direct_products"]}
 
 
 def main() -> int:
@@ -82,12 +76,11 @@ def main() -> int:
     for r in rows:
         assoc = (f"{r['associativity_rows']:>6,d} rows" if r["associativity_rows"]
                  else f"{r['associativity_triples']:>6,d} triples")
-        print(f"{r['spec']:12s} order {r['order']:3d} gens {r['generators']:2d} "
-              f"direct {r['direct_products']:>6,d} composed {r['composed_rows']:3d} "
+        print(f"{r['spec']:12s} order {r['order']:3d} direct {r['direct_products']:>7,d} "
               f"assoc {assoc}  {r['seconds']:.4f} s")
     for r in rack_rows:
-        print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']} "
-              f"composed {r['composed_rows']}  {r['seconds']:.4f} s")
+        print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']}  "
+              f"{r['seconds']:.4f} s")
     totals = {"groups": round(sum(r["seconds"] for r in rows), 6),
               "racks": round(sum(r["seconds"] for r in rack_rows), 6)}
     benchkit.write("groups", "specs", rows, totals, max_order=MAX_ORDER, racks=rack_rows)
