@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -38,10 +37,6 @@ from .verify import (
 _USAGE_ERROR = 2
 
 
-class _BadEnvironmentValue(ValueError):
-    """A malformed RACKLAB_* variable: a usage error, like a malformed flag."""
-
-
 def _positive_int(text: str) -> int:
     """argparse type of counts, budgets and caps: an integer of at least 1."""
     try:
@@ -51,35 +46,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-class _EnvDefault:
-    """Default of a flag: the RACKLAB_* variable `name` if it is set, else
-    `fallback`.  `_Parser` reads it only when the command takes the flag and
-    the command line leaves it out, so a malformed variable is an error only
-    for the commands that would use it."""
-
-    def __init__(self, name: str, fallback: int | None):
-        self.name = name
-        self.fallback = fallback
-
-    def value(self) -> int | None:
-        raw = os.environ.get(self.name)
-        if raw is None:
-            return self.fallback
-        try:
-            return _positive_int(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise _BadEnvironmentValue(f"environment variable {self.name}: {exc}") from None
-
-
-class _Parser(argparse.ArgumentParser):
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for dest, value in vars(namespace).items():
-            if isinstance(value, _EnvDefault):
-                setattr(namespace, dest, value.value())
-        return namespace, extras
 
 
 def _emit(obj: dict) -> None:
@@ -176,11 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_max_order = _EnvDefault("RACKLAB_MAX_ORDER", DEFAULT_MAX_ORDER)
-    env_nodes = _EnvDefault("RACKLAB_BUDGET_NODES", DEFAULT_NODE_BUDGET)
-    env_simplices = _EnvDefault("RACKLAB_BUDGET_SIMPLICES", DEFAULT_SIMPLEX_BUDGET)
-
-    p = _Parser(
+    p = argparse.ArgumentParser(
         prog="racklab",
         description="finite groups, conjugation racks, subrack lattices and their homology",
     )
@@ -188,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each command takes only the flags it reads
     flags = {
-        "--max-order": dict(type=_positive_int, default=env_max_order,
+        "--max-order": dict(type=_positive_int, default=DEFAULT_MAX_ORDER,
                             help="largest group order to construct"),
-        "--budget-nodes": dict(type=_positive_int, default=env_nodes,
+        "--budget-nodes": dict(type=_positive_int, default=DEFAULT_NODE_BUDGET,
                                help="lattice node budget"),
-        "--budget-simplices": dict(type=_positive_int, default=env_simplices,
+        "--budget-simplices": dict(type=_positive_int, default=DEFAULT_SIMPLEX_BUDGET,
                                    help="most simplices the order complex of the full "
                                         "lattice L(R) may have; they are counted "
                                         "before any is built"),
@@ -228,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("json", "csv"), default="json")
     # unset, verify keeps its full catalog: A6 (order 360) is above DEFAULT_MAX_ORDER
     v.add_argument("--max-order", type=_positive_int,
-                   default=_EnvDefault("RACKLAB_MAX_ORDER", None),
                    help="restrict every check to groups of at most this order "
-                        "(default: RACKLAB_MAX_ORDER, else no limit)")
+                        "(default: no limit)")
     add_flags(v, "--budget-nodes", "--budget-simplices", "--timings")
     v.add_argument("--workers", type=_positive_int, default=1,
                    help="run checks concurrently in this many processes "
@@ -240,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _BadEnvironmentValue as exc:
-        print(f"racklab: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GroupSpecError, RackAxiomError, CapExceeded, BudgetExceeded) as exc:

@@ -70,13 +70,13 @@ _FIXED_TOKENS = ("Q8", "Q16", "SD16", "SL(2,3)", "TV18")
 def _parse_term(token: str, position: int) -> FamilyTerm:
     if token in _FIXED_TOKENS:
         return FamilyTerm(token)
-    m = re.fullmatch(r"DIC(\d+)", token)
+    m = re.fullmatch(r"DIC([0-9]+)", token)
     if m:
         k = int(m.group(1))
         if k < 2:
             raise GroupSpecError("dicyclic parameter must be at least 2", position)
         return FamilyTerm("DIC", k)
-    m = re.fullmatch(r"([ZSAD])(\d+)", token)
+    m = re.fullmatch(r"([ZSAD])([0-9]+)", token)
     if not m:
         raise GroupSpecError(f"unrecognized term {token!r}", position)
     kind, n = m.group(1), int(m.group(2))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bitsets import bit_list, mask_of
 from .groups import (
@@ -209,16 +209,12 @@ def is_quandle(rack: Rack) -> bool:
 
 
 def conjugation_rack(
-    G: FiniteGroup, subset: int | Iterable[int] | None = None, provenance: str | None = None
+    G: FiniteGroup, mask: int | None = None, provenance: str | None = None
 ) -> Rack:
-    """The rack on `subset` (bitmask or iterable; default all of G) with
+    """The rack on the elements of `mask` (default all of G) with
     a > b = a b a^-1.  The subset must be closed under internal conjugation."""
-    if subset is None:
+    if mask is None:
         mask = (1 << G.order) - 1
-    elif isinstance(subset, int):
-        mask = subset
-    else:
-        mask = mask_of(subset)
     elems = bit_list(mask)
     pos = {e: i for i, e in enumerate(elems)}
     op = []
@@ -256,7 +252,7 @@ def closure_forward_only(rack: Rack, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # rack specs ("GROUPSPEC[:FILTER]")
 
-_CYCLES_RE = re.compile(r"cycles\((\d+)\)")
+_CYCLES_RE = re.compile(r"cycles\(([0-9]+)\)")
 _CLASS_RE = re.compile(r"class\((.+)\)")
 
 

@@ -532,9 +532,6 @@ def check_lattice_bruteforce(specs, cfg):
     expected, computed, ok = {}, {}, True
     for spec in specs:
         rack = rack_from_spec(spec)
-        if rack.size > 14:
-            computed[spec] = {"skipped": "rack too large for the subset scan", "size": rack.size}
-            continue
         lat = enumerate_subracks(rack, cfg.node_budget).expand()
         bf = brute_force_subracks(rack)
         lectic = sorted(iter_closed_sets_lectic(rack), key=lambda m: (m.bit_count(), m))
@@ -553,6 +550,21 @@ def _relabeled(K: OrderComplex, perm: dict[int, int]) -> OrderComplex:
     return OrderComplex([perm[v] for v in K.vertices], levels)
 
 
+def _boundary_squared_zero(K: OrderComplex) -> bool:
+    """Whether every composite of two boundary maps of K is zero.  The
+    columns are freed on return, before the caller reduces K."""
+    mats = boundary_matrices(K)
+    for lower, upper in zip(mats, mats[1:]):
+        for col in upper:
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                for rr, vv in lower[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * vv
+            if any(acc.values()):
+                return False
+    return True
+
+
 @_check(
     "homology-consistency", "definition", ("S3", "Z4", "D8", "S4:cycles(4)", "D10"),
     "boundary-of-boundary vanishes; Betti numbers reproduce the Euler "
@@ -563,15 +575,7 @@ def _relabeled(K: OrderComplex, perm: dict[int, int]) -> OrderComplex:
 def check_homology_consistency(spec, cfg):
     lat = enumerate_subracks(rack_from_spec(spec), cfg.node_budget).expand()
     K = order_complex(lat, cfg.simplex_budget)
-    mats = boundary_matrices(K)
-    dd_zero = True
-    for lower, upper in zip(mats, mats[1:]):
-        for col in upper:
-            acc: dict[int, int] = {}
-            for r, v in col.items():
-                for rr, vv in lower[r].items():
-                    acc[rr] = acc.get(rr, 0) + v * vv
-            dd_zero = dd_zero and not any(acc.values())
+    dd_zero = _boundary_squared_zero(K)
     a = reduced_homology(K, collapse=True)
     b = reduced_homology(K, collapse=False)
     same = (a.betti, a.torsion, a.euler_characteristic) == (b.betti, b.torsion, b.euler_characteristic)

@@ -191,42 +191,38 @@ def test_verify_max_order_skips(capsys):
     assert data["checks"][0]["skip_reason"]
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("RACKLAB_BUDGET_NODES", "5")
-    rc, _, err = run(capsys, ["lattice", "D8"])
-    assert rc == 2
-    assert "budget" in err
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("RACKLAB_BUDGET_NODES", "5")
+def test_budget_nodes_flag(capsys):
     rc, out, _ = run(capsys, ["lattice", "D8", "--budget-nodes", "100000"])
     assert rc == 0
     assert json.loads(out)["nodes"] == 56
 
 
-def test_verify_honours_env_max_order(capsys, monkeypatch):
-    monkeypatch.setenv("RACKLAB_MAX_ORDER", "8")
-    rc, out, _ = run(capsys, ["verify", "--check", "fourcycle-rack"])
-    assert rc == 0
-    (check,) = json.loads(out)["checks"]
-    assert check["status"] == "skipped"
-    assert check["skip_reason"] == "max-order excludes all instances"
-
-
-def test_verify_max_order_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("RACKLAB_MAX_ORDER", "8")
+def test_verify_max_order_flag(capsys):
     rc, out, _ = run(capsys, ["verify", "--check", "fourcycle-rack", "--max-order", "24"])
     assert rc == 0
     assert json.loads(out)["checks"][0]["status"] == "pass"
 
 
-def test_verify_without_env_max_order_has_no_limit(monkeypatch):
+def test_verify_max_order_defaults_to_no_limit():
     # the other commands default to DEFAULT_MAX_ORDER; verify must not, since
     # its catalog reaches A6 (order 360)
-    monkeypatch.delenv("RACKLAB_MAX_ORDER", raising=False)
     assert cli.build_parser().parse_args(["verify", "--all"]).max_order is None
     assert cli.build_parser().parse_args(["lattice", "S3"]).max_order == cli.DEFAULT_MAX_ORDER
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "D8"], ["homology", "D8"], ["verify", "--check", "fourcycle-rack"],
+])
+def test_racklab_variables_are_ignored(capsys, monkeypatch, argv):
+    # a flag is the only way to set a budget or cap
+    names = ["RACKLAB_MAX_ORDER", "RACKLAB_BUDGET_NODES", "RACKLAB_BUDGET_SIMPLICES"]
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    unset = run(capsys, argv)
+    for name in names:
+        monkeypatch.setenv(name, "1")
+    assert run(capsys, argv)[:2] == unset[:2]
+    assert unset[0] == 0
 
 
 def test_verify_workers_output_identical(capsys):
@@ -334,35 +330,6 @@ def test_budget_failure_leaves_an_existing_export_untouched(tmp_path, capsys):
     rc, out, err = run(capsys, ["lattice", "D8", "--budget-nodes", "5", "--export", str(path)])
     assert rc == 2 and out == "" and "budget" in err
     assert path.read_text() == "earlier export\n"
-
-
-# the RACKLAB_* variables each command reads: those of the flags it takes
-_READS = {
-    "lattice": {"RACKLAB_MAX_ORDER", "RACKLAB_BUDGET_NODES"},
-    "verify": {"RACKLAB_MAX_ORDER", "RACKLAB_BUDGET_NODES", "RACKLAB_BUDGET_SIMPLICES"},
-    "group": {"RACKLAB_MAX_ORDER"},
-}
-
-
-@pytest.mark.parametrize(
-    "command", [["lattice", "S3"], ["verify", "--check", "d8-q8-rack-iso"], ["group", "S3"]]
-)
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-@pytest.mark.parametrize(
-    "name", ["RACKLAB_MAX_ORDER", "RACKLAB_BUDGET_NODES", "RACKLAB_BUDGET_SIMPLICES"]
-)
-def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, name, value, command):
-    # a usage error for a command that reads the variable; ignored by the others
-    monkeypatch.setenv(name, value)
-    rc, out, err = run(capsys, command)
-    if name not in _READS[command[0]]:
-        assert (rc, err) == (0, "")
-        assert json.loads(out)
-        return
-    assert rc == 2
-    assert out == ""
-    why = f"invalid int value: {value!r}" if value == "abc" else f"must be at least 1, got {value}"
-    assert err == f"racklab: environment variable {name}: {why}\n"
 
 
 # the flags a command does not read, which its parser does not accept

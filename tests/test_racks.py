@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from racklab.bitsets import bit_list, mask_of
 from racklab.groups import (
     CapExceeded,
+    GroupSpecError,
     OrderCapExceeded,
     build_group,
     conjugacy_classes,
@@ -120,7 +121,7 @@ def test_unclosed_subset_names_the_first_pair():
     )
     message = f"{G.labels[a]} > {G.labels[b]} = {G.labels[G.conj(a, b)]} is outside it"
     with pytest.raises(RackAxiomError, match=re.escape(message)):
-        conjugation_rack(G, subset)
+        conjugation_rack(G, mask_of(subset))
 
 
 def test_class_filter():
@@ -136,6 +137,15 @@ def test_noncentral_filter():
 def test_transpositions_filter_needs_permutation_group():
     with pytest.raises(RackAxiomError):
         rack_from_spec("S3xZ2:transpositions")
+
+
+@pytest.mark.parametrize("spec", [
+    "Z\u0663xZ\uff12", "D\uff18", "DIC\u0663", "S4:cycles(\u0664)",
+])
+def test_non_ascii_digits_are_refused(spec):
+    # int() reads any Unicode digit; the grammar's parameters are ASCII only
+    with pytest.raises((GroupSpecError, RackAxiomError)):
+        rack_from_spec(spec)
 
 
 # ---------------------------------------------------------------------------
