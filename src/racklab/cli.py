@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -38,11 +39,12 @@ _USAGE_ERROR = 2
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of counts, budgets and caps: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """argparse type of counts, budgets and caps: an integer of at least 1,
+    in ASCII digits only, as in the spec grammar; `int` would also take
+    Unicode digits, underscores, a plus sign and surrounding spaces."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -48,6 +48,7 @@ the rows of the nodes below it.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -827,14 +828,16 @@ def _value(lines: list[str], i: int, key: str) -> str:
     return parts[1]
 
 
+_DIGITS = {10: re.compile("[0-9]+"), 16: re.compile("[0-9a-f]+")}
+
+
 def _natural(text: str, base: int = 10) -> int:
-    try:
-        value = int(text, base)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"{text!r} is negative")
-    return value
+    """A count, id or set mask as `export_lattice_lines` writes it: ASCII
+    digits of `base` only, so the signs, underscores, spaces, prefixes and
+    Unicode digits that `int` also takes are refused."""
+    if not _DIGITS[base].fullmatch(text):
+        raise ValueError(f"{text!r} is not a base-{base} natural number")
+    return int(text, base)
 
 
 def _by_id(lines: list[str], i: int, key: str, count: int) -> list[str]:
@@ -885,7 +888,7 @@ def load_lattice_export(text: str) -> SubrackLattice:
     for j in range(i, len(lines)):
         try:
             key, c, p = lines[j].split()
-            c, p = int(c), int(p)
+            c, p = _natural(c), _natural(p)
         except ValueError:
             raise ValueError(f"line {j + 1}: expected an 'e CHILD PARENT' line") from None
         if key != "e" or not (0 <= c < n_nodes and 0 <= p < n_nodes):

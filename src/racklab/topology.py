@@ -2,8 +2,10 @@
 
 The order complex has one vertex per proper node (bottom and top removed) and
 one d-simplex per (d+1)-chain.  `order_complex` counts the chains of every
-dimension before it builds any, so a complex over the simplex budget fails at
-once.
+dimension and lists none, so a complex over the simplex budget fails at
+once; the chains are listed when `OrderComplex.simplices` is first read.
+The default homology path never reads them: it collapses the complex on its
+comparability masks and lists the chains of the core only.
 
 The trivial-part shift.  A subrack lattice is L(R) = P x 2^t, P = L(R - T)
 (see `racklab.lattice`).  For a bounded poset P with at least two elements,
@@ -78,7 +80,7 @@ DEFAULT_SIMPLEX_BUDGET = 1_000_000
 
 
 class OrderComplex:
-    """Chains of the proper part of a bounded poset, listed per dimension.
+    """Chains of the proper part of a bounded poset, per dimension.
 
     Vertices are poset node ids; simplices are tuples of vertex ids that are
     strictly increasing in the id order, which is a linear extension of the
@@ -94,33 +96,49 @@ class OrderComplex:
     of entry i is set when vertices[i] and vertices[j] are comparable, so the
     complex is the clique complex of this graph.  A complex built straight
     from its simplices has None, and `collapse_complex` leaves it as it is.
+
+    `order_complex` passes no simplices, only the masks and the simplex
+    `counts` it has counted: `counts()`, `size()` and `dim` come from those,
+    and `simplices` lists the chains from the masks on its first read, once,
+    adding them to the ledger's `simplices_built`.
     """
 
-    __slots__ = ("vertices", "simplices", "t", "full_counts", "comparable")
+    __slots__ = ("vertices", "_simplices", "_counts", "t", "full_counts", "comparable")
 
     def __init__(
         self,
         vertices: list[int],
-        simplices: list[list[tuple[int, ...]]],
+        simplices: list[list[tuple[int, ...]]] | None,
         t: int = 0,
         full_counts: Sequence[int] | None = None,
         comparable: list[int] | None = None,
+        counts: Sequence[int] = (),
     ):
         self.vertices = vertices
-        self.simplices = simplices
+        self._simplices = simplices
+        self._counts = tuple(counts if simplices is None else map(len, simplices))
         self.t = t
-        self.full_counts = tuple(self.counts() if full_counts is None else full_counts)
+        self.full_counts = tuple(self._counts if full_counts is None else full_counts)
         self.comparable = comparable
 
     @property
+    def simplices(self) -> list[list[tuple[int, ...]]]:
+        if self._simplices is None:
+            self._simplices = _chains(
+                self.vertices, self.comparable, (1 << len(self.vertices)) - 1
+            )
+            ledger.update(simplices_built=self.size())
+        return self._simplices
+
+    @property
     def dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self._counts) - 1
 
     def counts(self) -> list[int]:
-        return [len(level) for level in self.simplices]
+        return list(self._counts)
 
     def size(self) -> int:
-        return sum(len(level) for level in self.simplices)
+        return sum(self._counts)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -168,10 +186,11 @@ def _up_sets(poset: CoverPoset) -> list[int]:
 
 def _count_simplices(
     poset: CoverPoset, simplex_budget: int, t: int
-) -> tuple[list[int], int, list[int]]:
-    """(up-sets, shift, counts): the `_up_sets` of `poset`, the shift of its
-    homology, and the simplex counts of the order complex of `poset` x 2^t,
-    read off the chain counts of `poset`.  A one-node `poset` with t > 0
+) -> tuple[list[int], int, list[int], list[int]]:
+    """(up-sets, shift, full counts, counts): the `_up_sets` of `poset`, the
+    shift of its homology, the simplex counts of the order complex of
+    `poset` x 2^t, read off the chain counts of `poset`, and the simplex
+    counts of the complex of `poset` itself.  A one-node `poset` with t > 0
     stands for 2 x 2^(t - 1), and 2 has no proper part.
 
     The running count is tested against the budget after every dimension d,
@@ -197,7 +216,9 @@ def _count_simplices(
     while True:
         count = _product_chains(chains, surjections, dim + 2)
         if not count:
-            return above, t, full
+            # no chain of P x 2^t has dim + 2 steps, so none of P has: the
+            # chains of P are all counted, and the last count is their first 0
+            return above, t, full, chains[2:-1]
         full.append(count)
         total += count
         if total > simplex_budget:
@@ -238,17 +259,18 @@ def _chains(vertices: list[int], comparable: list[int], keep: int) -> list[list[
 def order_complex(
     poset: CoverPoset, simplex_budget: int = DEFAULT_SIMPLEX_BUDGET, t: int = 0
 ) -> OrderComplex:
-    """All chains of the proper part of `poset` (node 0 and node n-1 dropped),
-    standing for the order complex of `poset` x 2^t.
+    """The order complex of the proper part of `poset` (node 0 and node n-1
+    dropped), standing for the order complex of `poset` x 2^t.
 
-    The simplex counts of the complex of `poset` x 2^t are counted first,
+    The simplex counts of the complex of `poset` x 2^t are counted
     dimension by dimension (`_count_simplices`), so `BudgetExceeded` is
     raised before any simplex is built; its `partial` is the running count
-    through the dimension that overflows.  Only the chains of `poset` are
-    built.  The complex keeps the comparability masks of its vertices for
-    `collapse_complex`.
+    through the dimension that overflows.  No chain is listed here: the
+    complex keeps the comparability masks of its vertices, which
+    `collapse_complex` reads, and the counts of the chains of `poset`, and
+    lists those chains when its `simplices` are first read.
     """
-    above, t, full = _count_simplices(poset, simplex_budget, t)
+    above, t, full, counts = _count_simplices(poset, simplex_budget, t)
     proper = list(range(1, poset.n - 1))
     top = poset.n - 1
     # strict down-sets, pushed up the covers in topological order
@@ -258,9 +280,8 @@ def order_complex(
             if p < top:
                 below[p - 1] |= below[v - 1] | (1 << (v - 1))
     comparable = [a | b for a, b in zip(above, below)]
-    simplices = _chains(proper, comparable, (1 << len(proper)) - 1)
-    ledger.update(order_complexes=1, simplices_built=sum(map(len, simplices)))
-    return OrderComplex(proper, simplices, t, full, comparable)
+    ledger.update(order_complexes=1)
+    return OrderComplex(proper, None, t, full, comparable, counts)
 
 
 # ---------------------------------------------------------------------------

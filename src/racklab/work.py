@@ -16,7 +16,10 @@ it.  The counts, by the stage that adds them:
   a time, the order squared for every table;
 - `groups.FiniteGroup._validate`: `associativity_rows` (exhaustive check)
   or `associativity_triples` (sampled check);
-- `topology.order_complex`: `order_complexes` and `simplices_built`;
+- `topology.order_complex`: `order_complexes`, the complexes it counted
+  within the budget, listing no chain;
+- `topology.OrderComplex.simplices`: `simplices_built`, the chains listed on
+  the first read of a complex that `order_complex` built;
 - `topology.collapse_complex`: `simplices_collapsed` and `core_vertices`,
   what the strong collapse leaves;
 - `topology._boundary_ranks`: `unit_pivots` and `nonunit_pivots`, the

@@ -355,6 +355,16 @@ def test_nonpositive_flag_is_a_usage_error(capsys, flag, value, command):
         assert f"argument {flag}: must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("value", ["\u0665", "1_0", " 5", "+5", "5 "])
+@pytest.mark.parametrize("flag", ["--max-order", "--budget-nodes", "--budget-simplices"])
+def test_flag_takes_ascii_digits_only(capsys, flag, value):
+    # int() reads the Arabic-Indic five, "1_0" and " 5" as 5, 10 and 5
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "D8", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", sorted(_UNREAD_FLAGS))
 def test_unread_flag_is_unrecognized(capsys, command, flag):
     argv = [command, "S3", flag] + ([] if flag == "--timings" else ["5"])

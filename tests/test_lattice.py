@@ -823,6 +823,16 @@ def test_export_defects_are_rejected():
         "label id out of range": _replaced(lines, lines[3], "label 9 x"),
         "bad count": _replaced(lines, f"nodes {lat.n}", f"nodes {lat.n + 1}"),
         "negative set": _replaced(lines, "n 1 1", "n 1 -1"),
+        # int() reads each of these as the number written, so each export
+        # would load as the same 18-node lattice
+        "Arabic-Indic count": _replaced(lines, "elements 6", "elements \u0666"),
+        "count with an underscore": _replaced(lines, f"nodes {lat.n}", "nodes 1_8"),
+        "id with a sign": _replaced(lines, "label 0 e", "label +0 e"),
+        "set with a hex prefix": _replaced(lines, "n 0 0", "n 0 0x0"),
+        "set with an underscore": _replaced(lines, "n 1 1", "n 1 0_1"),
+        "set with a trailing space": _replaced(lines, "n 2 2", "n 2 2 "),
+        "edge with a sign": _replaced(lines, "e 0 1", "e +0 1"),
+        "Arabic-Indic edge": _replaced(lines, "e 0 1", "e 0 \u0661"),
     }
     for name, text in cases.items():
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_lattice
-from racklab import topology
+from racklab import catalog, cli, topology, verify
 from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import BudgetExceeded, CoverPoset, _csr_from_edges, enumerate_subracks
 from racklab.racks import conjugation_rack, rack_from_spec
@@ -339,6 +341,74 @@ def test_collapse_keeps_the_trivial_part_shift(spec):
     C = collapse_complex(K)
     assert (C.t, C.full_counts) == (K.t, K.full_counts)
     assert reduced_homology(C) == reduced_homology(K)
+
+
+def _homology_workload() -> list[tuple[str, ...]]:
+    """Every alternate of perfbench's `homology` jobs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [argv for slot in jobs.WORKLOADS["homology"] for argv in slot]
+
+
+# the factor complexes `racklab homology` builds on its workload, but SL(2,3),
+# which exhausts the simplex budget (test_budget_message_and_partial), and on
+# every sphere-theorem group
+LAZY_SPECS = [
+    (argv[1], int(argv[3]) if "--max-order" in argv else None)
+    for argv in _homology_workload() if argv[1] != "SL(2,3)"
+]
+LAZY_SPECS += [(g, None) for g in catalog.SPHERE_LIST if (g, None) not in LAZY_SPECS]
+
+
+def factor_complex(spec, max_order):
+    """The complex `racklab homology` builds: the factor's, shifted by t."""
+    options = {} if max_order is None else {"max_order": max_order}
+    P, t = enumerate_subracks(rack_from_spec(spec, **options)).product_form()
+    return order_complex(P, t=t)
+
+
+@pytest.mark.parametrize("spec, max_order", LAZY_SPECS)
+def test_order_complex_lists_its_chains_on_first_read(spec, max_order):
+    ledger.clear()
+    K = factor_complex(spec, max_order)
+    core = collapse_complex(K)
+    assert ledger["simplices_built"] == 0
+    levels = K.simplices
+    assert ledger["simplices_built"] == K.size() == sum(map(len, levels))
+    assert K.counts() == [len(level) for level in levels]
+    assert K.dim == len(levels) - 1
+    assert K.simplices is levels  # listed once
+    assert ledger["simplices_built"] == K.size()
+    # the core is the same whether or not K's chains were read first
+    listed = collapse_complex(K)
+    assert (listed.vertices, listed.simplices, listed.t, listed.full_counts) == (
+        core.vertices, core.simplices, core.t, core.full_counts
+    )
+
+
+def test_homology_lists_no_chain_of_the_uncollapsed_complex(capsys, monkeypatch):
+    ledger.clear()
+    assert cli.main(["homology", "D16:noncentral"]) == 0
+    assert ledger["order_complexes"] == 1 and ledger["simplices_collapsed"] > 0
+    assert ledger["simplices_built"] == 0
+    # homology-consistency's uncollapsed path still lists and reduces K whole
+    reduced = []
+    ranks = topology._boundary_ranks
+
+    def recording(K):
+        reduced.append((tuple(K.vertices), K.size()))
+        return ranks(K)
+
+    monkeypatch.setattr(topology, "_boundary_ranks", recording)
+    ledger.clear()
+    result = verify.check_homology_consistency(verify.VerifyConfig())
+    assert result.status == "pass"
+    whole = [order_complex(full_lattice(spec)) for spec in result.computed]
+    assert ledger["simplices_built"] == sum(K.size() for K in whole)
+    for K in whole:
+        assert (tuple(K.vertices), K.size()) in reduced
 
 
 def bounded_poset(m, less) -> CoverPoset:

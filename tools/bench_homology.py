@@ -9,11 +9,13 @@ budget.  `racklab homology` builds the order complex of the factor
 L(R - T) only and shifts its homology by t = |T|; each row records t, the
 simplex counts of L(R)'s complex (what `--budget-simplices` counts, counted
 here without a budget from the factor that `enumerate_subracks` returns),
-the simplices built, the simplices and vertices left after the strong
+the simplices built (the factor's chains, which `order_complex` does not
+list and `OrderComplex.simplices` lists on a first read: 0 when only the
+collapsed core is read), the simplices and vertices left after the strong
 collapse, and the unit and non-unit pivots of the column reduction (null
-when the budget stops the command first), which `order_complex`,
-`collapse_complex` and the reduction add to `racklab.work.ledger` during
-one run of the command, the budget error or the sphere dimension of that
+when the budget stops the command first), which `order_complex`, the first
+read of `simplices`, `collapse_complex` and the reduction add to
+`racklab.work.ledger` during one run of the command, the budget error or the sphere dimension of that
 run, and the time of the whole command in process, min of 3 runs.
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and compares them with the committed file.
