@@ -1,15 +1,19 @@
 """The named group catalog the verification suite sweeps, and the cached
-inputs of its group checks: each group, its properties and the factor of
+inputs of its group checks: each group, its properties, its subgroups,
+enumerated once for every check that reads them, and the factor of
 L(G) = L(G - Z) x 2^Z, taken unexpanded through `product_form()`.  Every set
-the checks read, the factor's nodes and the classes among them, is a mask of
-group elements."""
+the checks read, the subgroups, the factor's nodes and the classes among
+them, is a mask of group elements."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup, GroupProperties, build_group, conjugacy_classes, group_properties
+from .groups import (
+    FiniteGroup, GroupProperties, SubgroupHandle, all_subgroups, build_group, conjugacy_classes,
+    group_properties,
+)
 from .lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks
 from .racks import conjugation_rack
 
@@ -53,11 +57,13 @@ CHAIN_WITNESSES = {
 
 @dataclass(frozen=True)
 class GroupAnalysis:
-    """A group, its properties and the factor P of L(G) = P x 2^Z; only P is
-    kept, not the `ProductLattice` with its rack's closure tables."""
+    """A group, its properties, its subgroups and the factor P of
+    L(G) = P x 2^Z; only P is kept, not the `ProductLattice` with its rack's
+    closure tables."""
 
     group: FiniteGroup
     properties: GroupProperties
+    subgroups: tuple[SubgroupHandle, ...]  # all_subgroups(group)
     factor: SubrackLattice  # L(G - Z) on the group rack, its top G - Z
     center: int  # Z as a group mask
     classes: tuple[int, ...]  # the non-central classes, as group masks
@@ -72,4 +78,4 @@ def analyze_group(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupAna
     factor, _ = enumerate_subracks(rack, node_budget).product_form()
     center = rack.trivial_part
     classes = tuple(c for c in conjugacy_classes(G).classes if not c & center)
-    return GroupAnalysis(G, group_properties(G), factor, center, classes)
+    return GroupAnalysis(G, group_properties(G), tuple(all_subgroups(G)), factor, center, classes)

@@ -7,7 +7,9 @@ alternating, dihedral, dicyclic, semidihedral-16, SL(2,3) or an order-18
 semidirect product.  One table, `_FAMILIES`, gives each family's order and
 builder; the group of a spec is the direct product of its factors, taken
 from the left.  One search, `_joins`, finds the subgroups as the joins of
-cyclic subgroups and the normal subgroups as the joins of conjugacy classes.
+cyclic subgroups and the normal subgroups as the joins of conjugacy classes;
+each join is the identity closed under right multiplication by the joined
+elements, and a subgroup is flagged normal when it is a union of classes.
 
 Every family builder gives only its elements, product rule and labels to one
 table constructor, `_table_group`, which evaluates every product one at a
@@ -432,25 +434,26 @@ def conjugacy_classes(G: FiniteGroup) -> ClassDecomposition:
 @dataclass(frozen=True)
 class SubgroupHandle:
     elems: int  # bitmask
-    order: int
     normal: bool
-    maximal: bool | None = None  # filled by all_subgroups
+    maximal: bool
 
 
 def subgroup_closure_mask(G: FiniteGroup, seed: int) -> int:
+    """The subgroup generated by the elements of `seed`.  In a finite group
+    every inverse is a positive power, so the subgroup is the set of the
+    products of those elements: the identity closed under right
+    multiplication by each of them."""
     mul = G.mul
-    res = seed | 1
-    todo = bit_list(res)
-    members = set(todo)
+    gens = bit_list(seed)
+    members = 1
+    todo = [0]
     while todo:
-        a = todo.pop()
-        row = mul[a]
-        for b in list(members):
-            for c in (row[b], mul[b][a]):
-                if c not in members:
-                    members.add(c)
-                    todo.append(c)
-    return mask_of(members)
+        row = mul[todo.pop()]
+        for c in map(row.__getitem__, gens):
+            if not members >> c & 1:
+                members |= 1 << c
+                todo.append(c)
+    return members
 
 
 def _is_abelian_subset(G: FiniteGroup, mask: int) -> bool:
@@ -465,19 +468,6 @@ def _is_abelian_subset(G: FiniteGroup, mask: int) -> bool:
 
 def conjugate_subgroup_mask(G: FiniteGroup, mask: int, g: int) -> int:
     return mask_of(G.conj(g, h) for h in bits(mask))
-
-
-def _is_normal_mask(G: FiniteGroup, mask: int) -> bool:
-    return all(conjugate_subgroup_mask(G, mask, g) == mask for g in range(G.order))
-
-
-def _handle(G: FiniteGroup, mask: int, maximal: bool | None = None) -> SubgroupHandle:
-    return SubgroupHandle(
-        elems=mask,
-        order=mask.bit_count(),
-        normal=_is_normal_mask(G, mask),
-        maximal=maximal,
-    )
 
 
 def _joins(G: FiniteGroup, generators: Sequence[int]) -> list[int]:
@@ -499,35 +489,32 @@ def _joins(G: FiniteGroup, generators: Sequence[int]) -> list[int]:
 
 
 def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
-    """Every subgroup of G, deterministically ordered, with normal/maximal flags."""
+    """Every subgroup of G, sorted by (order, mask), with its flags: normal
+    when it is a union of conjugacy classes, maximal when it is proper and
+    lies in no other proper subgroup."""
     if G.order > SUBGROUP_CAP:
         raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
     masks = _joins(G, sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)}))
-    full = (1 << G.order) - 1
-    handles = []
-    for m in masks:
-        if m == full:
-            maximal = False
-        else:
-            maximal = not any(
-                m != k and m & k == m and k != full for k in masks
-            )
-        handles.append(_handle(G, m, maximal))
-    return handles
+    classes = conjugacy_classes(G).classes
+    full, proper = masks[-1], masks[:-1]
+    return [
+        SubgroupHandle(m, normal=all(c & m in (0, c) for c in classes),
+                       maximal=m != full and not any(m != k and m & k == m for k in proper))
+        for m in masks
+    ]
 
 
-def core_and_normalizer(
-    G: FiniteGroup, H: SubgroupHandle | int
-) -> tuple[SubgroupHandle, SubgroupHandle]:
-    mask = H.elems if isinstance(H, SubgroupHandle) else H
+def core_and_normalizer(G: FiniteGroup, mask: int) -> tuple[int, int]:
+    """The core of the subgroup `mask`, the meet of its conjugates, and its
+    normalizer, as masks."""
     core = (1 << G.order) - 1
-    normalizer = []
+    normalizer = 0
     for g in range(G.order):
         cj = conjugate_subgroup_mask(G, mask, g)
         core &= cj
         if cj == mask:
-            normalizer.append(g)
-    return _handle(G, core), _handle(G, mask_of(normalizer))
+            normalizer |= 1 << g
+    return core, normalizer
 
 
 def subgroup_conjugates(G: FiniteGroup, mask: int) -> frozenset[int]:
@@ -646,13 +633,16 @@ class ClassAvoidanceReport:
     detail: str
 
 
-def check_class_avoidance(G: FiniteGroup) -> ClassAvoidanceReport:
-    """For every proper subgroup, find a conjugacy class it misses entirely;
-    stop at the first proper subgroup that meets every class, and name it."""
+def check_class_avoidance(
+    G: FiniteGroup, subgroups: Sequence[SubgroupHandle]
+) -> ClassAvoidanceReport:
+    """For every proper subgroup in `subgroups` (G's, from `all_subgroups`),
+    find a conjugacy class it misses entirely; stop at the first proper
+    subgroup that meets every class, and name it."""
     classes = conjugacy_classes(G).classes
     full = (1 << G.order) - 1
     witnesses = []
-    for h in all_subgroups(G):
+    for h in subgroups:
         if h.elems == full:
             continue
         witness = next((c for c in classes if c & h.elems == 0), None)

@@ -278,7 +278,8 @@ def _cycle_length(filt: str) -> int | None:
 def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
     """Build a conjugation rack from "GROUPSPEC[:FILTER]".
 
-    FILTER is one of: all | noncentral | transpositions | cycles(k) | class(label).
+    FILTER is one of: all | noncentral | transpositions | cycles(k) | class(label);
+    a colon with no filter after it is refused.
 
     The k-cycles of a lone S_n or A_n term are listed directly, in sorted
     order, which is their order in the group (the identity first, then the
@@ -287,8 +288,10 @@ def rack_from_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Rack:
     `build_group` refuses it, and a class over `RACK_CAP` before it is
     listed.  Every other spec conjugates inside `build_group(GROUPSPEC)`.
     """
-    group_part, _, filt = text.partition(":")
+    group_part, colon, filt = text.partition(":")
     spec = parse_group_spec(group_part)
+    if colon and not filt:
+        raise RackAxiomError("empty rack filter")
     k = _cycle_length(filt)
     if k is None or len(spec) != 1 or spec[0].kind not in ("S", "A"):
         G = build_group(spec, max_order=max_order)

@@ -20,7 +20,6 @@ from typing import Callable
 
 from . import catalog, groups
 from .groups import (
-    all_subgroups,
     build_group,
     conjugacy_classes,
     core_and_normalizer,
@@ -274,12 +273,12 @@ def check_m_of_g(spec, cfg):
     G, props = a.group, a.properties
     # M(G) = {S + Z : S in M(P)}; compute_M gives the proof
     m_sets = [a.factor.sets[v] | a.center for v in compute_M(a.factor, a.classes).members]
-    subs = all_subgroups(G)
+    subs = a.subgroups
     sub_masks = {h.elems: h for h in subs}
     nonnormal_maximal = sorted(h.elems for h in subs if h.maximal and not h.normal)
     # maximal members of M under inclusion are self-normalizing
     self_normalizing = all(
-        core_and_normalizer(G, s)[1].elems == s
+        core_and_normalizer(G, s)[1] == s
         for s in m_sets
         if not any(t != s and t & s == s for t in m_sets)
     )
@@ -440,7 +439,8 @@ def check_d8_q8_rack_iso(specs, cfg):
 )
 @_each
 def check_class_avoidance(spec, cfg):
-    rep = groups.check_class_avoidance(build_group(spec))  # the bare name is this check
+    a = catalog.analyze_group(spec, cfg.node_budget)
+    rep = groups.check_class_avoidance(a.group, a.subgroups)  # the bare name is this check
     return True, True if rep.ok else rep.detail, rep.ok
 
 

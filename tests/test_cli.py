@@ -113,6 +113,20 @@ def test_homology_of_an_empty_rack_is_a_usage_error(capsys, spec):
     )
 
 
+def test_a_colon_with_no_filter_is_refused(capsys):
+    rc, out, err = run(capsys, ["lattice", "S3:"])
+    assert (rc, out) == (2, "")
+    assert err == "racklab: empty rack filter\n"
+    outputs = []
+    for spec in ("S3", "S3:all"):
+        rc, out, _ = run(capsys, ["lattice", spec])
+        assert rc == 0
+        data = json.loads(out)
+        assert data.pop("spec") == spec and data["nodes"] == 18
+        outputs.append(data)
+    assert outputs[0] == outputs[1]
+
+
 def test_lattice_of_an_empty_rack(capsys):
     rc, out, _ = run(capsys, ["lattice", "Z4:noncentral"])
     assert rc == 0
@@ -179,6 +193,14 @@ def test_product_decomposition_budget_counts_the_full_lattice(capsys):
     # Z10's 1,024 subracks are the first of CENTRAL_CATALOG over 1,000
     argv = ["verify", "--check", "product-decomposition", "--budget-nodes", "1000"]
     rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == "racklab: node budget 1000 exceeded; 1000 subracks enumerated so far\n"
+
+
+@pytest.mark.parametrize("check", ["m-of-g", "class-avoidance"])
+def test_subgroup_checks_run_under_the_node_budget(capsys, check):
+    # both read catalog.analyze_group, whose budget counts L(G): Z10 has 1,024 subracks
+    rc, out, err = run(capsys, ["verify", "--check", check, "--budget-nodes", "1000"])
     assert (rc, out) == (2, "")
     assert err == "racklab: node budget 1000 exceeded; 1000 subracks enumerated so far\n"
 

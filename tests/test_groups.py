@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import pytest
 
-from conftest import brute_force_subgroups
+from conftest import brute_force_subgroups, pairwise_closure, pairwise_subgroups
 from racklab.bitsets import bit_list, mask_of
-from racklab import groups
+from racklab import catalog
 from racklab.catalog import CATALOG
 from racklab.cli import main
 from racklab.groups import (
@@ -326,7 +328,7 @@ def test_subgroup_flags():
     subs = all_subgroups(G)
     by_order = {}
     for h in subs:
-        by_order.setdefault(h.order, []).append(h)
+        by_order.setdefault(h.elems.bit_count(), []).append(h)
     assert all(h.normal for h in by_order[12])  # A4
     assert not any(h.normal for h in by_order[6])  # the S3 point stabilizers
     assert sum(1 for h in subs if h.maximal) == 4 + 3 + 1  # S3s, D8s, A4
@@ -336,6 +338,37 @@ def _is_normal_by_definition(G, mask):
     return all(
         (1 << G.mul[G.mul[g][h]][G.inv[g]]) & mask for g in range(G.order) for h in bit_list(mask)
     )
+
+
+ORACLE_GROUPS = CATALOG + ("S3xS3", "D8xZ3", "A4xZ2")
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_all_subgroups_match_the_pairwise_closure_oracle(spec):
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    want = pairwise_subgroups(G)
+    assert [h.elems for h in subs] == want
+    full = (1 << G.order) - 1
+    for h in subs:
+        assert h.normal == _is_normal_by_definition(G, h.elems)
+        # maximal: proper, and below no proper subgroup but itself
+        assert h.maximal == (
+            h.elems != full and not any(h.elems & k == h.elems for k in want if k not in (h.elems, full))
+        )
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_subgroup_closure_matches_the_pairwise_closure_oracle(spec):
+    G = build_group(spec)
+    rng = random.Random(spec)
+    seeds = [rng.getrandbits(G.order) & rng.getrandbits(G.order) for _ in range(6)]
+    seeds += [mask_of(rng.sample(range(G.order), min(k, G.order))) for k in (1, 2, 3)]
+    for seed in seeds:
+        assert subgroup_closure_mask(G, seed) == pairwise_closure(G, seed), seed
+    if spec in ("Z3", "S3xS3", "A4xZ2"):
+        # some seed holds an element without its inverse
+        assert any(not (1 << G.inv[e]) & seed for seed in seeds for e in bit_list(seed))
 
 
 @pytest.mark.parametrize(
@@ -358,18 +391,18 @@ def test_core_and_normalizer():
     t = G.label_index("(12)")
     h = subgroup_closure_mask(G, 1 << t)
     core, norm = core_and_normalizer(G, h)
-    assert core.order == 1 and norm.elems == h
+    assert core.bit_count() == 1 and norm == h
 
     G = build_group("D8")
     for h in all_subgroups(G):
-        if h.order == 4:
-            _, norm = core_and_normalizer(G, h)
-            assert norm.order == 8
+        if h.elems.bit_count() == 4:
+            _, norm = core_and_normalizer(G, h.elems)
+            assert norm.bit_count() == 8
 
     G = build_group("S4")
-    stab = [h for h in all_subgroups(G) if h.order == 6][0]
-    core, _ = core_and_normalizer(G, stab)
-    assert core.order == 1
+    stab = [h for h in all_subgroups(G) if h.elems.bit_count() == 6][0]
+    core, _ = core_and_normalizer(G, stab.elems)
+    assert core.bit_count() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +437,7 @@ def test_nilpotency_criteria_agree():
 
 def test_class_avoidance_witness():
     G = build_group("S3")
-    rep = check_class_avoidance(G)
+    rep = check_class_avoidance(G, all_subgroups(G))
     assert rep.ok
     cd = conjugacy_classes(G)
     t = G.label_index("(12)")
@@ -415,35 +448,37 @@ def test_class_avoidance_witness():
 
 @pytest.mark.parametrize("spec", ["Z6", "S4", "SL(2,3)", "D16"])
 def test_class_avoidance_catalog(spec):
-    assert check_class_avoidance(build_group(spec)).ok
+    G = build_group(spec)
+    assert check_class_avoidance(G, all_subgroups(G)).ok
 
 
-@pytest.fixture
-def s3_lists_a_subset_meeting_every_class(monkeypatch):
-    """Make `all_subgroups` of S3 also list S3 minus (12), a proper subset
-    that meets every conjugacy class."""
-    real = groups.all_subgroups
-
-    def patched(G):
-        subs = real(G)
-        if G.name == "S3":
-            fake = ((1 << G.order) - 1) & ~(1 << G.label_index("(12)"))
-            subs.append(SubgroupHandle(fake, fake.bit_count(), normal=False))
-        return subs
-
-    monkeypatch.setattr(groups, "all_subgroups", patched)
+def _s3_subgroups_and_a_subset_meeting_every_class(G):
+    """S3's subgroups, and S3 minus (12), a proper subset that meets every
+    conjugacy class."""
+    fake = ((1 << G.order) - 1) & ~(1 << G.label_index("(12)"))
+    return (*all_subgroups(G), SubgroupHandle(fake, normal=False, maximal=False))
 
 
-@pytest.mark.usefixtures("s3_lists_a_subset_meeting_every_class")
 def test_class_avoidance_names_a_subgroup_meeting_every_class():
-    rep = check_class_avoidance(build_group("S3"))
+    G = build_group("S3")
+    rep = check_class_avoidance(G, _s3_subgroups_and_a_subset_meeting_every_class(G))
     assert not rep.ok
     assert rep.detail == "the proper subgroup {e, (23), (123), (132), (13)} of S3 meets every conjugacy class"
-    assert check_class_avoidance(build_group("Z6")).ok
+    Z6 = build_group("Z6")
+    assert check_class_avoidance(Z6, all_subgroups(Z6)).ok
 
 
-@pytest.mark.usefixtures("s3_lists_a_subset_meeting_every_class")
-def test_failing_class_avoidance_is_a_failed_verify_report(capsys):
+def test_failing_class_avoidance_is_a_failed_verify_report(capsys, monkeypatch):
+    # the check reads S3's subgroups off its cached analysis
+    real = catalog.analyze_group
+
+    def doctored(spec, node_budget):
+        a = real(spec, node_budget)
+        if spec != "S3":
+            return a
+        return dataclasses.replace(a, subgroups=_s3_subgroups_and_a_subset_meeting_every_class(a.group))
+
+    monkeypatch.setattr(catalog, "analyze_group", doctored)
     assert main(["verify", "--check", "class-avoidance", "--max-order", "6"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail"

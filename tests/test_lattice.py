@@ -339,7 +339,7 @@ def test_chain_lengths_through_subgroups_sl23():
     through = {}
     for h in all_subgroups(G):
         node = lat.index[h.elems]
-        through.setdefault(h.order, set()).update(_lengths_through(lat, node))
+        through.setdefault(h.elems.bit_count(), set()).update(_lengths_through(lat, node))
     assert through[8] == {10}  # the quaternion Sylow subgroup
     assert through[6] == {8}   # the cyclic order-6 maximal subgroups
     assert all_maximal_chain_lengths(lat) == (8, 10)
@@ -355,7 +355,7 @@ def test_chain_lengths_through_d18_and_tv18():
         seen = {}
         for h in all_subgroups(G):
             node = lat.index[h.elems]
-            seen.setdefault(h.order, set()).update(_lengths_through(lat, node))
+            seen.setdefault(h.elems.bit_count(), set()).update(_lengths_through(lat, node))
         assert len_a in seen[order_a]
         assert len_b in seen[order_b]
 
@@ -524,7 +524,7 @@ def test_compute_m_rejects_masks_that_do_not_partition_the_rack():
 def test_m_of_s3():
     G, lat, rep = _m_member_sets("S3")
     got = sorted(lat.sets[v] for v in rep.members)
-    want = sorted(h.elems for h in all_subgroups(G) if h.order == 2)
+    want = sorted(h.elems for h in all_subgroups(G) if h.elems.bit_count() == 2)
     assert got == want
     for e in rep.entries:
         assert e.member == (e.interval_closed and e.int_not_boolean)

@@ -124,6 +124,13 @@ def test_unclosed_subset_names_the_first_pair():
         conjugation_rack(G, mask_of(subset))
 
 
+@pytest.mark.parametrize("spec", ["S3:", "S4:", "Z1:", "D8xZ3:"])
+def test_a_colon_with_no_filter_is_refused(spec):
+    with pytest.raises(RackAxiomError, match="^empty rack filter$"):
+        rack_from_spec(spec)
+    assert rack_from_spec(spec + "all").op == rack_from_spec(spec[:-1]).op
+
+
 def test_class_filter():
     r = rack_from_spec("S3:class((12))")
     assert sorted(r.labels) == ["(12)", "(13)", "(23)"]

@@ -100,6 +100,22 @@ def test_specs_that_share_a_key_get_equal_reports(specs):
     assert all(r == reports[0] for r in reports)
 
 
+def test_each_catalog_group_enumerates_its_subgroups_once(monkeypatch):
+    # m-of-g and class-avoidance both read the subgroups off analyze_group
+    calls, real = [], groups.all_subgroups
+
+    def counted(G):
+        calls.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(catalog, "all_subgroups", counted)
+    catalog.analyze_group.cache_clear()
+    assert verify.run_checks(["class-avoidance", "m-of-g"])["status"] == "pass"
+    assert len(calls) == len(set(calls)) == len(catalog.CATALOG) == 43
+    for spec in catalog.CATALOG:
+        assert catalog.analyze_group(spec).subgroups == tuple(real(build_group(spec)))
+
+
 def test_a_check_with_no_instance_in_range_is_skipped():
     res = verify.check_fourcycle_rack(VerifyConfig(max_order=23))
     assert (res.status, res.expected, res.computed) == ("skipped", None, None)
