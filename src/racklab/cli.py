@@ -4,6 +4,7 @@ the verification suite.  Output is deterministic JSON (or CSV tables)."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -57,23 +58,15 @@ def _emit(obj: dict) -> None:
 def cmd_group(args: argparse.Namespace) -> int:
     G = build_group(args.spec, max_order=args.max_order)
     cd = conjugacy_classes(G)
-    props = group_properties(G)
-    out = {
+    _emit({
         "spec": args.spec,
         "order": G.order,
         "class_sizes": list(cd.sizes),
         "class_count": len(cd.classes),
         "center_size": cd.center.bit_count(),
         "labels": list(G.labels),
-    }
-    out["properties"] = {
-        "abelian": props.abelian,
-        "nilpotent": props.nilpotent,
-        "solvable": props.solvable,
-        "supersolvable": props.supersolvable,
-        "simple": props.simple,
-    }
-    _emit(out)
+        "properties": dataclasses.asdict(group_properties(G)),
+    })
     return 0
 
 

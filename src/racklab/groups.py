@@ -10,6 +10,9 @@ from the left.  One search, `_joins`, finds the subgroups as the joins of
 cyclic subgroups and the normal subgroups as the joins of conjugacy classes;
 each join is the identity closed under right multiplication by the joined
 elements, and a subgroup is flagged normal when it is a union of classes.
+`group_properties` reads abelian and simple off the conjugacy classes,
+nilpotent and solvable off the two commutator series, and supersolvable off
+the factor orders of one chief series, the normal subgroups walked in order.
 
 Every family builder gives only its elements, product rule and labels to one
 table constructor, `_table_group`, which evaluates every product one at a
@@ -26,7 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -456,16 +459,6 @@ def subgroup_closure_mask(G: FiniteGroup, seed: int) -> int:
     return members
 
 
-def _is_abelian_subset(G: FiniteGroup, mask: int) -> bool:
-    mul = G.mul
-    elems = bit_list(mask)
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            if mul[a][b] != mul[b][a]:
-                return False
-    return True
-
-
 def conjugate_subgroup_mask(G: FiniteGroup, mask: int, g: int) -> int:
     return mask_of(G.conj(g, h) for h in bits(mask))
 
@@ -552,61 +545,28 @@ def _series_end(G: FiniteGroup, central: bool) -> int:
         term = nxt
 
 
-def is_nilpotent_lcs(G: FiniteGroup) -> bool:
-    return _series_end(G, central=True) == 1
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _cyclic_quotient(G: FiniteGroup, m_mask: int, n_mask: int) -> bool:
-    """Is M/N cyclic?  Both masks must be subgroups with N normal in M."""
-    mul = G.mul
-    n_elems = bit_list(n_mask)
-    for x in bits(m_mask & ~n_mask):
-        covered = n_mask
-        y = x
-        while not (1 << y) & n_mask:
-            covered |= mask_of(mul[t][y] for t in n_elems)
-            y = mul[y][x]
-        if covered == m_mask:
-            return True
-    return m_mask == n_mask
-
-
-def _is_supersolvable(G: FiniteGroup, abelian: bool) -> bool:
-    if abelian:
-        return True
-    normals = normal_subgroups_masks(G)
-    full = (1 << G.order) - 1
-    dead: set[int] = set()
-
-    def extend(cur: int) -> bool:
-        if cur == full:
-            return True
-        if cur in dead:
-            return False
-        for nxt in normals:
-            if nxt != cur and nxt & cur == cur and _cyclic_quotient(G, nxt, cur):
-                if extend(nxt):
-                    return True
-        dead.add(cur)
-        return False
-
-    return extend(1)
-
-
-def _is_simple(G: FiniteGroup) -> bool:
-    if G.order == 1:
-        return False
-    full = (1 << G.order) - 1
-    for c in conjugacy_classes(G).classes:
-        if c == 1:
-            continue
-        if subgroup_closure_mask(G, c) != full:
-            return False
-    return True
+def _chief_series(G: FiniteGroup) -> list[int]:
+    """A chief series 1 = N0 < N1 < ... < Nk = G, as masks: the normal
+    subgroups walked in (order, mask) order, each appended when it strictly
+    contains the last entry N.  The member appended after N is the first
+    above N in that order, so of least order among the normal subgroups
+    above N, and no normal subgroup lies strictly between the two."""
+    series = [1]
+    for m in normal_subgroups_masks(G):
+        if m != series[-1] and m & series[-1] == series[-1]:
+            series.append(m)
+    return series
 
 
 @dataclass(frozen=True)
 class GroupProperties:
+    """The five flags by which the paper's second claim tells groups apart;
+    `group_properties` reads each off one structure."""
+
     abelian: bool
     nilpotent: bool
     solvable: bool
@@ -615,11 +575,35 @@ class GroupProperties:
 
 
 def group_properties(G: FiniteGroup) -> GroupProperties:
-    abelian = _is_abelian_subset(G, (1 << G.order) - 1)
-    nilpotent = is_nilpotent_lcs(G)
+    """The flags of G, from one list of conjugacy classes, the two
+    commutator series and, for a non-abelian solvable G, one chief series:
+
+    - abelian: every class is a singleton.
+    - simple: G != 1 and every non-identity class generates G.  A normal
+      subgroup N != 1 holds a whole non-identity class and the subgroup it
+      generates, which is then G; conversely the subgroup a class generates
+      is normal and not 1.
+    - nilpotent, solvable: the lower central, resp. derived, series ends at 1.
+    - supersolvable: solvable, and abelian or every factor of the chief
+      series of `_chief_series` has prime order.  A finite group has a
+      normal series with cyclic factors exactly when its chief factors have
+      prime order: every subgroup of a cyclic factor M/N is characteristic
+      in it, so normal in G/N, and the series refines to one whose factors
+      have prime order, each then a chief factor; the converse is
+      immediate.  By Jordan-Hölder, any two chief series have the same
+      factor orders, so one series decides."""
+    classes = conjugacy_classes(G).classes
+    full = (1 << G.order) - 1
+    abelian = len(classes) == G.order
     solvable = _series_end(G, central=False) == 1
-    supersolvable = solvable and _is_supersolvable(G, abelian)
-    return GroupProperties(abelian, nilpotent, solvable, supersolvable, _is_simple(G))
+    supersolvable = solvable and (abelian or all(
+        _is_prime(m.bit_count() // n.bit_count())
+        for n, m in itertools.pairwise(_chief_series(G))
+    ))
+    simple = G.order > 1 and all(subgroup_closure_mask(G, c) == full for c in classes if c != 1)
+    return GroupProperties(
+        abelian, _series_end(G, central=True) == 1, solvable, supersolvable, simple
+    )
 
 
 # ---------------------------------------------------------------------------

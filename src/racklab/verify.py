@@ -15,7 +15,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import catalog, groups
@@ -94,16 +94,7 @@ class CheckResult:
     seconds: float | None = None
 
     def to_jsonable(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "source": self.source,
-            "status": self.status,
-            "expected": self.expected,
-            "computed": self.computed,
-            "skip_reason": self.skip_reason,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+from operator import or_
+
 from racklab.bitsets import bit_list, mask_of
 from racklab.groups import FiniteGroup
 from racklab.lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks
@@ -72,6 +76,47 @@ def pairwise_subgroups(G: FiniteGroup) -> list[int]:
                     found.add(k)
                     queue.append(k)
     return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def supersolvable_by_huppert(G: FiniteGroup) -> bool:
+    """Independent oracle for `group_properties(G).supersolvable`: Huppert's
+    criterion (Math. Z. 60, 1954), every maximal subgroup has prime index,
+    with maximality by definition over `pairwise_subgroups` (order <= 48)."""
+    proper = pairwise_subgroups(G)[:-1]
+    maximal = [m for m in proper if not any(m != k and m & k == m for k in proper)]
+    indices = [G.order // m.bit_count() for m in maximal]
+    return all(i > 1 and all(i % d for d in range(2, i)) for i in indices)
+
+
+def normal_subgroup_count(G: FiniteGroup) -> int:
+    """Independent oracle for `group_properties(G).simple`, which holds
+    exactly when the count is 2: every union of conjugacy classes (the class
+    of x being every g x g^-1) that holds the identity and is closed under
+    products, one subset of the non-identity classes at a time; a union
+    whose size does not divide |G| is no subgroup (Lagrange) and is skipped."""
+    n, mul, inv = G.order, G.mul, G.inv
+    classes, seen = [], 1
+    for x in range(1, n):
+        if not seen >> x & 1:
+            c = mask_of(mul[mul[g][x]][inv[g]] for g in range(n))
+            seen |= c
+            classes.append(c)
+    count = 0
+    for r in range(len(classes) + 1):
+        for chosen in itertools.combinations(classes, r):
+            union = reduce(or_, chosen, 1)
+            if n % union.bit_count():
+                continue
+            members = bit_list(union)
+            count += all(union >> mul[a][b] & 1 for a in members for b in members)
+    return count
+
+
+def commutes_pairwise(G: FiniteGroup) -> bool:
+    """Independent oracle for `group_properties(G).abelian`: every pair of
+    elements commutes."""
+    mul = G.mul
+    return all(mul[a][b] == mul[b][a] for a in range(G.order) for b in range(a))
 
 
 def all_maximal_chains(poset) -> list[tuple[int, ...]]:

@@ -53,6 +53,10 @@ def test_group_counters_match_the_committed_file():
 
 def test_verify_counters_match_the_committed_file():
     bench = _tool("bench_verify")
+    report = json.loads((ROOT / "BENCH_verify.json").read_text(encoding="utf-8"))
+    assert {k: v for k, v in report["warm_up"].items() if k != "seconds"} == (
+        bench.warm_up_counters()
+    )
     rows = _committed_rows("verify", "checks")
     assert [bench.counters(row["check"]) for row in rows] == rows
     assert [row["check"] for row in rows] == sorted(bench.verify.CHECKS)

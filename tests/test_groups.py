@@ -9,7 +9,15 @@ import re
 
 import pytest
 
-from conftest import brute_force_subgroups, pairwise_closure, pairwise_subgroups
+from conftest import (
+    brute_force_subgroups,
+    commutes_pairwise,
+    normal_subgroup_count,
+    pairwise_closure,
+    pairwise_subgroups,
+    supersolvable_by_huppert,
+)
+from test_group_outputs import EDGE_SPECS, EXTRA_SPECS
 from racklab.bitsets import bit_list, mask_of
 from racklab import catalog
 from racklab.catalog import CATALOG
@@ -28,7 +36,6 @@ from racklab.groups import (
     core_and_normalizer,
     format_group_spec,
     group_properties,
-    is_nilpotent_lcs,
     normal_subgroups_masks,
     parse_group_spec,
     spec_order,
@@ -420,6 +427,12 @@ def test_core_and_normalizer():
         ("S4", False, False, True, False, False),
         ("SL(2,3)", False, False, True, False, False),
         ("A5", False, False, False, False, True),
+        ("TV18", False, False, True, True, False),
+        ("S3xS3", False, False, True, True, False),
+        ("A4xZ2", False, False, True, False, False),
+        ("S5", False, False, False, False, False),
+        ("A1", True, True, True, True, False),
+        ("S2", True, True, True, True, True),
     ],
 )
 def test_group_properties(spec, abelian, nilpotent, solvable, supersolvable, simple):
@@ -432,7 +445,28 @@ def test_group_properties(spec, abelian, nilpotent, solvable, supersolvable, sim
 def test_nilpotency_criteria_agree():
     for spec in ["S3", "D8", "Q8", "A4", "D12", "Z8", "Z2xZ2xZ2", "TV18", "S4", "SL(2,3)", "D8xZ3"]:
         G = build_group(spec)
-        assert is_nilpotent_lcs(G) == all(h.normal for h in all_subgroups(G) if h.maximal)
+        assert group_properties(G).nilpotent == all(
+            h.normal for h in all_subgroups(G) if h.maximal
+        )
+
+
+PROPERTY_SPECS = CATALOG + EXTRA_SPECS + EDGE_SPECS
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in PROPERTY_SPECS if spec_order(parse_group_spec(s)) <= 48]
+)
+def test_supersolvable_agrees_with_huppert(spec):
+    G = build_group(spec)
+    assert group_properties(G).supersolvable == supersolvable_by_huppert(G)
+
+
+@pytest.mark.parametrize("spec", PROPERTY_SPECS + ("A6",))
+def test_simple_and_abelian_agree_with_their_oracles(spec):
+    G = build_group(spec, max_order=360)
+    p = group_properties(G)
+    assert p.simple == (normal_subgroup_count(G) == 2)
+    assert p.abelian == commutes_pairwise(G)
 
 
 def test_class_avoidance_witness():
