@@ -24,8 +24,10 @@ so the factor's sets are masks over R's own elements, and returns a
 `racklab homology`, `catalog.analyze_group` and the group checks of
 `racklab verify` (T is the center of a group) read L(R) off the factor
 through `product_form()`, and `product_statistics` its counts and chain
-lengths.  `expand()` builds L(R) for the export, for the checks that compare
-it with other enumerations and for the readers of racks with T empty.
+lengths.  `expand()` gives L(R) to the export, to the checks that compare
+it with other enumerations and to the readers of racks with T empty: the
+factor itself when T is empty, and otherwise a lemma-free walk of all of R,
+whose node count it holds to the product's.
 `product_decomposition_check` is the oracle for the lemma: it walks the
 full lattice of a group without it (`_lindig_walk`) and checks each node
 and its covers as the walk yields them, without building the lattice.
@@ -157,7 +159,7 @@ class ProductLattice:
     t = |T|, T = `R.trivial_part`.
 
     `n` and `edge_count()` are L(R)'s, read off P.  Nothing else of L(R)
-    is held: `product_form()` gives (P, t), and `expand()` builds L(R)."""
+    is held: `product_form()` gives (P, t), and `expand()` enumerates L(R)."""
 
     __slots__ = ("rack", "factor", "t", "n")
 
@@ -174,10 +176,18 @@ class ProductLattice:
         return self.factor, self.t
 
     def expand(self) -> SubrackLattice:
-        """L(R) with its sets and rows, built anew on each call when t > 0."""
+        """L(R) with its sets and rows.  When t > 0, each call enumerates R
+        anew with `_lindig_subracks`, without the product lemma, and raises
+        LatticeInvariantError unless that walk finds exactly `n` nodes."""
         if not self.t:
             return self.factor
-        return _expand_product(self.rack, self.factor)
+        try:
+            L = _lindig_subracks(self.rack, self.n)
+        except BudgetExceeded:
+            L = None
+        if L is None or L.n != self.n:
+            raise LatticeInvariantError(f"L(R) does not have the {self.n} nodes of L(R - T) x 2^T")
+        return L
 
 
 def _product_edge_count(P: CoverPoset, t: int) -> int:
@@ -198,7 +208,7 @@ def enumerate_subracks(rack: Rack, node_budget: int = DEFAULT_NODE_BUDGET) -> Pr
     `_lindig_subracks` on R itself, inside top = R - T, and returns
     L(R) = L(R - T) x 2^T (see the module docstring) as a `ProductLattice`,
     t = 0 included.  Readers take the factor through `product_form()`, or
-    L(R) through `expand()`, which `_expand_product` builds when t > 0.
+    L(R) through `expand()`, which enumerates the whole rack R when t > 0.
 
     The factor's sets are masks over R, and its node ids and rows are those
     of L(R - T) enumerated on the rack R - T renumbered 0..n'-1 in ascending
@@ -298,8 +308,8 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     own behaviour, not a use of the product lemma, so the walk depends on the
     lemma no more than `Rack.closure` does.  `enumerate_subracks` walks
     either a rack with T empty or inside top = R - T, so the shortcut fires
-    only in walks of whole racks with a nonempty T, such as
-    `product_decomposition_check`'s walk of a full group rack with a centre.
+    only in walks of whole racks with a nonempty T: `ProductLattice.expand`'s
+    and `product_decomposition_check`'s.
 
     Order.  A cover is strictly larger than its child, so each popcount
     level is a set that only grows until the walk reaches it; by then every
@@ -364,54 +374,6 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                 yield s, row
     finally:
         ledger.update(closures=calls, stopped_closures=stopped, nodes=done, covers=emitted)
-
-
-def _expand_product(rack: Rack, factor: SubrackLattice) -> SubrackLattice:
-    """L(R), R = `rack`, from `factor` = L(R - T), T = `R.trivial_part`:
-    the same sets, ids and rows that `_lindig_subracks` gives on R, with no
-    closure.
-
-    The node S + U, for factor node i and the subset U of T whose bit j
-    stands for the j-th element of T, has the index k = i * 2^t + U.  The
-    n' * 2^t masks are sorted once into (popcount, value) order, and
-    rank[k] is the final id.  The upper covers of S + U are S' + U for the
-    factor's upper covers S' of S, and S + U + {z} for each z in T - U.
-    """
-    trivial = rack.trivial_part
-    t = trivial.bit_count()
-    subsets = [0]
-    for e in bits(trivial):
-        subsets += [u | 1 << e for u in subsets]
-    masks = [s | u for s in factor.sets for u in subsets]
-    n = len(masks)
-    shift = n.bit_length()
-    low = (1 << shift) - 1
-    # one int per node: (popcount, mask) above the index, so a plain sort
-    # orders by (popcount, value)
-    order = [
-        key & low
-        for key in sorted((m.bit_count() << rack.size | m) << shift | k for k, m in enumerate(masks))
-    ]
-    rank = [0] * n
-    for v, k in enumerate(order):
-        rank[k] = v
-    all_t = (1 << t) - 1
-    fstart, fflat = factor._pstart, factor._pflat
-    pstart = array("l", [0])
-    pflat = array("l")
-    for k in order:
-        i, u = k >> t, k & all_t
-        row = [rank[p << t | u] for p in fflat[fstart[i]:fstart[i + 1]]]
-        free = all_t ^ u
-        while free:
-            bit = free & -free
-            free ^= bit
-            row.append(rank[k | bit])
-        row.sort()
-        pflat.extend(row)
-        pstart.append(len(pflat))
-    sets = [masks[k] for k in order]
-    return SubrackLattice(sets, pstart, pflat, rack.labels, rack.provenance)
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
@@ -859,7 +821,7 @@ def load_lattice_export(text: str) -> SubrackLattice:
     """Parse the line-oriented export.
 
     Raises ValueError unless every count matches, every id is used once, the
-    sets are unique and in (popcount, value) order from the empty set to the
+    labels are distinct, the sets are unique and in (popcount, value) order from the empty set to the
     full mask, and the edges are exactly the Hasse diagram of the sets under
     inclusion (distinct strict inclusions, see `_check_hasse`).
     """
@@ -869,6 +831,8 @@ def load_lattice_export(text: str) -> SubrackLattice:
     spec = _value(lines, 1, "spec")
     n_elements = _natural(_value(lines, 2, "elements"))
     labels = _by_id(lines, 3, "label", n_elements)
+    if len(set(labels)) != n_elements:
+        raise ValueError("a label is repeated")
     i = 3 + n_elements
     n_nodes = _natural(_value(lines, i, "nodes"))
     sets = [_natural(hx, 16) for hx in _by_id(lines, i + 1, "n", n_nodes)]

@@ -171,9 +171,14 @@ def validate_rack(
     """Check the rack axioms on an operation table and return the Rack.
 
     Raises RackAxiomError naming the failing row (bijectivity) or triple
-    (self-distributivity).
+    (self-distributivity), and unless `labels`, when given, has one distinct
+    label per element.
     """
     n = len(op_table)
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    elif len(labels) != n or len(set(labels)) != n:
+        raise RackAxiomError(f"{len(labels)} labels for {n} elements; each needs its own label")
     for a, row in enumerate(op_table):
         if len(row) != n:
             raise RackAxiomError(f"row {a} has length {len(row)}, expected {n}")
@@ -190,8 +195,6 @@ def validate_rack(
         if compose[b](op[a]) != compose[a](op[op[a][b]]):
             c = next(c for c in range(n) if op[a][op[b][c]] != op[op[a][b]][op[a][c]])
             raise RackAxiomError(f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})")
-    if labels is None:
-        labels = [str(i) for i in range(n)]
     return Rack(op, _inverse_table(op), labels, provenance)
 
 

@@ -166,9 +166,10 @@ def _each(one):
 # is what `product-decomposition` verifies.  A maximal chain of L(G) is one
 # of P plus |Z| center steps, and intervals of a Boolean lattice are Boolean,
 # so L(G) is graded, or Boolean, exactly when P is; `sphere-theorem` shifts
-# P's homology by |Z|.  `expand()` builds L(R) for `lattice-bruteforce` and
-# `homology-consistency`, and for `fourcycle-rack`, `fivecycle-rack`,
-# `partition-iso` and `kequal-fibers`, whose racks have T empty.
+# P's homology by |Z|.  `expand()` gives L(R) to `lattice-bruteforce` and
+# `homology-consistency` by a lemma-free walk of the whole rack, held to the
+# product's node count, and to `fourcycle-rack`, `fivecycle-rack`,
+# `partition-iso` and `kequal-fibers`, whose racks have T empty, as the factor.
 # `product-decomposition` walks each distinct (rack table, center) once and
 # gives that verdict to every spec with the same pair: the oracle reads a
 # group only through those two, so equal pairs give equal reports (the five

@@ -9,7 +9,9 @@ it.  The counts, by the stage that adds them:
 
 - `lattice._lindig_walk`: `closures` (calls of `Rack.closure`),
   `stopped_closures` (the rejected ones, which stopped early), `nodes` (the
-  nodes of the levels it reached) and `covers`;
+  nodes of the levels it reached) and `covers`, once per walk: for
+  `enumerate_subracks`'s walk of L(R - T) and, when T is not empty, for
+  `ProductLattice.expand`'s walk of all of R;
 - `lattice.product_decomposition_check`: `oracle_walks` and `oracle_nodes`,
   the nodes of the full lattice it checked;
 - `groups._table_group`: `direct_products`, the products evaluated one at

@@ -179,7 +179,7 @@ def test_homology_command_never_expands_the_product(spec, code, monkeypatch, cap
     def refuse(*args):
         raise AssertionError("the product expansion was reached")
 
-    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    monkeypatch.setattr(lattice.ProductLattice, "expand", refuse)
     assert main(["homology", spec]) == code
     out, err = capsys.readouterr()
     if code:
@@ -201,7 +201,7 @@ def test_sphere_theorem_never_expands_the_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("the product expansion was reached")
 
-    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    monkeypatch.setattr(lattice.ProductLattice, "expand", refuse)
     result = verify.check_sphere_theorem(verify.VerifyConfig())
     assert result.status == "pass"
     assert sorted(result.computed) == sorted(catalog.SPHERE_LIST)

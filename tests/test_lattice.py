@@ -821,6 +821,7 @@ def test_export_defects_are_rejected():
         "edge repeated": "\n".join(lines + [f"e {c} {p}"]) + "\n",
         "skipping edge": _replaced(lines, f"e {c} {p}", skip),
         "label id out of range": _replaced(lines, lines[3], "label 9 x"),
+        "label repeated": _replaced(lines, lines[4], "label 1 e"),
         "bad count": _replaced(lines, f"nodes {lat.n}", f"nodes {lat.n + 1}"),
         "negative set": _replaced(lines, "n 1 1", "n 1 -1"),
         # int() reads each of these as the number written, so each export
@@ -838,6 +839,17 @@ def test_export_defects_are_rejected():
         with pytest.raises(ValueError):
             load_lattice_export(text)
             pytest.fail(name)
+
+
+def test_export_with_a_repeated_label_is_rejected():
+    # the lattice of the 2-element trivial rack, its labels made equal
+    text = (
+        "racklat 1\nspec -\nelements 2\nlabel 0 e\nlabel 1 e\n"
+        "nodes 4\nn 0 0\nn 1 1\nn 2 2\nn 3 3\nedges 4\ne 0 1\ne 0 2\ne 1 3\ne 2 3\n"
+    )
+    with pytest.raises(ValueError, match="a label is repeated"):
+        load_lattice_export(text)
+    assert load_lattice_export(text.replace("label 1 e", "label 1 f")).labels == ("e", "f")
 
 
 @pytest.mark.parametrize(

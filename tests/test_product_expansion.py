@@ -1,11 +1,14 @@
 """`enumerate_subracks` enumerates L(R - T) and returns L(R) = L(R - T) x 2^T,
 T the elements that act trivially and that every element fixes, as a
-`ProductLattice`, which expands only through `expand()`.  These tests hold
-the expansion to the lemma-free Lindig enumeration `_lindig_subracks`: the
-same sets, ids and parent rows, the same export bytes, and the same budget
-errors at every boundary; they hold `product_statistics`, read off the
-factor, to the expanded lattice; and they check that nothing expands the
-product without calling `expand()`."""
+`ProductLattice`.  Its `expand()` is the lemma-free Lindig enumeration
+`_lindig_subracks` of the whole rack, held to the product's node count.
+These tests hold the product lemma to that enumeration: the product of the
+factor with 2^T, built here from the factor's sets and rows, has the
+enumeration's sets, ids and parent rows; `product_statistics`, read off the
+factor, gives the enumeration's counts and chain lengths; the export bytes
+are pinned; and the budget errors are the enumeration's at every boundary.
+They also check that `expand()` refuses a product whose t or factor is
+wrong, and that nothing expands the product without calling `expand()`."""
 
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ from racklab.groups import build_group, conjugacy_classes
 from racklab.lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
+    LatticeInvariantError,
+    ProductLattice,
     _lindig_subracks,
     all_maximal_chain_lengths,
     atoms,
@@ -56,15 +61,47 @@ def _lemma_free(rack, node_budget=DEFAULT_NODE_BUDGET):
     return _lindig_subracks(rack, node_budget)
 
 
+def _product_of_factor(rack, P):
+    """Oracle for the lemma: the sets of P x 2^T, T = `rack.trivial_part`,
+    as S' + U in (popcount, value) order, and each one's upper covers as set
+    masks, S'' + U for the covers S'' of S' in P and S' + U + {z} for z in
+    T - U."""
+    trivial = rack.trivial_part
+    subsets = [0]
+    for e in bit_list(trivial):
+        subsets += [u | 1 << e for u in subsets]
+    sets = sorted((s | u for s in P.sets for u in subsets), key=lambda m: (m.bit_count(), m))
+    up = {s: [P.sets[p] for p in P.parents(i)] for i, s in enumerate(P.sets)}
+    rows = [
+        sorted([c | m & trivial for c in up[m & ~trivial]] + [m | 1 << e for e in bit_list(trivial & ~m)])
+        for m in sets
+    ]
+    return sets, rows
+
+
 @pytest.mark.parametrize(
     "spec", sorted(set(catalog.CATALOG + LATTICE_WORKLOAD + TRIVIAL_RACKS) | set(SMALL_RACKS))
 )
 def test_expansion_equals_lemma_free_enumeration(spec):
+    # the lemma's product of the factor, against expand(), which enumerates
+    # the whole rack without the lemma
     rack = rack_from_spec(spec, max_order=360)
-    got, want = full_lattice(rack), _lemma_free(rack)
-    assert got.sets == want.sets
-    assert got._pstart == want._pstart
-    assert got._pflat == want._pflat
+    L = enumerate_subracks(rack)
+    sets, rows = _product_of_factor(rack, L.factor)
+    E = L.expand()
+    assert E.sets == sets
+    assert [sorted(E.sets[p] for p in E.parents(v)) for v in range(E.n)] == rows
+
+
+@pytest.mark.parametrize(
+    "spec, factor_spec, t", [("D8", "D8", 1), ("D8", "D8", 3), ("Z4xZ2", "Z4xZ2", 2), ("D8", "S3", 2)]
+)
+def test_expand_refuses_a_wrong_product(spec, factor_spec, t):
+    # D8 (t = 2) walks past 14 * 2^1 nodes, or stops at 56 of 14 * 2^3;
+    # Z4xZ2 has 256 subracks, not 1 * 2^2; S3's 6-node factor is not D8's
+    factor, _ = enumerate_subracks(rack_from_spec(factor_spec)).product_form()
+    with pytest.raises(LatticeInvariantError, match=f"the {factor.n << t} nodes"):
+        ProductLattice(rack_from_spec(spec), factor, t).expand()
 
 
 def test_trivial_part():
@@ -114,7 +151,7 @@ def test_product_decomposition_oracle_never_expands(monkeypatch):
     def refuse(*args):
         raise AssertionError("the product expansion was reached")
 
-    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    monkeypatch.setattr(lattice.ProductLattice, "expand", refuse)
     # the patch is live: expanding D8's lattice reaches it
     L = enumerate_subracks(rack_from_spec("D8"))
     with pytest.raises(AssertionError):
@@ -161,7 +198,7 @@ def test_lattice_command_expands_only_for_export(spec, n, monkeypatch, tmp_path,
     def refuse(*args):
         raise AssertionError("the product expansion was reached")
 
-    monkeypatch.setattr(lattice, "_expand_product", refuse)
+    monkeypatch.setattr(lattice.ProductLattice, "expand", refuse)
     assert main(["lattice", spec]) == 0
     assert json.loads(capsys.readouterr().out)["nodes"] == n
     with pytest.raises(AssertionError, match="expansion was reached"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 
 import pytest
@@ -82,6 +83,15 @@ def test_self_distributivity_failure_names_the_first_triple():
         validate_rack(table)
 
 
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], ["a", "a"], []])
+def test_labels_must_be_distinct_and_one_per_element(labels):
+    # a 2-element rack with one label would export `elements 1`, an export
+    # that `load_lattice_export` refuses
+    with pytest.raises(RackAxiomError, match=f"^{len(labels)} labels for 2 elements"):
+        validate_rack([[0, 1], [0, 1]], labels=labels)
+    assert validate_rack([[0, 1], [0, 1]], labels=["a", "b"]).labels == ("a", "b")
+
+
 def test_cyclic_shift_rack_is_not_a_quandle():
     r = cyclic_shift_rack(4)
     assert not is_quandle(r)
@@ -134,6 +144,49 @@ def test_a_colon_with_no_filter_is_refused(spec):
 def test_class_filter():
     r = rack_from_spec("S3:class((12))")
     assert sorted(r.labels) == ["(12)", "(13)", "(23)"]
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most `most`, parts descending."""
+    if n == 0:
+        yield []
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_an_class_filter_splits_exactly_the_distinct_odd_cycle_types(n):
+    # the S_n class of an even permutation is one class of A_n, or splits
+    # into two of half its size when its cycle lengths, fixed points
+    # counted, are distinct and odd
+    split = 0
+    for lengths in _partitions(n):
+        if sum(k - 1 for k in lengths) % 2:
+            continue
+        # n! / prod(k^m * m!) over the m parts of each length k
+        centralizer = math.prod(k ** lengths.count(k) * math.factorial(lengths.count(k))
+                                for k in set(lengths))
+        s_n_size = math.factorial(n) // centralizer
+        # the cycles on consecutive points, the label the group gives them
+        points, label = iter("123456"), ""
+        for k in lengths:
+            cycle = "".join(next(points) for _ in range(k))
+            label += f"({cycle})" if k > 1 else ""
+        halves = len(set(lengths)) == len(lengths) and all(k % 2 for k in lengths)
+        rack = rack_from_spec(f"A{n}:class({label or 'e'})", max_order=360)
+        assert rack.size == s_n_size >> halves
+        split += halves
+    assert split
+
+
+@pytest.mark.parametrize("spec, size", [
+    ("A4:class((123))", 4), ("S4:class((123))", 8),
+    ("A5:class((12345))", 12), ("S5:class((12345))", 24),
+    ("A5:class((123))", 20), ("A6:class((123)(456))", 40),
+])
+def test_class_filter_sizes_in_an_and_sn(spec, size):
+    assert rack_from_spec(spec, max_order=360).size == size
 
 
 def test_noncentral_filter():

@@ -78,6 +78,24 @@ def test_a_walk_over_its_budget_leaves_its_closures_in_the_ledger():
     assert counted == traced > 0
 
 
+@pytest.mark.parametrize("spec", ["D8", "Z4xZ2", "S3xZ3"])
+def test_expanding_a_centred_rack_adds_one_walk_to_the_ledger(spec):
+    L = enumerate_subracks(rack_from_spec(spec))
+    assert L.t
+    ledger.clear()
+    E = L.expand()
+    assert (ledger["nodes"], ledger["covers"]) == (L.n, L.edge_count()) == (E.n, E.edge_count())
+
+
+@pytest.mark.parametrize("spec", ["S4:cycles(4)", "A5:cycles(5)"])
+def test_expanding_a_rack_with_no_trivial_part_adds_nothing(spec):
+    L = enumerate_subracks(rack_from_spec(spec))
+    assert not L.t
+    ledger.clear()
+    assert L.expand() is L.factor
+    assert not ledger
+
+
 def test_the_homology_boundary_build_is_charged_to_its_stage():
     # the reduction builds its columns in `boundary_matrices`, so the tracer
     # books that time as `topology.boundary_s`, not as topology's self time
