@@ -30,19 +30,25 @@ factor itself when T is empty, and otherwise a lemma-free walk of all of R,
 whose node count it holds to the product's.
 `product_decomposition_check` is the oracle for the lemma: it walks the
 full lattice of a group without it (`_lindig_walk`) and checks each node
-and its covers as the walk yields them, without building the lattice.
+and its covers as the walk yields them, without building the lattice.  The
+walk rests on two facts about one element t of T, which the lemma's proof
+above also uses: s + t is a subrack when s is, and Q - t is a subrack when
+Q is (see `_lindig_walk`).
 
 Enumeration walks the nodes level by level in that order: each popcount
 level is a set that is complete when the walk reaches it, and is sorted once.
 Each node's upper covers come from Lindig's neighbour algorithm (one closure
-per outside element, each cover emitted exactly once), and each closure is
-seeded with the node as already closed, so it only processes the added
-elements.  Most closures generate a set that is not a cover, and each of
-these stops at the first element it adds that already rules the cover out:
-closures only grow, so the full closure would meet that element too, and
-the walk rejects exactly the sets it rejects with full closures.  The walk
-yields each node with its covers as masks; the lattice builder translates
-them to node ids in one pass at the end and sorts each row.
+per outside element not in T, each cover emitted exactly once), and each
+closure is seeded with the node as already closed, so it only processes the
+added elements.  Most closures generate a set that is not a cover, and each
+of these stops at the first element it adds that already rules the cover
+out: closures only grow, so the full closure would meet that element too,
+and the walk rejects exactly the sets it rejects with full closures.  The
+covers s + t, t in T, take no closure: the walk yields them as one mask of
+the t, and reaches each node through T from one lower cover only.  The walk
+yields each node with its closure covers as masks; the lattice builder adds
+the T covers, translates them to node ids in one pass at the end and sorts
+each row.
 The Hasse diagram is stored once, as compressed sparse rows of upper covers;
 every analytic reads those rows, and the lower covers of a node are read off
 the rows of the nodes below it.
@@ -252,8 +258,9 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
 
     The nodes and their upper covers come from `_lindig_walk`, in final
     (popcount, value) order, so a node's id is its place in the walk.  Each
-    cover is recorded as its parent's mask, and after the walk one dict from
-    mask to id translates all of them at once; then each row is sorted.  The
+    cover is recorded as its parent's mask, the covers s + t of the walk's
+    `tmask` after the closure covers, and after the walk one dict from mask
+    to id translates all of them at once; then each row is sorted.  The
     budget and its error are the walk's.
     """
     if top is None:
@@ -261,9 +268,11 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     sets: list[int] = []
     pstart = array("l", [0])
     covers = array("q")  # parent masks, below 2**63 as RACK_CAP = 40
-    for s, row in _lindig_walk(rack, node_budget, top):
+    for s, row, tmask in _lindig_walk(rack, node_budget, top):
         sets.append(s)
         covers.extend(row)
+        if tmask:  # never on a walk inside R - T
+            covers.extend(s | 1 << t for t in bits(tmask))
         pstart.append(len(covers))
     index = dict(zip(sets, range(len(sets))))
     rows = array("l")
@@ -273,22 +282,47 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     return SubrackLattice(sets, pstart, rows, rack.labels, rack.provenance)
 
 
-def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int]]]:
+def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int], int]]:
     """Walk every subrack of `rack` inside the subrack `top`, by closures
     alone, without the product lemma: yield, for each subrack s in
-    (popcount, value) order, s and the masks of its upper covers.
+    (popcount, value) order, (s, row, tmask), where the upper covers of s
+    are the masks in `row` and the sets s + t for the elements t of
+    tmask = T & top - s, T = `rack.trivial_part`.
     `_lindig_subracks` builds the lattice from the walk;
     `product_decomposition_check` checks each node as it is yielded, so the
     walk's own state, the levels still to come, is all of the lattice it
     holds.
 
+    Two facts about one element t of T carry the walk through T.
+    (1) s + t is a subrack when s is: a product or inverse product with t as
+    either argument is its second argument (t acts trivially and every
+    element fixes it), so s + t adds no pair outside s.
+    (2) Q - t is a subrack when Q is and t is in Q: a > b = t forces
+    b = a >^-1 t = t, as the row of a is a bijection that fixes t, and
+    likewise a >^-1 b = t forces b = a > t = t; a product of elements of
+    Q - t is therefore never t.  (1) is `Rack.closure`'s early return on
+    the seed s + t with s closed, as before.  (2) is new trust: the walk
+    finds Q from Q - t alone instead of from every lower cover, so
+    `product_decomposition_check`, the lemma's oracle, now relies on this
+    step of the lemma's proof (the rest of the lemma it still checks).
+    Completeness stays cross-checked: `lattice-bruteforce` compares the
+    walk with the subset scan and the lectic enumeration on its seven racks
+    with T nonempty.
+
     Upper covers come from Lindig's neighbour algorithm: for a subrack s and
-    each x of `top` outside it, in ascending order, b = closure(s + x) is a
-    cover exactly when no element of b - s - x is still in `mins`, the outside
-    elements not yet found to generate a larger set; otherwise x leaves
-    `mins`.  Each cover is emitted once, at its last generator, so covers need
-    no deduplication or pairwise subset filter.  The closure is seeded with s
-    as already closed, so it only works through the new elements.
+    each x of `top` outside s and T, in ascending order, b = closure(s + x)
+    is a cover exactly when no element of b - s - x is still in `mins`, the
+    outside elements not yet found to generate a larger set; otherwise x
+    leaves `mins`.  Each cover is emitted once, at its last generator, so
+    covers need no deduplication or pairwise subset filter.  The closure is
+    seeded with s as already closed, so it only works through the new
+    elements.  The elements of T outside s are never closed: by (1) each
+    gives the cover s + t, which `tmask` stands for.  They stay in `mins`
+    all the same, so the test needs no fact about which closures meet T: a
+    b that holds such a t lies above s + t and is rightly rejected, and a
+    cover b = closure(s + x) holds none (else s + t would lie between), so
+    its other generators are all outside T, and all rejected before its
+    last one as in the plain algorithm.
 
     The closure also stops at the first element of mins - x it adds
     (`Rack.closure`'s `stop`).  Rejecting x on that partial set is exact: a
@@ -301,15 +335,18 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     meets stop = mins - x, and the seed s + x avoids stop (mins avoids s),
     so b meets `stop` exactly when the closure returned early.
 
-    An outside element in T = `rack.trivial_part` makes s + x its own
-    closure: with s closed, `Rack.closure` has nothing on its work list and
-    returns the seed.  The loop takes that early return inline, and skips the
-    `mins` test, which b - s - x = {} always passes.  This is the closure's
-    own behaviour, not a use of the product lemma, so the walk depends on the
-    lemma no more than `Rack.closure` does.  `enumerate_subracks` walks
-    either a rack with T empty or inside top = R - T, so the shortcut fires
-    only in walks of whole racks with a nonempty T: `ProductLattice.expand`'s
-    and `product_decomposition_check`'s.
+    Each node is found through T once.  The walk adds s + t to the next
+    level only for the elements t of tmask above the highest element of T
+    in s.  A subrack Q that meets T, with t its highest element there, is
+    added from Q - t, a subrack by (2), and from no other Q - t'; Q - t
+    comes earlier in the walk, so by induction on popcount every such Q is
+    found.  A subrack that avoids T, other than the empty set, is the
+    closure cover of one of its lower covers, which avoid T too.  So the
+    walk finds every subrack, and each T cover is still in its node's
+    `tmask`.  `enumerate_subracks` walks either a rack with T empty or
+    inside top = R - T, where `tmask` is 0; only the walks of whole racks
+    with T nonempty, `ProductLattice.expand`'s and
+    `product_decomposition_check`'s, take this path.
 
     Order.  A cover is strictly larger than its child, so each popcount
     level is a set that only grows until the walk reaches it; by then every
@@ -324,9 +361,10 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     cover since then, so no count is due until the covers emitted since the
     last one exceed the slack it left (`horizon`).
 
-    The walk adds its closures, stopped closures, nodes and covers to
-    `work.ledger` once, when it ends, stops or fails, so a walk that exceeds
-    its budget leaves the work it did in the ledger.
+    The walk adds its closures, stopped closures, nodes and covers (those
+    of `tmask` included) to `work.ledger` once, when it ends, stops or
+    fails, so a walk that exceeds its budget leaves the work it did in the
+    ledger.
     """
     _check_rack_cap(rack.size)
     close = rack.closure
@@ -343,35 +381,40 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
         for k in range(size + 1):
             level = sorted(levels[k])
             levels[k] = None  # freed before the walk fills the levels above
-            grow = levels[k + 1].add
+            next_level = levels[k + 1]
             done += len(level)
             for s in level:
                 row: list[int] = []
                 push = row.append
-                mins = rem = top & ~s
+                mins = top & ~s
+                tmask = mins & trivial
+                rem = mins ^ tmask
                 while rem:
                     bit = rem & -rem
                     rem ^= bit
-                    if bit & trivial:
-                        b = s | bit  # Rack.closure's early return
-                        grow(b)
-                    else:
-                        calls += 1
-                        # positional: perfbench wraps closure as (*args)
-                        b = close(s | bit, s, mins ^ bit)
-                        if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
-                            mins ^= bit
-                            stopped += 1
-                            continue
-                        levels[b.bit_count()].add(b)
+                    calls += 1
+                    # positional: perfbench wraps closure as (*args)
+                    b = close(s | bit, s, mins ^ bit)
+                    if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                        mins ^= bit
+                        stopped += 1
+                        continue
+                    levels[b.bit_count()].add(b)
                     push(b)
-                emitted += len(row)
+                # the T covers above the highest element of T in s
+                high = (s & trivial).bit_length()
+                fresh = tmask >> high << high
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    next_level.add(s | bit)
+                emitted += len(row) + tmask.bit_count()
                 if emitted > horizon:
                     found = done + sum(map(len, levels[k + 1:]))
                     if found > limit:
                         raise _node_budget_exceeded(node_budget, limit)
                     horizon = emitted + limit - found
-                yield s, row
+                yield s, row, tmask
     finally:
         ledger.update(closures=calls, stopped_closures=stopped, nodes=done, covers=emitted)
 
@@ -702,12 +745,19 @@ def product_decomposition_check(
     Each node is checked as the walk yields it, from its mask and the masks
     of its upper covers: its projection Q & R is a factor node, and each
     cover either keeps the central part and projects to a factor cover, or
-    keeps the factor part and adds one central element.  The node and cover
-    counts are compared at the end, so no more of the full lattice is held
-    than the walk holds.  A given `lattice` (the tests pass corrupted ones)
-    is read through the same checks, its rows as masks.  The first failure
-    of each kind is kept, and the report gives the first of node count,
-    projection, cover and cover count that failed.
+    keeps the factor part and adds one central element.  The walk gives the
+    covers Q + t, t in T = `rack.trivial_part`, as one mask, `tmask`; those
+    with t in `center` keep the factor part and add one central element by
+    their form, so they pass as a mask and only the bits of tmask - center
+    (none when `center` is T) go through the test one cover at a time,
+    after the row.  A `center` that misses an element z of T fails the node
+    count, or else the projection of the subrack {z}, before any cover
+    failure can be reported, so this order never changes a report.  The
+    node and cover counts are compared at the end, so no more of the full
+    lattice is held than the walk holds.  A given `lattice` (the tests pass
+    corrupted ones) is read through the same checks, its rows as masks.  The
+    first failure of each kind is kept, and the report gives the first of
+    node count, projection, cover and cover count that failed.
     """
     sub, _ = enumerate_subracks(rack, node_budget).product_form()
     r_mask = rack.full_mask() & ~center
@@ -718,12 +768,12 @@ def product_decomposition_check(
         rows = _lindig_walk(rack, node_budget, rack.full_mask())
     else:
         sets = lattice.sets
-        rows = ((s, [sets[p] for p in lattice.parents(v)]) for v, s in enumerate(sets))
+        rows = ((s, [sets[p] for p in lattice.parents(v)], 0) for v, s in enumerate(sets))
     nodes = covers = 0
     projection = cover = ""
-    for s, row in rows:
+    for s, row, tmask in rows:
         nodes += 1
-        covers += len(row)
+        covers += len(row) + tmask.bit_count()
         fs = s & r_mask
         up = factor_covers.get(fs)
         if up is None:
@@ -732,6 +782,8 @@ def product_decomposition_check(
         if cover:
             continue
         zs = s ^ fs
+        if tmask & r_mask:
+            row = row + [s | 1 << t for t in bits(tmask & r_mask)]
         for b in row:
             zb = b & center
             if zb == zs:

@@ -172,13 +172,17 @@ def validate_rack(
 
     Raises RackAxiomError naming the failing row (bijectivity) or triple
     (self-distributivity), and unless `labels`, when given, has one distinct
-    label per element.
+    label per element, none of which `str.splitlines` would split: the
+    export gives each label one line.
     """
     n = len(op_table)
     if labels is None:
         labels = [str(i) for i in range(n)]
     elif len(labels) != n or len(set(labels)) != n:
         raise RackAxiomError(f"{len(labels)} labels for {n} elements; each needs its own label")
+    for i, label in enumerate(labels):
+        if "".join(label.splitlines()) != label:
+            raise RackAxiomError(f"the label {label!r} of element {i} holds a line break")
     for a, row in enumerate(op_table):
         if len(row) != n:
             raise RackAxiomError(f"row {a} has length {len(row)}, expected {n}")

@@ -29,6 +29,7 @@ from racklab.lattice import (
     SubrackLattice,
     _csr_from_edges,
     _lindig_subracks,
+    _lindig_walk,
     all_maximal_chain_lengths,
     atoms,
     brute_force_covers,
@@ -46,7 +47,7 @@ from racklab.lattice import (
     load_lattice_export,
     product_decomposition_check,
 )
-from racklab.racks import Rack, conjugation_rack, rack_from_spec
+from racklab.racks import Rack, conjugation_rack, rack_from_spec, validate_rack
 from racklab.topology import order_complex, reduced_homology
 
 SMALL_RACKS = [
@@ -132,6 +133,47 @@ def test_lemma_free_enumeration_of_relabelled_racks(spec_perm):
     sets = brute_force_subracks(rack)
     assert lat.sets == sets
     assert list(lat.edges()) == brute_force_covers(sets)
+
+
+def _dihedral_quandle_with_two_fixed_points(labels=None):
+    """The 3-element dihedral quandle a > b = 2a - b mod 3, plus elements 3
+    and 4 that act trivially and that every element fixes: a rack that is
+    not the rack of a group, with T = {3, 4}."""
+    table = [[(2 * a - b) % 3 for b in range(3)] + [3, 4] for a in range(3)]
+    table += [list(range(5))] * 2
+    return validate_rack(table, labels=labels, provenance="R3+2")
+
+
+def _walk_lattice(rack):
+    """The sets and (child, parent) covers of `_lindig_walk` of the whole
+    rack, each row with its T covers s + t, t in `tmask`, checking every
+    row's split between closure covers and T covers on the way."""
+    trivial, top = rack.trivial_part, rack.full_mask()
+    sets, parents = [], []
+    for s, row, tmask in _lindig_walk(rack, DEFAULT_NODE_BUDGET, top):
+        assert tmask == trivial & top & ~s
+        # no closure cover adds an element of T, so none is an s + t
+        assert not any(b & ~s & trivial for b in row)
+        sets.append(s)
+        parents.append(row + [s | 1 << t for t in bits(tmask)])
+    index = {s: i for i, s in enumerate(sets)}
+    return sets, sorted((c, index[b]) for c, row in enumerate(parents) for b in row)
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8xZ2", "S3xZ3", "D8xZ2", "Z2xZ2xZ2", "R3+2"])
+def test_walk_with_its_t_covers_matches_bruteforce(spec):
+    # the walk yields the covers s + t, t in T, as one mask; with them put
+    # back it gives the subset scan's sets and the Hasse diagram by
+    # definition, on racks with T nonempty
+    if spec == "R3+2":
+        rack = _dihedral_quandle_with_two_fixed_points()
+        assert rack.trivial_part == 0b11000
+    else:
+        rack = rack_from_spec(spec)
+        assert rack.trivial_part
+    sets, covers = _walk_lattice(rack)
+    assert sets == brute_force_subracks(rack)
+    assert covers == brute_force_covers(sets)
 
 
 @settings(deadline=None, max_examples=200)
@@ -655,6 +697,41 @@ def test_product_decomposition_budget_contract():
     assert _oracle(G, node_budget=65536).nodes == 65536
 
 
+def _center_missing_its_lowest(rack, center):
+    return center ^ (center & -center)
+
+
+def _center_plus_a_non_central(rack, center):
+    other = rack.full_mask() & ~center
+    return center | (other & -other)
+
+
+def _center_with_one_element_swapped(rack, center):
+    return _center_plus_a_non_central(rack, center) ^ (center & -center)
+
+
+@pytest.mark.parametrize("spec, wrong, report", [
+    ("D8", _center_missing_its_lowest, (56, 14, 1, "node count 56 != 14 * 2^1")),
+    ("D8", _center_plus_a_non_central, (56, 14, 3, "node count 56 != 14 * 2^3")),
+    ("D8", _center_with_one_element_swapped,
+     (56, 14, 2, "projection to the non-central part is not a subrack")),
+    ("Z4", _center_missing_its_lowest, (16, 1, 3, "node count 16 != 1 * 2^3")),
+    ("D8xZ2", _center_missing_its_lowest, (1600, 100, 3, "node count 1600 != 100 * 2^3")),
+    ("D8xZ2", _center_plus_a_non_central, (1600, 100, 5, "node count 1600 != 100 * 2^5")),
+    ("D8xZ2", _center_with_one_element_swapped,
+     (1600, 100, 4, "projection to the non-central part is not a subrack")),
+])
+def test_product_decomposition_with_a_wrong_center(spec, wrong, report):
+    # a center missing an element t of T sends the walk's covers s + t
+    # through the per-cover test; the reports, pinned field by field, are
+    # those of the oracle that tested every cover one at a time
+    G = build_group(spec)
+    rack = conjugation_rack(G)
+    rep = product_decomposition_check(rack, wrong(rack, conjugacy_classes(G).center))
+    assert not rep.ok
+    assert (rep.nodes, rep.factor_nodes, rep.center_size, rep.detail) == report
+
+
 def test_product_decomposition_rejects_a_wrong_node_count():
     rep = _oracle(build_group("D8"), lattice=full_lattice("Z8"))
     assert not rep.ok
@@ -755,6 +832,17 @@ def test_export_roundtrip():
     assert list(loaded.edges()) == list(lat.edges())
     assert loaded.labels == lat.labels
     assert loaded.spec == "S4:cycles(4)"
+
+
+def test_export_roundtrip_keeps_labels_with_spaces():
+    # the loader splits a `label ID TEXT` line at its first two spaces only
+    labels = ["a b", " c", "d ", "e  f\tg", ""]
+    lat = full_lattice(_dihedral_quandle_with_two_fixed_points(labels))
+    text = export_lattice_text(lat)
+    loaded = load_lattice_export(text)
+    assert loaded.labels == tuple(labels)
+    assert (loaded.sets, list(loaded.edges())) == (lat.sets, list(lat.edges()))
+    assert export_lattice_text(loaded) == text
 
 
 def test_budget_exceeded_carries_partial_count():

@@ -92,6 +92,27 @@ def test_labels_must_be_distinct_and_one_per_element(labels):
     assert validate_rack([[0, 1], [0, 1]], labels=["a", "b"]).labels == ("a", "b")
 
 
+# every character on which `str.splitlines`, and so the export loader,
+# breaks a line
+LINE_BREAKS = ["\n", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS + ["\r\n"])
+@pytest.mark.parametrize("where", ["a{}b", "{}a", "a{}"])
+def test_a_label_with_a_line_break_is_refused(brk, where):
+    # the export writes one `label ID TEXT` line per element, so a label
+    # that `load_lattice_export` would read as two lines is refused at build
+    label = where.format(brk)
+    message = f"the label {label!r} of element 0 holds a line break"
+    with pytest.raises(RackAxiomError, match=f"^{re.escape(message)}$"):
+        validate_rack([[0, 1], [0, 1]], labels=[label, "c"])
+
+
+def test_line_breaks_are_all_the_characters_splitlines_breaks_on():
+    breaking = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
+    assert breaking == LINE_BREAKS
+
+
 def test_cyclic_shift_rack_is_not_a_quandle():
     r = cyclic_shift_rack(4)
     assert not is_quandle(r)
