@@ -88,11 +88,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "chain_lengths": list(stats.lengths),
     }
     if args.export:
-        # written only after enumeration, so a budget failure leaves an
-        # existing file untouched
+        # L(R) is built before the file is opened, so a failure leaves it as it was
+        full = lat.expand()
         try:
             with open(args.export, "w", encoding="utf-8") as fh:
-                fh.writelines(export_lattice_lines(lat.expand()))
+                fh.writelines(export_lattice_lines(full))
         except OSError as exc:
             print(f"racklab: cannot write export {args.export}: {exc.strerror or exc}",
                   file=sys.stderr)

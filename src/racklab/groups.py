@@ -8,8 +8,9 @@ semidirect product.  One table, `_FAMILIES`, gives each family's order and
 builder; the group of a spec is the direct product of its factors, taken
 from the left.  One search, `_joins`, finds the subgroups as the joins of
 cyclic subgroups and the normal subgroups as the joins of conjugacy classes;
-each join is the identity closed under right multiplication by the joined
-elements, and a subgroup is flagged normal when it is a union of classes.
+each join is the identity closed under right multiplication by the
+generators that reached it, and a subgroup is flagged normal when it is a
+union of classes.  `build_group`'s `max_order` is the only size guard.
 `group_properties` reads abelian and simple off the conjugacy classes,
 nilpotent and solvable off the two commutator series, and supersolvable off
 the factor orders of one chief series, the normal subgroups walked in order.
@@ -37,7 +38,6 @@ from .bitsets import bit_list, bits, mask_of
 from .work import ledger
 
 DEFAULT_MAX_ORDER = 120
-SUBGROUP_CAP = 48
 
 _ASSOC_EXHAUSTIVE_CAP = 48
 _ASSOC_SAMPLES = 4000
@@ -466,17 +466,18 @@ def conjugate_subgroup_mask(G: FiniteGroup, mask: int, g: int) -> int:
 def _joins(G: FiniteGroup, generators: Sequence[int]) -> list[int]:
     """Every subgroup generated by a set of the element masks `generators`,
     sorted by (order, mask): the trivial subgroup, closed under the join
-    with each generator.  The joins of the cyclic subgroups are all the
+    with each generator, each join closed from the generators that reached
+    it.  The joins of one element per cyclic subgroup are all the
     subgroups; those of the conjugacy classes are the normal ones."""
-    found = {1}
+    found = {1: 0}  # subgroup mask -> the generators that reached it
     queue = [1]
     while queue:
         h = queue.pop()
         for c in generators:
             if c | h != h:
-                k = subgroup_closure_mask(G, c | h)
+                k = subgroup_closure_mask(G, found[h] | c)
                 if k not in found:
-                    found.add(k)
+                    found[k] = found[h] | c
                     queue.append(k)
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
@@ -485,9 +486,8 @@ def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
     """Every subgroup of G, sorted by (order, mask), with its flags: normal
     when it is a union of conjugacy classes, maximal when it is proper and
     lies in no other proper subgroup."""
-    if G.order > SUBGROUP_CAP:
-        raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, got {G.order}")
-    masks = _joins(G, sorted({subgroup_closure_mask(G, 1 << g) for g in range(G.order)}))
+    cyclic = {subgroup_closure_mask(G, 1 << g): 1 << g for g in range(G.order)}
+    masks = _joins(G, list(cyclic.values()))
     classes = conjugacy_classes(G).classes
     full, proper = masks[-1], masks[:-1]
     return [

@@ -1,6 +1,8 @@
 """Subrack lattices: enumeration of all subracks of a finite rack, Hasse
 covers, and the lattice analytics built on them (gradedness, chain lengths,
 atoms/coatoms, Int(L), Boolean tests, the M-set, product decompositions).
+The analytics have no size guard of their own: each reads a lattice built
+under `RACK_CAP` and the node budget, or loaded from an export.
 
 Lattice nodes are bit-vector element sets, canonically ordered by
 (popcount, value), so node 0 is the empty set and the last node is the top,
@@ -61,13 +63,11 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import bits
-from .groups import CapExceeded
+from .bitsets import bits, mask_of
 from .racks import Rack, _check_rack_cap
 from .work import ledger
 
 DEFAULT_NODE_BUDGET = 5_000_000
-M_CAP = 24
 
 
 class BudgetExceeded(RuntimeError):
@@ -454,17 +454,18 @@ def brute_force_subracks(rack: Rack) -> list[int]:
 
 def brute_force_covers(sets: list[int]) -> list[tuple[int, int]]:
     """Independent oracle: the Hasse diagram of distinct sets listed in
-    (popcount, value) order, by definition: every id pair (c, p) with sets[c]
-    inside sets[p] and no set strictly between them, in ascending order.  A
-    set between two others sits between them in that order too."""
+    (popcount, value) order, by definition: every id pair (c, p), in
+    ascending order, with sets[p] above sets[c] and above no other set
+    above sets[c]; up[c] holds the ids of those sets, all after c."""
     n = len(sets)
-    return [
-        (c, p)
-        for c, s in enumerate(sets)
-        for p in range(c + 1, n)
-        if s & sets[p] == s
-        and not any(s & m == s and m & sets[p] == m for m in sets[c + 1:p])
-    ]
+    up = [mask_of(p for p in range(c + 1, n) if s & sets[p] == s) for c, s in enumerate(sets)]
+    edges = []
+    for c in range(n):
+        above_others = 0
+        for m in bits(up[c]):
+            above_others |= up[m]
+        edges += ((c, p) for p in bits(up[c] & ~above_others))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +689,6 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
     sets = L.sets
     if union != sets[-1]:
         raise LatticeInvariantError("compute_M needs the lattice of the rack the classes partition")
-    if union.bit_count() > M_CAP:
-        raise CapExceeded(f"M computation capped at rack size {M_CAP}")
     bars = [closure_bar(classes, s) for s in sets]
     unclosed = [s for s, bar in zip(sets, bars) if bar != s]
     above: dict[int, tuple[bool, bool]] = {}  # bar -> (interval_closed, int_not_boolean)

@@ -51,7 +51,9 @@ class Rack:
     """Immutable finite rack over elements 0..size-1.
 
     `perms` holds the permutation of each element when the rack comes from
-    a group of permutations (S_n or A_n), and is None otherwise.
+    a group of permutations (S_n or A_n), and is None otherwise.  Raises
+    RackAxiomError unless each element has its own label, on one line for
+    the export.
     """
 
     __slots__ = ("size", "op", "inv_op", "labels", "provenance", "trivial_part", "perms",
@@ -60,8 +62,13 @@ class Rack:
     def __init__(self, op, inv_op, labels, provenance=None):
         self.op = tuple(tuple(row) for row in op)
         self.inv_op = tuple(tuple(row) for row in inv_op)
-        self.size = len(self.op)
-        self.labels = tuple(labels)
+        n = self.size = len(self.op)
+        labels = self.labels = tuple(labels)
+        if len(labels) != n or len(set(labels)) != n:
+            raise RackAxiomError(f"{len(labels)} labels for {n} elements; each needs its own label")
+        for i, label in enumerate(labels):
+            if "".join(label.splitlines()) != label:
+                raise RackAxiomError(f"the label {label!r} of element {i} holds a line break")
         self.provenance = provenance
         # T: the elements that act trivially and that every element fixes
         identity = tuple(range(self.size))
@@ -171,18 +178,11 @@ def validate_rack(
     """Check the rack axioms on an operation table and return the Rack.
 
     Raises RackAxiomError naming the failing row (bijectivity) or triple
-    (self-distributivity), and unless `labels`, when given, has one distinct
-    label per element, none of which `str.splitlines` would split: the
-    export gives each label one line.
+    (self-distributivity); `Rack` checks the labels.
     """
     n = len(op_table)
     if labels is None:
         labels = [str(i) for i in range(n)]
-    elif len(labels) != n or len(set(labels)) != n:
-        raise RackAxiomError(f"{len(labels)} labels for {n} elements; each needs its own label")
-    for i, label in enumerate(labels):
-        if "".join(label.splitlines()) != label:
-            raise RackAxiomError(f"the label {label!r} of element {i} holds a line break")
     for a, row in enumerate(op_table):
         if len(row) != n:
             raise RackAxiomError(f"row {a} has length {len(row)}, expected {n}")

@@ -9,7 +9,9 @@ import pytest
 from conftest import full_lattice
 from racklab import cli
 from racklab.cli import main
-from racklab.lattice import export_lattice_text, load_lattice_export
+from racklab.lattice import (
+    LatticeInvariantError, ProductLattice, export_lattice_text, load_lattice_export,
+)
 from racklab.work import ledger
 
 
@@ -351,6 +353,19 @@ def test_budget_failure_leaves_an_existing_export_untouched(tmp_path, capsys):
     path.write_text("earlier export\n")
     rc, out, err = run(capsys, ["lattice", "D8", "--budget-nodes", "5", "--export", str(path)])
     assert rc == 2 and out == "" and "budget" in err
+    assert path.read_text() == "earlier export\n"
+
+
+def test_failing_expansion_leaves_an_existing_export_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "lat.txt"
+    path.write_text("earlier export\n")
+
+    def failing_expand(self):
+        raise LatticeInvariantError("expansion failed")
+
+    monkeypatch.setattr(ProductLattice, "expand", failing_expand)
+    with pytest.raises(LatticeInvariantError, match="^expansion failed$"):
+        main(["lattice", "D8", "--export", str(path)])
     assert path.read_text() == "earlier export\n"
 
 

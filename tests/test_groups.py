@@ -316,18 +316,24 @@ def test_subgroup_generated_empty_seed():
     assert subgroup_closure_mask(G, 0) == 1
 
 
-@pytest.mark.parametrize("spec,count", [("S3", 6), ("Z4", 3), ("Q8", 6), ("A4", 10), ("S4", 30)])
-def test_subgroup_counts(spec, count):
+# (spec, subgroups, maximal subgroups, normal subgroups)
+SUBGROUP_COUNTS = [
+    ("S3", 6, 4, 3), ("Z4", 3, 1, 3), ("Q8", 6, 3, 6), ("A4", 10, 5, 3), ("S4", 30, 8, 4),
+    ("A5", 59, 21, 2), ("S5", 156, 22, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,count,maximal,normal", SUBGROUP_COUNTS, ids=[f"{c[0]}-{c[1]}" for c in SUBGROUP_COUNTS]
+)
+def test_subgroup_counts(spec, count, maximal, normal):
     G = build_group(spec)
     subs = all_subgroups(G)
     assert len(subs) == count
+    assert sum(h.maximal for h in subs) == maximal
+    assert sum(h.normal for h in subs) == normal
     if G.order <= 12:
         assert [h.elems for h in subs] == brute_force_subgroups(G)
-
-
-def test_subgroup_cap():
-    with pytest.raises(CapExceeded, match=r"^subgroup enumeration capped at order 48, got 120$"):
-        all_subgroups(build_group("S5"))
 
 
 def test_subgroup_flags():
@@ -480,7 +486,7 @@ def test_class_avoidance_witness():
     assert witness == cd.class_mask_of(G.label_index("(123)"))
 
 
-@pytest.mark.parametrize("spec", ["Z6", "S4", "SL(2,3)", "D16"])
+@pytest.mark.parametrize("spec", ["Z6", "S4", "SL(2,3)", "D16", "A5", "S5"])
 def test_class_avoidance_catalog(spec):
     G = build_group(spec)
     assert check_class_avoidance(G, all_subgroups(G)).ok

@@ -14,7 +14,6 @@ from conftest import all_maximal_chains, full_lattice
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.catalog import CATALOG, CENTRAL_CATALOG, analyze_group
 from racklab.groups import (
-    CapExceeded,
     all_subgroups,
     build_group,
     conjugacy_classes,
@@ -534,11 +533,20 @@ def _m_member_sets(spec):
     return G, lat, rep
 
 
-def test_m_cap():
-    # the 30 four-cycles of S5 form one class
+def test_m_of_the_thirty_four_cycles_of_s5():
+    # the four-cycles of S5 form one class, so every nonempty node's
+    # class-union closure is the top and M is the coatoms: the four-cycles
+    # of the maximal subgroups S4 (six each) and F20 (ten each)
     lat = full_lattice("S5:cycles(4)")
-    with pytest.raises(CapExceeded, match=r"^M computation capped at rack size 24$"):
-        compute_M(lat, (lat.sets[-1],))
+    rep = compute_M(lat, (lat.sets[-1],))
+    assert rep.members == tuple(coatoms(lat))
+    got = sorted(sorted(lat.labels[e] for e in bits(lat.sets[v])) for v in rep.members)
+    G = build_group("S5")
+    want = sorted(
+        sorted(G.labels[e] for e in bits(h.elems) if G.labels[e] in lat.labels)
+        for h in all_subgroups(G) if h.maximal and h.elems.bit_count() in (20, 24)
+    )
+    assert got == want and len(got) == 11
 
 
 def test_compute_m_rejects_masks_that_do_not_partition_the_rack():
@@ -579,10 +587,12 @@ def test_m_of_nilpotent_and_abelian_groups_empty():
 
 
 def test_m_of_a4():
-    G, lat, rep = _m_member_sets("A4")
-    got = sorted(lat.sets[v] for v in rep.members)
-    want = sorted(h.elems for h in all_subgroups(G) if h.maximal and not h.normal)
-    assert got == want and len(got) == 4
+    # also S3xS3, a rack of 36 elements
+    for spec, count in [("A4", 4), ("S3xS3", 6)]:
+        G, lat, rep = _m_member_sets(spec)
+        got = sorted(lat.sets[v] for v in rep.members)
+        want = sorted(h.elems for h in all_subgroups(G) if h.maximal and not h.normal)
+        assert got == want and len(got) == count
 
 
 def _m_entries_by_definition(lat, classes):

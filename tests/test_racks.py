@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from racklab.bitsets import bit_list, mask_of
 from racklab.groups import (
     CapExceeded,
+    FiniteGroup,
     GroupSpecError,
     OrderCapExceeded,
     build_group,
@@ -111,6 +112,16 @@ def test_a_label_with_a_line_break_is_refused(brk, where):
 def test_line_breaks_are_all_the_characters_splitlines_breaks_on():
     breaking = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
     assert breaking == LINE_BREAKS
+
+
+def test_a_group_label_with_a_line_break_is_refused_in_its_conjugation_rack():
+    # a group may carry such a label; every Rack checks its labels, the
+    # racks that conjugation builds without `validate_rack` too, so no
+    # rack has an export that `load_lattice_export` refuses
+    G = FiniteGroup("Z2", [[0, 1], [1, 0]], ["e", "g\nh"])
+    message = "the label 'g\\nh' of element 1 holds a line break"
+    with pytest.raises(RackAxiomError, match=f"^{re.escape(message)}$"):
+        conjugation_rack(G)
 
 
 def test_cyclic_shift_rack_is_not_a_quandle():
