@@ -463,37 +463,47 @@ def conjugate_subgroup_mask(G: FiniteGroup, mask: int, g: int) -> int:
     return mask_of(G.conj(g, h) for h in bits(mask))
 
 
-def _joins(G: FiniteGroup, generators: Sequence[int]) -> list[int]:
+def _joins(G: FiniteGroup, generators: Sequence[int]) -> dict[int, bool]:
     """Every subgroup generated by a set of the element masks `generators`,
-    sorted by (order, mask): the trivial subgroup, closed under the join
-    with each generator, each join closed from the generators that reached
-    it.  The joins of one element per cyclic subgroup are all the
-    subgroups; those of the conjugacy classes are the normal ones."""
+    in (order, mask) order, each mapped to whether it is maximal among them:
+    the trivial subgroup, closed under the join with each generator, each
+    join closed from the generators that reached it.  The joins of one
+    element per cyclic subgroup are all the subgroups; those of the
+    conjugacy classes are the normal ones.
+
+    A subgroup h is maximal among them exactly when its joins with the
+    generators outside it are one subgroup.  Then h is not the top, which
+    holds every generator, and that one join holds h and every generator
+    outside it, so it is the top; a k strictly between h and the top would
+    hold a generator outside h, whose join with h lies in k.  Conversely,
+    when h is maximal each of those joins lies strictly above h, so each is
+    the top."""
     found = {1: 0}  # subgroup mask -> the generators that reached it
+    joins: dict[int, set[int]] = {}  # subgroup mask -> its joins
     queue = [1]
     while queue:
         h = queue.pop()
+        above = joins[h] = set()
         for c in generators:
             if c | h != h:
                 k = subgroup_closure_mask(G, found[h] | c)
+                above.add(k)
                 if k not in found:
                     found[k] = found[h] | c
                     queue.append(k)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    return {m: len(joins[m]) == 1 for m in sorted(found, key=lambda m: (m.bit_count(), m))}
 
 
 def all_subgroups(G: FiniteGroup) -> list[SubgroupHandle]:
     """Every subgroup of G, sorted by (order, mask), with its flags: normal
     when it is a union of conjugacy classes, maximal when it is proper and
-    lies in no other proper subgroup."""
+    every join with an element outside it is G (`_joins`)."""
     cyclic = {subgroup_closure_mask(G, 1 << g): 1 << g for g in range(G.order)}
-    masks = _joins(G, list(cyclic.values()))
+    flags = _joins(G, list(cyclic.values()))
     classes = conjugacy_classes(G).classes
-    full, proper = masks[-1], masks[:-1]
     return [
-        SubgroupHandle(m, normal=all(c & m in (0, c) for c in classes),
-                       maximal=m != full and not any(m != k and m & k == m for k in proper))
-        for m in masks
+        SubgroupHandle(m, normal=all(c & m in (0, c) for c in classes), maximal=maximal)
+        for m, maximal in flags.items()
     ]
 
 
@@ -520,7 +530,7 @@ def subgroup_conjugates(G: FiniteGroup, mask: int) -> frozenset[int]:
 
 def normal_subgroups_masks(G: FiniteGroup) -> list[int]:
     """All normal subgroups, the joins of conjugacy classes."""
-    return _joins(G, conjugacy_classes(G).classes)
+    return list(_joins(G, conjugacy_classes(G).classes))
 
 
 def commutator_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:

@@ -39,18 +39,27 @@ Q is (see `_lindig_walk`).
 
 Enumeration walks the nodes level by level in that order: each popcount
 level is a set that is complete when the walk reaches it, and is sorted once.
-Each node's upper covers come from Lindig's neighbour algorithm (one closure
-per outside element not in T, each cover emitted exactly once), and each
-closure is seeded with the node as already closed, so it only processes the
-added elements.  Most closures generate a set that is not a cover, and each
-of these stops at the first element it adds that already rules the cover
-out: closures only grow, so the full closure would meet that element too,
-and the walk rejects exactly the sets it rejects with full closures.  The
-covers s + t, t in T, take no closure: the walk yields them as one mask of
-the t, and reaches each node through T from one lower cover only.  The walk
-yields each node with its closure covers as masks; the lattice builder adds
-the T covers, translates them to node ids in one pass at the end and sorts
-each row.
+Each node's upper covers come from Lindig's neighbour algorithm (C. Lindig,
+*Fast Concept Analysis*, ICCS 2000: the closure of the node plus each
+outside element not in T, each cover emitted exactly once).  Most outside
+elements generate a set that is not a cover, and the walk rejects each at
+the first element it adds that already rules the cover out: closures only
+grow, so the full closure would meet that element too, and the walk rejects
+exactly the sets it rejects with full closures.  The first closure step of
+s + x, for the node s (a subrack) and the outside element x, is the set of
+products and inverse products of x with s + x, both ways; the walk reads it
+for every x off one packed image of s per node (`Rack.packed_image`, the
+closure's own per-round lookup) plus x's products with itself, and rejects
+x with no closure call when that step meets an element that rules the cover
+out.  That is the rejection the closure's first round makes with `stop`:
+seeded with s + x and s closed, its work list is {x}, and field x of the
+image of s + x is that step.  Any other x gets one closure, seeded with s + x and its first
+step, with s + x as `closed`, so it starts from the second round and stops
+at the first round that rules the cover out.  The covers s + t, t in T,
+take no closure: the walk yields them as one mask of the t, and reaches
+each node through T from one lower cover only.  The walk yields each node
+with its closure covers as masks; the lattice builder adds the T covers,
+translates them to node ids in one pass at the end and sorts each row.
 The Hasse diagram is stored once, as compressed sparse rows of upper covers;
 every analytic reads those rows, and the lower covers of a node are read off
 the rows of the nodes below it.
@@ -314,9 +323,8 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     is a cover exactly when no element of b - s - x is still in `mins`, the
     outside elements not yet found to generate a larger set; otherwise x
     leaves `mins`.  Each cover is emitted once, at its last generator, so
-    covers need no deduplication or pairwise subset filter.  The closure is
-    seeded with s as already closed, so it only works through the new
-    elements.  The elements of T outside s are never closed: by (1) each
+    covers need no deduplication or pairwise subset filter.  The elements
+    of T outside s are never closed: by (1) each
     gives the cover s + t, which `tmask` stands for.  They stay in `mins`
     all the same, so the test needs no fact about which closures meet T: a
     b that holds such a t lies above s + t and is rightly rejected, and a
@@ -324,16 +332,31 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     its other generators are all outside T, and all rejected before its
     last one as in the plain algorithm.
 
-    The closure also stops at the first element of mins - x it adds
-    (`Rack.closure`'s `stop`).  Rejecting x on that partial set is exact: a
-    closure only adds elements, so once the partial set meets mins - x the
-    full closure meets it too, and x would leave `mins` either way.  A
-    closure that adds no element of mins - x runs to the end, so every cover
-    emitted is a complete closure.  The calls, nodes, covers and rows are
-    those of the full closure; only the rejected closures do less work.
-    A stopped closure is exactly a rejected one: the walk rejects b when b
-    meets stop = mins - x, and the seed s + x avoids stop (mins avoids s),
-    so b meets `stop` exactly when the closure returned early.
+    The first step.  Before any closure, the walk takes the first closure
+    step of s + x: every product and inverse product of x with an element
+    of s + x, both ways.  Those with s are field x of s's packed image
+    (`Rack.packed_image`), taken once per node, and those of x with itself
+    are x > x and x >^-1 x (`loops`).  When that step meets mins - x, x
+    leaves `mins` with no closure call (a first-step reject).  This is
+    exactly the rejection `Rack.closure(s + x, s, mins - x)` makes in its
+    first round: its work list is {x}, since s is closed and the elements of
+    T drop off it, and it reads field x of the image of s + x, the same set.
+    Otherwise the closure runs from the seed s + x + step, with s + x as
+    `closed`: every product and inverse product of two elements of s + x
+    lies in that seed, so only the step's new elements are on its work list,
+    and it goes on from its second round.
+
+    The closure also stops at the end of the first round that adds an
+    element of mins - x (`Rack.closure`'s `stop`).  Rejecting x on that
+    partial set is exact: a closure only adds elements, so once the partial
+    set meets mins - x the full closure meets it too, and x would leave
+    `mins` either way.  A closure that adds no element of mins - x runs to
+    the end, so every cover emitted is a complete closure.  The nodes,
+    covers and rows are those of the full closures; only the rejected
+    elements take less work.  A stopped closure is exactly a rejected call:
+    the walk rejects b when b meets stop = mins - x, and the seed
+    s + x + step avoids stop (mins avoids s, and the step met no element of
+    stop), so b meets `stop` exactly when the closure returned early.
 
     Each node is found through T once.  The walk adds s + t to the next
     level only for the elements t of tmask above the highest element of T
@@ -361,13 +384,17 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     cover since then, so no count is due until the covers emitted since the
     last one exceed the slack it left (`horizon`).
 
-    The walk adds its closures, stopped closures, nodes and covers (those
-    of `tmask` included) to `work.ledger` once, when it ends, stops or
-    fails, so a walk that exceeds its budget leaves the work it did in the
-    ledger.
+    The walk adds its closure calls, stopped closures, first-step rejects,
+    nodes and covers (those of `tmask` included) to `work.ledger` once, when
+    it ends, stops or fails, so a walk that exceeds its budget leaves the
+    work it did in the ledger.
     """
     _check_rack_cap(rack.size)
-    close = rack.closure
+    close, image = rack.closure, rack.packed_image
+    n = rack.size
+    field = (1 << n) - 1
+    # x > x and x >^-1 x: the pair of x with itself, which s's image lacks
+    loops = [1 << rack.op[x][x] | 1 << rack.inv_op[x][x] for x in range(n)]
     size = top.bit_count()
     trivial = rack.trivial_part
     limit = max(node_budget, 1)
@@ -376,6 +403,7 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     done = 0  # the nodes on the levels walked so far
     emitted = 0  # the covers emitted so far
     calls = stopped = 0  # the closures made, and the rejected ones
+    first = 0  # the elements rejected on their first step, with no closure
     horizon = limit - 1  # one set found, and no cover yet
     try:
         for k in range(size + 1):
@@ -389,12 +417,19 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                 mins = top & ~s
                 tmask = mins & trivial
                 rem = mins ^ tmask
+                img = image(s) if rem else 0
                 while rem:
                     bit = rem & -rem
                     rem ^= bit
+                    x = bit.bit_length() - 1
+                    step = (img >> n * x & field) | loops[x]
+                    if step & (mins ^ bit):
+                        mins ^= bit
+                        first += 1
+                        continue
                     calls += 1
                     # positional: perfbench wraps closure as (*args)
-                    b = close(s | bit, s, mins ^ bit)
+                    b = close(s | bit | step, s | bit, mins ^ bit)
                     if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
                         mins ^= bit
                         stopped += 1
@@ -416,7 +451,8 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                     horizon = emitted + limit - found
                 yield s, row, tmask
     finally:
-        ledger.update(closures=calls, stopped_closures=stopped, nodes=done, covers=emitted)
+        ledger.update(closures=calls, stopped_closures=stopped, first_step_rejects=first,
+                      nodes=done, covers=emitted)
 
 
 def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:

@@ -85,75 +85,99 @@ class Rack:
     # -- closure ---------------------------------------------------------
 
     def _merged_tables(self):
-        # chunked bitmask images: tables[a][chunk][byte] is the union of
-        # {a>y, y>a, a>^-1 y, y>^-1 a} over the elements y encoded by `byte`;
-        # None for a in `trivial_part`, which `closure` never looks up.  Each
-        # element of a chunk doubles its table, the new half being the old
-        # one with the element's image added, so the last chunk of k < 8
-        # elements has 2^k entries: a subset of the rack sets no higher bit
+        # one packed table: tables[chunk][byte] holds, in the n-bit field
+        # a*n..a*n+n-1 of one integer, the union of {a>y, y>a, a>^-1 y,
+        # y>^-1 a} over the elements y encoded by `byte`; the fields of the
+        # elements of `trivial_part`, which `closure` never reads, are 0.
+        # Each element of a chunk doubles the chunk's table, the new half
+        # being the old one with the element's packed images added, so the
+        # last chunk of k < 8 elements has 2^k entries: a subset of the rack
+        # sets no higher bit
         if self._tables is not None:
             return self._tables
         n = self.size
         op, inv_op = self.op, self.inv_op
+        acting = bit_list(self.full_mask() & ~self.trivial_part)
+        single = [
+            sum(
+                ((1 << op[a][y]) | (1 << inv_op[a][y]) | (1 << op[y][a]) | (1 << inv_op[y][a]))
+                << a * n
+                for a in acting
+            )
+            for y in range(n)
+        ]
         tables = []
-        for a in range(n):
-            if self.trivial_part >> a & 1:
-                tables.append(None)
-                continue
-            single = [
-                (1 << op[a][y]) | (1 << inv_op[a][y]) | (1 << op[y][a]) | (1 << inv_op[y][a])
-                for y in range(n)
-            ]
-            per_chunk = []
-            for base in range(0, n, 8):
-                tab = [0]
-                for m in single[base:base + 8]:
-                    tab += [t | m for t in tab]
-                per_chunk.append(tab)
-            tables.append(per_chunk)
+        for base in range(0, n, 8):
+            tab = [0]
+            for m in single[base:base + 8]:
+                tab += [t | m for t in tab]
+            tables.append(tab)
         self._tables = tables
         return tables
+
+    def packed_image(self, mask: int) -> int:
+        """The packed image of `mask`: field a (bits a*n..a*n+n-1) holds the
+        products and inverse products of a with the elements of `mask`, both
+        ways, for each a outside `trivial_part` (0 for a in it).  One lookup
+        per chunk of 8 elements, ORed."""
+        img = 0
+        for tab in self._merged_tables():
+            if not mask:
+                break
+            byte = mask & 255
+            if byte:
+                img |= tab[byte]
+            mask >>= 8
+        return img
 
     def closure(self, seed: int, closed: int = 0, stop: int = 0) -> int:
         """Smallest subrack containing the bitmask `seed` (closed under the
         operation and its inverse, both arguments).
 
-        The work list holds the elements whose pairs may add something.  The
-        merged tables cover both argument orders and both inverses, so the
-        elements of `closed`, a subrack already inside `seed`, start off it,
-        and the elements of `trivial_part` never join it: a product or
-        inverse product with one of them is its second argument.
+        `closed` is a subset of the seed whose pairwise products and inverse
+        products already lie in the seed; a subrack inside `seed` is one.
+        The closure works in rounds on a work list, at first the seed
+        outside `closed` and `trivial_part`.  A round takes the packed image
+        of the current set `res` (`packed_image`, one table lookup per
+        chunk of 8 elements), reads each work-list element's field of it
+        with one shift, and adds what those fields hold outside `res`; the
+        added elements are the next round's work list.  The fields hold
+        both argument orders and both inverses, so a pair of elements of
+        `res` with one on a work list is read in the last round that has one
+        of them on it, and the pairs no round reads need none: a pair inside
+        `closed` has its products in the seed, and a product or inverse
+        product with an element of `trivial_part` is its second argument.
+        The set is closed when a round adds nothing.
 
-        With `stop`, the closure returns as soon as it adds an element of
-        `stop`: the set it returns then lies between `seed` and the closure
-        and meets `stop` outside `seed`, but may not be a subrack.  It is the
-        full closure whenever that adds no element of `stop`.
+        With `stop`, the closure returns at the end of the first round that
+        adds an element of `stop`: the set it returns then lies between
+        `seed` and the closure and meets `stop` outside `seed`, but may not
+        be a subrack.  The closure only grows, so it returns early exactly
+        when the full closure meets `stop` outside `seed`, and otherwise
+        returns the full closure.
         """
         skip = self.trivial_part
         todo = seed & ~(closed | skip)
         if not todo:
             return seed
-        tables = self._merged_tables()
+        n = self.size
+        field = (1 << n) - 1
+        image = self.packed_image
         res = seed
         while todo:
-            low = todo & -todo
-            todo ^= low
-            ta = tables[low.bit_length() - 1]
+            img = image(res)
             add = 0
-            s = res
-            ci = 0
-            while s:
-                byte = s & 255
-                if byte:
-                    add |= ta[ci][byte]
-                s >>= 8
-                ci += 1
-            new = add & ~res
-            if new:
-                res |= new
-                if new & stop:
-                    return res
-                todo |= new & ~skip
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                add |= img >> n * (low.bit_length() - 1)
+            new = add & field & ~res
+            if not new:
+                break
+            res |= new
+            if new & stop:
+                return res
+            todo = new & ~skip
         return res
 
     def is_closed(self, mask: int) -> bool:

@@ -8,8 +8,10 @@ scripts in `tools/` clear it, run one build, walk, command or check, and read
 it.  The counts, by the stage that adds them:
 
 - `lattice._lindig_walk`: `closures` (calls of `Rack.closure`),
-  `stopped_closures` (the rejected ones, which stopped early), `nodes` (the
-  nodes of the levels it reached) and `covers`, once per walk: for
+  `stopped_closures` (the rejected calls, which stopped early),
+  `first_step_rejects` (the outside elements rejected on their first
+  closure step, read off the node's packed image, with no call), `nodes`
+  (the nodes of the levels it reached) and `covers`, once per walk: for
   `enumerate_subracks`'s walk of L(R - T) and, when T is not empty, for
   `ProductLattice.expand`'s walk of all of R;
 - `lattice.product_decomposition_check`: `oracle_walks` and `oracle_nodes`,

@@ -4,9 +4,16 @@ import itertools
 from functools import reduce
 from operator import or_
 
+import pytest
+
 from racklab.bitsets import bit_list, mask_of
 from racklab.groups import FiniteGroup
-from racklab.lattice import DEFAULT_NODE_BUDGET, SubrackLattice, enumerate_subracks
+from racklab.lattice import (
+    DEFAULT_NODE_BUDGET,
+    ProductLattice,
+    SubrackLattice,
+    enumerate_subracks,
+)
 from racklab.racks import Rack, rack_from_spec
 
 
@@ -19,6 +26,24 @@ def full_lattice(
     if isinstance(rack, str):
         rack = rack_from_spec(rack, **spec_options)
     return enumerate_subracks(rack, node_budget).expand()
+
+
+@pytest.fixture(scope="session")
+def expansion():
+    """`expansion(spec)` is (L, E): L = `enumerate_subracks` of the rack of
+    `spec` (max order 360) and E = `L.expand()`, its lemma-free walk, each
+    built once per test session.  `test_product_expansion` and
+    `test_central_factor` compare the same expansions with their oracles;
+    no test may modify them."""
+    cache: dict[str, tuple[ProductLattice, SubrackLattice]] = {}
+
+    def get(spec: str) -> tuple[ProductLattice, SubrackLattice]:
+        if spec not in cache:
+            L = enumerate_subracks(rack_from_spec(spec, max_order=360))
+            cache[spec] = L, L.expand()
+        return cache[spec]
+
+    return get
 
 
 def brute_force_subgroups(G: FiniteGroup) -> list[int]:

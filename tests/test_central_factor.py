@@ -43,7 +43,7 @@ def computed():
 _ORACLE: dict[tuple, dict] = {}
 
 
-def _on_the_full_lattice(spec):
+def _on_the_full_lattice(spec, expansion):
     """The oracle: graded, Boolean, coatoms, Int(L) and the M-set of the full
     lattice, with the M-set as sorted group masks.  It runs once per
     distinct (rack table, class masks), and each spec gets its key's values.
@@ -63,7 +63,7 @@ def _on_the_full_lattice(spec):
     key = (rack.op, cd.classes)
     if key in _ORACLE:
         return _ORACLE[key]
-    L = full_lattice(rack)
+    _, L = expansion(spec)
     full = (1 << G.order) - 1
     ints = int_lattice(L)
     _ORACLE[key] = {
@@ -80,8 +80,8 @@ def _on_the_full_lattice(spec):
 
 
 @pytest.mark.parametrize("spec", catalog.CATALOG)
-def test_factor_derived_values_equal_the_full_lattice(spec, computed):
-    want = _on_the_full_lattice(spec)
+def test_factor_derived_values_equal_the_full_lattice(spec, computed, expansion):
+    want = _on_the_full_lattice(spec, expansion)
     assert computed["graded-classification"][spec] == want["graded"]
     assert computed["boolean-iff-abelian"][spec]["boolean"] == want["boolean"]
     assert computed["coatom-int-structure"][spec] == {
@@ -96,8 +96,8 @@ def test_factor_derived_values_equal_the_full_lattice(spec, computed):
 
 
 @pytest.mark.parametrize("spec", sorted(catalog.CHAIN_WITNESSES))
-def test_factor_chain_lengths_equal_the_full_lattice(spec, computed):
-    full = all_maximal_chain_lengths(full_lattice(spec))
+def test_factor_chain_lengths_equal_the_full_lattice(spec, computed, expansion):
+    full = all_maximal_chain_lengths(expansion(spec)[1])
     assert computed["maxsg-chains"][spec] == list(full)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from functools import lru_cache, reduce
 from operator import and_, or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from conftest import all_maximal_chains, full_lattice
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.catalog import CATALOG, CENTRAL_CATALOG, analyze_group
 from racklab.groups import (
+    DEFAULT_MAX_ORDER,
     all_subgroups,
     build_group,
     conjugacy_classes,
@@ -48,6 +50,10 @@ from racklab.lattice import (
 )
 from racklab.racks import Rack, conjugation_rack, rack_from_spec, validate_rack
 from racklab.topology import order_complex, reduced_homology
+from racklab.work import ledger
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import jobs  # noqa: E402  perfbench's job lists
 
 SMALL_RACKS = [
     "S3", "S4:cycles(4)", "D8", "Q8", "D8:noncentral", "D10", "A4", "Z6",
@@ -173,6 +179,77 @@ def test_walk_with_its_t_covers_matches_bruteforce(spec):
     sets, covers = _walk_lattice(rack)
     assert sets == brute_force_subracks(rack)
     assert covers == brute_force_covers(sets)
+
+
+def _reference_walk(rack, top):
+    """Test oracle for `_lindig_walk`: the same walk with one full
+    `Rack.closure` of s + x per outside element x of each node, with no
+    first-step test, no `closed` seed and no `stop`.  Returns the walk's
+    (s, row, tmask) triples and the count of rejected elements."""
+    trivial = rack.trivial_part
+    levels = [set() for _ in range(top.bit_count() + 2)]
+    levels[0].add(0)
+    triples, rejected = [], 0
+    for k in range(top.bit_count() + 1):
+        for s in sorted(levels[k]):
+            mins = top & ~s
+            tmask = mins & trivial
+            row = []
+            for x in bits(mins ^ tmask):
+                b = rack.closure(s | 1 << x)
+                if b & ~s & ~(1 << x) & mins:
+                    mins &= ~(1 << x)
+                    rejected += 1
+                    continue
+                levels[b.bit_count()].add(b)
+                row.append(b)
+            high = (s & trivial).bit_length()
+            for t in bits(tmask >> high << high):
+                levels[k + 1].add(s | 1 << t)
+            triples.append((s, row, tmask))
+    return triples, rejected
+
+
+def _workload_racks(workload):
+    """(spec, rack) of every alternate of every job of a perfbench workload."""
+    out = []
+    for slot in jobs.WORKLOADS[workload]:
+        for argv in slot:
+            max_order = int(argv[3]) if "--max-order" in argv else DEFAULT_MAX_ORDER
+            out.append((argv[1], rack_from_spec(argv[1], max_order=max_order)))
+    return out
+
+
+def _walk_cases():
+    """(id, rack, top): every factor L(R - T) of the `lattice` workload,
+    every `CENTRAL_CATALOG` rack whole and the class racks of the
+    `homology` workload whole."""
+    cases = [(f"factor-{spec}", rack, rack.full_mask() & ~rack.trivial_part)
+             for spec, rack in _workload_racks("lattice")]
+    whole = [(spec, rack_from_spec(spec)) for spec in CENTRAL_CATALOG]
+    whole += [(spec, rack) for spec, rack in _workload_racks("homology") if ":" in spec]
+    cases += [(f"whole-{spec}", rack, rack.full_mask()) for spec, rack in whole]
+    # not a quandle, so x > x != x: 0..4 act by (0 1)(2 3 4), 5 and 6 are T
+    sigma = [1, 0, 3, 4, 2, 5, 6]
+    shift = validate_rack([sigma] * 5 + [list(range(7))] * 2, provenance="shift")
+    assert shift.trivial_part == 0b1100000
+    return cases + [("whole-shift", shift, shift.full_mask())]
+
+
+WALK_CASES = _walk_cases()
+
+
+@pytest.mark.parametrize("rack,top", [case[1:] for case in WALK_CASES],
+                         ids=[case[0] for case in WALK_CASES])
+def test_walk_equals_the_reference_walk_of_full_closures(rack, top):
+    # the first-step test and the seeded, stopping closure reject exactly
+    # the elements that full closures reject, and emit the same rows
+    ledger.clear()
+    walk = list(_lindig_walk(rack, DEFAULT_NODE_BUDGET, top))
+    want, rejected = _reference_walk(rack, top)
+    assert walk == want
+    assert ledger["first_step_rejects"] + ledger["stopped_closures"] == rejected
+    assert ledger["closures"] - ledger["stopped_closures"] == sum(len(row) for _, row, _ in walk)
 
 
 @settings(deadline=None, max_examples=200)

@@ -82,13 +82,11 @@ def _product_of_factor(rack, P):
 @pytest.mark.parametrize(
     "spec", sorted(set(catalog.CATALOG + LATTICE_WORKLOAD + TRIVIAL_RACKS) | set(SMALL_RACKS))
 )
-def test_expansion_equals_lemma_free_enumeration(spec):
+def test_expansion_equals_lemma_free_enumeration(spec, expansion):
     # the lemma's product of the factor, against expand(), which enumerates
     # the whole rack without the lemma
-    rack = rack_from_spec(spec, max_order=360)
-    L = enumerate_subracks(rack)
-    sets, rows = _product_of_factor(rack, L.factor)
-    E = L.expand()
+    L, E = expansion(spec)
+    sets, rows = _product_of_factor(L.rack, L.factor)
     assert E.sets == sets
     assert [sorted(E.sets[p] for p in E.parents(v)) for v in range(E.n)] == rows
 
@@ -134,9 +132,14 @@ def test_closure_with_scattered_trivial_part_equals_forward_closure(seed):
 
 
 def test_closure_builds_no_tables_for_the_trivial_part():
+    # the packed table's fields of T are empty in every entry, and every
+    # other element's field is filled in some entry
     rack = rack_from_spec("D8xZ3")
-    tables = rack._merged_tables()
-    assert [a for a, tab in enumerate(tables) if tab is None] == bit_list(rack.trivial_part)
+    n = rack.size
+    field = (1 << n) - 1
+    entries = [packed for tab in rack._merged_tables() for packed in tab]
+    empty = [a for a in range(n) if not any(packed >> n * a & field for packed in entries)]
+    assert empty == bit_list(rack.trivial_part)
 
 
 @pytest.mark.parametrize("spec", sorted(EXPORT_SHA256))
@@ -179,14 +182,12 @@ PRODUCT_RULE_EXTRAS = ("S4:cycles(4)", "S3", "Z4xZ2xZ2", "Z1", "Z4:noncentral")
 @pytest.mark.parametrize(
     "spec", sorted(set(catalog.CATALOG + LATTICE_WORKLOAD + PRODUCT_RULE_EXTRAS))
 )
-def test_product_statistics_equal_the_materialised_lattice(spec):
-    rack = rack_from_spec(spec, max_order=360)
-    L = enumerate_subracks(rack)
+def test_product_statistics_equal_the_materialised_lattice(spec, expansion):
+    L, E = expansion(spec)
     P, t = L.product_form()
-    assert t == rack.trivial_part.bit_count()
+    assert t == L.rack.trivial_part.bit_count()
     stats = product_statistics(P, t)
     assert (stats.nodes, stats.cover_edges) == (L.n, L.edge_count())
-    E = L.expand()
     assert (stats.nodes, stats.cover_edges) == (len(E.sets), len(E._pflat))
     assert stats.lengths == all_maximal_chain_lengths(E)
     assert stats.graded == (len(stats.lengths) == 1)
@@ -265,8 +266,8 @@ def test_factor_run_fails_fast(monkeypatch):
     assert factor_errors == [(18, 679, 679)]
 
 
-def test_lattice_command_never_builds_lower_cover_rows(capsys):
-    L = full_lattice("Z4xZ2xZ2")
+def test_lattice_command_never_builds_lower_cover_rows(capsys, expansion):
+    _, L = expansion("Z4xZ2xZ2")
     assert all_maximal_chain_lengths(L) == (16,)
     assert len(atoms(L)) == len(coatoms(L)) == 16
     assert main(["lattice", "Z4xZ2xZ2"]) == 0

@@ -360,21 +360,21 @@ def test_merged_tables_equal_a_per_byte_union(spec):
     # three whole chunks with six trivial elements scattered among them
     rack = rack_from_spec(spec)
     n, op, inv_op = rack.size, rack.op, rack.inv_op
-    for a, chunks in enumerate(rack._merged_tables()):
-        if chunks is None:
-            assert rack.trivial_part >> a & 1
-            continue
-        assert len(chunks) == (n + 7) // 8
-        for c, tab in enumerate(chunks):
-            ys = range(8 * c, min(8 * c + 8, n))
-            assert len(tab) == 1 << len(ys)
-            for byte, image in enumerate(tab):
+    tables = rack._merged_tables()
+    assert len(tables) == (n + 7) // 8
+    for c, tab in enumerate(tables):
+        ys = range(8 * c, min(8 * c + 8, n))
+        assert len(tab) == 1 << len(ys)
+        for byte, packed in enumerate(tab):
+            assert packed >> n * n == 0, (c, byte)
+            for a in range(n):
                 expected = 0
-                for j, y in enumerate(ys):
-                    if byte >> j & 1:
-                        expected |= (1 << op[a][y]) | (1 << inv_op[a][y])
-                        expected |= (1 << op[y][a]) | (1 << inv_op[y][a])
-                assert image == expected, (a, c, byte)
+                if not rack.trivial_part >> a & 1:
+                    for j, y in enumerate(ys):
+                        if byte >> j & 1:
+                            expected |= (1 << op[a][y]) | (1 << inv_op[a][y])
+                            expected |= (1 << op[y][a]) | (1 << inv_op[y][a])
+                assert packed >> n * a & ((1 << n) - 1) == expected, (a, c, byte)
 
 
 _RACKS = [
@@ -436,6 +436,40 @@ def test_fixed_points_validate_as_racks(data):
     table = [[pos[rack.op[a][b]] for b in elems] for a in elems]
     restricted = validate_rack(table)
     assert restricted.size == len(elems)
+
+
+# 6, 13, 24 and 40 elements; D8xZ3's six trivial elements lie scattered
+# among its three chunks of 8
+_SIZED_RACKS = [
+    rack_from_spec("S3"),
+    rack_from_spec("D14:noncentral"),
+    rack_from_spec("D8xZ3"),
+    rack_from_spec("A6:cycles(3)", max_order=360),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_closure_with_closed_and_stop_equals_forward_closure(data):
+    rack = data.draw(st.sampled_from(_SIZED_RACKS))
+    elements = st.sets(st.integers(0, rack.size - 1), max_size=4).map(mask_of)
+    core, extra = data.draw(elements), data.draw(elements)
+    # `closed` may be any subset of the seed holding its own pairwise
+    # products and inverse products, as the walk's s + x does
+    pairs = mask_of(
+        v for a in bit_list(core) for b in bit_list(core)
+        for v in (rack.op[a][b], rack.inv_op[a][b])
+    )
+    seed = core | pairs | extra
+    closed = core if data.draw(st.booleans()) else 0
+    stop = data.draw(st.one_of(st.just(0), elements, st.integers(0, rack.full_mask())))
+    want = closure_forward_only(rack, seed)
+    got = rack.closure(seed, closed, stop)
+    if want & stop & ~seed:
+        assert got & seed == seed and got & want == got  # between seed and closure
+        assert got & stop & ~seed  # stopped on an added stop element
+    else:
+        assert got == want
 
 
 @settings(deadline=None, max_examples=100)

@@ -13,12 +13,14 @@ and center, and `product_decomposition_check` on them.  A factor row times
 `_lindig_subracks`.  Each is timed in process, min of 3 runs.  Next to the
 time go the work counters of the lemma-free enumeration of the row's rack
 (on a group row, the walk the oracle checks), which do not depend on the
-machine: nodes, covers, closure calls and stopped closures.  They come from
-what one more run of the walk, `_lindig_walk`, adds to
-`racklab.work.ledger`, without building the lattice.  Rows whose
+machine: nodes, covers, closure calls, stopped closures and first-step
+rejects.  They come from what one more run of the walk, `_lindig_walk`,
+adds to `racklab.work.ledger`, without building the lattice.  Rows whose
 racks have equal tables and equal tops, such as the five order-16 abelian
 groups, share one counted run, as `product-decomposition` shares one walk.
-A stopped closure is one that halted at the first element that ruled out a
+A first-step reject is an outside element the walk rejected on the first
+closure step, read off the node's packed image, with no closure call; a
+stopped closure is a call that halted at the first round that ruled out a
 cover, so the set was rejected.  Each row also records its size |top|,
 t = |T| and the node count of the full lattice, n' * 2^t on a factor row:
 the nodes `racklab lattice` reads its statistics off without building them.
@@ -54,32 +56,34 @@ def top_of(kind: str, full: racks.Rack) -> int:
 
 
 # counted walks by (rack table, top): racks with equal tables walk alike
-WALKS: dict[tuple, tuple[int, int, int, int]] = {}
+WALKS: dict[tuple, tuple[int, int, int, int, int]] = {}
 
 
-def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int]:
-    """(nodes, covers, closure calls, stopped closures) of one run of
-    `_lindig_walk` of `full` inside `top`.  The walk reads the rack only
-    through its tables, so it runs once per distinct (`full.op`, top)."""
+def counted_walk(full: racks.Rack, top: int) -> tuple[int, int, int, int, int]:
+    """(nodes, covers, closure calls, stopped closures, first-step rejects)
+    of one run of `_lindig_walk` of `full` inside `top`.  The walk reads the
+    rack only through its tables, so it runs once per distinct
+    (`full.op`, top)."""
     key = (full.op, top)
     if key not in WALKS:
         ledger.clear()
         for _ in lattice._lindig_walk(full, lattice.DEFAULT_NODE_BUDGET, top):
             pass
         WALKS[key] = (ledger["nodes"], ledger["covers"], ledger["closures"],
-                      ledger["stopped_closures"])
+                      ledger["stopped_closures"], ledger["first_step_rejects"])
     return WALKS[key]
 
 
 def counters(name: str, kind: str, full: racks.Rack) -> dict:
     """Every field of a row but its time, the walk's from `counted_walk`."""
     top = top_of(kind, full)
-    nodes, covers, calls, stopped = counted_walk(full, top)
+    nodes, covers, calls, stopped, first = counted_walk(full, top)
     t = full.trivial_part.bit_count()
     return {
         "rack": name, "kind": kind, "size": top.bit_count(), "trivial": t,
         "nodes": nodes, "full_nodes": nodes << t if kind == "factor" else nodes,
         "covers": covers, "closure_calls": calls, "stopped_closures": stopped,
+        "first_step_rejects": first,
     }
 
 
@@ -105,6 +109,7 @@ def main() -> int:
         print(f"{r['kind']:6s} {r['rack']:22s} nodes {r['nodes']:6d} of {r['full_nodes']:6d} "
               f"covers {r['covers']:7d} "
               f"closures {r['closure_calls']:6d} stopped {r['stopped_closures']:6d} "
+              f"first-step {r['first_step_rejects']:6d} "
               f"{r['seconds']:.4f} s")
     totals = {
         kind: round(sum(r["seconds"] for r in rows if r["kind"] == kind), 6)
