@@ -18,8 +18,8 @@ it.  The counts, by the stage that adds them:
   the nodes of the full lattice it checked;
 - `groups._table_group`: `direct_products`, the products evaluated one at
   a time, the order squared for every table;
-- `groups.FiniteGroup._validate`: `associativity_rows` (exhaustive check)
-  or `associativity_triples` (sampled check);
+- `groups.FiniteGroup._validate`: `associativity_rows`, the rows of its
+  generators that Light's test compares, n per generator;
 - `topology.order_complex`: `order_complexes`, the complexes it counted
   within the budget, listing no chain;
 - `topology.OrderComplex.simplices`: `simplices_built`, the chains listed on

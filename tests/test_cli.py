@@ -64,7 +64,7 @@ def test_cycle_class_over_the_cap_is_refused_before_any_table(capsys, spec, max_
     assert (rc, out) == (2, "")
     assert err == f"racklab: rack size {size} exceeds the enumeration cap 40\n"
     assert ledger["direct_products"] == 0
-    assert ledger["associativity_rows"] == ledger["associativity_triples"] == 0
+    assert ledger["associativity_rows"] == 0
 
 
 def test_lattice_z4(capsys):

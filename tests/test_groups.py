@@ -41,6 +41,7 @@ from racklab.groups import (
     spec_order,
     subgroup_closure_mask,
 )
+from racklab.work import ledger
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +222,95 @@ def test_permutation_table_matches_the_composition_oracle(spec):
 
 
 def _first_failing_triple(mul):
-    """Oracle: the first (a, b, c) in product order with (a b) c != a (b c)."""
+    """Oracle: the first (a, b, c) in product order with (a b) c != a (b c),
+    or None if the table is associative."""
     n = len(mul)
     return next(
-        (a, b, c)
-        for a, b, c in itertools.product(range(n), repeat=3)
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]
+        (
+            (a, b, c)
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]
+        ),
+        None,
     )
+
+
+def _swap_intercalate(mul, rows, cols):
+    """`mul` with the 2x2 subsquare at `rows` x `cols` swapped: each of the
+    two rows exchanges its entries in the two columns.  The subsquare must be
+    an intercalate (row r0 holds in its columns what r1 holds in reverse), so
+    the result is again a Latin square."""
+    (r0, r1), (c0, c1) = rows, cols
+    assert (mul[r0][c0], mul[r0][c1]) == (mul[r1][c1], mul[r1][c0])
+    out = [list(row) for row in mul]
+    for r in rows:
+        out[r][c0], out[r][c1] = out[r][c1], out[r][c0]
+    return out
 
 
 # Latin squares with identity 0 in which every element has a two-sided
 # inverse, but which are not associative.  Order 5 is the smallest such
 # order; in the order-6 square the first failing triple differs from the
 # first one in (b, a, c) order and from the last failing c of its (a, b).
+# The order-100 square is Z100 with one intercalate swapped; it fails first
+# at (1, 4, 48), where a sample of triples is unlikely to look.
 NONASSOCIATIVE_LOOPS = [
     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
     [
         [0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
         [3, 5, 4, 0, 2, 1], [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0],
     ],
+    _swap_intercalate([[(a + b) % 100 for b in range(100)] for a in range(100)], (5, 55), (48, 98)),
 ]
 
 
-@pytest.mark.parametrize("mul", NONASSOCIATIVE_LOOPS, ids=["order5", "order6"])
+@pytest.mark.parametrize("mul", NONASSOCIATIVE_LOOPS, ids=["order5", "order6", "order100"])
 def test_associativity_failure_names_the_first_triple(mul):
     a, b, c = _first_failing_triple(mul)
     labels = [str(i) for i in range(len(mul))]
     with pytest.raises(ValueError, match=re.escape(f"associativity fails at ({a}, {b}, {c})")):
         FiniteGroup("loop", mul, labels)
+
+
+def _random_intercalate(G, rng):
+    """Rows (x, y) and columns (u, v) of an intercalate of G's table that
+    holds no identity, for random x, u and a random involution z: y = z x
+    and v = y^-1 x u give y v = x u, and x y^-1 x = z^-1 x = y gives
+    x v = y u."""
+    mul, inv = G.mul, G.inv
+    involutions = [z for z in range(1, G.order) if mul[z][z] == 0]
+    while True:
+        z, x, u = rng.choice(involutions), rng.randrange(1, G.order), rng.randrange(1, G.order)
+        y = mul[z][x]
+        v = mul[mul[inv[y]][x]][u]
+        if 0 not in (y, v, mul[x][u], mul[x][v]):
+            return (x, y), (u, v)
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8", "S4", "Z4xZ2xZ2", "D50", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_associativity_test_agrees_with_the_brute_force_oracle(spec):
+    # tables of orders 8 to 64 with one intercalate swapped: the test on
+    # generators refuses exactly those in which the scan of every triple
+    # finds a failure, and names the same triple
+    G = build_group(spec)
+    labels = [str(i) for i in range(G.order)]
+    rng = random.Random(spec)
+    for _ in range(3):
+        mul = _swap_intercalate(G.mul, *_random_intercalate(G, rng))
+        triple = _first_failing_triple(mul)
+        if triple is None:
+            FiniteGroup("swapped", mul, labels)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"associativity fails at {triple}")):
+                FiniteGroup("swapped", mul, labels)
+
+
+@pytest.mark.parametrize("spec", list(TABLE_DIGESTS))
+def test_associativity_compares_at_most_n_log_n_rows(spec):
+    G = build_group(spec, max_order=360)
+    ledger.clear()
+    FiniteGroup(G.name, G.mul, G.labels)
+    assert ledger["associativity_rows"] <= G.order * (G.order.bit_length() - 1)
 
 
 @pytest.mark.parametrize(
@@ -264,8 +326,9 @@ def test_associativity_failure_names_the_first_triple(mul):
             [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
             "element 2 has no two-sided inverse",
         ),
+        ([], "the table is empty; a group has at least one element"),
     ],
-    ids=["ragged-short", "ragged-long", "no-identity", "one-sided-inverse"],
+    ids=["ragged-short", "ragged-long", "no-identity", "one-sided-inverse", "empty"],
 )
 def test_malformed_table_rejected(mul, message):
     with pytest.raises(ValueError, match=re.escape(message)):

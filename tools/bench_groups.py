@@ -13,10 +13,9 @@ build makes (a product's factors and the product itself):
 - `order`: the order of the group;
 - `direct_products`: the products evaluated one at a time, n^2 for a table
   of order n;
-- `associativity_rows`: the (a, b) rows the exhaustive associativity check
-  compares, n^2 for a table of order n <= 48;
-- `associativity_triples`: the triples the sampled check tests on a larger
-  table.
+- `associativity_rows`: the (a, b) rows Light's associativity test
+  compares, n |generators| for a table of order n, where the generators are
+  picked greedily and number at most log2 n.
 
 The rows under `racks` are the cycle-class racks of the `lattice` and
 `homology` workloads and of `racklab verify`.  Each records the time of
@@ -57,7 +56,7 @@ def counters(spec: str) -> dict:
     """Every field of a row but its time, from one build of `spec`."""
     ledger.clear()
     G = groups.build_group(spec, max_order=MAX_ORDER)
-    fields = ("direct_products", "associativity_rows", "associativity_triples")
+    fields = ("direct_products", "associativity_rows")
     return {"spec": spec, "order": G.order, **{f: ledger[f] for f in fields}}
 
 
@@ -74,10 +73,8 @@ def main() -> int:
     rack_rows = [benchkit.timed(rack_counters(spec), lambda: racks.rack_from_spec(spec, MAX_ORDER))
                  for spec in RACK_SPECS]
     for r in rows:
-        assoc = (f"{r['associativity_rows']:>6,d} rows" if r["associativity_rows"]
-                 else f"{r['associativity_triples']:>6,d} triples")
         print(f"{r['spec']:12s} order {r['order']:3d} direct {r['direct_products']:>7,d} "
-              f"assoc {assoc}  {r['seconds']:.4f} s")
+              f"assoc {r['associativity_rows']:>6,d} rows  {r['seconds']:.4f} s")
     for r in rack_rows:
         print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']}  "
               f"{r['seconds']:.4f} s")
