@@ -37,7 +37,6 @@ from .lattice import (
     closure_bar,
     int_lattice,
     is_boolean,
-    is_boolean_sets,
     compute_M,
     product_decomposition_check,
     export_lattice_lines,

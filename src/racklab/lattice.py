@@ -1,6 +1,6 @@
 """Subrack lattices: enumeration of all subracks of a finite rack, Hasse
 covers, and the lattice analytics built on them (gradedness, chain lengths,
-atoms/coatoms, Int(L), Boolean tests, the M-set, product decompositions).
+atoms/coatoms, Int(L), the Boolean count, the M-set, product decompositions).
 The analytics have no size guard of their own: each reads a lattice built
 under `RACK_CAP` and the node budget, or loaded from an export.
 
@@ -45,24 +45,17 @@ outside element not in T, each cover emitted exactly once).  Most outside
 elements generate a set that is not a cover, and the walk rejects each at
 the first element it adds that already rules the cover out: closures only
 grow, so the full closure would meet that element too, and the walk rejects
-exactly the sets it rejects with full closures.  The first closure step of
-s + x, for the node s (a subrack) and the outside element x, is the set of
-products and inverse products of x with s + x, both ways; the walk reads it
-for every x off one packed image of s per node (`Rack.packed_image`, the
-closure's own per-round lookup) plus x's products with itself, and rejects
-x with no closure call when that step meets an element that rules the cover
-out.  That is the rejection the closure's first round makes with `stop`:
-seeded with s + x and s closed, its work list is {x}, and field x of the
-image of s + x is that step.  Any other x gets one closure, seeded with s + x and its first
-step, with s + x as `closed`, so it starts from the second round and stops
-at the first round that rules the cover out.  The covers s + t, t in T,
-take no closure: the walk yields them as one mask of the t, and reaches
-each node through T from one lower cover only.  The walk yields each node
-with its closure covers as masks; the lattice builder adds the T covers,
-translates them to node ids in one pass at the end and sorts each row.
-The Hasse diagram is stored once, as compressed sparse rows of upper covers;
-every analytic reads those rows, and the lower covers of a node are read off
-the rows of the nodes below it.
+exactly the sets it rejects with full closures.  The walk reads the first
+closure step of s + x for every x off one packed image of s per node
+(`Rack.packed_image`), and calls `Rack.closure` only for an x whose step
+neither rules the cover out nor lies inside s + x (see `_lindig_walk`).
+The covers s + t, t in T, take no closure: the walk yields them as one
+mask of the t, and reaches each node through T from one lower cover only.
+The walk yields each node with its closure covers as masks; the lattice
+builder adds the T covers, translates them to node ids in one pass at the
+end and sorts each row.  The Hasse diagram is stored once, as compressed
+sparse rows of upper covers; every analytic reads those rows, and the lower
+covers of a node are read off the rows of the nodes below it.
 """
 
 from __future__ import annotations
@@ -341,7 +334,9 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     exactly the rejection `Rack.closure(s + x, s, mins - x)` makes in its
     first round: its work list is {x}, since s is closed and the elements of
     T drop off it, and it reads field x of the image of s + x, the same set.
-    Otherwise the closure runs from the seed s + x + step, with s + x as
+    A step inside s + x makes s + x closed, and the cover, with no call
+    either: the closure would return its seed at once.  Otherwise the
+    closure runs from the seed s + x + step, with s + x as
     `closed`: every product and inverse product of two elements of s + x
     lies in that seed, so only the step's new elements are on its work list,
     and it goes on from its second round.
@@ -427,13 +422,15 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                         mins ^= bit
                         first += 1
                         continue
-                    calls += 1
-                    # positional: perfbench wraps closure as (*args)
-                    b = close(s | bit | step, s | bit, mins ^ bit)
-                    if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
-                        mins ^= bit
-                        stopped += 1
-                        continue
+                    b = s | bit
+                    if step & ~b:  # else s + x is closed: the cover, with no call
+                        calls += 1
+                        # positional: perfbench wraps closure as (*args)
+                        b = close(b | step, b, mins ^ bit)
+                        if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                            mins ^= bit
+                            stopped += 1
+                            continue
                     levels[b.bit_count()].add(b)
                     push(b)
                 # the T covers above the highest element of T in s
@@ -481,10 +478,29 @@ def iter_closed_sets_lectic(rack: Rack) -> Iterator[int]:
 
 
 def brute_force_subracks(rack: Rack) -> list[int]:
-    """Independent oracle: scan all subsets with `Rack.is_closed`, which reads
-    the tables directly and shares no code with the closure (sizes <= ~20
-    only)."""
-    out = [m for m in range(1 << rack.size) if rack.is_closed(m)]
+    """Independent oracle: a scan of the subsets that reads `op` and
+    `inv_op` directly and shares no code with the closure.  It adds the
+    elements in ascending order and carries `need`, the products and
+    inverse products of every pair added so far, both ways; a set is a
+    subrack exactly when `need` lies inside it.  Later steps add only larger
+    elements, so a branch whose `need` misses an element below the last one
+    added is never closed, and is dropped."""
+    op, inv = rack.op, rack.inv_op
+    n = rack.size
+    pair = [[1 << op[a][b] | 1 << op[b][a] | 1 << inv[a][b] | 1 << inv[b][a]
+             for b in range(n)] for a in range(n)]
+    out, stack = [], [(0, 0, 0)]  # (set, need, its least addable element)
+    while stack:
+        s, need, lo = stack.pop()
+        if not need & ~s:
+            out.append(s)
+        for x in range(lo, n):
+            t, row = s | 1 << x, pair[x]
+            more = need
+            for a in bits(t):
+                more |= row[a]
+            if not more & ~t & (2 << x) - 1:  # nothing up to x is missing
+                stack.append((t, more, x + 1))
     return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
@@ -604,7 +620,7 @@ def _union_find_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# closure to class unions, Int(L), Boolean tests
+# closure to class unions, Int(L), the Boolean count
 
 
 def closure_bar(classes: Sequence[int], mask: int) -> int:
@@ -636,43 +652,24 @@ def int_lattice(L: SubrackLattice) -> list[int]:
     return sorted(_meet_closure(L.sets[-1], coat), key=lambda s: (s.bit_count(), s))
 
 
-def is_boolean_sets(elements: Iterable[int]) -> bool:
-    """Is this family of sets, ordered by inclusion, a Boolean algebra 2^[k]?
-
-    The k atoms are the minimal sets above the bottom; the signature of a set
-    is the bit set of the atoms it contains.  The family is 2^[k] exactly when
-    the signature map is a bijection onto 2^[k] whose inverse `sigs` keeps
-    inclusion (the map itself keeps it by definition).  It suffices to test
-    the covers of 2^[k], sigs[s] <= sigs[s + {i}] for every i not in s: if
-    s <= t, adding the bits of t - s one at a time is a chain of covers from
-    s to t, and inclusion is transitive along it, so sigs[s] <= sigs[t].
-    """
-    elems = sorted(set(elements), key=lambda s: (s.bit_count(), s))
-    if not elems:
-        return False
-    bottom = elems[0]
-    if any(e & bottom != bottom for e in elems):
-        return False
-    atom_sets: list[int] = []
-    for e in elems[1:]:
-        if not any(a & e == a for a in atom_sets):
-            atom_sets.append(e)
-    k = len(atom_sets)
-    if len(elems) != 1 << k:
-        return False
-    sigs = {sum(1 << i for i, a in enumerate(atom_sets) if a & e == a): e for e in elems}
-    if len(sigs) != 1 << k:  # 2^k sets with 2^k signatures: a bijection
-        return False
-    return all(
-        sigs[s] & sigs[s | 1 << i] == sigs[s]
-        for s in range(1 << k)
-        for i in range(k)
-        if not s >> i & 1
-    )
-
-
 def is_boolean(L: SubrackLattice) -> bool:
-    return is_boolean_sets(L.sets)
+    """Is L Boolean?  Exactly when L.n = 2^c = |Int(L)|, c = len(coatoms(L)).
+
+    Proof.  Let C be an antichain of sets strictly below a top, and F its
+    meet-closure: the images of S -> top & (the meet of S) over the subsets
+    S of C.  The map is onto F and reverses inclusion.  C is exactly the set
+    of F's coatoms: each member of F but the top lies inside some c' in C,
+    and one strictly between c in C and the top would give c < c'.  An
+    injective map also reflects inclusion (f(S) <= f(S') gives
+    f(S | S') = f(S), so S' <= S), and then F is anti-isomorphic to 2^C;
+    a Boolean F with |C| coatoms has 2^|C| members.  So F is Boolean exactly
+    when |F| = 2^|C|, the count that `compute_M` and `coatom-int-structure`
+    read.  In a lattice of sets closed under intersection, as every subrack
+    lattice is, Int(L) is that F for L's coatoms and lies inside L, so
+    |L| = |Int(L)| makes L = Int(L); and a Boolean L is the meet-closure of
+    its coatoms.  So L is Boolean exactly when |L| = |Int(L)| = 2^c.
+    """
+    return L.n == 1 << len(coatoms(L)) and len(int_lattice(L)) == L.n
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +700,8 @@ class MReport:
 def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
     """All nodes satisfying the four conditions: not closed; unique cover equal
     to the class-union closure; everything above that closure closed; the
-    coatom-meet lattice of [bottom, closure] not Boolean.
+    coatom-meet lattice of [bottom, closure] not Boolean, that is, fewer than
+    2^k distinct meets of its k coatoms (see `is_boolean`).
 
     `classes` are masks that partition the top set of L: the conjugacy
     classes of G on the full group lattice, or the non-central classes on
@@ -739,7 +737,7 @@ def compute_M(L: SubrackLattice, classes: Sequence[int]) -> MReport:
             coat = [sets[c] for c in L.children(pars[0])]  # pars[0] is bar's node
             above[bar] = (
                 not any(u & bar == bar for u in unclosed),
-                not is_boolean_sets(_meet_closure(bar, coat)),
+                len(_meet_closure(bar, coat)) != 1 << len(coat),
             )
         entries.append(MEntry(v, s, *above[bar]))
     members = tuple(e.node for e in entries if e.member)

@@ -181,6 +181,8 @@ class Rack:
         return res
 
     def is_closed(self, mask: int) -> bool:
+        """Every product and inverse product of two members lies in `mask`:
+        the tests' exhaustive reference for `lattice.brute_force_subracks`."""
         op, inv_op = self.op, self.inv_op
         elems = bit_list(mask)
         for a in elems:

@@ -41,7 +41,6 @@ from .lattice import (
     enumerate_subracks,
     int_lattice,
     is_boolean,
-    is_boolean_sets,
     iter_closed_sets_lectic,
     product_decomposition_check,
     product_statistics,
@@ -237,13 +236,13 @@ def check_maxsg_chains(spec, cfg):
 @_each
 def check_coatom_int_structure(spec, cfg):
     # the coatoms of P x 2^Z are (coatom of P) + Z and G - {z} for z in Z, and
-    # Int(P x 2^Z) = Int(P) x 2^Z
+    # Int(P x 2^Z) = Int(P) x 2^Z, Boolean when P's k coatoms have 2^k meets
     a = catalog.analyze_group(spec, cfg.node_budget)
     P = a.factor
     got = sorted(P.sets[v] for v in coatoms(P))
     coatoms_ok = got == sorted(P.sets[-1] & ~c for c in a.classes)
     ints = int_lattice(P)
-    int_ok = len(ints) == 2 ** len(a.classes) and is_boolean_sets(ints)
+    int_ok = len(ints) == 1 << len(a.classes) == 1 << len(got)
     computed = {
         "coatoms_ok": coatoms_ok,
         "int_size": len(ints) << a.center.bit_count(),

@@ -7,7 +7,8 @@ per walk, so no hot loop pays for it.  No report reads the ledger; the
 scripts in `tools/` clear it, run one build, walk, command or check, and read
 it.  The counts, by the stage that adds them:
 
-- `lattice._lindig_walk`: `closures` (calls of `Rack.closure`),
+- `lattice._lindig_walk`: `closures` (calls of `Rack.closure`; none when
+  the first closure step adds nothing to s + x, which is then the cover),
   `stopped_closures` (the rejected calls, which stopped early),
   `first_step_rejects` (the outside elements rejected on their first
   closure step, read off the node's packed image, with no call), `nodes`

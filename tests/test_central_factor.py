@@ -23,7 +23,6 @@ from racklab.lattice import (
     enumerate_subracks,
     int_lattice,
     is_boolean,
-    is_boolean_sets,
 )
 from racklab.racks import Rack, conjugation_rack, rack_from_spec
 
@@ -73,7 +72,8 @@ def _on_the_full_lattice(spec, expansion):
             sorted(L.sets[v] for v in coatoms(L)) == sorted(full & ~c for c in cd.classes)
         ),
         "int_size": len(ints),
-        "int_boolean": len(ints) == 2 ** len(cd.classes) and is_boolean_sets(ints),
+        # Int(L) is Boolean exactly when L's c coatoms have 2^c meets
+        "int_boolean": len(ints) == 2 ** len(cd.classes) == 2 ** len(coatoms(L)),
         "m_sets": sorted(L.sets[v] for v in compute_M(L, cd.classes).members),
     }
     return _ORACLE[key]

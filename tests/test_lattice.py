@@ -31,6 +31,7 @@ from racklab.lattice import (
     _csr_from_edges,
     _lindig_subracks,
     _lindig_walk,
+    _meet_closure,
     all_maximal_chain_lengths,
     atoms,
     brute_force_covers,
@@ -43,7 +44,6 @@ from racklab.lattice import (
     export_lattice_text,
     int_lattice,
     is_boolean,
-    is_boolean_sets,
     iter_closed_sets_lectic,
     load_lattice_export,
     product_decomposition_check,
@@ -149,6 +149,39 @@ def _dihedral_quandle_with_two_fixed_points(labels=None):
     return validate_rack(table, labels=labels, provenance="R3+2")
 
 
+def _shift_rack():
+    """Not a quandle, so x > x != x: 0..4 act by (0 1)(2 3 4), 5 and 6 are T."""
+    sigma = [1, 0, 3, 4, 2, 5, 6]
+    return validate_rack([sigma] * 5 + [list(range(7))] * 2, provenance="shift")
+
+
+def _closed_subsets(rack):
+    """The exhaustive reference for `brute_force_subracks`' pruned scan:
+    every subset that `Rack.is_closed` accepts, in (popcount, value) order."""
+    closed = (m for m in range(1 << rack.size) if rack.is_closed(m))
+    return sorted(closed, key=lambda m: (m.bit_count(), m))
+
+
+def _scan_cases():
+    """(id, rack) of every rack of at most 12 elements that the tests compare
+    with the subset scan: the CATALOG groups and their non-central racks,
+    the small class racks, and two racks that are not group racks."""
+    specs = sorted(set(CATALOG) | {s + ":noncentral" for s in CATALOG} | set(SMALL_RACKS)
+                   | {"D12:noncentral"})
+    racks = [(spec, rack_from_spec(spec)) for spec in specs]
+    racks += [("shift", _shift_rack()), ("R3+2", _dihedral_quandle_with_two_fixed_points())]
+    return [(name, rack) for name, rack in racks if rack.size <= 12]
+
+
+SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("rack", [case[1] for case in SCAN_CASES],
+                         ids=[case[0] for case in SCAN_CASES])
+def test_pruned_subset_scan_equals_the_exhaustive_scan(rack):
+    assert brute_force_subracks(rack) == _closed_subsets(rack)
+
+
 def _walk_lattice(rack):
     """The sets and (child, parent) covers of `_lindig_walk` of the whole
     rack, each row with its T covers s + t, t in `tmask`, checking every
@@ -229,9 +262,7 @@ def _walk_cases():
     whole = [(spec, rack_from_spec(spec)) for spec in CENTRAL_CATALOG]
     whole += [(spec, rack) for spec, rack in _workload_racks("homology") if ":" in spec]
     cases += [(f"whole-{spec}", rack, rack.full_mask()) for spec, rack in whole]
-    # not a quandle, so x > x != x: 0..4 act by (0 1)(2 3 4), 5 and 6 are T
-    sigma = [1, 0, 3, 4, 2, 5, 6]
-    shift = validate_rack([sigma] * 5 + [list(range(7))] * 2, provenance="shift")
+    shift = _shift_rack()
     assert shift.trivial_part == 0b1100000
     return cases + [("whole-shift", shift, shift.full_mask())]
 
@@ -249,7 +280,9 @@ def test_walk_equals_the_reference_walk_of_full_closures(rack, top):
     want, rejected = _reference_walk(rack, top)
     assert walk == want
     assert ledger["first_step_rejects"] + ledger["stopped_closures"] == rejected
-    assert ledger["closures"] - ledger["stopped_closures"] == sum(len(row) for _, row, _ in walk)
+    # a cover s + x, closed as it stands, takes no call
+    grown = sum((b & ~s).bit_count() > 1 for s, row, _ in walk for b in row)
+    assert ledger["closures"] - ledger["stopped_closures"] == grown
 
 
 @settings(deadline=None, max_examples=200)
@@ -508,47 +541,6 @@ def test_closure_bar():
     assert closure_bar(cd.classes, s) == want
 
 
-def test_int_lattice_of_group_lattices():
-    for spec in ["S3", "D8", "S4"]:
-        G = build_group(spec)
-        cd = conjugacy_classes(G)
-        lat = full_lattice(conjugation_rack(G))
-        ints = int_lattice(lat)
-        assert len(ints) == 2 ** len(cd.classes)
-        assert is_boolean_sets(ints)
-        # Int consists exactly of the unions of conjugacy classes
-        unions = {0}
-        for c in cd.classes:
-            unions |= {u | c for u in unions}
-        assert set(ints) == unions
-
-
-def test_int_of_four_cycle_lattice_not_boolean():
-    lat = full_lattice("S4:cycles(4)")
-    ints = int_lattice(lat)
-    assert len(ints) == 5
-    assert not is_boolean_sets(ints)
-
-
-def test_is_boolean_sets_cases():
-    # the subsets of a 3-set
-    cube = [m for m in range(8)]
-    assert is_boolean_sets(cube)
-    # a chain of length 3 is not Boolean
-    assert not is_boolean_sets([0, 1, 3])
-    # an abstract square whose top is bigger than the union of its atoms
-    assert is_boolean_sets([0, 1, 2, 7])
-    # five elements can never be Boolean
-    assert not is_boolean_sets([0, 1, 2, 3, 7])
-
-
-def test_is_boolean_sets_needs_signatures_to_keep_inclusion():
-    # the signatures over the atoms {1}, {2}, {3} biject onto 2^3, but
-    # {1,2,9} is not inside {1,2,3,8}
-    family = [[], [1], [2], [3], [1, 2, 9], [1, 3], [2, 3], [1, 2, 3, 8]]
-    assert not is_boolean_sets(mask_of(s) for s in family)
-
-
 def _boolean_by_pairs(family) -> bool:
     """Oracle: the signature map over the atoms is a bijection onto 2^k and
     reflects inclusion on every pair of sets."""
@@ -564,6 +556,47 @@ def _boolean_by_pairs(family) -> bool:
     if len(elems) != 1 << len(atom_sets) or len(set(sig.values())) != len(elems):
         return False
     return all((sig[x] & sig[y] == sig[x]) == (x & y == x) for x in elems for y in elems)
+
+
+def _lattice_of(family) -> SubrackLattice:
+    """A family of distinct sets closed under intersection, with a top, as a
+    lattice ordered by inclusion, its covers by definition."""
+    sets = sorted(set(family), key=lambda s: (s.bit_count(), s))
+    return SubrackLattice(sets, *_csr_from_edges(len(sets), brute_force_covers(sets)), (), None)
+
+
+def test_int_lattice_of_group_lattices():
+    for spec in ["S3", "D8", "S4"]:
+        G = build_group(spec)
+        cd = conjugacy_classes(G)
+        lat = full_lattice(conjugation_rack(G))
+        ints = int_lattice(lat)
+        # Boolean by the count: the c coatoms have 2^c distinct meets
+        assert len(ints) == 2 ** len(cd.classes) == 2 ** len(coatoms(lat))
+        assert _boolean_by_pairs(ints)
+        # Int consists exactly of the unions of conjugacy classes
+        unions = {0}
+        for c in cd.classes:
+            unions |= {u | c for u in unions}
+        assert set(ints) == unions
+
+
+def test_int_of_four_cycle_lattice_not_boolean():
+    lat = full_lattice("S4:cycles(4)")
+    ints = int_lattice(lat)
+    assert len(ints) == 5 != 2 ** len(coatoms(lat))
+    assert not _boolean_by_pairs(ints)
+
+
+def test_is_boolean_cases():
+    # the subsets of a 3-set
+    assert is_boolean(_lattice_of(range(8)))
+    # a chain of length 3 is not Boolean
+    assert not is_boolean(_lattice_of([0, 1, 3]))
+    # a square whose top is bigger than the union of its atoms
+    assert is_boolean(_lattice_of([0, 1, 2, 7]))
+    # five elements can never be Boolean
+    assert not is_boolean(_lattice_of([0, 1, 2, 3, 7]))
 
 
 @st.composite
@@ -588,8 +621,71 @@ def near_boolean_families(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(near_boolean_families(), st.lists(st.integers(0, 63), max_size=9)))
-def test_is_boolean_sets_matches_the_pairwise_definition(family):
-    assert is_boolean_sets(family) == _boolean_by_pairs(family)
+def test_is_boolean_matches_the_pairwise_definition(family):
+    # is_boolean reads lattices closed under intersection, as subrack
+    # lattices are: the family's meet-closure below its union
+    closed = _meet_closure(reduce(or_, family, 0), family)
+    assert is_boolean(_lattice_of(closed)) == _boolean_by_pairs(closed)
+
+
+@st.composite
+def coatoms_below_a_top(draw):
+    """(top, C): C an antichain of sets strictly below `top`, a set of at
+    most 8 elements, each member of C the top less a part of at most 4
+    elements; C's meets are distinct exactly when each part has an element
+    of the top that no other part has."""
+    top = 255 & ~mask_of(draw(st.sets(st.integers(0, 7), max_size=2)))
+    parts = draw(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=7))
+    below = {top & ~mask_of(r) for r in parts} - {top}
+    return top, [c for c in below if not any(c != u and c & u == c for u in below)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coatoms_below_a_top())
+def test_a_meet_closure_is_boolean_exactly_when_it_has_2_to_the_c_members(top_coat):
+    # the count that compute_M and coatom-int-structure read
+    top, coat = top_coat
+    closure = _meet_closure(top, coat)
+    rest = closure - {top}
+    assert {c for c in rest if not any(c != u and c & u == c for u in rest)} == set(coat)
+    assert (len(closure) == 1 << len(coat)) == _boolean_by_pairs(closure)
+    assert is_boolean(_lattice_of(closure)) == _boolean_by_pairs(closure)
+
+
+def _lower_sets(L):
+    """The node ids of each interval [0, v] of L, as one mask per v."""
+    down = [1 << v for v in range(L.n)]
+    for c in range(L.n):
+        for p in L.parents(c):
+            down[p] |= down[c]
+    return down
+
+
+# the expansions of the CATALOG groups with at most this many subracks: all
+# but S3xZ3, D8xZ2, Q8xZ2 and the abelian groups of order 10 and more, whose
+# intervals the pairwise definition, quadratic in their sizes, reads slowly
+COUNT_CHECK_NODES = 640
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_the_count_decides_every_interval(spec, expansion):
+    # on the factor P = L(G - Z) and, where it is small, on L(G): [0, v] is
+    # Boolean exactly when |[0, v]| = |Int([0, v])| = 2^c, and Int([0, v])
+    # exactly when it has 2^c members, c the number of coatoms of [0, v]
+    a = analyze_group(spec)
+    lattices = [a.factor]
+    if a.factor.n << a.center.bit_count() <= COUNT_CHECK_NODES:
+        lattices.append(expansion(spec)[1])
+    for L in lattices:
+        ints = int_lattice(L)
+        assert is_boolean(L) == _boolean_by_pairs(L.sets)
+        assert (len(ints) == 1 << len(coatoms(L))) == _boolean_by_pairs(ints)
+        for v, down in enumerate(_lower_sets(L)):
+            interval = [L.sets[u] for u in bits(down)]
+            coat = [L.sets[c] for c in L.children(v)]
+            ints = _meet_closure(L.sets[v], coat)
+            assert (len(ints) == 1 << len(coat)) == _boolean_by_pairs(ints)
+            assert (len(interval) == len(ints) == 1 << len(coat)) == _boolean_by_pairs(interval)
 
 
 def test_lattice_boolean_iff_abelian():

@@ -56,7 +56,7 @@ def test_the_ledger_counts_the_closures_of_every_lattice_job(argv):
 
 
 def test_the_ledger_counts_the_closures_of_a_traced_lattice_pass():
-    # perfbench's own traced pass; seed 1 makes 14,393 closure calls and
+    # perfbench's own traced pass; seed 1 makes 7,071 closure calls and
     # rejects 32,734 outside elements on their first step with no call
     result = {}
 
