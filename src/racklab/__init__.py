@@ -48,7 +48,7 @@ from .topology import (
     HomologyResult,
     order_complex,
     boundary_matrices,
-    smith_normal_form,
+    rank_and_torsion,
     reduced_homology,
 )
 from .partitions import (

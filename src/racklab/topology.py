@@ -22,20 +22,17 @@ included, up by one, so H~_i(L(R)) = H~_(i-t)(P), and the empty complex
 
 The budget still counts the simplices of L(R)'s complex, read off the chain
 counts of P.  Let b_k(Q) count the strict chains 0 = x_0 < ... < x_k = 1 of
-a bounded poset Q, so b_1 = 1 and b_(d+2) is the number of d-simplices.  A
-chain of k steps in P x 2^t projects to a chain of i steps in P and one of
-j steps in 2^t; each of its k steps moves the first coordinate, the second,
-or both.  The steps that move P are any i of the k (C(k, i) ways); the
-steps that move 2^t are the k - i others and i + j - k of those i
-(C(i, i + j - k) ways); and a chain of j steps in 2^t is an ordered
-partition of T into j blocks, j! * S(t, j) of them (S the Stirling numbers
-of the second kind).  So
+a bounded poset Q, so b_1 = 1 and b_(d+2) is the number of d-simplices.  In
+Q x 2 the second coordinate rises in exactly one step of such a chain.  A
+chain of k steps in Q x 2 is a chain of Q with k - 1 steps plus a step that
+raises only the second coordinate, or a chain of Q with k steps, one of
+which also raises it; either way that step has k places, so
 
-    b_k(P x 2^t) = sum over i, j of b_i(P) * j! S(t, j) * C(k, i) * C(i, i + j - k),
+    b_k(Q x 2) = k * (b_(k-1)(Q) + b_k(Q)),
 
-and b_k(P x 2^t) needs b_i(P) only for i <= k: the budget is tested after
-each dimension of P, as when the whole complex is counted.  For t = 0 the
-sum is b_k(P), the count of the complex itself.
+applied once per element of T.  b_k(P x 2^t) needs b_i(P) only for i <= k:
+the budget is tested after each dimension of P, as when the whole complex is
+counted.  For t = 0 it is b_k(P), the count of the complex itself.
 
 Homology first shrinks the complex by a strong collapse (`collapse_complex`
 gives the proof): an order complex is the clique complex of its poset's
@@ -65,7 +62,7 @@ magnitude.  It shares no code with the column reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Sequence
 
 from .bitsets import bit_list, bits
@@ -144,30 +141,14 @@ class OrderComplex:
         return not self.vertices
 
 
-def _surjections(t: int) -> list[int]:
-    """j! * S(t, j) for j = 0..t: the surjections of a t-set onto j ordered
-    blocks, F(t, j) = j * (F(t - 1, j - 1) + F(t - 1, j))."""
-    row = [1]
-    for _ in range(t):
-        row.append(0)
-        row = [0] + [j * (row[j - 1] + row[j]) for j in range(1, len(row))]
-    return row
-
-
-def _product_chains(chains: Sequence[int], surjections: Sequence[int], k: int) -> int:
+def _product_chains(chains: Sequence[int], t: int, k: int) -> int:
     """Strict bottom-to-top chains of k steps in P x 2^t, from the chains of
-    P with at most k steps (`chains[i]` has i steps) and `_surjections(t)`:
-    the sum over i and j of chains[i] * surjections[j] * C(k, i) *
-    C(i, i + j - k) (see the module docstring)."""
-    total = 0
-    for i in range(min(k, len(chains) - 1) + 1):
-        if chains[i]:
-            merges = sum(
-                surjections[j] * comb(i, i + j - k)
-                for j in range(k - i, min(k, len(surjections) - 1) + 1)
-            )
-            total += chains[i] * comb(k, i) * merges
-    return total
+    P with at most k steps (`chains[i]` has i steps): b_k(Q x 2) = k *
+    (b_(k-1)(Q) + b_k(Q)), applied t times (see the module docstring)."""
+    row = [chains[i] if i < len(chains) else 0 for i in range(k + 1)]
+    for _ in range(t):
+        row = [0] + [i * (row[i - 1] + row[i]) for i in range(1, k + 1)]
+    return row[k]
 
 
 def _up_sets(poset: CoverPoset) -> list[int]:
@@ -189,9 +170,10 @@ def _count_simplices(
 ) -> tuple[list[int], int, list[int], list[int]]:
     """(up-sets, shift, full counts, counts): the `_up_sets` of `poset`, the
     shift of its homology, the simplex counts of the order complex of
-    `poset` x 2^t, read off the chain counts of `poset`, and the simplex
-    counts of the complex of `poset` itself.  A one-node `poset` with t > 0
-    stands for 2 x 2^(t - 1), and 2 has no proper part.
+    `poset` x 2^t, read off the chain counts of `poset` one factor 2 at a
+    time (`_product_chains`), and the simplex counts of the complex of
+    `poset` itself.  A one-node `poset` with t > 0 stands for 2 x 2^(t - 1),
+    and 2 has no proper part.
 
     The running count is tested against the budget after every dimension d,
     which needs the chains of `poset` only through dimension d, so a budget
@@ -203,7 +185,6 @@ def _count_simplices(
             raise ValueError("order complex needs a poset with at least 2 elements")
         t -= 1
     above = _up_sets(poset)
-    surjections = _surjections(t)
     # chains[k]: strict bottom-to-top chains of `poset` with k steps, so
     # chains[d + 2] counts its d-simplices
     chains = [0, 1, len(above)]
@@ -214,7 +195,7 @@ def _count_simplices(
     total = 0
     dim = 0
     while True:
-        count = _product_chains(chains, surjections, dim + 2)
+        count = _product_chains(chains, t, dim + 2)
         if not count:
             # no chain of P x 2^t has dim + 2 steps, so none of P has: the
             # chains of P are all counted, and the last count is their first 0
@@ -436,28 +417,11 @@ def _invariant_factors(diag: Iterable[int]) -> tuple[int, ...]:
     return (1,) * (len(diag) - len(rest)) + tuple(rest)
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix given by its
-    dense rows; every row must have the length of the first and hold only
-    `int` entries, else `ValueError`.
-
-    Oracle entry point: no library code calls it.  It lets the tests check
-    the Smith normal form behind `rank_and_torsion` against sympy.  The rows
-    go to `_diagonalize` as the columns of the transpose."""
-    width = len(rows[0]) if rows else 0
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {width}")
-        for c, v in enumerate(row):
-            if not isinstance(v, int):
-                raise ValueError(f"entry ({r}, {c}) is not an int: {v!r}")
-    lines = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    return _invariant_factors(_diagonalize(lines))
-
-
 def rank_and_torsion(columns: Sequence[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     """Rank and torsion (invariant factors > 1) of the matrix with these
-    columns {row: nonzero entry}, row ids any ints; `columns` is not changed."""
+    columns {row: nonzero entry}, row ids any ints, from its Smith normal
+    form; `columns` is not changed.  The one entry to the Smith form: the
+    reduction calls it, and the tests check it against sympy."""
     factors = _invariant_factors(_diagonalize(columns))
     return len(factors), tuple(f for f in factors if f > 1)
 

@@ -12,6 +12,8 @@ from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racklab import catalog, lattice, topology, verify
 from racklab.cli import main
@@ -46,7 +48,7 @@ def _full_counts(spec) -> tuple[int, ...]:
     """The simplex counts of L(R)'s complex, counted without building a
     simplex."""
     P, t = _factor(spec)
-    return tuple(topology._count_simplices(P, 10**30, t)[2])
+    return order_complex(P, 10**30, t).full_counts
 
 
 def _chain_counts(sets: list[int]) -> tuple[int, ...]:
@@ -97,6 +99,52 @@ def test_count_oracles_cover_every_shift_and_large_budgets():
     assert {"D16", "SL(2,3)", "S3xZ3", "D8xZ2", "TV18", "Z10"} <= set(covered)
     assert all(sum(_full_counts(s)) > topology.DEFAULT_SIMPLEX_BUDGET
                for s in ("D16", "SL(2,3)", "S3xZ3", "D8xZ2", "TV18", "Z10"))
+
+
+def _surjections(t: int) -> list[int]:
+    """Oracle: j! * S(t, j) for j = 0..t, the surjections of a t-set onto j
+    ordered blocks, F(t, j) = j * (F(t - 1, j - 1) + F(t - 1, j))."""
+    row = [1]
+    for _ in range(t):
+        row.append(0)
+        row = [0] + [j * (row[j - 1] + row[j]) for j in range(1, len(row))]
+    return row
+
+
+def _merged_chains(chains, t: int, k: int) -> int:
+    """Oracle for `_product_chains`: a chain of k steps in P x 2^t projects
+    to one of i steps in P and one of j steps in 2^t, an ordered partition
+    of T into j blocks; the steps that move P are any i of the k, and those
+    that move 2^t are the k - i others and i + j - k of those i, so b_k(P x
+    2^t) is the sum over i and j of b_i(P) * j! S(t, j) * C(k, i) *
+    C(i, i + j - k)."""
+    surjections = _surjections(t)
+    return sum(
+        chains[i] * comb(k, i) * surjections[j] * comb(i, i + j - k)
+        for i in range(min(k, len(chains) - 1) + 1)
+        for j in range(k - i, min(k, t) + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 10**6), max_size=12).map(lambda rest: [0, 1, *rest]),
+    st.integers(0, 16),
+    st.data(),
+)
+def test_one_factor_2_at_a_time_equals_the_merged_chains(chains, t, data):
+    k = data.draw(st.integers(0, len(chains) + t + 1))
+    assert topology._product_chains(chains, t, k) == _merged_chains(chains, t, k)
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+def test_a_one_node_poset_counts_the_ordered_set_partitions(t):
+    # L(R) = 2^t when R = T: a chain of j steps is an ordered partition of
+    # T into j blocks, j! S(t, j) of them, and a d-simplex a chain of d + 2
+    # steps; inclusion-exclusion counts them without the recurrence
+    one_node = lattice.CoverPoset(*lattice._csr_from_edges(1, []))
+    full = topology._count_simplices(one_node, 10**30, t)[2]
+    assert tuple(full) == _surjection_counts(t)
 
 
 # the specs the shifted homology is held to the full complex on

@@ -16,7 +16,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "racklab"
 
 ALLOWED = {
     "partitions.partition_lattice",  # the by-definition oracle of k_equal_lattice
-    "topology.smith_normal_form",  # the Smith form on any matrix, checked against sympy
     "lattice.export_lattice_text",  # the export format the README documents
     "lattice.load_lattice_export",  # and its validating loader
 }

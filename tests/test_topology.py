@@ -21,7 +21,6 @@ from racklab.topology import (
     order_complex,
     rank_and_torsion,
     reduced_homology,
-    smith_normal_form,
 )
 from racklab.work import ledger
 
@@ -41,11 +40,6 @@ def complex_from_facets(facets) -> OrderComplex:
                 stack.append(s[:i] + s[i + 1:])
     dims = [sorted(levels[d]) for d in range(max(levels) + 1)]
     return OrderComplex(sorted(v for (v,) in levels[0]), dims)
-
-
-def dense_rows(columns, nrows) -> list[list[int]]:
-    """The rows of the matrix with these columns {row: entry} (test helper)."""
-    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
 
 
 def sparse_columns(rows, row_id=lambda r: r) -> list[dict[int, int]]:
@@ -105,20 +99,20 @@ def test_triangle_boundary_rank():
 
 
 def test_smith_identity():
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
+    assert rank_and_torsion(sparse_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (3, ())
 
 
 def test_smith_divisibility_normalization():
-    assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
-    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == (2, 2, 156)
+    # invariant factors (1, 6) and (2, 2, 156)
+    assert rank_and_torsion(sparse_columns([[2, 0], [0, 3]])) == (2, (6,))
+    assert rank_and_torsion(sparse_columns([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])) == (3, (2, 2, 156))
 
 
 def test_smith_circle_triangulation():
     for n in (3, 5, 8):
         edges = [(i, (i + 1) % n) for i in range(n)]
         K = complex_from_facets(edges)
-        factors = smith_normal_form(dense_rows(boundary_matrices(K)[1], len(K.simplices[0])))
-        assert factors == (1,) * (n - 1)
+        assert rank_and_torsion(boundary_matrices(K)[1]) == (n - 1, ())
 
 
 def test_boundary_squared_zero():
@@ -553,48 +547,29 @@ def test_smith_normal_form_matches_sympy(rows):
     expected = tuple(
         abs(int(diag[i, i])) for i in range(min(len(rows), len(rows[0]))) if diag[i, i]
     )
-    assert smith_normal_form(rows) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_int_matrices)
-def test_rank_and_torsion_of_columns_matches_smith_normal_form_of_rows(rows):
-    # rank_and_torsion reads the columns as the rows of the transpose; the
-    # row ids are spread out as in the reduction's un-renumbered remainder
-    factors = smith_normal_form(rows)
-    assert rank_and_torsion(sparse_columns(rows, lambda r: 7 + 1000 * r)) == (len(factors), tuple(f for f in factors if f > 1))
+    torsion = tuple(f for f in expected if f > 1)
+    assert rank_and_torsion(sparse_columns(rows)) == (len(expected), torsion)
+    # the row ids spread out, as in the reduction's un-renumbered remainder
+    assert rank_and_torsion(sparse_columns(rows, lambda r: 7 + 1000 * r)) == (len(expected), torsion)
 
 
 def test_smith_normal_form_of_61_bit_primes():
     # the divisibility chain comes from gcd/lcm steps, not from factoring
     p, q = 2**61 - 1, 2305843009213693921  # the two largest primes below 2^61
-    assert smith_normal_form([[p]]) == (p,)
-    assert smith_normal_form([[p, 0], [0, q]]) == (1, p * q)
-    assert smith_normal_form([[p * q, 0], [0, p]]) == (p, p * q)
-    assert smith_normal_form([[p * p * q, 0, 0], [0, q * q, 0], [0, 0, 1]]) == (1, q, p * p * q * q)
+    assert rank_and_torsion(sparse_columns([[p]])) == (1, (p,))
+    assert rank_and_torsion(sparse_columns([[p, 0], [0, q]])) == (2, (p * q,))
+    assert rank_and_torsion(sparse_columns([[p * q, 0], [0, p]])) == (2, (p, p * q))
+    assert rank_and_torsion(sparse_columns([[p * p * q, 0, 0], [0, q * q, 0], [0, 0, 1]])) == (3, (q, p * p * q * q))
 
 
 def test_smith_normal_form_leaves_its_argument_unchanged():
-    # rank_and_torsion on columns and smith_normal_form on dense rows, for
-    # boundary matrices and for matrices given by their rows
+    # rank_and_torsion on boundary matrices and on matrices given by their rows
     K = complex_from_facets([f + (apex,) for f in RP2 for apex in (6, 7)])
-    heights = [1] + K.counts()
-    cases = [(m, dense_rows(m, heights[d])) for d, m in enumerate(boundary_matrices(K))]
+    cases = boundary_matrices(K)
     for rows in ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [[1, 2, 0], [3, 1, 2], [0, 2, 6]]):
-        cases.append((sparse_columns(rows), rows))
-    for columns, rows in cases:
-        saved = [dict(col) for col in columns], [list(row) for row in rows]
-        first = rank_and_torsion(columns), smith_normal_form(rows)
-        assert (columns, rows) == saved
-        assert (rank_and_torsion(columns), smith_normal_form(rows)) == first
-
-
-def test_from_rows_rejects_malformed_rows():
-    # smith_normal_form checks its dense rows before reading them
-    with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 1"):
-        smith_normal_form([[2], [3, 5, 7]])
-    with pytest.raises(ValueError, match=r"entry \(0, 0\) is not an int: 1\.5"):
-        smith_normal_form([[1.5, 2], [3, 4]])
-    for rows in ([[2], [3, 5, 7]], [[1, 2], [3]], [[1.5, 2], [3, 4]], [[1, 2], [3, "4"]]):
-        with pytest.raises(ValueError):
-            smith_normal_form(rows)
+        cases.append(sparse_columns(rows))
+    for columns in cases:
+        saved = [dict(col) for col in columns]
+        first = rank_and_torsion(columns)
+        assert columns == saved
+        assert rank_and_torsion(columns) == first

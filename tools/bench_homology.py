@@ -58,7 +58,7 @@ def counters(argv: tuple[str, ...]) -> dict:
     the budget stops the command before `order_complex` builds it; an empty
     complex is not collapsed, so its collapse leaves 0."""
     P, t = enumerate_subracks(benchkit.rack_of(argv)).product_form()
-    counts = topology._count_simplices(P, 10**30, t)[2]
+    counts = list(topology.order_complex(P, 10**30, t).full_counts)
     ledger.clear()
     code, out, err = run(argv)
     built = ledger["order_complexes"] > 0
