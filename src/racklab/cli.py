@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -136,7 +137,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report["status"] == "fail" else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `racklab` argument parser, built once per process and shared by
+    every `main` call.  It holds no function: `main` looks the command's
+    `cmd_*` up on the module at each call, so a `cmd_*` replaced after the
+    parser was built is the one that runs.  Parsing leaves the parser as it
+    was, and each parse returns a new namespace with new lists."""
     p = argparse.ArgumentParser(
         prog="racklab",
         description="finite groups, conjugation racks, subrack lattices and their homology",
@@ -164,18 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("group", help="order, classes, center and properties of a group")
     g.add_argument("spec", help='group spec, e.g. "S4", "D8xZ3", "SL(2,3)"')
     add_flags(g, "--max-order")
-    g.set_defaults(func=cmd_group)
 
     l = sub.add_parser("lattice", help="enumerate the subrack lattice of a rack spec")
     l.add_argument("spec", help='rack spec, e.g. "S4:cycles(4)", "D8:noncentral", "Z4"')
     l.add_argument("--export", metavar="PATH", help="write the line-oriented lattice export")
     add_flags(l, "--max-order", "--budget-nodes")
-    l.set_defaults(func=cmd_lattice)
 
     h = sub.add_parser("homology", help="reduced integer homology of the order complex")
     h.add_argument("spec", help="rack spec")
     add_flags(h, "--max-order", "--budget-nodes", "--budget-simplices", "--timings")
-    h.set_defaults(func=cmd_homology)
 
     v = sub.add_parser("verify", help="run the verification suite")
     which = v.add_mutually_exclusive_group()
@@ -191,14 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=_positive_int, default=1,
                    help="run checks concurrently in this many processes "
                         "(at least 1, at most the CPU count)")
-    v.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (default `sys.argv[1:]`) and return its exit
+    code: 0, 1 when `verify` has a failing check, and 2 on a refused input
+    or an export that cannot be written; a malformed command line exits 2
+    from the parser."""
     args = build_parser().parse_args(argv)
+    # the names are read at this call: a patched `cmd_*` is the one that runs
+    commands = {"group": cmd_group, "lattice": cmd_lattice, "homology": cmd_homology,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (GroupSpecError, RackAxiomError, CapExceeded, BudgetExceeded) as exc:
         print(f"racklab: {exc}", file=sys.stderr)
         return _USAGE_ERROR

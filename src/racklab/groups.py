@@ -163,6 +163,9 @@ class FiniteGroup:
             raise ValueError("the table is empty; a group has at least one element")
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be unique, one per element")
+        for a, row in enumerate(mul):
+            if any(type(v) is not int for v in row):
+                raise ValueError(f"row {a} of the table holds an entry that is not an int")
         full = set(range(n))
         # zip stops at the shortest row: a ragged table runs out of columns,
         # and the () that stands in for a missing column fails the length test

@@ -409,3 +409,41 @@ def test_unread_flag_is_unrecognized(capsys, command, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process and shared by every `main` call
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_a_fresh_process_has_it(capsys):
+    import subprocess
+    import sys
+
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "S3", "--budget-nodes", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, err = run(capsys, ["lattice", "S3"])
+    fresh = subprocess.run([sys.executable, "-m", "racklab.cli", "lattice", "S3"],
+                           capture_output=True, text=True)
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert rc == 0 and out
+
+
+def test_two_verify_calls_do_not_share_their_check_lists():
+    first = cli.build_parser().parse_args(["verify", "--check", "m-of-g"])
+    second = cli.build_parser().parse_args(["verify", "--check", "fourcycle-rack"])
+    assert (first.check, second.check) == (["m-of-g"], ["fourcycle-rack"])
+    assert cli.build_parser().parse_args(["verify", "--all"]).check is None
+
+
+def test_a_command_replaced_after_the_parser_was_built_is_the_one_that_runs(monkeypatch):
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_lattice", lambda args: seen.append(args.spec) or 7)
+    assert main(["lattice", "S3"]) == 7
+    assert seen == ["S3"]

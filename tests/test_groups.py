@@ -327,8 +327,14 @@ def test_associativity_compares_at_most_n_log_n_rows(spec):
             "element 2 has no two-sided inverse",
         ),
         ([], "the table is empty; a group has at least one element"),
+        # 0.0 == 0 and True == 1 pass the permutation tests; a float would
+        # then shift a bitmask, and a bool would be stored in `mul`
+        ([[0, 1], [1, 0.0]], "row 1 of the table holds an entry that is not an int"),
+        ([[False, True], [True, False]], "row 0 of the table holds an entry that is not an int"),
+        ([[0, 1], [True, 0]], "row 1 of the table holds an entry that is not an int"),
     ],
-    ids=["ragged-short", "ragged-long", "no-identity", "one-sided-inverse", "empty"],
+    ids=["ragged-short", "ragged-long", "no-identity", "one-sided-inverse", "empty",
+         "float", "bools", "true"],
 )
 def test_malformed_table_rejected(mul, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racklab.bitsets import bit_list, mask_of
+from racklab.catalog import ABELIAN_LE16, CATALOG
 from racklab.groups import (
     CapExceeded,
     FiniteGroup,
@@ -20,6 +22,7 @@ from racklab.groups import (
     subgroup_closure_mask,
 )
 from racklab import racks
+from racklab.lattice import enumerate_subracks, product_statistics
 from racklab.racks import (
     Rack,
     RackAxiomError,
@@ -61,6 +64,20 @@ def test_non_bijective_row_named():
         validate_rack([[0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("table, row", [
+    ([[0, 1.0], [0, 1]], 0),
+    ([[0, 1], [0, True]], 1),
+    ([[False, True], [0, 1]], 0),
+    ([[0, 1], ["0", 1]], 1),
+], ids=["float", "true", "false", "str"])
+def test_an_entry_that_is_not_an_int_is_named_by_its_row(table, row):
+    # 1.0 == 1 and True == 1 pass the range and bijectivity tests; a float
+    # would then index a tuple, and a bool would be stored in `op`
+    message = f"row {row} contains an entry that is not an int"
+    with pytest.raises(RackAxiomError, match=f"^{re.escape(message)}$"):
+        validate_rack(table)
+
+
 def test_self_distributivity_failure_named():
     with pytest.raises(RackAxiomError, match=r"\(a, b, c\)"):
         validate_rack([[1, 0], [0, 1]])
@@ -82,6 +99,62 @@ def test_self_distributivity_failure_names_the_first_triple():
     message = f"self-distributivity fails at (a, b, c) = ({a}, {b}, {c})"
     with pytest.raises(RackAxiomError, match=re.escape(message)):
         validate_rack(table)
+
+
+def _first_failing_triple(table):
+    """The exhaustive oracle: the first (a, b, c) in product order with
+    a > (b > c) != (a > b) > (a > c), or None."""
+    n = len(table)
+    return next(
+        ((a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
+         if table[a][table[b][c]] != table[table[a][b]][table[a][c]]),
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["S3", "D8", "Q8", "A4", "SL(2,3)", "S4:cycles(4)", "A5:cycles(5)", "shift(5)"]
+)
+def test_light_rack_test_refuses_exactly_what_the_exhaustive_scan_refuses(name):
+    # seeded swaps of two entries in a row keep every row a bijection; the
+    # table is refused exactly when some triple fails, and the first one in
+    # (a, b, c) order is named.  No swap, or a swap that keeps the axioms,
+    # leaves a rack, so both outcomes are reached
+    rng = random.Random(f"light-{name}")
+    rack = cyclic_shift_rack(5) if name == "shift(5)" else rack_from_spec(name)
+    base = [list(row) for row in rack.op]
+    n = len(base)
+    outcomes = set()
+    for trial in range(40):
+        table = [row[:] for row in base]
+        for _ in range(trial % 3):
+            row = table[rng.randrange(n)]
+            x, y = rng.sample(range(n), 2)
+            row[x], row[y] = row[y], row[x]
+        triple = _first_failing_triple(table)
+        outcomes.add(triple is None)
+        if triple is None:
+            validate_rack(table)
+        else:
+            message = "self-distributivity fails at (a, b, c) = ({}, {}, {})".format(*triple)
+            with pytest.raises(RackAxiomError, match=f"^{re.escape(message)}$"):
+                validate_rack(table)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_light_rack_test_compares_the_rows_of_a_short_chain_of_generators(spec):
+    # each greedy generator's closure strictly contains the last one, from
+    # T up to R, so the generators number at most the longest chain of the
+    # interval [T, R], which is L(R - T); an abelian group's rack is all T
+    rack = rack_from_spec(spec)
+    P, t = enumerate_subracks(rack).product_form()
+    longest = product_statistics(P, t).lengths[-1] - t
+    ledger.clear()
+    validate_rack(rack.op, rack.labels)
+    assert ledger["distributivity_rows"] == rack.size * ledger["closures"]
+    assert ledger["distributivity_rows"] <= rack.size * longest
+    assert (ledger["distributivity_rows"] == 0) == (spec in ABELIAN_LE16)
 
 
 @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], ["a", "a"], []])

@@ -20,9 +20,15 @@ build makes (a product's factors and the product itself):
 The rows under `racks` are the cycle-class racks of the `lattice` and
 `homology` workloads and of `racklab verify`.  Each records the time of
 `rack_from_spec(spec, max_order=360)`, min of 3 runs, the rack's `size`,
-and the `direct_products` of one more run, 0: `rack_from_spec` lists a class
-of cycles as permutations and builds no group table, and every table adds
-its order squared.
+and the counters of one more run:
+
+- `direct_products`: 0, since `rack_from_spec` lists a class of cycles as
+  permutations and builds no group table, and every table adds its order
+  squared;
+- `closures`: the `Rack.closure` calls of `validate_rack`'s greedy
+  generator search, one per generator;
+- `distributivity_rows`: the (a, b) rows Light's test for racks compares,
+  size |generators|, against size^2 for a scan of every (a, b).
 
 `tests/test_bench_files.py` recomputes every field but the times with
 `counters` and `rack_counters` and compares them with the committed file.
@@ -64,7 +70,8 @@ def rack_counters(spec: str) -> dict:
     """Every field of a `racks` row but its time, from one build of `spec`."""
     ledger.clear()
     rack = racks.rack_from_spec(spec, max_order=MAX_ORDER)
-    return {"spec": spec, "size": rack.size, "direct_products": ledger["direct_products"]}
+    fields = ("direct_products", "closures", "distributivity_rows")
+    return {"spec": spec, "size": rack.size, **{f: ledger[f] for f in fields}}
 
 
 def main() -> int:
@@ -76,7 +83,8 @@ def main() -> int:
         print(f"{r['spec']:12s} order {r['order']:3d} direct {r['direct_products']:>7,d} "
               f"assoc {r['associativity_rows']:>6,d} rows  {r['seconds']:.4f} s")
     for r in rack_rows:
-        print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']}  "
+        print(f"{r['spec']:20s} size {r['size']:3d} direct {r['direct_products']} "
+              f"closures {r['closures']} distrib {r['distributivity_rows']:>4,d} rows  "
               f"{r['seconds']:.4f} s")
     totals = {"groups": round(sum(r["seconds"] for r in rows), 6),
               "racks": round(sum(r["seconds"] for r in rack_rows), 6)}
