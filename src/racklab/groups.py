@@ -18,7 +18,9 @@ the factor orders of one chief series, the normal subgroups walked in order.
 Every family builder gives only its elements, product rule and labels to one
 table constructor, `_table_group`, which evaluates every product one at a
 time; a symmetric or alternating group's rule is the composition of
-permutations.  So `FiniteGroup._validate` checks each family's rule itself.
+permutations.  D_2k, DIC_k, Q8, Q16 and SD16 share one rule, `_metacyclic`,
+for <a, b | a^m = 1, b^2 = a^s, b a b^-1 = a^r>, each giving (m, r, s).  So
+`FiniteGroup._validate` checks each family's rule itself.
 Its associativity test, Light's, is exact and compares only the rows of a
 generating set; a failure names the first failing (a, b, c) in scan order.
 """
@@ -197,10 +199,6 @@ class FiniteGroup:
                 c = next(c for c in range(n) if mul[mul[a][b]][c] != mul[a][mul[b][c]])
                 raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def conj(self, a: int, b: int) -> int:
         """a b a^-1"""
         return self.mul[self.mul[a][b]][self.inv[a]]
@@ -281,45 +279,31 @@ def _build_cyclic(n: int) -> FiniteGroup:
     return _table_group(f"Z{n}", range(n), lambda a, b: (a + b) % n, labels)
 
 
+def _metacyclic(m: int, r: int, s: int) -> Callable:
+    """The product of <a, b | a^m = 1, b^2 = a^s, b a b^-1 = a^r> on the
+    pairs (f, i) = a^i b^f.  Since b^f a^j = a^(r^f j) b^f and b b = a^s,
+    a^i b^f a^j b^g = a^(i + r^f j + s f g) b^(f + g)."""
+
+    def mul(x, y):
+        (f, i), (g, j) = x, y
+        return ((f + g) % 2, (i + r**f * j + s * f * g) % m)
+
+    return mul
+
+
 def _build_dihedral(order: int) -> FiniteGroup:
-    # (f, i) is s^f r^i, with s r s = r^-1
+    # r^i, then s r^i = a^-i b, with a = r and b = s
     k = order // 2
-    elems = [(f, i) for f in range(2) for i in range(k)]
-
-    def mul(x, y):
-        (f, i), (g, j) = x, y
-        return ((f + g) % 2, ((-1) ** g * i + j) % k)
-
+    elems = [(0, i) for i in range(k)] + [(1, -i % k) for i in range(k)]
     labels = [_power("r", i) or "e" for i in range(k)] + ["s" + _power("r", i) for i in range(k)]
-    return _table_group(f"D{order}", elems, mul, labels)
+    return _table_group(f"D{order}", elems, _metacyclic(k, -1, 0), labels)
 
 
-def _ab_labels(m: int) -> list[str]:
-    """Labels of a^i (i < m), then of a^i b."""
-    return [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + "b" for i in range(m)]
-
-
-def _build_dicyclic(k: int, name: str | None = None) -> FiniteGroup:
-    # <a, b | a^(2k) = 1, b^2 = a^k, b a b^-1 = a^-1>; (f, i) is a^i b^f
-    m = 2 * k
+def _ab_group(name: str, m: int, r: int, s: int) -> FiniteGroup:
+    """The group of `_metacyclic(m, r, s)` on a^i (i < m), then a^i b."""
     elems = [(f, i) for f in range(2) for i in range(m)]
-
-    def mul(x, y):
-        (f, i), (g, j) = x, y
-        return ((f + g) % 2, (i + (-1) ** f * j + k * f * g) % m)
-
-    return _table_group(name or f"DIC{k}", elems, mul, _ab_labels(m))
-
-
-def _build_semidihedral16() -> FiniteGroup:
-    # <a, b | a^8 = b^2 = 1, b a b = a^3>; (f, i) is a^i b^f
-    elems = [(f, i) for f in range(2) for i in range(8)]
-
-    def mul(x, y):
-        (f, i), (g, j) = x, y
-        return ((f + g) % 2, (i + 3**f * j) % 8)
-
-    return _table_group("SD16", elems, mul, _ab_labels(8))
+    labels = [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + "b" for i in range(m)]
+    return _table_group(name, elems, _metacyclic(m, r, s), labels)
 
 
 def _build_sl23() -> FiniteGroup:
@@ -374,10 +358,10 @@ _FAMILIES = {
     "S": _Family(factorial, _build_symmetric),
     "A": _Family(lambda n: max(1, factorial(n) // 2), _build_alternating),
     "D": _Family(lambda n: n, _build_dihedral),
-    "DIC": _Family(lambda k: 4 * k, _build_dicyclic),
-    "Q8": _Family(lambda _: 8, lambda _: _build_dicyclic(2, name="Q8")),
-    "Q16": _Family(lambda _: 16, lambda _: _build_dicyclic(4, name="Q16")),
-    "SD16": _Family(lambda _: 16, lambda _: _build_semidihedral16()),
+    "DIC": _Family(lambda k: 4 * k, lambda k: _ab_group(f"DIC{k}", 2 * k, -1, k)),
+    "Q8": _Family(lambda _: 8, lambda _: _ab_group("Q8", 4, -1, 2)),
+    "Q16": _Family(lambda _: 16, lambda _: _ab_group("Q16", 8, -1, 4)),
+    "SD16": _Family(lambda _: 16, lambda _: _ab_group("SD16", 8, 3, 0)),
     "SL(2,3)": _Family(lambda _: 24, lambda _: _build_sl23()),
     "TV18": _Family(lambda _: 18, lambda _: _build_tv18()),
 }

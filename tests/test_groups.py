@@ -183,6 +183,13 @@ def test_spec_order_is_the_order_of_the_built_group(spec):
     assert spec_order(parse_group_spec(spec)) == build_group(spec, max_order=360).order
 
 
+@pytest.mark.parametrize("dicyclic,fixed", [("DIC2", "Q8"), ("DIC4", "Q16")])
+def test_q8_and_q16_are_dicyclic(dicyclic, fixed):
+    # Q8 = DIC2 and Q16 = DIC4, element for element
+    a, b = build_group(dicyclic), build_group(fixed)
+    assert (a.mul, a.labels) == (b.mul, b.labels)
+
+
 def test_tv18_center_and_presentation():
     G = build_group("TV18")
     # brute-force center

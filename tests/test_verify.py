@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -23,6 +24,23 @@ def test_lattice_bruteforce_fails_on_a_broken_spec(monkeypatch):
     monkeypatch.setattr(verify, "BRUTEFORCE_RACKS", ("S3", "Zoo"))
     with pytest.raises(GroupSpecError):
         check_lattice_bruteforce(VerifyConfig())
+
+
+def test_euler_check_fails_when_the_betti_numbers_miss_the_euler_characteristic(monkeypatch):
+    real = verify.reduced_homology
+
+    def one_betti_too_many(K, collapse=True):
+        H = real(K, collapse)
+        betti = dict(H.betti)
+        d = min(betti, default=0)
+        betti[d] = betti.get(d, 0) + 1
+        return dataclasses.replace(H, betti=betti)
+
+    monkeypatch.setattr(verify, "reduced_homology", one_betti_too_many)
+    res = verify.check_homology_consistency(VerifyConfig())
+    assert res.status == "fail"
+    assert res.computed
+    assert all(not c["euler_consistent"] for c in res.computed.values())
 
 
 def test_every_bruteforce_rack_fits_the_subset_scan():
