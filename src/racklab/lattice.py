@@ -49,6 +49,11 @@ exactly the sets it rejects with full closures.  The walk reads the first
 closure step of s + x for every x off one packed image of s per node
 (`Rack.packed_image`), and calls `Rack.closure` only for an x whose step
 neither rules the cover out nor lies inside s + x (see `_lindig_walk`).
+It tests all x at once first, word-parallel on the packed image: an x
+whose step meets an outside element above x or in T is rejected, as the
+per-element test, which still holds those elements, would reject it; one
+multiplication, which carries nothing as gcd(n, n - 1) = 1, gathers them
+(`_packed_fields`).
 The covers s + t, t in T, take no closure: the walk yields them as one
 mask of the t, and reaches each node through T from one lower cover only.
 The walk yields each node with its closure covers as masks; the lattice
@@ -63,7 +68,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import bits, mask_of
 from .racks import Rack, _check_rack_cap
@@ -284,6 +289,31 @@ def _lindig_subracks(rack: Rack, node_budget: int, top: int | None = None) -> Su
     return SubrackLattice(sets, pstart, rows, rack.labels, rack.provenance)
 
 
+def _packed_fields(n: int) -> tuple[int, Callable[[int], int]]:
+    """(rep, nonzero) for words of n fields of n bits, field x at bit n*x,
+    as `Rack.packed_image` packs them: m * rep copies an n-bit m into every
+    field, and nonzero(word) is the n-bit mask of word's nonzero fields
+    (broadword arithmetic, Knuth, TAOCP 4A, 7.1.3).  Bit n-1 of
+    ((f & rest) + rest) | f, rest = 2^(n-1) - 1, is set exactly when the
+    field f is nonzero, and no field carries into the next.  Times
+    spread = sum of 2^(j*(n-1)), j < n, that bit of field k lands at bit
+    n*(n-1) + k (j = n-1-k), and the product carries nothing: the partial
+    products n*k + j*(n-1) are pairwise distinct, as gcd(n, n-1) = 1.
+    Sums over range(n) keep n = 0 (the empty rack) from negative shifts.
+    """
+    field = (1 << n) - 1
+    rep = sum(1 << n * x for x in range(n))  # bit 0 of each field
+    tops = sum(1 << n * x + n - 1 for x in range(n))  # bit n-1 of each field
+    rest = tops - rep  # bits 0..n-2 of each field
+    spread = sum(1 << j * (n - 1) for j in range(n))
+    gather = n * (n - 1)
+
+    def nonzero(word: int) -> int:
+        return (((word & rest) + rest | word) & tops) * spread >> gather & field
+
+    return rep, nonzero
+
+
 def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, list[int], int]]:
     """Walk every subrack of `rack` inside the subrack `top`, by closures
     alone, without the product lemma: yield, for each subrack s in
@@ -329,11 +359,27 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     step of s + x: every product and inverse product of x with an element
     of s + x, both ways.  Those with s are field x of s's packed image
     (`Rack.packed_image`), taken once per node, and those of x with itself
-    are x > x and x >^-1 x (`loops`).  When that step meets mins - x, x
-    leaves `mins` with no closure call (a first-step reject).  This is
-    exactly the rejection `Rack.closure(s + x, s, mins - x)` makes in its
-    first round: its work list is {x}, since s is closed and the elements of
-    T drop off it, and it reads field x of the image of s + x, the same set.
+    are x > x and x >^-1 x (field x of `loops`).  When that step meets
+    mins - x, x leaves `mins` with no closure call (a first-step reject).
+    This is exactly the rejection `Rack.closure(s + x, s, mins - x)` makes
+    in its first round: its work list is {x}, since s is closed and the
+    elements of T drop off it, and it reads field x of the image of s + x,
+    the same set.
+
+    The test runs word-parallel first, for all x at once: field x of
+    (image | loops) & mins * rep & above is x's step inside the outside
+    elements above x and T, and `_packed_fields`' `nonzero` gathers the x
+    whose field is nonzero with one multiplication that carries nothing,
+    its partial products k*n + j*(n-1) being distinct as gcd(n, n-1) = 1.
+    Each such x is a first-step reject: when the per-element test reaches
+    x, `mins` still holds every outside element above x and all of
+    `tmask`.  They leave `mins` at once; the other x take the per-element
+    test in ascending order, which catches the rejects caused by accepted
+    elements below x.  A survivor's step misses every outside element above
+    it, so the test reads the same as against `mins` with those rejects
+    still in it, and each closure gets them back in its `stop` set.  So
+    the rejects, closure seeds and `stop` sets are the per-element walk's.
+
     A step inside s + x makes s + x closed, and the cover, with no call
     either: the closure would return its seed at once.  Otherwise the
     closure runs from the seed s + x + step, with s + x as
@@ -388,10 +434,13 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
     close, image = rack.closure, rack.packed_image
     n = rack.size
     field = (1 << n) - 1
-    # x > x and x >^-1 x: the pair of x with itself, which s's image lacks
-    loops = [1 << rack.op[x][x] | 1 << rack.inv_op[x][x] for x in range(n)]
-    size = top.bit_count()
     trivial = rack.trivial_part
+    rep, nonzero = _packed_fields(n)
+    # x > x and x >^-1 x: the pair of x with itself, which s's image lacks
+    loops = sum((1 << rack.op[x][x] | 1 << rack.inv_op[x][x]) << n * x for x in range(n))
+    # the elements above x, and T
+    above = sum(((field & -2 << x) | trivial) << n * x for x in range(n))
+    size = top.bit_count()
     limit = max(node_budget, 1)
     levels: list[set[int] | None] = [set() for _ in range(size + 2)]
     levels[0].add(0)
@@ -412,12 +461,18 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                 mins = top & ~s
                 tmask = mins & trivial
                 rem = mins ^ tmask
-                img = image(s) if rem else 0
+                if rem:
+                    img = image(s) | loops
+                    # the x whose first step meets mins above x or in T
+                    rejected = nonzero(img & mins * rep & above) & rem
+                    first += rejected.bit_count()
+                    rem ^= rejected
+                    mins ^= rejected
                 while rem:
                     bit = rem & -rem
                     rem ^= bit
                     x = bit.bit_length() - 1
-                    step = (img >> n * x & field) | loops[x]
+                    step = img >> n * x & field
                     if step & (mins ^ bit):
                         mins ^= bit
                         first += 1
@@ -425,9 +480,11 @@ def _lindig_walk(rack: Rack, node_budget: int, top: int) -> Iterator[tuple[int, 
                     b = s | bit
                     if step & ~b:  # else s + x is closed: the cover, with no call
                         calls += 1
+                        # mins - x of the per-element walk: the rejects above x back in
+                        stop = (mins | rejected & -bit) ^ bit
                         # positional: perfbench wraps closure as (*args)
-                        b = close(b | step, b, mins ^ bit)
-                        if (b ^ bit) & mins:  # b & ~s & ~bit & mins, as mins avoids s
+                        b = close(b | step, b, stop)
+                        if b & stop:  # stop avoids s + x
                             mins ^= bit
                             stopped += 1
                             continue

@@ -122,9 +122,9 @@ class Rack:
         """The packed image of `mask`: field a (bits a*n..a*n+n-1) holds the
         products and inverse products of a with the elements of `mask`, both
         ways, for each a outside `trivial_part` (0 for a in it).  One lookup
-        per chunk of 8 elements, ORed."""
+        per chunk of 8 elements, ORed; the tables are built on first use."""
         img = 0
-        for tab in self._merged_tables():
+        for tab in self._tables or self._merged_tables():
             if not mask:
                 break
             byte = mask & 255

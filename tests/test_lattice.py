@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import subprocess
 import sys
 from functools import lru_cache, reduce
@@ -32,6 +33,7 @@ from racklab.lattice import (
     _lindig_subracks,
     _lindig_walk,
     _meet_closure,
+    _packed_fields,
     all_maximal_chain_lengths,
     atoms,
     brute_force_covers,
@@ -48,7 +50,7 @@ from racklab.lattice import (
     load_lattice_export,
     product_decomposition_check,
 )
-from racklab.racks import Rack, conjugation_rack, rack_from_spec, validate_rack
+from racklab.racks import RACK_CAP, Rack, conjugation_rack, rack_from_spec, validate_rack
 from racklab.topology import order_complex, reduced_homology
 from racklab.work import ledger
 
@@ -214,15 +216,25 @@ def test_walk_with_its_t_covers_matches_bruteforce(spec):
     assert covers == brute_force_covers(sets)
 
 
+def _first_step(rack, s, x):
+    """The first closure step of s + x: the products and inverse products
+    of x with each element of s + x, in both argument orders, read off the
+    operation tables."""
+    op, inv_op = rack.op, rack.inv_op
+    return mask_of(c for a in bits(s | 1 << x)
+                   for c in (op[x][a], op[a][x], inv_op[x][a], inv_op[a][x]))
+
+
 def _reference_walk(rack, top):
     """Test oracle for `_lindig_walk`: the same walk with one full
     `Rack.closure` of s + x per outside element x of each node, with no
     first-step test, no `closed` seed and no `stop`.  Returns the walk's
-    (s, row, tmask) triples and the count of rejected elements."""
+    (s, row, tmask) triples, the count of rejected elements and the count
+    of those whose first step (`_first_step`) already meets mins - x."""
     trivial = rack.trivial_part
     levels = [set() for _ in range(top.bit_count() + 2)]
     levels[0].add(0)
-    triples, rejected = [], 0
+    triples, rejected, first = [], 0, 0
     for k in range(top.bit_count() + 1):
         for s in sorted(levels[k]):
             mins = top & ~s
@@ -231,6 +243,7 @@ def _reference_walk(rack, top):
             for x in bits(mins ^ tmask):
                 b = rack.closure(s | 1 << x)
                 if b & ~s & ~(1 << x) & mins:
+                    first += bool(_first_step(rack, s, x) & mins & ~(1 << x))
                     mins &= ~(1 << x)
                     rejected += 1
                     continue
@@ -240,7 +253,7 @@ def _reference_walk(rack, top):
             for t in bits(tmask >> high << high):
                 levels[k + 1].add(s | 1 << t)
             triples.append((s, row, tmask))
-    return triples, rejected
+    return triples, rejected, first
 
 
 def _workload_racks(workload):
@@ -264,6 +277,13 @@ def _walk_cases():
     cases += [(f"whole-{spec}", rack, rack.full_mask()) for spec, rack in whole]
     shift = _shift_rack()
     assert shift.trivial_part == 0b1100000
+    # the packing's edges: no element (n = 0), a permutation rack
+    # x > y = swap(y) with T empty, and 9 elements, two 8-element chunks
+    edges = [rack_from_spec("Z4:noncentral"), validate_rack([[1, 0], [1, 0]]),
+             rack_from_spec("D18:class(s)")]
+    assert [r.size for r in edges] == [0, 2, 9] and not edges[1].trivial_part
+    cases += [(f"whole-{name}", r, r.full_mask())
+              for name, r in zip(["Z4:noncentral", "swap", "D18:class(s)"], edges)]
     return cases + [("whole-shift", shift, shift.full_mask())]
 
 
@@ -277,12 +297,29 @@ def test_walk_equals_the_reference_walk_of_full_closures(rack, top):
     # the elements that full closures reject, and emit the same rows
     ledger.clear()
     walk = list(_lindig_walk(rack, DEFAULT_NODE_BUDGET, top))
-    want, rejected = _reference_walk(rack, top)
+    want, rejected, first = _reference_walk(rack, top)
     assert walk == want
-    assert ledger["first_step_rejects"] + ledger["stopped_closures"] == rejected
+    assert ledger["first_step_rejects"] == first
+    assert ledger["stopped_closures"] == rejected - first
     # a cover s + x, closed as it stands, takes no call
     grown = sum((b & ~s).bit_count() > 1 for s, row, _ in walk for b in row)
     assert ledger["closures"] - ledger["stopped_closures"] == grown
+
+
+@pytest.mark.parametrize("n", range(RACK_CAP + 1))
+def test_packed_fields_flag_exactly_the_nonzero_fields(n):
+    rep, nonzero = _packed_fields(n)
+    field = (1 << n) - 1
+    assert rep * field == (1 << n * n) - 1  # n copies of field, one per field
+    rng = random.Random(n)
+    # every field empty, full, its lowest or its highest bit alone, and random
+    patterns = [[0] * n, [field] * n, [1] * n, [1 << n - 1 if n else 0] * n]
+    patterns += [[rng.choice([0, 0, field, rng.getrandbits(n)]) for _ in range(n)]
+                 for _ in range(20)]
+    patterns += [[1 << n - 1 if x == k else 0 for x in range(n)] for k in range(n)]
+    for fields in patterns:
+        word = sum(f << n * x for x, f in enumerate(fields))
+        assert nonzero(word) == mask_of(x for x, f in enumerate(fields) if f)
 
 
 @settings(deadline=None, max_examples=200)

@@ -43,6 +43,25 @@ def test_euler_check_fails_when_the_betti_numbers_miss_the_euler_characteristic(
     assert all(not c["euler_consistent"] for c in res.computed.values())
 
 
+def test_collapse_check_fails_when_the_whole_complex_has_other_betti_numbers(monkeypatch):
+    real = verify.reduced_homology
+
+    def one_more_betti_uncollapsed(K, collapse=True):
+        H = real(K, collapse)
+        if collapse:
+            return H
+        betti = dict(H.betti)
+        d = min(betti, default=0)
+        betti[d] = betti.get(d, 0) + 1
+        return dataclasses.replace(H, betti=betti)
+
+    monkeypatch.setattr(verify, "reduced_homology", one_more_betti_uncollapsed)
+    res = verify.check_homology_consistency(VerifyConfig())
+    assert res.status == "fail"
+    assert res.computed
+    assert all(not c["collapse_invariant"] for c in res.computed.values())
+
+
 def test_every_bruteforce_rack_fits_the_subset_scan():
     # the check scans all 2^size subsets and skips no rack, so its
     # description's bound must hold for every spec it lists
