@@ -88,7 +88,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "max_maximal_chain": stats.lengths[-1],
         "chain_lengths": list(stats.lengths),
     }
-    if args.export:
+    if args.export is not None:
         # L(R) is built before the file is opened, so a failure leaves it as it was
         full = lat.expand()
         try:

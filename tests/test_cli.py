@@ -346,6 +346,9 @@ def test_unwritable_export_is_a_usage_error(tmp_path, capsys):
     rc, out, err = run(capsys, ["lattice", "S3", "--export", str(tmp_path)])
     assert (rc, out) == (2, "")
     assert err.startswith(f"racklab: cannot write export {tmp_path}: ")
+    rc, out, err = run(capsys, ["lattice", "S3", "--export", ""])
+    assert (rc, out) == (2, "")
+    assert err == "racklab: cannot write export : No such file or directory\n"
 
 
 def test_budget_failure_leaves_an_existing_export_untouched(tmp_path, capsys):

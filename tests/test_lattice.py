@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_maximal_chains, full_lattice
+from racklab import lattice
 from racklab.bitsets import bit_list, bits, mask_of
 from racklab.catalog import CATALOG, CENTRAL_CATALOG, analyze_group
 from racklab.groups import (
@@ -229,18 +230,27 @@ def _reference_walk(rack, top):
     """Test oracle for `_lindig_walk`: the same walk with one full
     `Rack.closure` of s + x per outside element x of each node, with no
     first-step test, no `closed` seed and no `stop`.  Returns the walk's
-    (s, row, tmask) triples, the count of rejected elements and the count
-    of those whose first step (`_first_step`) already meets mins - x."""
+    (s, row, tmask) triples, the count of rejected elements, the count
+    of those whose first step (`_first_step`) already meets mins - x, and,
+    for each node with outside elements (those of top - s - T), in walk
+    order, the pair (outside, word) where word holds the outside x whose
+    first step meets an outside element above x or an element of
+    tmask: the rejects the word-parallel test must find."""
     trivial = rack.trivial_part
     levels = [set() for _ in range(top.bit_count() + 2)]
     levels[0].add(0)
-    triples, rejected, first = [], 0, 0
+    triples, rejected, first, words = [], 0, 0, []
     for k in range(top.bit_count() + 1):
         for s in sorted(levels[k]):
             mins = top & ~s
             tmask = mins & trivial
+            outside = mins ^ tmask
+            if outside:
+                words.append((outside, mask_of(
+                    x for x in bits(outside)
+                    if _first_step(rack, s, x) & (outside & -2 << x | tmask))))
             row = []
-            for x in bits(mins ^ tmask):
+            for x in bits(outside):
                 b = rack.closure(s | 1 << x)
                 if b & ~s & ~(1 << x) & mins:
                     first += bool(_first_step(rack, s, x) & mins & ~(1 << x))
@@ -253,7 +263,7 @@ def _reference_walk(rack, top):
             for t in bits(tmask >> high << high):
                 levels[k + 1].add(s | 1 << t)
             triples.append((s, row, tmask))
-    return triples, rejected, first
+    return triples, rejected, first, words
 
 
 def _workload_racks(workload):
@@ -290,20 +300,59 @@ def _walk_cases():
 WALK_CASES = _walk_cases()
 
 
+def _recorded_walk(monkeypatch, rack, top, fault=lambda word: word):
+    """`_lindig_walk`'s yields and the mask of each call of its
+    word-parallel test (`_packed_fields`' `nonzero`), in call order; the
+    test sees `fault(word)` for each word."""
+    packed, masks = lattice._packed_fields, []
+
+    def recording_packed_fields(n):
+        rep, nonzero = packed(n)
+
+        def recording_nonzero(word):
+            masks.append(nonzero(fault(word)))
+            return masks[-1]
+        return rep, recording_nonzero
+
+    monkeypatch.setattr(lattice, "_packed_fields", recording_packed_fields)
+    return list(_lindig_walk(rack, DEFAULT_NODE_BUDGET, top)), masks
+
+
 @pytest.mark.parametrize("rack,top", [case[1:] for case in WALK_CASES],
                          ids=[case[0] for case in WALK_CASES])
-def test_walk_equals_the_reference_walk_of_full_closures(rack, top):
+def test_walk_equals_the_reference_walk_of_full_closures(rack, top, monkeypatch):
     # the first-step test and the seeded, stopping closure reject exactly
     # the elements that full closures reject, and emit the same rows
     ledger.clear()
-    walk = list(_lindig_walk(rack, DEFAULT_NODE_BUDGET, top))
-    want, rejected, first = _reference_walk(rack, top)
+    walk, masks = _recorded_walk(monkeypatch, rack, top)
+    want, rejected, first, words = _reference_walk(rack, top)
     assert walk == want
     assert ledger["first_step_rejects"] == first
     assert ledger["stopped_closures"] == rejected - first
+    # the word test runs once per node with outside elements and flags
+    # exactly the rejects it can see; the per-element test would catch
+    # any it missed, so only this shows a word test that flags too few
+    found = [m & outside for m, (outside, _) in zip(masks, words, strict=True)]
+    assert found == [w for _, w in words]
     # a cover s + x, closed as it stands, takes no call
     grown = sum((b & ~s).bit_count() > 1 for s, row, _ in walk for b in row)
     assert ledger["closures"] - ledger["stopped_closures"] == grown
+
+
+def test_a_word_test_with_no_elements_above_fails_only_the_word_check(monkeypatch):
+    # an `above` word of 0 makes every word 0: the walk and its ledger stay
+    # exact, since the per-element test takes every reject, and only the
+    # recorded masks differ from the reference
+    rack = rack_from_spec("D24")
+    top = rack.full_mask() & ~rack.trivial_part
+    want, rejected, first, words = _reference_walk(rack, top)
+    ledger.clear()
+    walk, masks = _recorded_walk(monkeypatch, rack, top, fault=lambda word: word & 0)
+    assert walk == want
+    assert ledger["first_step_rejects"] == first
+    assert ledger["stopped_closures"] == rejected - first
+    found = [m & outside for m, (outside, _) in zip(masks, words, strict=True)]
+    assert found != [w for _, w in words]
 
 
 @pytest.mark.parametrize("n", range(RACK_CAP + 1))

@@ -1,16 +1,26 @@
-"""The package holds no public code that only tests reach.
+"""The package holds no public code that only tests reach, and each module
+loads only what it imports.
 
 Every public, undecorated top-level function or class of `src/racklab` must be
 referenced, as a name or an attribute, by some package module other than
-`__init__.py`, which only re-exports.  The exceptions are the independent
-oracles and the documented export round trip, which the tests compare the
-library against or which users call directly.
+`__init__.py`, which holds only its docstring.  The exceptions are the
+independent oracles and the documented export round trip, which the tests
+compare the library against or which users call directly.
+
+Importing one module loads the package and the modules that its module-level
+relative imports reach, and no other: a name re-exported from `__init__.py`
+would load its module with every other.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "racklab"
 
@@ -60,3 +70,34 @@ def test_a_planted_unreferenced_function_is_found(tmp_path):
     with open(tmp_path / "lattice.py", "a", encoding="utf-8") as fh:
         fh.write("\n\ndef planted(x):\n    return x\n")
     assert unreferenced_public_names(tmp_path) - ALLOWED == {"lattice.planted"}
+
+
+def import_closure(root: Path, stem: str) -> set[str]:
+    """`stem` and every module of `root` that its module-level relative
+    imports reach, transitively, read off the sources."""
+    seen, todo = set(), [stem]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.parse((root / f"{name}.py").read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .x import a` imports x; `from . import x, y` imports x and y
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    return seen
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_importing_a_module_loads_exactly_its_imports(stem):
+    code = ("import sys, racklab." + stem + "\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'racklab'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    want = {"racklab"} | {f"racklab.{m}" for m in import_closure(PACKAGE, stem)}
+    assert set(run.stdout.split()) == want
+

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import racklab
 from racklab import catalog, cli, groups, lattice, partitions, racks, verify
 from racklab.groups import (
     GroupSpecError,
@@ -204,7 +203,7 @@ def test_kequal_fibers_builds_no_group_and_enumerates_a6_once(monkeypatch):
         enumerated.append(rack.provenance)
         return lindig(rack, *args)
 
-    for module in (racklab, catalog, cli, groups, partitions, racks, verify):
+    for module in (catalog, cli, groups, partitions, racks, verify):
         if vars(module).get("build_group") is build:
             monkeypatch.setattr(module, "build_group", counting_build)
     monkeypatch.setattr(lattice, "_lindig_subracks", counting_lindig)
